@@ -156,11 +156,3 @@ def theta_power(g: int, k: int) -> ChowVector:
     if not 1 <= k <= g:
         raise ValueError(f"k must be in [1, {g}]")
     return ChowVector.monomial(g, g - k, factorial(k))
-
-
-def is_integral(x: ChowVector) -> bool:
-    return x.is_integral()
-
-
-def is_effective(x: ChowVector) -> bool:
-    return x.is_effective()

@@ -74,6 +74,13 @@ def _parse_coords(text):
         raise InputError(f"bad coordinate list {text!r}: {exc}") from None
 
 
+def _parse_fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad rational {text!r}: expected p/q with q != 0") from None
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -84,15 +91,28 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_cycle(path) -> CleanCycleModel:
-    """Load and fully validate a cycle file; error messages name the field."""
-    data = _load_json(path)
+def _object_field(data, key) -> dict:
+    """data[key] of an input document, which must be a JSON object."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, dict):
+        raise InputError(f"field {key!r} must be a JSON object")
+    return value
+
+
+def load_cycle(source) -> CleanCycleModel:
+    """Load and fully validate a cycle, given as a file path or as a parsed
+    document (the c1/c2/cycle objects embedded in an input file); error
+    messages name the field."""
+    if isinstance(source, dict):
+        data, where = source, "embedded cycle"
+    else:
+        data, where = _load_json(source), source
     try:
         return CleanCycleModel.from_json(data)
     except (KeyError, TypeError) as exc:
-        raise InputError(f"cycle schema violation in {path}: missing/bad field {exc}") from None
+        raise InputError(f"cycle schema violation in {where}: missing/bad field {exc}") from None
     except (ValueError, ArithmeticError) as exc:
-        raise InputError(f"cycle invariant violated in {path}: {exc}") from None
+        raise InputError(f"cycle invariant violated in {where}: {exc}") from None
 
 
 def load_character(path) -> Character:
@@ -143,8 +163,8 @@ def _cmd_symfun(args):
 
 def _cmd_lambda_eval(args):
     data = _load_json(args.input)
-    x = _load_element(data["element"])
-    op = data["op"]
+    x = _load_element(_object_field(data, "element"))
+    op = _object_field(data, "op")
     kind = op["kind"]
     try:
         if kind == "adams":
@@ -168,8 +188,8 @@ def _cmd_lambda_eval(args):
 
 def _cmd_cycle_convolve(args):
     data = _load_json(args.input)
-    c1 = CleanCycleModel.from_json(data["c1"])
-    c2 = CleanCycleModel.from_json(data["c2"])
+    c1 = load_cycle(_object_field(data, "c1"))
+    c2 = load_cycle(_object_field(data, "c2"))
     out = convolve(c1, c2, int(data["d_trunc"]))
     _emit(args, out.to_json())
     return 0
@@ -177,7 +197,7 @@ def _cmd_cycle_convolve(args):
 
 def _cmd_cycle_schur(args):
     data = _load_json(args.input)
-    c = CleanCycleModel.from_json(data["cycle"])
+    c = load_cycle(_object_field(data, "cycle"))
     try:
         out = schur_cycle(tuple(data["alpha"]), c, int(data["d_trunc"]))
     except NonIntegralResultError as exc:
@@ -263,7 +283,7 @@ def _cmd_fake_jacobian(args):
     cm = _theta_cm(g, args.degree)
     if args.cm1 is not None:
         coords = list(cm.coords)
-        coords[1] = Fraction(args.cm1)
+        coords[1] = _parse_fraction(args.cm1)
         cm = ChowVector(g, tuple(coords))
     target = CleanCycleModel(
         g=g,

@@ -140,7 +140,7 @@ class CleanCycleModel:
                 label=c["label"],
                 dim=c["dim"],
                 mult=c["mult"],
-                cm=ChowVector(data["g"], tuple(Fraction(v) for v in c["cm"])),
+                cm=_cm_from_json(data["g"], c["cm"]),
                 gauss_finite=c.get("gauss_finite", False),
             )
             for c in data["components"]
@@ -149,6 +149,12 @@ class CleanCycleModel:
         if "fiber" in data:
             fiber = GroupRingElement.from_json(data["fiber"])
         return cls(g=data["g"], components=comps, fiber=fiber)
+
+
+def _cm_from_json(g, coords) -> ChowVector:
+    if not isinstance(coords, list):
+        raise TypeError(f"'cm' must be a list of rationals, got {coords!r}")
+    return ChowVector(g, tuple(Fraction(v) for v in coords))
 
 
 def degree(c: CleanCycleModel) -> int:

@@ -171,10 +171,6 @@ class GroupRingElement:
         return cls(group, {tuple(g): c for g, c in data["coeffs"]})
 
 
-def gr_zero(group: FgAbelianGroup) -> GroupRingElement:
-    return GroupRingElement(group, {})
-
-
 def gr_one(group: FgAbelianGroup) -> GroupRingElement:
     return GroupRingElement(group, {group.zero(): 1})
 

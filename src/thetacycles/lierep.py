@@ -5,33 +5,31 @@ root alpha_i is row i of the Cartan matrix in this basis, so the simple
 reflection is s_i(w) = w - w[i] * cartan[i].  The invariant bilinear form
 is normalized so short simple roots have squared length 2.
 
-The expensive classifiers work with dominant data only: the dominant
-weights of an irreducible are enumerated by closing the highest weight
-under "subtract a positive root, then dominantize" (covers in dominance
-order differ by positive roots), multiplicities come from Freudenthal's
-recursion evaluated on dominant representatives, and orbit sizes use
-|W| / |W_stab| with the stabilizer read off the vanishing coordinates.
+The classifiers work with dominant data only and use closed forms where a
+theorem gives one:
 
-RootSystem instances are immutable after construction apart from two
-internal memo tables whose entries are deterministic functions of their
-keys; concurrent races can at worst recompute a value, never change one.
+- the dominant weights of an irreducible are the closure of the highest
+  weight under "subtract a positive root, keep the result if it is
+  dominant" (covers in the dominance order on dominant weights differ by
+  positive roots: Stembridge, Adv. Math. 136, 1998);
+- multiplicities come from Freudenthal's recursion on dominant weights;
+- |W| and orbit sizes |W| / |W_J| are products of (ht a + 1) / ht a over
+  positive roots a (Macdonald's Poincare series at q = 1, Math. Ann. 1972);
+- the Frobenius-Schur sign of a self-dual irreducible is
+  (-1)^<lam, 2 rho^vee> (Steinberg; Bourbaki, Lie VIII, 7.5).
+
+RootSystem instances are immutable after construction apart from internal
+memo tables whose entries are deterministic functions of their keys;
+concurrent races can at worst recompute a value, never change one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd as _gcd
+from math import gcd as _gcd, prod
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
-
-_EXCEPTIONAL_WEYL_ORDER = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -145,18 +143,28 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(letter, rank)
-        self._cartan_inv = _invert_fraction_matrix(self.cartan)
-        # integer-scaled inverse for hot paths: root coords * den are integers
+        inv = _invert_fraction_matrix(self.cartan)
+        # integer-scaled inverse Cartan matrix: den * (simple-root coordinates
+        # of a weight) is integral
         den = 1
-        for row in self._cartan_inv:
+        for row in inv:
             for v in row:
                 den = den * v.denominator // _gcd(den, v.denominator)
         self._inv_den = den
-        self._inv_num = tuple(
-            tuple(int(v * den) for v in row) for row in self._cartan_inv
+        self._inv_num = tuple(tuple(int(v * den) for v in row) for row in inv)
+        # den * height of each fundamental weight
+        self._height_num = tuple(sum(row) for row in self._inv_num)
+        # gram[i][j] = (w_i, w_j) = (C^-1)_ij d_j, from (w_i, alpha_j) = delta_ij d_j
+        self._gram = tuple(
+            tuple(Fraction(v * dj, den) for v, dj in zip(row, self.d))
+            for row in self._inv_num
         )
+        assert all(
+            self._gram[i][j] == self._gram[j][i] for i in range(rank) for j in range(i)
+        ), "inner product must be symmetric"
         self._dominant_below_cache: dict = {}
         self._freudenthal_cache: dict = {}
+        self._orbit_index_cache: dict = {}
         self.rho = (1,) * rank
         self.positive_roots = self._enumerate_positive_roots()
         expected = _POSITIVE_ROOT_COUNT[letter](rank)
@@ -165,9 +173,24 @@ class RootSystem:
                 f"{letter}{rank}: found {len(self.positive_roots)} positive roots, "
                 f"expected {expected}"
             )
-        self.weyl_order = self._weyl_order_full()
-        # gram[i][j] = (w_i, w_j)
-        self._gram = self._compute_gram()
+        # per positive root alpha: (rho, alpha), its height and its support
+        # as a bitmask of simple roots
+        self._root_table = tuple(
+            (
+                sum(r * d for r, d in zip(root.rcoords, self.d)),
+                sum(root.rcoords),
+                sum(1 << i for i, r in enumerate(root.rcoords) if r),
+            )
+            for root in self.positive_roots
+        )
+        self._weyl_dim_den = prod(row[0] for row in self._root_table)
+        # 2 rho^vee, the sum of the positive coroots, in simple-coroot
+        # coordinates: alpha^vee = sum_i r_i d_i / d_alpha alpha_i^vee
+        self._two_rho_vee = tuple(
+            sum(root.rcoords[i] * self.d[i] // root.length for root in self.positive_roots)
+            for i in range(rank)
+        )
+        self.weyl_order = self._orbit_index(0)
         self._w0_permutation = tuple(
             self.dominant_representative(tuple(-x for x in self._fundamental(i))).index(1)
             for i in range(rank)
@@ -214,21 +237,6 @@ class RootSystem:
                             nxt.append(new)
             frontier = nxt
         return tuple(sorted(seen.values(), key=lambda r: (sum(r.rcoords), r.rcoords)))
-
-    def _compute_gram(self):
-        # (w_i, alpha_j) = delta_ij d_j gives (w_i, w_j) = (C^-1)_ij d_j
-        n = self.rank
-        gram = tuple(
-            tuple(self._cartan_inv[i][j] * self.d[j] for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                assert gram[i][j] == gram[j][i], "inner product must be symmetric"
-        return gram
-
-    def _weyl_order_full(self) -> int:
-        return _diagram_weyl_order(self.cartan, tuple(range(self.rank)))
 
     # -- basic weight operations ----------------------------------------------
 
@@ -277,29 +285,16 @@ class RootSystem:
         """Permutation p with w0(varpi_i) = -varpi_p(i)."""
         return self._w0_permutation
 
-    def root_coords(self, w):
-        """Coordinates of a fundamental-basis vector in the simple-root basis."""
-        n = self.rank
-        return tuple(
-            sum(Fraction(w[k]) * self._cartan_inv[k][j] for k in range(n))
-            for j in range(n)
-        )
-
-    def _root_coords_scaled(self, w):
-        """den * root_coords(w) as integers; den is self._inv_den."""
-        n = self.rank
-        inv = self._inv_num
-        return tuple(
-            sum(w[k] * inv[k][j] for k in range(n)) for j in range(n)
-        )
-
-    def height_in_root_basis(self, w) -> Fraction:
-        return Fraction(sum(self._root_coords_scaled(w)), self._inv_den)
+    def _scaled_height(self, w) -> int:
+        """den * height of w in the simple-root basis; den is self._inv_den."""
+        return sum(x * h for x, h in zip(w, self._height_num))
 
     def in_root_cone(self, diff) -> bool:
         """diff lies in the nonnegative-integer span of the simple roots."""
         den = self._inv_den
-        for c in self._root_coords_scaled(diff):
+        inv = self._inv_num
+        for j in range(self.rank):
+            c = sum(x * row[j] for x, row in zip(diff, inv))
             if c < 0 or c % den:
                 return False
         return True
@@ -322,12 +317,6 @@ class RootSystem:
             sum(r * d * x for r, d, x in zip(root.rcoords, self.d, w))
         )
 
-    def coroot_pairing(self, w, root: Root) -> int:
-        val = self.pairing_with_root(w, root) / root.length
-        if val.denominator != 1:
-            raise AssertionError("coroot pairing must be integral on weights")
-        return int(val)
-
     # -- orbits ---------------------------------------------------------------
 
     def weyl_orbit(self, w) -> set:
@@ -348,10 +337,29 @@ class RootSystem:
         return seen
 
     def orbit_size(self, w) -> int:
-        """|W| / |W_stab| without enumerating the orbit."""
+        """|W| / |W_J| without enumerating the orbit, where J, the nodes on
+        which the dominant representative of w vanishes, generates its
+        stabilizer."""
         dom = self.dominant_representative(self.check_weight(w))
-        fixed = tuple(i for i in range(self.rank) if dom[i] == 0)
-        return self.weyl_order // _diagram_weyl_order(self.cartan, fixed)
+        return self._orbit_index(sum(1 << i for i, x in enumerate(dom) if x == 0))
+
+    def _orbit_index(self, fixed: int) -> int:
+        """[W : W_J] for the node set J given by the bitmask ``fixed``.
+
+        |W| is the product of (ht a + 1) / ht a over the positive roots a
+        (Macdonald, "The Poincare series of a Coxeter group", Math. Ann.
+        1972, at q = 1).  The positive roots of W_J are those supported on
+        J, so the index is the same product over the other positive roots.
+        """
+        index = self._orbit_index_cache.get(fixed)
+        if index is None:
+            num = den = 1
+            for _, height, support in self._root_table:
+                if support & ~fixed:
+                    num *= height + 1
+                    den *= height
+            index = self._orbit_index_cache[fixed] = num // den
+        return index
 
     # -- dimensions and dominant weight systems --------------------------------
 
@@ -361,21 +369,21 @@ class RootSystem:
         if not self.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
         num = 1
-        den = 1
-        for root in self.positive_roots:
-            a = sum(r * d * (x + 1) for r, d, x in zip(root.rcoords, self.d, lam))
-            b = sum(r * d for r, d in zip(root.rcoords, self.d))
-            num *= a
-            den *= b
-        assert num % den == 0
-        return num // den
+        for root, (rho_alpha, _, _) in zip(self.positive_roots, self._root_table):
+            num *= rho_alpha + sum(r * d * x for r, d, x in zip(root.rcoords, self.d, lam))
+        assert num % self._weyl_dim_den == 0
+        return num // self._weyl_dim_den
 
     def dominant_weights_below(self, lam) -> list:
-        """All dominant mu with lam - mu a nonnegative root combination.
+        """All dominant mu with lam - mu a nonnegative root combination,
+        highest first (by height, ties by weight).
 
-        By saturation these are exactly the dominant weights of V_lam.
-        Closure under 'subtract a positive root, dominantize' (covers in the
-        dominance order on dominant weights differ by positive roots).
+        By saturation these are exactly the dominant weights of V_lam.  Two
+        such weights differ by a chain of positive roots through dominant
+        weights (covers in the dominance order on dominant weights are
+        positive roots: Stembridge, "The partial order of dominant weights",
+        Adv. Math. 1998), so the set is the closure of lam under "subtract a
+        positive root, keep the result if it is dominant".
         """
         lam = self.check_weight(lam)
         cached = self._dominant_below_cache.get(lam)
@@ -383,33 +391,21 @@ class RootSystem:
             return cached
         if not self.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
-        if self.rank == 1:
-            out = [(lam[0] - 2 * i,) for i in range(lam[0] // 2 + 1)]
-            self._dominant_below_cache[lam] = out
-            return out
+        roots = [root.wcoords for root in self.positive_roots]
         seen = {lam}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                for root in self.positive_roots:
-                    cand = tuple(a - b for a, b in zip(mu, root.wcoords))
-                    cand = self.dominant_representative(cand)
-                    if cand in seen:
-                        continue
-                    if self.in_root_cone(tuple(a - b for a, b in zip(lam, cand))):
+                for a in roots:
+                    cand = tuple(x - y for x, y in zip(mu, a))
+                    if cand not in seen and min(cand) >= 0:
                         seen.add(cand)
                         nxt.append(cand)
             frontier = nxt
-        out = sorted(
-            seen, key=lambda m: (self.height_in_root_basis(m), m), reverse=True
-        )
+        out = sorted(seen, key=lambda m: (self._scaled_height(m), m), reverse=True)
         self._dominant_below_cache[lam] = out
         return out
-
-    def _is_weight_of(self, lam, nu) -> bool:
-        dom = self.dominant_representative(nu)
-        return self.in_root_cone(tuple(a - b for a, b in zip(lam, dom)))
 
     def freudenthal_dominant(self, lam) -> dict:
         """Dominant weight -> multiplicity for the irreducible V_lam."""
@@ -467,95 +463,19 @@ class RootSystem:
         return f"RootSystem({self.name})"
 
 
-def _split_components(cartan, nodes):
-    nodes = list(nodes)
-    remaining = set(nodes)
-    comps = []
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in list(remaining):
-                if cartan[i][j] != 0:
-                    remaining.discard(j)
-                    comp.add(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _diagram_weyl_order(cartan, nodes) -> int:
-    """Order of the Weyl group of the subdiagram on ``nodes``."""
-    if not nodes:
-        return 1
-    total = 1
-    for comp in _split_components(cartan, nodes):
-        total *= _component_weyl_order(cartan, comp)
-    return total
-
-
-def _component_weyl_order(cartan, comp) -> int:
-    n = len(comp)
-    if n == 1:
-        return 2
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = comp[a], comp[b]
-            if cartan[i][j] != 0:
-                edges.append((a, b, cartan[i][j] * cartan[j][i]))
-    multiplicities = [m for _, _, m in edges]
-    if any(m == 3 for m in multiplicities):
-        assert n == 2
-        return 12
-    degree = [0] * n
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if any(m == 2 for m in multiplicities):
-        if n == 4:
-            a, b, _ = next(e for e in edges if e[2] == 2)
-            if degree[a] == 2 and degree[b] == 2:
-                return 1152  # F4: interior double bond
-        return 2**n * factorial(n)
-    # simply laced
-    if max(degree) <= 2:
-        return factorial(n + 1)  # A_n
-    # one branch node
-    branch = degree.index(3)
-    # arm lengths from the branch node
-    arms = []
-    adj = {a: [] for a in range(n)}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (n - 1) * factorial(n)  # D_n
-    assert arms[:2] == [1, 2]
-    return _EXCEPTIONAL_WEYL_ORDER[("E", n)]
-
-
 _ROOT_SYSTEM_CACHE: dict = {}
 
 
 def root_system(name, rank: int | None = None) -> RootSystem:
     """Factory: root_system("B5") or root_system("B", 5); cached."""
     if rank is None:
-        letter = name[0].upper()
-        rank = int(name[1:])
+        letter, digits = name[:1].upper(), name[1:]
+        if letter not in SIMPLE_TYPES or not digits.isdigit():
+            raise ValueError(
+                f"bad root system name {name!r}: expected a type letter A-G "
+                "followed by the rank, e.g. B5"
+            )
+        rank = int(digits)
     else:
         letter = name.upper()
     key = (letter, rank)
@@ -651,14 +571,6 @@ class Character:
         return cls(rs, {tuple(w): m for w, m in data["weights"]})
 
 
-def weyl_orbit(rs: RootSystem, w) -> set:
-    return rs.weyl_orbit(w)
-
-
-def weyl_dim(rs: RootSystem, lam) -> int:
-    return rs.weyl_dim(lam)
-
-
 def freudenthal_character(rs: RootSystem, lam) -> Character:
     """Full weight multiplicity map of the irreducible with highest weight lam."""
     return Character(rs, rs.weight_system(lam))
@@ -743,9 +655,7 @@ def decompose(x: Character) -> dict:
     remaining = dict(x.weights)
     out: dict = {}
     while remaining:
-        top = max(
-            remaining, key=lambda w: (rs.height_in_root_basis(w), w)
-        )
+        top = max(remaining, key=lambda w: (rs._scaled_height(w), w))
         mult = remaining[top]
         if not rs.is_dominant(top):
             raise NotACharacterError(
@@ -774,94 +684,22 @@ def self_dual(rs: RootSystem, lam) -> bool:
     return rs.negate_dominant(lam) == lam
 
 
-def _peel_trivial_multiplicity(rs: RootSystem, dom_mults: dict) -> int:
-    """Multiplicity of the trivial constituent in a character given by its
-    dominant multiplicity map, by peeling from the top."""
-    remaining = {w: m for w, m in dom_mults.items() if m != 0}
-    zero = rs.zero()
-    while remaining:
-        top = max(remaining, key=lambda w: (rs.height_in_root_basis(w), w))
-        mult = remaining.pop(top)
-        if mult < 0:
-            raise NotACharacterError(f"negative multiplicity {mult} at {top}")
-        if top == zero:
-            return mult
-        if mult == 0:
-            continue
-        for mu, m in rs.freudenthal_dominant(top).items():
-            if mu == top:
-                continue
-            remaining[mu] = remaining.get(mu, 0) - mult * m
-    return 0
-
-
-def _square_dominant_parts(rs: RootSystem, lam):
-    """Dominant multiplicity maps of Sym^2 and Alt^2 of V_lam.
-
-    Works with dominant candidates nu <= 2*lam and product-multiplicity
-    queries against the full support of V_lam, so tensor squares of large
-    minuscule representations stay affordable.
-    """
-    supp: dict = {}
-    for mu, m in rs.freudenthal_dominant(lam).items():
-        for w in rs.weyl_orbit(mu):
-            supp[w] = m
-    two_lam = tuple(2 * a for a in lam)
-    sym: dict = {}
-    alt: dict = {}
-    for nu in rs.dominant_weights_below(two_lam):
-        prod = 0
-        for a, m in supp.items():
-            rem = tuple(x - y for x, y in zip(nu, a))
-            m2 = supp.get(rem)
-            if m2:
-                prod += m * m2
-        half = supp.get(tuple(x // 2 for x in nu), 0) if all(
-            x % 2 == 0 for x in nu
-        ) else 0
-        s = (prod + half) // 2
-        a_ = (prod - half) // 2
-        if (prod + half) % 2 or (prod - half) % 2:
-            raise AssertionError("square multiplicities must be integers")
-        if s:
-            sym[nu] = s
-        if a_:
-            alt[nu] = a_
-    return sym, alt
-
-
 def fs_type(rs: RootSystem, lam) -> str:
     """Frobenius-Schur type: 'orthogonal', 'symplectic' or 'none'.
 
-    Located by decomposing the symmetric and exterior squares and finding
-    the trivial constituent; rank one collapses to counting in the
-    sl2-branching chain Alt^2 Sym^k = Sym^(2k-2) + Sym^(2k-6) + ...
+    A self-dual irreducible V_lam carries a unique invariant bilinear form
+    up to scalars; it is symmetric or alternating as (-1)^<lam, 2 rho^vee>
+    is +1 or -1, where 2 rho^vee is the sum of the positive coroots
+    (Steinberg; Bourbaki, Lie VIII, 7.5).  The trivial
+    representation is orthogonal.
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    if lam == rs.zero():
-        return "orthogonal"
     if not self_dual(rs, lam):
         return "none"
-    if rs.rank == 1:
-        k = lam[0]
-        # ordered pairs of Sym^k weights summing to 0 resp. 2, minus the
-        # Adams diagonal, halved: multiplicities of weights 0, 2 in Alt^2;
-        # their difference is the trivial multiplicity in the sl2 chain
-        alt0 = (k + 1 - (1 if k % 2 == 0 else 0)) // 2
-        alt2 = (k - (1 if k % 2 == 1 else 0)) // 2
-        return "symplectic" if alt0 - alt2 > 0 else "orthogonal"
-    sym, alt = _square_dominant_parts(rs, lam)
-    in_alt = _peel_trivial_multiplicity(rs, dict(alt))
-    if in_alt > 0:
-        return "symplectic"
-    in_sym = _peel_trivial_multiplicity(rs, dict(sym))
-    if in_sym > 0:
-        return "orthogonal"
-    raise AssertionError(
-        f"self-dual {rs.name} weight {lam} has no invariant bilinear form"
-    )
+    odd = sum(x * c for x, c in zip(lam, rs._two_rho_vee)) % 2
+    return "symplectic" if odd else "orthogonal"
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +891,12 @@ class WmfEntry:
 
 def classify_wmf(max_rank: int, max_dim: int, include_exceptional: bool = True):
     """All weight multiplicity free irreducibles of the simple types with
-    rank <= max_rank and dimension <= max_dim, with Frobenius-Schur types
-    computed by the Sym^2/Alt^2 decomposition route."""
+    rank <= max_rank and dimension <= max_dim.
+
+    A weight is kept when the orbit sizes of its dominant weights add up to
+    its Weyl dimension (is_wmf); Frobenius-Schur types come from the
+    closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.
+    """
     rows = []
     for letter, n in canonical_simple_types(max_rank, include_exceptional):
         rs = root_system(letter, n)

@@ -553,7 +553,6 @@ def fourfold_table() -> dict:
         freudenthal_character,
         image_group_label,
         root_system,
-        weyl_dim,
     )
 
     g = 4
@@ -576,7 +575,7 @@ def fourfold_table() -> dict:
     # nonhyperelliptic Jacobians: solve the fake-Jacobian degree equation
     rsA5 = root_system("A5")
     w3 = (0, 0, 1, 0, 0)
-    dim_nh = weyl_dim(rsA5, w3)
+    dim_nh = rsA5.weyl_dim(w3)
     target_nh = CleanCycleModel(
         g=g,
         components=(
@@ -603,8 +602,8 @@ def fourfold_table() -> dict:
     alt3 = char_alt(3, std)
     constituents = decompose(alt3)
     assert constituents == {(0, 0, 1): 1, (1, 0, 0): 1}
-    dim_h = weyl_dim(rsC3, (0, 0, 1))
-    curve_dim = weyl_dim(rsC3, (1, 0, 0))
+    dim_h = rsC3.weyl_dim((0, 0, 1))
+    curve_dim = rsC3.weyl_dim((1, 0, 0))
     target_h_degree = dim_h
     sol_h = fake_jacobian_solve(
         g,

@@ -260,10 +260,3 @@ def elementary_to_powersum(n: int) -> SymExpr:
         log_coeffs.append({Partition((nu,)): Fraction((-1) ** (nu + 1), nu)})
     series = _series_exp(log_coeffs, n)
     return SymExpr("powersum", series[n])
-
-
-def homogeneous_to_powersum(n: int) -> SymExpr:
-    """Expand the complete homogeneous h_n = s_(n) in power sums."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return schur_to_powersum(Partition((n,)))

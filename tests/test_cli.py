@@ -11,6 +11,10 @@ SCHEMA_DIR = os.path.join(
 )
 
 
+ELEMENT = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[1], 1], [[-1], 1]]}
+POINT = {"label": "x", "dim": 0, "mult": 1, "cm": ["1", "0", "0"], "gauss_finite": True}
+
+
 def load_schema(name):
     with open(os.path.join(SCHEMA_DIR, f"{name}.schema.json")) as fh:
         return json.load(fh)
@@ -319,10 +323,29 @@ class TestCliContract:
     def test_missing_input_usage_error(self, capsys):
         assert run(["cycle-convolve", "--input", "/nonexistent.json"]) == 2
 
-    def test_malformed_json_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run(["cycle-convolve", "--input", str(path)]) == 2
+    @pytest.mark.parametrize(
+        "argv, doc, named",
+        [
+            (["cycle-convolve"], "{not json", "not valid JSON"),
+            (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, cm=5)]},
+                                  "c2": {"g": 3, "components": [POINT]}, "d_trunc": 1},
+             "'cm'"),
+            (["lambda-eval"], {"element": ELEMENT, "op": [1]}, "'op'"),
+            (["fake-jacobian", "--g", "5", "--degree", "70", "--cm1", "1/0"], None, "'1/0'"),
+            (["rep-dim", "", "1"], None, "name ''"),
+        ],
+        ids=["not-json", "cm-not-a-list", "op-not-an-object", "cm1-zero-denominator",
+             "empty-type-name"],
+    )
+    def test_malformed_json_usage_error(self, capsys, tmp_path, argv, doc, named):
+        if doc is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = argv + ["--input", str(path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
     def test_wmf_tables_json_schema(self, capsys):
         code, payload = invoke_json(
