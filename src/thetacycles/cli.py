@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chow import ChowVector
 from .cycles import CleanCycleModel, convolve, schur_cycle
@@ -56,15 +57,52 @@ class InputError(Exception):
     pass
 
 
+def _dumps(value, newline="\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for the types a payload
+    holds: str-keyed dicts, lists, str, int, bool and None.  The standard
+    encoder runs in pure Python whenever indent is set; this one writes a
+    list of ints with a single join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("dict keys must be str")
+        items = (
+            encode_basestring_ascii(k) + ": " + _dumps(value[k], inner)
+            for k in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, payload, csv_text=None, text=None):
     if args.format == "csv":
         if csv_text is None:
             raise InputError("this subcommand has no CSV output")
         sys.stdout.write(csv_text)
-    elif args.format == "text":
-        sys.stdout.write((text if text is not None else json.dumps(payload, sort_keys=True, indent=2)) + "\n")
+    elif args.format == "text" and text is not None:
+        sys.stdout.write(text + "\n")
     else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _parse_coords(text):
@@ -97,6 +135,26 @@ def _object_field(data, key) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"field {key!r} must be a JSON object")
     return value
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(data, key) -> int:
+    """data[key] of an input object, which must be a JSON integer."""
+    value = data.get(key)
+    if not _is_json_int(value):
+        raise InputError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _partition_field(data, key) -> tuple:
+    """data[key] of an input object, which must be a list of JSON integers."""
+    value = data.get(key)
+    if not isinstance(value, list) or not all(map(_is_json_int, value)):
+        raise InputError(f"field {key!r} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def load_cycle(source) -> CleanCycleModel:
@@ -168,13 +226,13 @@ def _cmd_lambda_eval(args):
     kind = op["kind"]
     try:
         if kind == "adams":
-            out = gr_adams(int(op["n"]), x)
+            out = gr_adams(_int_field(op, "n"), x)
         elif kind == "lambda":
-            out = lambda_op(int(op["k"]), x)
+            out = lambda_op(_int_field(op, "k"), x)
         elif kind == "sym":
-            out = sym_op(int(op["k"]), x)
+            out = sym_op(_int_field(op, "k"), x)
         elif kind == "schur":
-            out = schur_apply(tuple(op["alpha"]), x)
+            out = schur_apply(_partition_field(op, "alpha"), x)
         elif kind == "multiply":
             out = gr_multiply(x, _load_element(op["other"]))
         else:
@@ -190,7 +248,7 @@ def _cmd_cycle_convolve(args):
     data = _load_json(args.input)
     c1 = load_cycle(_object_field(data, "c1"))
     c2 = load_cycle(_object_field(data, "c2"))
-    out = convolve(c1, c2, int(data["d_trunc"]))
+    out = convolve(c1, c2, _int_field(data, "d_trunc"))
     _emit(args, out.to_json())
     return 0
 
@@ -198,8 +256,9 @@ def _cmd_cycle_convolve(args):
 def _cmd_cycle_schur(args):
     data = _load_json(args.input)
     c = load_cycle(_object_field(data, "cycle"))
+    alpha, d_trunc = _partition_field(data, "alpha"), _int_field(data, "d_trunc")
     try:
-        out = schur_cycle(tuple(data["alpha"]), c, int(data["d_trunc"]))
+        out = schur_cycle(alpha, c, d_trunc)
     except NonIntegralResultError as exc:
         _emit(args, {"error": "non-integral result", "detail": str(exc)})
         return MATH_NO
@@ -336,10 +395,16 @@ def _cmd_s_sets(args):
 
 def _cmd_verify_ig(args):
     data = _load_json(args.input)
-    target = _load_element(data["target"])
-    construction = TensorConstruction.from_json(data["construction"])
-    candidates = [_load_element(c) for c in data["candidates"]]
-    ok = verify_inverse_galois(target, construction, int(data["e"]), candidates)
+    target = _load_element(_object_field(data, "target"))
+    try:
+        construction = TensorConstruction.from_json(_object_field(data, "construction"))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"construction schema violation: {exc}") from None
+    candidates = data["candidates"]
+    if not isinstance(candidates, list):
+        raise InputError("field 'candidates' must be a list")
+    candidates = [_load_element(c) for c in candidates]
+    ok = verify_inverse_galois(target, construction, _int_field(data, "e"), candidates)
     _emit(args, {"verified": ok})
     return 0 if ok else MATH_NO
 

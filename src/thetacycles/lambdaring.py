@@ -9,14 +9,28 @@ the power-sum expansions of `symfun` -- legitimate because Z[Gamma] has no
 Z-torsion -- and an integrality check at the end.  A non-integral result is
 reported as an error: it certifies that the input is not the fiber of an
 actual effective object.
+
+Keys are canonical at the boundary: a `GroupRingElement` built from outside
+(JSON, tests, other modules) has its keys reduced and validated once, and
+every key it then holds is a canonical tuple, so the kernels below add and
+scale keys without re-reducing the free part and build their results
+through `GroupRingElement._of`, which trusts its keys.  A Schur operation
+scales the power-sum coefficients by D, the lcm of their denominators, and
+accumulates integers; the integrality check is c % D == 0.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .symfun import Partition, schur_to_powersum
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -27,7 +41,11 @@ class FgAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        if not _is_int(self.rank) or not all(map(_is_int, self.torsion)):
+            raise ValueError(
+                f"rank and torsion must be integers: {self.rank!r}, {self.torsion!r}"
+            )
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         for d in self.torsion:
@@ -44,26 +62,34 @@ class FgAbelianGroup:
         return self.rank + len(self.torsion)
 
     def canonical(self, element) -> tuple[int, ...]:
-        """Reduce an element tuple: free coords exact, torsion residues mod d_i."""
-        element = tuple(int(x) for x in element)
+        """Validate and reduce an element given from outside: integer
+        coordinates, free coords exact, torsion residues mod d_i."""
+        element = tuple(element)
+        if not all(map(_is_int, element)):
+            raise ValueError(f"element coordinates must be integers: {element!r}")
         if len(element) != self.ncoords:
             raise ValueError(
                 f"element length {len(element)} != rank+torsion {self.ncoords}"
             )
-        free = element[: self.rank]
-        tors = tuple(
-            x % d for x, d in zip(element[self.rank:], self.torsion)
-        )
-        return free + tors
+        return self._reduce(element)
+
+    def _reduce(self, element: tuple) -> tuple[int, ...]:
+        """Torsion coordinates mod d_i; the free ones are exact already."""
+        if not self.torsion:
+            return element
+        r = self.rank
+        return element[:r] + tuple(map(operator.mod, element[r:], self.torsion))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ncoords
 
     def add(self, a, b) -> tuple[int, ...]:
-        return self.canonical(tuple(x + y for x, y in zip(a, b)))
+        """Sum of two canonical keys."""
+        return self._reduce(tuple(map(operator.add, a, b)))
 
     def scale(self, n: int, a) -> tuple[int, ...]:
-        return self.canonical(tuple(n * x for x in a))
+        """n times a canonical key."""
+        return self._reduce(tuple([n * x for x in a]))
 
     def free_part(self, a) -> tuple[int, ...]:
         return tuple(a[: self.rank])
@@ -99,12 +125,22 @@ class GroupRingElement:
     coeffs: dict = field(default_factory=dict)  # element tuple -> int
 
     def __post_init__(self):
-        clean = {}
+        canonical = self.group.canonical
+        summed: dict = {}
         for g, c in self.coeffs.items():
-            c = int(c)
-            if c != 0:
-                clean[self.group.canonical(g)] = c
-        object.__setattr__(self, "coeffs", clean)
+            if not _is_int(c):
+                raise ValueError(f"coefficient of {g} must be an integer: {c!r}")
+            g = canonical(g)
+            summed[g] = summed.get(g, 0) + c
+        object.__setattr__(self, "coeffs", {g: c for g, c in summed.items() if c})
+
+    @classmethod
+    def _of(cls, group: FgAbelianGroup, coeffs: dict) -> "GroupRingElement":
+        """An element whose keys are already canonical; zero terms dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", {g: c for g, c in coeffs.items() if c})
+        return self
 
     # -- ring structure ----------------------------------------------------
 
@@ -113,13 +149,13 @@ class GroupRingElement:
         coeffs = dict(self.coeffs)
         for g, c in other.coeffs.items():
             coeffs[g] = coeffs.get(g, 0) + c
-        return GroupRingElement(self.group, coeffs)
+        return GroupRingElement._of(self.group, coeffs)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + other.scale(-1)
 
     def scale(self, n: int) -> "GroupRingElement":
-        return GroupRingElement(self.group, {g: n * c for g, c in self.coeffs.items()})
+        return GroupRingElement._of(self.group, {g: n * c for g, c in self.coeffs.items()})
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         return gr_multiply(self, other)
@@ -167,12 +203,19 @@ class GroupRingElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupRingElement":
+        """Parse an element; each group element may be listed only once."""
         group = FgAbelianGroup.from_json(data["group"])
-        return cls(group, {tuple(g): c for g, c in data["coeffs"]})
+        coeffs: dict = {}
+        for g, c in data["coeffs"]:
+            key = group.canonical(g)
+            if key in coeffs:
+                raise ValueError(f"group element {list(key)} is listed twice")
+            coeffs[key] = c
+        return cls(group, coeffs)
 
 
 def gr_one(group: FgAbelianGroup) -> GroupRingElement:
-    return GroupRingElement(group, {group.zero(): 1})
+    return GroupRingElement._of(group, {group.zero(): 1})
 
 
 def gr_element(group: FgAbelianGroup, element, coeff: int = 1) -> GroupRingElement:
@@ -182,62 +225,60 @@ def gr_element(group: FgAbelianGroup, element, coeff: int = 1) -> GroupRingEleme
 def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: group addition on supports, coefficients multiply."""
     x._check(y)
-    group = x.group
+    add = x.group.add
     coeffs: dict = {}
+    get = coeffs.get
+    y_terms = list(y.coeffs.items())
     for g1, c1 in x.coeffs.items():
-        for g2, c2 in y.coeffs.items():
-            g = group.add(g1, g2)
-            coeffs[g] = coeffs.get(g, 0) + c1 * c2
-    return GroupRingElement(group, coeffs)
+        for g2, c2 in y_terms:
+            g = add(g1, g2)
+            coeffs[g] = get(g, 0) + c1 * c2
+    return GroupRingElement._of(x.group, coeffs)
 
 
 def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
     """Adams operation Psi^n: pushforward of coefficients along g -> n*g."""
-    group = x.group
+    scale = x.group.scale
     coeffs: dict = {}
     for g, c in x.coeffs.items():
-        h = group.scale(n, g)
+        h = scale(n, g)
         coeffs[h] = coeffs.get(h, 0) + c
-    return GroupRingElement(group, coeffs)
-
-
-def _rational_combination(alpha: Partition, x: GroupRingElement) -> dict:
-    """sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, as Fraction coefficients."""
-    group = x.group
-    acc: dict = {}
-    adams_cache: dict[int, GroupRingElement] = {}
-
-    def adams(n):
-        if n not in adams_cache:
-            adams_cache[n] = gr_adams(n, x)
-        return adams_cache[n]
-
-    for beta, m in schur_to_powersum(alpha).terms.items():
-        prod = gr_one(group)
-        for b in beta:
-            prod = gr_multiply(prod, adams(b))
-        for g, c in prod.coeffs.items():
-            acc[g] = acc.get(g, Fraction(0)) + m * c
-    return {g: c for g, c in acc.items() if c != 0}
+    return GroupRingElement._of(x.group, coeffs)
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
-    """Apply the Schur operation s_alpha, defined through Adams operations.
+    """Apply the Schur operation s_alpha, defined through Adams operations:
+    sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, accumulated as integers
+    over D, the lcm of the denominators of the m(alpha,beta).
 
     Raises NonIntegralResultError when the exact rational combination fails
     to have integer coefficients.
     """
     if not isinstance(alpha, Partition):
         alpha = Partition(tuple(alpha))
-    acc = _rational_combination(alpha, x)
+    terms = schur_to_powersum(alpha).terms
+    den = lcm(*(m.denominator for m in terms.values()))
+    group = x.group
+    acc: dict = {}
+    get = acc.get
+    adams_cache: dict[int, GroupRingElement] = {}
+    for beta, m in terms.items():
+        weight = m.numerator * (den // m.denominator)
+        prod = gr_one(group)
+        for b in beta:
+            if b not in adams_cache:
+                adams_cache[b] = gr_adams(b, x)
+            prod = gr_multiply(prod, adams_cache[b])
+        for g, c in prod.coeffs.items():
+            acc[g] = get(g, 0) + weight * c
     coeffs = {}
     for g, c in acc.items():
-        if c.denominator != 1:
+        if c % den:
             raise NonIntegralResultError(
-                f"s_{alpha} produced non-integral coefficient {c} at {g}"
+                f"s_{alpha} produced non-integral coefficient {Fraction(c, den)} at {g}"
             )
-        coeffs[g] = c.numerator
-    return GroupRingElement(x.group, coeffs)
+        coeffs[g] = c // den
+    return GroupRingElement._of(group, coeffs)
 
 
 def lambda_op(k: int, x: GroupRingElement) -> GroupRingElement:
@@ -277,8 +318,8 @@ class TensorConstruction:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
         if self.kind == "var":
-            if self.index is None or self.index < 0:
-                raise ValueError("var leaf needs a nonnegative index")
+            if not _is_int(self.index) or self.index < 0:
+                raise ValueError(f"var leaf needs a nonnegative integer index: {self.index!r}")
         elif self.kind == "schur":
             if self.alpha is None or len(self.children) != 1:
                 raise ValueError("schur node needs alpha and exactly one child")
@@ -329,7 +370,10 @@ class TensorConstruction:
         if kind == "var":
             return cls.var(data["index"])
         if kind == "schur":
-            return cls.schur(tuple(data["alpha"]), cls.from_json(data["child"]))
+            alpha = tuple(data["alpha"])
+            if not all(map(_is_int, alpha)):
+                raise ValueError(f"schur node alpha must be integers: {list(alpha)}")
+            return cls.schur(alpha, cls.from_json(data["child"]))
         return cls(kind, children=tuple(cls.from_json(c) for c in data["children"]))
 
 

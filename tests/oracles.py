@@ -191,3 +191,62 @@ def subset_exterior_power_with_add(elements, k, add, zero):
             s = add(s, elements[i])
         out[s] = out.get(s, 0) + 1
     return {g: c for g, c in out.items() if c != 0}
+
+
+# -- group-ring kernels ---------------------------------------------------------
+# Elements are taken as (group, {key: coeff}) with the library's group object
+# used only for its rank and torsion; every key is reduced afresh after each
+# operation and the power-sum coefficients chi^alpha(beta)/z_beta come from
+# frobenius_character, accumulated as Fractions.
+
+
+def _gr_reduce(group, coords):
+    free = tuple(coords[: group.rank])
+    return free + tuple(x % d for x, d in zip(coords[group.rank:], group.torsion))
+
+
+def _gr_clean(acc):
+    return {g: c for g, c in acc.items() if c != 0}
+
+
+def gr_multiply_oracle(group, x, y):
+    acc = {}
+    for g1, c1 in x.items():
+        for g2, c2 in y.items():
+            g = _gr_reduce(group, [a + b for a, b in zip(g1, g2)])
+            acc[g] = acc.get(g, 0) + c1 * c2
+    return _gr_clean(acc)
+
+
+def gr_adams_oracle(group, n, x):
+    acc = {}
+    for g, c in x.items():
+        h = _gr_reduce(group, [n * a for a in g])
+        acc[h] = acc.get(h, 0) + c
+    return _gr_clean(acc)
+
+
+def _zee(beta):
+    out = 1
+    for part in set(beta):
+        m = beta.count(part)
+        out *= part ** m
+        for i in range(2, m + 1):
+            out *= i
+    return out
+
+
+def schur_apply_oracle(group, alpha, x):
+    """sum over beta |- |alpha| of chi^alpha(beta)/z_beta prod_i Psi^(beta_i) x,
+    as a dict of Fractions (non-integral values are kept)."""
+    acc = {}
+    for beta in brute_partitions(sum(alpha)):
+        m = Fraction(frobenius_character(alpha, beta), _zee(beta))
+        if not m:
+            continue
+        prod = {(0,) * (group.rank + len(group.torsion)): 1}
+        for b in beta:
+            prod = gr_multiply_oracle(group, prod, gr_adams_oracle(group, b, x))
+        for g, c in prod.items():
+            acc[g] = acc.get(g, Fraction(0)) + m * c
+    return _gr_clean(acc)

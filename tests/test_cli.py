@@ -1,10 +1,14 @@
+import hashlib
 import json
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thetacycles.cli import run
+from thetacycles.cli import _dumps, run
 
 SCHEMA_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "thetacycles", "schemas"
@@ -13,6 +17,10 @@ SCHEMA_DIR = os.path.join(
 
 ELEMENT = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[1], 1], [[-1], 1]]}
 POINT = {"label": "x", "dim": 0, "mult": 1, "cm": ["1", "0", "0"], "gauss_finite": True}
+CYCLE = {"g": 3, "components": [POINT]}
+# sha256 of the cycle-schur output in TestCycleFiles.test_cycle_schur, 5863401
+# bytes, as written by json.dumps(payload, sort_keys=True, indent=2) + "\n"
+CYCLE_SCHUR_SHA256 = "368084e9fa75482fd6c0093028f2d34853e7d6f2075c56fa44e479e224cd3202"
 
 
 def load_schema(name):
@@ -181,10 +189,10 @@ class TestCycleFiles:
         path.write_text(
             json.dumps({"cycle": json.loads(theta), "alpha": [1, 1], "d_trunc": 1})
         )
-        code, payload = invoke_json(
-            capsys, "cycle_schur", "cycle-schur", "--input", str(path)
-        )
+        code, out = invoke(capsys, "cycle-schur", "--input", str(path))
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CYCLE_SCHUR_SHA256
+        jsonschema.validate(json.loads(out), load_schema("cycle_schur"))
 
     def test_invalid_cycle_rejected(self, capsys, tmp_path):
         bad = {
@@ -333,9 +341,31 @@ class TestCliContract:
             (["lambda-eval"], {"element": ELEMENT, "op": [1]}, "'op'"),
             (["fake-jacobian", "--g", "5", "--degree", "70", "--cm1", "1/0"], None, "'1/0'"),
             (["rep-dim", "", "1"], None, "name ''"),
+            (["cycle-convolve"], {"c1": CYCLE, "c2": CYCLE, "d_trunc": None}, "'d_trunc'"),
+            (["cycle-convolve"], {"c1": CYCLE, "c2": CYCLE, "d_trunc": "x"}, "'d_trunc'"),
+            (["cycle-convolve"], {"c1": CYCLE, "c2": CYCLE, "d_trunc": 1.5}, "'d_trunc'"),
+            (["cycle-schur"], {"cycle": CYCLE, "alpha": [1, 1], "d_trunc": None}, "'d_trunc'"),
+            (["cycle-schur"], {"cycle": CYCLE, "alpha": [1, 1], "d_trunc": "x"}, "'d_trunc'"),
+            (["cycle-schur"], {"cycle": CYCLE, "alpha": [1, 1], "d_trunc": 1.5}, "'d_trunc'"),
+            (["cycle-schur"], {"cycle": CYCLE, "alpha": None, "d_trunc": 1}, "'alpha'"),
+            (["verify-ig"], [1], "'target'"),
+            (["verify-ig"], {"target": ELEMENT, "construction": {"kind": "var", "index": 1.5},
+                             "e": 1, "candidates": [ELEMENT, ELEMENT]}, "1.5"),
+            (["verify-ig"], {"target": ELEMENT, "e": 1, "candidates": [ELEMENT],
+                             "construction": {"kind": "schur", "alpha": [2.9],
+                                              "child": {"kind": "var", "index": 0}}}, "2.9"),
+            (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[[[1.5], 1], [[-1], 2.7]]),
+                               "op": {"kind": "adams", "n": 1}}, "1.5"),
+            (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[[[1], 1], [[1], 1]]),
+                               "op": {"kind": "adams", "n": 1}}, "listed twice"),
+            (["lambda-eval"], {"element": ELEMENT, "op": {"kind": "lambda", "k": None}}, "'k'"),
         ],
         ids=["not-json", "cm-not-a-list", "op-not-an-object", "cm1-zero-denominator",
-             "empty-type-name"],
+             "empty-type-name", "convolve-d_trunc-null", "convolve-d_trunc-str",
+             "convolve-d_trunc-float", "schur-d_trunc-null", "schur-d_trunc-str",
+             "schur-d_trunc-float", "schur-alpha-null", "verify-ig-not-an-object",
+             "verify-ig-float-index", "verify-ig-float-alpha",
+             "element-float-values", "element-duplicate-key", "op-k-null"],
     )
     def test_malformed_json_usage_error(self, capsys, tmp_path, argv, doc, named):
         if doc is not None:
@@ -372,3 +402,35 @@ class TestCliContract:
                     walk(v)
 
         walk(payload)
+
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+    # lone surrogates included: the Cs category is excluded by default
+    | st.text(st.characters(exclude_categories=()))
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x", "é€😀", "\u2028"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), inner,
+                      max_size=5),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, Fraction(1, 2), {1: 2}, [{"a": [0.0]}], {"a": {None: 1}}, (1, 2)],
+        ids=["float", "fraction", "int-key", "nested-float", "nested-none-key", "tuple"],
+    )
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from thetacycles.lambdaring import (
     FgAbelianGroup,
     GroupMismatchError,
     GroupRingElement,
+    NonIntegralResultError,
     TensorConstruction,
     eval_construction,
     gr_adams,
@@ -20,7 +22,12 @@ from thetacycles.lambdaring import (
     sym_op,
 )
 
-from oracles import subset_exterior_power_with_add
+from oracles import (
+    gr_adams_oracle,
+    gr_multiply_oracle,
+    schur_apply_oracle,
+    subset_exterior_power_with_add,
+)
 
 Z = FgAbelianGroup(1)
 Z2 = FgAbelianGroup(0, (2,))
@@ -46,6 +53,20 @@ class TestGroup:
     def test_json_roundtrip(self):
         g = FgAbelianGroup(2, (2, 6))
         assert FgAbelianGroup.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_non_integer_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            FgAbelianGroup(1, (3,)).canonical((0, bad))
+        with pytest.raises(ValueError, match="integers"):
+            GroupRingElement(Z, {(bad,): 1})
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "1"])
+    def test_non_integer_group_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            FgAbelianGroup(bad)
+        with pytest.raises(ValueError, match="integers"):
+            FgAbelianGroup(0, (bad,))
 
 
 class TestMultiply:
@@ -246,3 +267,81 @@ class TestSerialization:
         g = FgAbelianGroup(1, (2,))
         x = GroupRingElement(g, {(1, 0): 2, (0, 1): -1})
         assert GroupRingElement.from_json(x.to_json()) == x
+
+    def test_duplicate_key_rejected(self):
+        data = {"group": Z.to_json(), "coeffs": [[[1], 1], [[1], 1]]}
+        with pytest.raises(ValueError, match="listed twice"):
+            GroupRingElement.from_json(data)
+
+    def test_key_equal_after_reduction_rejected(self):
+        data = {"group": Z2.to_json(), "coeffs": [[[1], 1], [[3], 1]]}
+        with pytest.raises(ValueError, match="listed twice"):
+            GroupRingElement.from_json(data)
+
+
+class TestInputValues:
+    @pytest.mark.parametrize("bad", [2.7, 1.0, True, "1", None])
+    def test_non_integer_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            GroupRingElement(Z, {(1,): bad})
+        with pytest.raises(ValueError, match="integer"):
+            GroupRingElement.from_json({"group": Z.to_json(), "coeffs": [[[1], bad]]})
+
+    def test_keys_equal_after_reduction_sum(self):
+        x = GroupRingElement(Z2, {(1,): 1, (3,): 1})
+        assert x.coeffs == {(1,): 2}
+        y = GroupRingElement(Z2, {(1,): 1, (3,): -1, (0,): 2})
+        assert y.coeffs == {(0,): 2}
+
+
+ORACLE_GROUPS = [
+    FgAbelianGroup(2), FgAbelianGroup(1, (2,)), FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (3,)),
+]
+
+
+@st.composite
+def oracle_elements(draw, group):
+    """Up to four terms with possibly non-canonical keys and negative coefficients."""
+    keys = st.tuples(*[st.integers(-4, 4)] * group.ncoords)
+    coeffs = draw(st.dictionaries(keys, st.integers(-3, 3), min_size=1, max_size=4))
+    return GroupRingElement(group, coeffs)
+
+
+class TestKernelsAgainstOracle:
+    """The kernels on canonical keys with integer accumulation against the
+    route that reduces every key and accumulates Fractions."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_multiply_and_adams(self, data):
+        group = data.draw(st.sampled_from(ORACLE_GROUPS))
+        x, y = data.draw(oracle_elements(group)), data.draw(oracle_elements(group))
+        assert gr_multiply(x, y).coeffs == gr_multiply_oracle(group, x.coeffs, y.coeffs)
+        for n in (-1, 0, 2, 3, 4):
+            assert gr_adams(n, x).coeffs == gr_adams_oracle(group, n, x.coeffs)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_schur_operations(self, data):
+        group = data.draw(st.sampled_from(ORACLE_GROUPS))
+        x = data.draw(oracle_elements(group))
+        cases = [(lambda_op, k, (1,) * k) for k in (1, 2, 3, 4)]
+        cases += [(sym_op, k, (k,)) for k in (2, 3)]
+        for op, k, alpha in cases:
+            assert op(k, x).coeffs == schur_apply_oracle(group, alpha, x.coeffs)
+        assert schur_apply((2, 1), x).coeffs == schur_apply_oracle(group, (2, 1), x.coeffs)
+
+    def test_non_integral_check_over_the_lcm(self, monkeypatch):
+        # Z[Gamma] is a lambda-ring, so a real expansion never trips the
+        # check; a made-up one, (1/2) p_1 + (1/3) p_(1,1), does where the
+        # integer sum over D = 6 is not divisible by 6
+        import thetacycles.lambdaring as lr
+        from thetacycles.symfun import SymExpr
+
+        fake = SymExpr("powersum", {(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+        monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
+        # 2*x^0: (1/2)*2 + (1/3)*4 = 7/3 at the identity
+        with pytest.raises(NonIntegralResultError, match=r"coefficient 7/3 at \(0,\)"):
+            schur_apply((2,), GroupRingElement(Z, {(0,): 2}))
+        # 6*x^0: 3 + 12 = 15, integral
+        assert schur_apply((2,), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
