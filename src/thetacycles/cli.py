@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .chow import ChowVector
 from .cycles import CleanCycleModel, convolve, schur_cycle
 from .lambdaring import (
     GroupRingElement,
@@ -45,6 +44,7 @@ from .schottky import (
     simplicity_criteria,
     summand_bound,
     theta_group,
+    theta_target,
     verify_inverse_galois,
 )
 from .symfun import elementary_to_powersum, partitions, schur_to_powersum
@@ -335,22 +335,9 @@ def _cmd_genus5(args):
 
 
 def _cmd_fake_jacobian(args):
-    g = args.g
-    from .schottky import _theta_cm
-    from .cycles import CycleComponent
-
-    cm = _theta_cm(g, args.degree)
-    if args.cm1 is not None:
-        coords = list(cm.coords)
-        coords[1] = _parse_fraction(args.cm1)
-        cm = ChowVector(g, tuple(coords))
-    target = CleanCycleModel(
-        g=g,
-        components=(
-            CycleComponent("theta", dim=g - 1, mult=1, cm=cm, gauss_finite=True),
-        ),
-    )
-    rec = fake_jacobian_solve(g, target, hyperelliptic=args.hyperelliptic)
+    cm1 = _parse_fraction(args.cm1) if args.cm1 is not None else None
+    target = theta_target(args.g, args.degree, cm1)
+    rec = fake_jacobian_solve(args.g, target, hyperelliptic=args.hyperelliptic)
     _emit(args, rec)
     return 0 if rec["feasible"] else MATH_NO
 

@@ -23,8 +23,11 @@ from .chow import ChowVector, pontryagin, pushforward_n
 from .lambdaring import (
     GroupRingElement,
     NonIntegralResultError,
+    _is_int,
     gr_adams,
     gr_multiply,
+    gr_one,
+    schur_apply,
 )
 from .symfun import Partition, schur_to_powersum
 
@@ -40,6 +43,10 @@ class CycleComponent:
     gauss_finite: bool = False
 
     def __post_init__(self):
+        for name in ("dim", "mult"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"component {name!r} must be an integer, got {value!r}")
         g = self.cm.g
         if not 0 <= self.dim <= g - 1:
             raise ValueError(f"component dim must be in [0, {g - 1}], got {self.dim}")
@@ -285,8 +292,6 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
         )
     fiber = None
     if c.fiber is not None:
-        from .lambdaring import schur_apply
-
         fiber = schur_apply(alpha, c.fiber)
     return _aggregate(g, f"s_{alpha}", cm, c.all_gauss_finite, fiber)
 
@@ -341,8 +346,6 @@ def essentially_multiplicity_free(c: CleanCycleModel, n_max: int | None = None) 
 
 def unit_cycle(g: int, group=None) -> CleanCycleModel:
     """The origin point cycle, unit of the convolution product."""
-    from .lambdaring import gr_one
-
     fiber = None
     if group is not None:
         fiber = gr_one(group)

@@ -91,9 +91,6 @@ class FgAbelianGroup:
         """n times a canonical key."""
         return self._reduce(tuple([n * x for x in a]))
 
-    def free_part(self, a) -> tuple[int, ...]:
-        return tuple(a[: self.rank])
-
     def torsion_exponent(self) -> int:
         return self.torsion[-1] if self.torsion else 1
 

@@ -5,6 +5,13 @@ root alpha_i is row i of the Cartan matrix in this basis, so the simple
 reflection is s_i(w) = w - w[i] * cartan[i].  The invariant bilinear form
 is normalized so short simple roots have squared length 2.
 
+All lattice arithmetic is in integers.  Each concept has one integer form,
+built once per root system: the inverse Cartan matrix as N / den with
+C N = den I (fraction-free elimination) and the Gram matrix of the
+fundamental weights scaled by den.  A weight lam pairs with the positive
+root alpha = sum_i r_i alpha_i as (lam, alpha) = sum_i r_i (d_i lam_i),
+with d lam formed once per weight.
+
 The classifiers work with dominant data only and use closed forms where a
 theorem gives one:
 
@@ -18,6 +25,9 @@ theorem gives one:
 - the Frobenius-Schur sign of a self-dual irreducible is
   (-1)^<lam, 2 rho^vee> (Steinberg; Bourbaki, Lie VIII, 7.5).
 
+Characters are operated on in the group ring Z[P] of the weight lattice
+with the `lambdaring` kernels.
+
 RootSystem instances are immutable after construction apart from internal
 memo tables whose entries are deterministic functions of their keys;
 concurrent races can at worst recompute a value, never change one.
@@ -26,8 +36,18 @@ concurrent races can at worst recompute a value, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as _gcd, prod
+from math import prod
+from operator import mul
+
+from .lambdaring import (
+    FgAbelianGroup,
+    GroupRingElement,
+    _is_int,
+    gr_adams,
+    gr_multiply,
+    lambda_op,
+    sym_op,
+)
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -113,20 +133,25 @@ def _cartan_and_lengths(letter: str, rank: int):
     return tuple(tuple(row) for row in C), tuple(d)
 
 
-def _invert_fraction_matrix(M):
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return tuple(tuple(A[i][n + j] for j in range(n)) for i in range(n))
+def _inverse_cartan(C):
+    """(N, den) with C N = den I: the adjugate and determinant of C by
+    fraction-free Gauss-Jordan elimination (Bareiss).  Every entry after
+    step k is a (k+1)-minor of [C | I], so each division is exact; the
+    pivots are the leading principal minors, positive for a Cartan matrix,
+    so no pivoting is needed."""
+    n = len(C)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(C)]
+    prev = 1
+    for k in range(n):
+        pivot_row = A[k]
+        p = pivot_row[k]
+        assert p > 0, "leading principal minors of a Cartan matrix are positive"
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in A), prev
 
 
 @dataclass(frozen=True)
@@ -143,24 +168,18 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(letter, rank)
-        inv = _invert_fraction_matrix(self.cartan)
-        # integer-scaled inverse Cartan matrix: den * (simple-root coordinates
-        # of a weight) is integral
-        den = 1
-        for row in inv:
-            for v in row:
-                den = den * v.denominator // _gcd(den, v.denominator)
-        self._inv_den = den
-        self._inv_num = tuple(tuple(int(v * den) for v in row) for row in inv)
+        # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
+        # coordinates of a weight) is integral
+        self._inv_num, self._inv_den = _inverse_cartan(self.cartan)
         # den * height of each fundamental weight
         self._height_num = tuple(sum(row) for row in self._inv_num)
-        # gram[i][j] = (w_i, w_j) = (C^-1)_ij d_j, from (w_i, alpha_j) = delta_ij d_j
-        self._gram = tuple(
-            tuple(Fraction(v * dj, den) for v, dj in zip(row, self.d))
-            for row in self._inv_num
+        # den * (w_i, w_j) = N_ij d_j, from (w_i, alpha_j) = delta_ij d_j
+        self._gram_num = tuple(
+            tuple(v * dj for v, dj in zip(row, self.d)) for row in self._inv_num
         )
         assert all(
-            self._gram[i][j] == self._gram[j][i] for i in range(rank) for j in range(i)
+            self._gram_num[i][j] == self._gram_num[j][i]
+            for i in range(rank) for j in range(i)
         ), "inner product must be symmetric"
         self._dominant_below_cache: dict = {}
         self._freudenthal_cache: dict = {}
@@ -173,17 +192,19 @@ class RootSystem:
                 f"{letter}{rank}: found {len(self.positive_roots)} positive roots, "
                 f"expected {expected}"
             )
-        # per positive root alpha: (rho, alpha), its height and its support
-        # as a bitmask of simple roots
+        # per positive root alpha: its simple-root coordinates r, (rho, alpha),
+        # its height and its support as a bitmask of simple roots; a weight
+        # pairs as (lam, alpha) = sum_i r_i (d_i lam_i)
         self._root_table = tuple(
             (
-                sum(r * d for r, d in zip(root.rcoords, self.d)),
+                root.rcoords,
+                sum(map(mul, root.rcoords, self.d)),
                 sum(root.rcoords),
                 sum(1 << i for i, r in enumerate(root.rcoords) if r),
             )
             for root in self.positive_roots
         )
-        self._weyl_dim_den = prod(row[0] for row in self._root_table)
+        self._weyl_dim_den = prod(entry[1] for entry in self._root_table)
         # 2 rho^vee, the sum of the positive coroots, in simple-coroot
         # coordinates: alpha^vee = sum_i r_i d_i / d_alpha alpha_i^vee
         self._two_rho_vee = tuple(
@@ -248,7 +269,9 @@ class RootSystem:
         return (0,) * self.rank
 
     def check_weight(self, w) -> tuple:
-        w = tuple(int(x) for x in w)
+        w = tuple(w)
+        if not all(map(_is_int, w)):
+            raise ValueError(f"weight coordinates must be integers: {w!r}")
         if len(w) != self.rank:
             raise ValueError(
                 f"weight {w} has length {len(w)}, expected rank {self.rank}"
@@ -299,23 +322,9 @@ class RootSystem:
                 return False
         return True
 
-    def inner(self, u, v) -> Fraction:
-        g = self._gram
-        n = self.rank
-        s = Fraction(0)
-        for i in range(n):
-            if u[i]:
-                row = g[i]
-                for j in range(n):
-                    if v[j]:
-                        s += u[i] * v[j] * row[j]
-        return s
-
-    def pairing_with_root(self, w, root: Root) -> Fraction:
-        """(w, alpha) for alpha given by root coordinates; exact."""
-        return Fraction(
-            sum(r * d * x for r, d, x in zip(root.rcoords, self.d, w))
-        )
+    def _scaled_norm(self, u) -> int:
+        """den * (u, u); den is self._inv_den."""
+        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, self._gram_num) if x)
 
     # -- orbits ---------------------------------------------------------------
 
@@ -354,7 +363,7 @@ class RootSystem:
         index = self._orbit_index_cache.get(fixed)
         if index is None:
             num = den = 1
-            for _, height, support in self._root_table:
+            for _, _, height, support in self._root_table:
                 if support & ~fixed:
                     num *= height + 1
                     den *= height
@@ -368,9 +377,10 @@ class RootSystem:
         lam = self.check_weight(lam)
         if not self.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
+        dlam = tuple(map(mul, self.d, lam))
         num = 1
-        for root, (rho_alpha, _, _) in zip(self.positive_roots, self._root_table):
-            num *= rho_alpha + sum(r * d * x for r, d, x in zip(root.rcoords, self.d, lam))
+        for rcoords, rho_alpha, _, _ in self._root_table:
+            num *= rho_alpha + sum(map(mul, rcoords, dlam))
         assert num % self._weyl_dim_den == 0
         return num // self._weyl_dim_den
 
@@ -419,13 +429,18 @@ class RootSystem:
             return out
         doms = self.dominant_weights_below(lam)
         mults: dict = {lam: 1}
-        lam_rho = tuple(x + 1 for x in lam)
-        norm_top = self.inner(lam_rho, lam_rho)
+        # m(mu) = 2 sum_alpha sum_j m(mu + j alpha) (mu + j alpha, alpha)
+        #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
+        # with both forms scaled by den to integers
+        den = self._inv_den
+        norm_top = self._scaled_norm(tuple(x + 1 for x in lam))
         for mu in doms[1:]:
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = norm_top - self.inner(mu_rho, mu_rho)
-            total = Fraction(0)
+            denom = norm_top - self._scaled_norm(tuple(x + 1 for x in mu))
+            dmu = tuple(map(mul, self.d, mu))
+            total = 0
             for root in self.positive_roots:
+                # (mu + j alpha, alpha) = (mu, alpha) + 2 j d_alpha
+                mu_alpha = sum(map(mul, root.rcoords, dmu))
                 j = 1
                 while True:
                     nu = tuple(a + j * b for a, b in zip(mu, root.wcoords))
@@ -443,11 +458,11 @@ class RootSystem:
                             )
                         break
                     if m:
-                        total += m * self.pairing_with_root(nu, root)
+                        total += m * (mu_alpha + 2 * j * root.length)
                     j += 1
-            val = 2 * total / denom
-            assert val.denominator == 1 and val > 0
-            mults[mu] = int(val)
+            val, rem = divmod(2 * den * total, denom)
+            assert rem == 0 and val > 0
+            mults[mu] = val
         self._freudenthal_cache[lam] = mults
         return mults
 
@@ -520,20 +535,23 @@ class Character:
     weights: dict  # weight tuple -> positive int
 
     def __post_init__(self):
+        rs = self.rs
         clean = {}
         for w, m in self.weights.items():
-            m = int(m)
-            if m < 0:
-                raise NotACharacterError(f"negative multiplicity {m} at {w}")
-            if m:
-                clean[tuple(w)] = m
-        object.__setattr__(self, "weights", clean)
-        rs = self.rs
-        for w in clean:
+            w = tuple(w)
+            if not _is_int(m):
+                raise NotACharacterError(f"multiplicity at {w} must be an integer: {m!r}")
+            if not all(map(_is_int, w)):
+                raise NotACharacterError(f"weight coordinates must be integers: {w!r}")
             if len(w) != rs.rank:
                 raise NotACharacterError(
                     f"weight {w} has length {len(w)}, expected rank {rs.rank}"
                 )
+            if m < 0:
+                raise NotACharacterError(f"negative multiplicity {m} at {w}")
+            if m:
+                clean[w] = m
+        object.__setattr__(self, "weights", clean)
         for w, m in clean.items():
             for i in range(rs.rank):
                 if w[i] != 0 and clean.get(rs.reflect(i, w), 0) != m:
@@ -580,68 +598,31 @@ def trivial_character(rs: RootSystem) -> Character:
     return Character(rs, {rs.zero(): 1})
 
 
+def _group_ring(x: Character) -> GroupRingElement:
+    """x as an element of the group ring Z[P] of the weight lattice."""
+    return GroupRingElement(FgAbelianGroup(x.rs.rank), x.weights)
+
+
 def char_tensor(x: Character, y: Character) -> Character:
     if x.rs is not y.rs:
         raise ValueError("characters live on different root systems")
-    acc: dict = {}
-    small, large = (x, y) if len(x.weights) <= len(y.weights) else (y, x)
-    for w1, m1 in small.weights.items():
-        for w2, m2 in large.weights.items():
-            key = tuple(a + b for a, b in zip(w1, w2))
-            acc[key] = acc.get(key, 0) + m1 * m2
-    return Character(x.rs, acc)
+    return Character(x.rs, gr_multiply(_group_ring(x), _group_ring(y)).coeffs)
 
 
 def char_adams(n: int, x: Character) -> Character:
     if n < 1:
         raise ValueError("Adams index must be >= 1 on characters")
-    return Character(x.rs, {tuple(n * a for a in w): m for w, m in x.weights.items()})
-
-
-def _char_schur(alpha, x: Character) -> Character:
-    from .symfun import Partition, schur_to_powersum
-
-    if not isinstance(alpha, Partition):
-        alpha = Partition(tuple(alpha))
-    acc: dict = {}
-    adams_cache: dict[int, Character] = {}
-
-    def psi(n):
-        if n not in adams_cache:
-            adams_cache[n] = char_adams(n, x)
-        return adams_cache[n]
-
-    for beta, m in schur_to_powersum(alpha).terms.items():
-        prod = None
-        for b in beta:
-            prod = psi(b) if prod is None else char_tensor(prod, psi(b))
-        for w, c in prod.weights.items():
-            acc[w] = acc.get(w, Fraction(0)) + m * c
-    out = {}
-    for w, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1 or c < 0:
-            raise NotACharacterError(
-                f"Schur operation s_{alpha} produced coefficient {c} at {w}; "
-                "the input is not a genuine character"
-            )
-        out[w] = int(c)
-    return Character(x.rs, out)
+    return Character(x.rs, gr_adams(n, _group_ring(x)).coeffs)
 
 
 def char_alt(k: int, x: Character) -> Character:
-    """Exterior power, via the power-sum expansion of s_(1^k)."""
-    if k == 0:
-        return trivial_character(x.rs)
-    return _char_schur((1,) * k, x)
+    """Exterior power lambda^k in Z[P]."""
+    return Character(x.rs, lambda_op(k, _group_ring(x)).coeffs)
 
 
 def char_sym(k: int, x: Character) -> Character:
-    """Symmetric power, via the power-sum expansion of s_(k)."""
-    if k == 0:
-        return trivial_character(x.rs)
-    return _char_schur((k,), x)
+    """Symmetric power sym^k in Z[P]."""
+    return Character(x.rs, sym_op(k, _group_ring(x)).coeffs)
 
 
 def decompose(x: Character) -> dict:
@@ -944,24 +925,11 @@ def root_multiple_condition(rs: RootSystem, lam) -> bool:
     for w in rs.weight_system(lam):
         if w == rs.zero():
             continue
+        k = next(i for i, x in enumerate(w) if x)
         for root in rs.positive_roots:
             a = root.wcoords
-            # proportionality over the fundamental coordinates
-            ratio = None
-            ok = True
-            for x, y in zip(w, a):
-                if y == 0:
-                    if x != 0:
-                        ok = False
-                        break
-                    continue
-                r = Fraction(x, y)
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-            if ok and ratio not in (None, 0):
+            # w = (w_k / a_k) a, by cross-multiplication
+            if a[k] and all(x * a[k] == y * w[k] for x, y in zip(w, a)):
                 return True
     return False
 

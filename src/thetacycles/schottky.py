@@ -32,7 +32,16 @@ from .lambdaring import (
     eval_construction,
     gr_adams,
 )
-from .lierep import Character, classify_wmf, quasi_minuscule_dim_search
+from .lierep import (
+    Character,
+    char_alt,
+    classify_wmf,
+    decompose,
+    freudenthal_character,
+    image_group_label,
+    quasi_minuscule_dim_search,
+    root_system,
+)
 from .symfun import Partition, partitions, schur_to_powersum
 
 
@@ -188,6 +197,23 @@ def _theta_cm(g: int, gauss_degree: int) -> ChowVector:
     coords = [Fraction(factorial(g - i)) for i in range(g)]
     coords[0] = Fraction(gauss_degree)
     return ChowVector(g, tuple(coords))
+
+
+def theta_target(g: int, gauss_degree: int, cm1: Fraction | None = None) -> CleanCycleModel:
+    """Target of the fake-Jacobian equations: the conormal to a theta
+    divisor with isolated singularities and a finite Gauss map, as a
+    one-component cycle; cm1, when given, replaces its degree-1 class."""
+    if g < 2:
+        raise ValueError(f"a theta divisor needs g >= 2, got g = {g}")
+    cm = _theta_cm(g, gauss_degree)
+    if cm1 is not None:
+        coords = list(cm.coords)
+        coords[1] = cm1
+        cm = ChowVector(g, tuple(coords))
+    return CleanCycleModel(
+        g=g,
+        components=(CycleComponent("theta", dim=g - 1, mult=1, cm=cm, gauss_finite=True),),
+    )
 
 
 def cc_odp(p: PpavInput) -> CleanCycleModel:
@@ -547,14 +573,6 @@ def fourfold_table() -> dict:
     """Invariants of principally polarized abelian fourfolds, recomputed from
     the other modules: Gauss degree, dimension of the theta representation,
     fundamental-weight label and Tannaka group for every stratum."""
-    from .lierep import (
-        char_alt,
-        decompose,
-        freudenthal_character,
-        image_group_label,
-        root_system,
-    )
-
     g = 4
     rows = []
 
@@ -576,15 +594,7 @@ def fourfold_table() -> dict:
     rsA5 = root_system("A5")
     w3 = (0, 0, 1, 0, 0)
     dim_nh = rsA5.weyl_dim(w3)
-    target_nh = CleanCycleModel(
-        g=g,
-        components=(
-            CycleComponent(
-                "theta", dim=g - 1, mult=1, cm=_theta_cm(g, dim_nh), gauss_finite=True
-            ),
-        ),
-    )
-    sol_nh = fake_jacobian_solve(g, target_nh, hyperelliptic=False)
+    sol_nh = fake_jacobian_solve(g, theta_target(g, dim_nh), hyperelliptic=False)
     assert sol_nh["feasible"] and sol_nh["c0"] == 2 * g - 2
     rows.append(
         {
@@ -604,23 +614,7 @@ def fourfold_table() -> dict:
     assert constituents == {(0, 0, 1): 1, (1, 0, 0): 1}
     dim_h = rsC3.weyl_dim((0, 0, 1))
     curve_dim = rsC3.weyl_dim((1, 0, 0))
-    target_h_degree = dim_h
-    sol_h = fake_jacobian_solve(
-        g,
-        CleanCycleModel(
-            g=g,
-            components=(
-                CycleComponent(
-                    "theta",
-                    dim=g - 1,
-                    mult=1,
-                    cm=_theta_cm(g, target_h_degree),
-                    gauss_finite=True,
-                ),
-            ),
-        ),
-        hyperelliptic=True,
-    )
+    sol_h = fake_jacobian_solve(g, theta_target(g, dim_h), hyperelliptic=True)
     assert sol_h["feasible"] and sol_h["c0"] == 2 * g - 2
     rows.append(
         {

@@ -1,7 +1,7 @@
 """Exact symmetric-function engine.
 
 Partitions, and transition coefficients between the power-sum, elementary
-and Schur basesreused throughout the cycle calculus.  Everything is exact:
+and Schur bases reused throughout the cycle calculus.  Everything is exact:
 coefficients are `fractions.Fraction` over arbitrary-precision integers,
 and no floating point appears anywhere in this module.
 

@@ -44,7 +44,7 @@ from thetacycles.schottky import (
     s_sets,
     s_sets_from_classification,
     summand_bound,
-    _theta_cm,
+    theta_target,
 )
 from thetacycles.symfun import (
     Partition,
@@ -394,11 +394,11 @@ class TestCriterion8FakeJacobianDegrees:
         for g in (3, 4, 5):
             c0 = 2 * g - 2
             t_nh = comb(c0, g - 1)
-            target = _theta_target(g, t_nh)
+            target = theta_target(g, t_nh)
             sol = fake_jacobian_solve(g, target, hyperelliptic=False)
             assert sol["feasible"] and sol["c0"] == c0, (g, sol)
             t_h = comb(c0, g - 1) - comb(c0, g - 3)
-            sol_h = fake_jacobian_solve(g, _theta_target(g, t_h), hyperelliptic=True)
+            sol_h = fake_jacobian_solve(g, theta_target(g, t_h), hyperelliptic=True)
             assert sol_h["feasible"] and sol_h["c0"] == c0, (g, sol_h)
         report(
             8,
@@ -407,18 +407,6 @@ class TestCriterion8FakeJacobianDegrees:
             "fake-Jacobian degree equations recover c0 = 2g-2 for g = 3,4,5, "
             "both flavors",
         )
-
-
-def _theta_target(g, gauss_degree):
-    return CleanCycleModel(
-        g=g,
-        components=(
-            CycleComponent(
-                "theta", dim=g - 1, mult=1, cm=_theta_cm(g, gauss_degree),
-                gauss_finite=True,
-            ),
-        ),
-    )
 
 
 class TestCriterion9AdjointObstruction:

@@ -359,13 +359,21 @@ class TestCliContract:
             (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[[[1], 1], [[1], 1]]),
                                "op": {"kind": "adams", "n": 1}}, "listed twice"),
             (["lambda-eval"], {"element": ELEMENT, "op": {"kind": "lambda", "k": None}}, "'k'"),
+            (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, mult=1.5)]},
+                                  "c2": CYCLE, "d_trunc": 1}, "'mult'"),
+            (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, mult=2.0)]},
+                                  "c2": CYCLE, "d_trunc": 1}, "'mult'"),
+            (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, dim=0.0)]},
+                                  "c2": CYCLE, "d_trunc": 1}, "'dim'"),
+            (["fake-jacobian", "--g", "1", "--degree", "5", "--cm1", "1"], None, "g >= 2"),
         ],
         ids=["not-json", "cm-not-a-list", "op-not-an-object", "cm1-zero-denominator",
              "empty-type-name", "convolve-d_trunc-null", "convolve-d_trunc-str",
              "convolve-d_trunc-float", "schur-d_trunc-null", "schur-d_trunc-str",
              "schur-d_trunc-float", "schur-alpha-null", "verify-ig-not-an-object",
              "verify-ig-float-index", "verify-ig-float-alpha",
-             "element-float-values", "element-duplicate-key", "op-k-null"],
+             "element-float-values", "element-duplicate-key", "op-k-null",
+             "mult-float", "mult-integral-float", "dim-integral-float", "fake-jacobian-g1"],
     )
     def test_malformed_json_usage_error(self, capsys, tmp_path, argv, doc, named):
         if doc is not None:

@@ -117,6 +117,8 @@ class TestRootSystemInvariants:
     def test_against_sympy(self):
         # independent oracle: sympy's Weyl groups and root systems
         pytest.importorskip("sympy")
+        from sympy import Rational
+        from sympy.liealgebras.cartan_matrix import CartanMatrix
         from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
         from sympy.liealgebras.weyl_group import WeylGroup
 
@@ -125,6 +127,23 @@ class TestRootSystemInvariants:
             assert rs.weyl_order == WeylGroup(rs.name).group_order(), rs.name
             all_roots = SympyRootSystem(rs.name).all_roots()
             assert 2 * len(rs.positive_roots) == len(all_roots), rs.name
+            if n == 1:
+                continue  # sympy's CartanMatrix("A1") raises
+            inv = CartanMatrix(rs.name).inv()
+            N, den = rs._inv_num, rs._inv_den
+            assert all(
+                inv[i, j] == Rational(N[i][j], den) for i in range(n) for j in range(n)
+            ), rs.name
+
+    def test_integer_inverse_cartan(self):
+        for letter, n in canonical_simple_types(20):
+            rs = root_system(letter, n)
+            C, N, den = rs.cartan, rs._inv_num, rs._inv_den
+            assert den > 0
+            for i in range(n):
+                for j in range(n):
+                    entry = sum(C[i][k] * N[k][j] for k in range(n))
+                    assert entry == (den if i == j else 0), (rs.name, i, j)
 
     def test_bad_type_names_rejected(self):
         for name in ("", "X3", "A", "Ax"):
@@ -196,9 +215,18 @@ class TestWeylDim:
             root_system("B3").weyl_orbit((1, 0))
 
     def test_matches_freudenthal_total(self):
-        for name, lam in SMALL_CASES:
-            rs = root_system(name)
-            assert freudenthal_character(rs, lam).dimension == rs.weyl_dim(lam)
+        cases = [(root_system(name), lam) for name, lam in SMALL_CASES]
+        for letter, n in canonical_simple_types(5):
+            rs = root_system(letter, n)
+            cases += [(rs, lam) for lam in enumerate_dominant_weights(rs, 300)]
+        for rs, lam in cases:
+            assert freudenthal_character(rs, lam).dimension == rs.weyl_dim(lam), (rs, lam)
+
+    def test_non_integer_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            root_system("A1").check_weight((1.7,))
+        with pytest.raises(ValueError, match="integers"):
+            root_system("A2").weyl_dim((1.0, 0))
 
 
 class TestFreudenthal:
@@ -308,6 +336,17 @@ class TestCharacterOps:
                 for w, mult in rs.weight_system(lam).items():
                     rebuilt[w] = rebuilt.get(w, 0) + m * mult
             assert rebuilt == x.weights, (letter, n, a, b)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{(1,): 1.5, (-1,): 1.7}, {(1,): 1.0, (-1,): 1.0}, {(1.0,): 1, (-1.0,): 1},
+         {(True,): 1, (-1,): 1}, {(1,): True, (-1,): True}],
+        ids=["float-mults", "integral-float-mults", "float-weights", "bool-weight",
+             "bool-mults"],
+    )
+    def test_non_integer_input_rejected(self, weights):
+        with pytest.raises(NotACharacterError, match="integer"):
+            Character(root_system("A1"), weights)
 
     def test_decompose_rejects_corrupted(self):
         rs = root_system("A2")

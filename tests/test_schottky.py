@@ -6,7 +6,6 @@ import pytest
 from thetacycles.chow import ChowVector
 from thetacycles.cycles import (
     CleanCycleModel,
-    CycleComponent,
     degree,
     essentially_multiplicity_free,
 )
@@ -22,7 +21,6 @@ from thetacycles.lierep import char_tensor, freudenthal_character, root_system
 from thetacycles.schottky import (
     GroupDescriptor,
     PpavInput,
-    _theta_cm,
     alt_cm1_coefficient,
     cc_odp,
     fake_jacobian_solve,
@@ -35,20 +33,9 @@ from thetacycles.schottky import (
     simplicity_criteria,
     summand_bound,
     theta_group,
+    theta_target,
     verify_inverse_galois,
 )
-
-
-def theta_target(g, gauss_degree):
-    return CleanCycleModel(
-        g=g,
-        components=(
-            CycleComponent(
-                "theta", dim=g - 1, mult=1, cm=_theta_cm(g, gauss_degree),
-                gauss_finite=True,
-            ),
-        ),
-    )
 
 
 class TestSSets:
