@@ -92,9 +92,6 @@ class ChowVector:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def top_index(self) -> int | None:
         """Largest i with a_i != 0, or None for the zero vector."""
         for i in range(self.g - 1, -1, -1):

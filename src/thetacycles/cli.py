@@ -26,7 +26,6 @@ from .lambdaring import (
     sym_op,
 )
 from .lierep import (
-    Character,
     classify_wmf,
     freudenthal_character,
     quasi_minuscule_dim_search,
@@ -47,7 +46,7 @@ from .schottky import (
     theta_target,
     verify_inverse_galois,
 )
-from .symfun import elementary_to_powersum, partitions, schur_to_powersum
+from .symfun import _is_int, elementary_to_powersum, partitions, schur_to_powersum
 
 USAGE_ERROR = 2
 MATH_NO = 1
@@ -137,14 +136,10 @@ def _object_field(data, key) -> dict:
     return value
 
 
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_field(data, key) -> int:
     """data[key] of an input object, which must be a JSON integer."""
     value = data.get(key)
-    if not _is_json_int(value):
+    if not _is_int(value):
         raise InputError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
@@ -152,7 +147,7 @@ def _int_field(data, key) -> int:
 def _partition_field(data, key) -> tuple:
     """data[key] of an input object, which must be a list of JSON integers."""
     value = data.get(key)
-    if not isinstance(value, list) or not all(map(_is_json_int, value)):
+    if not isinstance(value, list) or not all(map(_is_int, value)):
         raise InputError(f"field {key!r} must be a list of integers, got {value!r}")
     return tuple(value)
 
@@ -171,16 +166,6 @@ def load_cycle(source) -> CleanCycleModel:
         raise InputError(f"cycle schema violation in {where}: missing/bad field {exc}") from None
     except (ValueError, ArithmeticError) as exc:
         raise InputError(f"cycle invariant violated in {where}: {exc}") from None
-
-
-def load_character(path) -> Character:
-    data = _load_json(path)
-    try:
-        return Character.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"character schema violation in {path}: missing/bad field {exc}") from None
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(f"character invariant violated in {path}: {exc}") from None
 
 
 def _load_element(data) -> GroupRingElement:

@@ -23,13 +23,12 @@ from .chow import ChowVector, pontryagin, pushforward_n
 from .lambdaring import (
     GroupRingElement,
     NonIntegralResultError,
-    _is_int,
     gr_adams,
     gr_multiply,
     gr_one,
     schur_apply,
 )
-from .symfun import Partition, schur_to_powersum
+from .symfun import Partition, _is_int, schur_to_powersum
 
 
 @dataclass(frozen=True)

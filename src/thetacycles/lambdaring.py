@@ -26,11 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .symfun import Partition, schur_to_powersum
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+from .symfun import Partition, _is_int, schur_to_powersum
 
 
 @dataclass(frozen=True)
@@ -345,11 +341,6 @@ class TensorConstruction:
     def alt(cls, k: int, child) -> "TensorConstruction":
         return cls.schur(Partition((1,) * k), child)
 
-    def arity(self) -> int:
-        if self.kind == "var":
-            return self.index + 1
-        return max((c.arity() for c in self.children), default=0)
-
     def to_json(self) -> dict:
         if self.kind == "var":
             return {"kind": "var", "index": self.index}
@@ -367,10 +358,7 @@ class TensorConstruction:
         if kind == "var":
             return cls.var(data["index"])
         if kind == "schur":
-            alpha = tuple(data["alpha"])
-            if not all(map(_is_int, alpha)):
-                raise ValueError(f"schur node alpha must be integers: {list(alpha)}")
-            return cls.schur(alpha, cls.from_json(data["child"]))
+            return cls.schur(data["alpha"], cls.from_json(data["child"]))
         return cls(kind, children=tuple(cls.from_json(c) for c in data["children"]))
 
 

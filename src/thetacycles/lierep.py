@@ -7,23 +7,33 @@ is normalized so short simple roots have squared length 2.
 
 All lattice arithmetic is in integers.  Each concept has one integer form,
 built once per root system: the inverse Cartan matrix as N / den with
-C N = den I (fraction-free elimination) and the Gram matrix of the
-fundamental weights scaled by den.  A weight lam pairs with the positive
-root alpha = sum_i r_i alpha_i as (lam, alpha) = sum_i r_i (d_i lam_i),
-with d lam formed once per weight.
+C N = den I (fraction-free elimination), the Gram matrix of the
+fundamental weights scaled by den, and one table of positive roots, each a
+tuple of its fundamental and simple-root coordinates, half its squared
+length, (rho, alpha), its height and its support.  A weight lam pairs with
+the positive root alpha = sum_i r_i alpha_i as
+(lam, alpha) = sum_i r_i (d_i lam_i), with d lam formed once per weight.
 
-The classifiers work with dominant data only and use closed forms where a
+A Weyl orbit is described by its dominant representative, so Weyl-invariant
+questions are answered in the dominant chamber, with closed forms where a
 theorem gives one:
 
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
   positive roots: Stembridge, Adv. Math. 136, 1998);
-- multiplicities come from Freudenthal's recursion on dominant weights;
+- multiplicities come from Freudenthal's recursion on dominant weights, and
+  a character is decomposed by peeling dominant multiplicities only;
 - |W| and orbit sizes |W| / |W_J| are products of (ht a + 1) / ht a over
   positive roots a (Macdonald's Poincare series at q = 1, Math. Ann. 1972);
+- -w0 permutes the fundamental weights by the opposition involution of the
+  Dynkin diagram (Bourbaki, Lie VI, Plates), so duals are permuted
+  coordinates;
 - the Frobenius-Schur sign of a self-dual irreducible is
-  (-1)^<lam, 2 rho^vee> (Steinberg; Bourbaki, Lie VIII, 7.5).
+  (-1)^<lam, 2 rho^vee> (Steinberg; Bourbaki, Lie VIII, 7.5);
+- [P : Q + Z lam] = gcd(den, lam N), as den = det C = [P : Q];
+- a weight of V_lam lies on a root line iff a dominant one lies on the line
+  of a dominant root (the highest root or the highest short root).
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.
@@ -36,18 +46,18 @@ concurrent races can at worst recompute a value, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from operator import mul
+from math import gcd, prod
+from operator import mul, sub
 
 from .lambdaring import (
     FgAbelianGroup,
     GroupRingElement,
-    _is_int,
     gr_adams,
     gr_multiply,
     lambda_op,
     sym_op,
 )
+from .symfun import _is_int
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -154,11 +164,18 @@ def _inverse_cartan(C):
     return tuple(tuple(row[n:]) for row in A), prev
 
 
-@dataclass(frozen=True)
-class Root:
-    wcoords: tuple[int, ...]  # fundamental-weight coordinates
-    rcoords: tuple[int, ...]  # simple-root coordinates
-    length: int  # d = (alpha, alpha)/2
+def _opposition_involution(letter: str, rank: int) -> tuple:
+    """p with w0(varpi_i) = -varpi_p(i), on 0-based nodes: reverse A_n, swap
+    the spin nodes of D_n for odd n and nodes 1-6, 3-5 of E6, fix the rest
+    (Bourbaki, Lie VI, Plates I-IX)."""
+    p = list(range(rank))
+    if letter == "A":
+        p.reverse()
+    elif letter == "D" and rank % 2:
+        p[-2], p[-1] = p[-1], p[-2]
+    elif letter == "E" and rank == 6:
+        p = [5, 1, 4, 3, 2, 0]
+    return tuple(p)
 
 
 class RootSystem:
@@ -169,7 +186,7 @@ class RootSystem:
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(letter, rank)
         # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
-        # coordinates of a weight) is integral
+        # coordinates of a weight) is integral, and den = det C = [P : Q]
         self._inv_num, self._inv_den = _inverse_cartan(self.cartan)
         # den * height of each fundamental weight
         self._height_num = tuple(sum(row) for row in self._inv_num)
@@ -185,6 +202,10 @@ class RootSystem:
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
         self.rho = (1,) * rank
+        # the positive roots, lowest first, one tuple per root alpha:
+        # (fundamental coordinates w, simple-root coordinates r,
+        #  d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
+        # a weight pairs as (lam, alpha) = sum_i r_i (d_i lam_i)
         self.positive_roots = self._enumerate_positive_roots()
         expected = _POSITIVE_ROOT_COUNT[letter](rank)
         if len(self.positive_roots) != expected:
@@ -192,30 +213,15 @@ class RootSystem:
                 f"{letter}{rank}: found {len(self.positive_roots)} positive roots, "
                 f"expected {expected}"
             )
-        # per positive root alpha: its simple-root coordinates r, (rho, alpha),
-        # its height and its support as a bitmask of simple roots; a weight
-        # pairs as (lam, alpha) = sum_i r_i (d_i lam_i)
-        self._root_table = tuple(
-            (
-                root.rcoords,
-                sum(map(mul, root.rcoords, self.d)),
-                sum(root.rcoords),
-                sum(1 << i for i, r in enumerate(root.rcoords) if r),
-            )
-            for root in self.positive_roots
-        )
-        self._weyl_dim_den = prod(entry[1] for entry in self._root_table)
+        self._weyl_dim_den = prod(rho_a for _, _, _, rho_a, _, _ in self.positive_roots)
         # 2 rho^vee, the sum of the positive coroots, in simple-coroot
         # coordinates: alpha^vee = sum_i r_i d_i / d_alpha alpha_i^vee
         self._two_rho_vee = tuple(
-            sum(root.rcoords[i] * self.d[i] // root.length for root in self.positive_roots)
+            sum(r[i] * self.d[i] // length for _, r, length, _, _, _ in self.positive_roots)
             for i in range(rank)
         )
         self.weyl_order = self._orbit_index(0)
-        self._w0_permutation = tuple(
-            self.dominant_representative(tuple(-x for x in self._fundamental(i))).index(1)
-            for i in range(rank)
-        )
+        self._w0_permutation = _opposition_involution(letter, rank)
 
     # -- construction helpers ------------------------------------------------
 
@@ -223,41 +229,38 @@ class RootSystem:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def _enumerate_positive_roots(self):
-        simple = [
-            Root(self.cartan[i], self._fundamental(i), self.d[i])
-            for i in range(self.rank)
-        ]
-        seen = {r.rcoords: r for r in simple}
-        frontier = list(simple)
+        """Close the simple roots under the simple reflections, upwards.
+
+        s_i permutes the positive roots other than alpha_i, and a root beta
+        with <beta, alpha_i^vee> = k < 0 maps to the higher root beta - k
+        alpha_i; every non-simple positive root is reached this way from a
+        lower one.  Fundamental coordinates are formed only for a new root.
+        """
+        d = self.d
+        found = {}
+        frontier = []
+        for i in range(self.rank):
+            r = self._fundamental(i)
+            found[r] = (self.cartan[i], d[i])
+            frontier.append(r)
         while frontier:
             nxt = []
-            for root in frontier:
-                for i in range(self.rank):
-                    k = root.wcoords[i]
-                    if k == 0:
-                        continue
-                    w = tuple(
-                        a - k * b for a, b in zip(root.wcoords, self.cartan[i])
-                    )
-                    r = tuple(
-                        a - (k if j == i else 0)
-                        for j, a in enumerate(root.rcoords)
-                    )
-                    if all(v >= 0 for v in r):
-                        if r not in seen:
-                            new = Root(w, r, root.length)
-                            seen[r] = new
-                            nxt.append(new)
-                    else:
-                        neg = tuple(-v for v in r)
-                        if all(v >= 0 for v in neg) and neg not in seen:
-                            new = Root(
-                                tuple(-v for v in w), neg, root.length
+            for r in frontier:
+                w, length = found[r]
+                for i, k in enumerate(w):
+                    if k < 0:
+                        up = r[:i] + (r[i] - k,) + r[i + 1:]
+                        if up not in found:
+                            found[up] = (
+                                tuple(a - k * b for a, b in zip(w, self.cartan[i])),
+                                length,
                             )
-                            seen[neg] = new
-                            nxt.append(new)
+                            nxt.append(up)
             frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda r: (sum(r.rcoords), r.rcoords)))
+        return tuple(
+            (w, r, length, sum(map(mul, r, d)), sum(r), sum(1 << i for i, x in enumerate(r) if x))
+            for r, (w, length) in sorted(found.items(), key=lambda item: (sum(item[0]), item[0]))
+        )
 
     # -- basic weight operations ----------------------------------------------
 
@@ -300,8 +303,9 @@ class RootSystem:
                 return w
 
     def negate_dominant(self, w):
-        """-w0(w) for dominant w: the dominant representative of -w."""
-        return self.dominant_representative(tuple(-x for x in w))
+        """-w0(w) for dominant w, the dominant representative of -w: the
+        coordinates permuted by the opposition involution."""
+        return tuple(w[i] for i in self._w0_permutation)
 
     @property
     def w0_permutation(self):
@@ -363,7 +367,7 @@ class RootSystem:
         index = self._orbit_index_cache.get(fixed)
         if index is None:
             num = den = 1
-            for _, _, height, support in self._root_table:
+            for _, _, _, _, height, support in self.positive_roots:
                 if support & ~fixed:
                     num *= height + 1
                     den *= height
@@ -379,8 +383,8 @@ class RootSystem:
             raise ValueError(f"{lam} is not dominant")
         dlam = tuple(map(mul, self.d, lam))
         num = 1
-        for rcoords, rho_alpha, _, _ in self._root_table:
-            num *= rho_alpha + sum(map(mul, rcoords, dlam))
+        for _, r, _, rho_alpha, _, _ in self.positive_roots:
+            num *= rho_alpha + sum(map(mul, r, dlam))
         assert num % self._weyl_dim_den == 0
         return num // self._weyl_dim_den
 
@@ -401,14 +405,14 @@ class RootSystem:
             return cached
         if not self.is_dominant(lam):
             raise ValueError(f"{lam} is not dominant")
-        roots = [root.wcoords for root in self.positive_roots]
+        roots = self.positive_roots
         seen = {lam}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                for a in roots:
-                    cand = tuple(x - y for x, y in zip(mu, a))
+                for a, _, _, _, _, _ in roots:
+                    cand = tuple(map(sub, mu, a))
                     if cand not in seen and min(cand) >= 0:
                         seen.add(cand)
                         nxt.append(cand)
@@ -438,12 +442,12 @@ class RootSystem:
             denom = norm_top - self._scaled_norm(tuple(x + 1 for x in mu))
             dmu = tuple(map(mul, self.d, mu))
             total = 0
-            for root in self.positive_roots:
+            for a, r, length, _, _, _ in self.positive_roots:
                 # (mu + j alpha, alpha) = (mu, alpha) + 2 j d_alpha
-                mu_alpha = sum(map(mul, root.rcoords, dmu))
+                mu_alpha = sum(map(mul, r, dmu))
                 j = 1
                 while True:
-                    nu = tuple(a + j * b for a, b in zip(mu, root.wcoords))
+                    nu = tuple(x + j * y for x, y in zip(mu, a))
                     dom = self.dominant_representative(nu)
                     m = mults.get(dom)
                     if m is None:
@@ -458,7 +462,7 @@ class RootSystem:
                             )
                         break
                     if m:
-                        total += m * (mu_alpha + 2 * j * root.length)
+                        total += m * (mu_alpha + 2 * j * length)
                     j += 1
             val, rem = divmod(2 * den * total, denom)
             assert rem == 0 and val > 0
@@ -594,10 +598,6 @@ def freudenthal_character(rs: RootSystem, lam) -> Character:
     return Character(rs, rs.weight_system(lam))
 
 
-def trivial_character(rs: RootSystem) -> Character:
-    return Character(rs, {rs.zero(): 1})
-
-
 def _group_ring(x: Character) -> GroupRingElement:
     """x as an element of the group ring Z[P] of the weight lattice."""
     return GroupRingElement(FgAbelianGroup(x.rs.rank), x.weights)
@@ -628,26 +628,20 @@ def char_sym(k: int, x: Character) -> Character:
 def decompose(x: Character) -> dict:
     """Highest weights with multiplicities, by peeling maximal weights.
 
-    Repeatedly removes mult * (Freudenthal character) of a dominance-maximal
-    dominant weight present; raises NotACharacterError if any multiplicity
-    goes negative.  Reconstruction equals the input by construction.
+    A character is Weyl-invariant, so its dominant part determines it.
+    Repeatedly removes mult * (dominant Freudenthal multiplicities) of a
+    highest dominant weight present; raises NotACharacterError if any
+    multiplicity goes negative.  Reconstruction equals the input by
+    construction.
     """
     rs = x.rs
-    remaining = dict(x.weights)
+    remaining = {w: m for w, m in x.weights.items() if rs.is_dominant(w)}
     out: dict = {}
     while remaining:
         top = max(remaining, key=lambda w: (rs._scaled_height(w), w))
         mult = remaining[top]
-        if not rs.is_dominant(top):
-            raise NotACharacterError(
-                f"maximal weight {top} is not dominant; not a character"
-            )
-        if mult < 0:
-            raise NotACharacterError(
-                f"peeling produced negative multiplicity at {top}"
-            )
-        out[top] = out.get(top, 0) + mult
-        for w, m in rs.weight_system(top).items():
+        out[top] = mult
+        for w, m in rs.freudenthal_dominant(top).items():
             new = remaining.get(w, 0) - mult * m
             if new < 0:
                 raise NotACharacterError(
@@ -662,7 +656,7 @@ def decompose(x: Character) -> dict:
 
 def self_dual(rs: RootSystem, lam) -> bool:
     lam = tuple(lam)
-    return rs.negate_dominant(lam) == lam
+    return rs.is_dominant(lam) and rs.negate_dominant(lam) == lam
 
 
 def fs_type(rs: RootSystem, lam) -> str:
@@ -677,7 +671,7 @@ def fs_type(rs: RootSystem, lam) -> str:
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    if not self_dual(rs, lam):
+    if rs.negate_dominant(lam) != lam:
         return "none"
     odd = sum(x * c for x, c in zip(lam, rs._two_rho_vee)) % 2
     return "symplectic" if odd else "orthogonal"
@@ -742,30 +736,12 @@ def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
 
 def center_kernel_index(rs: RootSystem, lam) -> int:
     """Index [P : Q + Z*lam]: order of the center kernel of V_lam, i.e. the
-    mu_k by which the simply connected group is divided in the image."""
-    n = rs.rank
-    rows = [list(r) for r in rs.cartan] + [list(lam)]
-    # integer row echelon; product of pivots is the lattice index
-    index = 1
-    mat = [row[:] for row in rows]
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(r + 1, len(mat)):
-            while mat[i][col] != 0:
-                q = mat[r][col] // mat[i][col]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
-        index *= abs(mat[r][col])
-        r += 1
-    return index
+    mu_k by which the simply connected group is divided in the image.
+
+    [P : Q] = den = det C, and lam has order den / gcd(den, lam N) in P / Q
+    because lam N / den are its simple-root coordinates.
+    """
+    return gcd(rs._inv_den, *(sum(map(mul, lam, col)) for col in zip(*rs._inv_num)))
 
 
 def _fundamental_index(lam) -> int | None:
@@ -921,13 +897,18 @@ def orbit_rank_bound(rs: RootSystem, w) -> bool:
 
 
 def root_multiple_condition(rs: RootSystem, lam) -> bool:
-    """Some weight of V_lam is a nonzero rational multiple of a root."""
-    for w in rs.weight_system(lam):
-        if w == rs.zero():
+    """Some weight of V_lam is a nonzero rational multiple of a root.
+
+    Weights and roots are Weyl-invariant sets, so it suffices to test the
+    nonzero dominant weights of V_lam against the dominant roots (the highest
+    root and the highest short root).
+    """
+    dominant_roots = [a for a, _, _, _, _, _ in rs.positive_roots if min(a) >= 0]
+    for w in rs.dominant_weights_below(lam):
+        if not any(w):
             continue
         k = next(i for i, x in enumerate(w) if x)
-        for root in rs.positive_roots:
-            a = root.wcoords
+        for a in dominant_roots:
             # w = (w_k / a_k) a, by cross-multiplication
             if a[k] and all(x * a[k] == y * w[k] for x, y in zip(w, a)):
                 return True

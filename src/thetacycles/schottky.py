@@ -69,17 +69,6 @@ class PpavInput:
         if self.k < 0:
             raise ValueError("k must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "k": self.k,
-            "symmetric": self.symmetric,
-            "double_points_sum_zero": self.double_points_sum_zero,
-            "pairwise_torsion_independent": self.pairwise_torsion_independent,
-            "stabilizer_trivial": self.stabilizer_trivial,
-            "gauss_finite": self.gauss_finite,
-        }
-
 
 _FAMILIES = ("Sp", "SO", "O", "SL_mod_mu", "E6", "E7", "G2", "undetermined")
 
@@ -243,48 +232,28 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
     points_count = k if g % 2 == 1 else 0
     m = n // 2  # Gauss fiber of a symmetric divisor comes in +/- pairs
 
+    # fiber generators as (coordinate, sign): the +/- pairs of the divisor,
+    # then the double points
+    gens = [(i, sign) for i in range(m) for sign in (1, -1)]
     free_rank = m
     torsion: tuple[int, ...] = ()
-    point_elems = []
     if points_count:
-        if p.pairwise_torsion_independent:
-            if p.double_points_sum_zero and points_count % 2 == 0:
-                extra = points_count // 2
-                for i in range(extra):
-                    point_elems.append(("free", free_rank + i, 1))
-                    point_elems.append(("free", free_rank + i, -1))
-                free_rank += extra
-            else:
-                for i in range(points_count):
-                    point_elems.append(("free", free_rank + i, 1))
-                free_rank += points_count
-        else:
+        if not p.pairwise_torsion_independent:
             torsion = (2,) * points_count
+            gens += [(i, 1) for i in range(m, m + points_count)]
+        elif p.double_points_sum_zero and points_count % 2 == 0:
+            free_rank += points_count // 2
+            gens += [(i, sign) for i in range(m, free_rank) for sign in (1, -1)]
+        else:
+            free_rank += points_count
+            gens += [(i, 1) for i in range(m, free_rank)]
 
     group = FgAbelianGroup(free_rank, torsion)
-    ncoords = group.ncoords
     coeffs: dict = {}
-
-    def bump(vec):
-        coeffs[vec] = coeffs.get(vec, 0) + 1
-
-    for i in range(m):
-        e = [0] * ncoords
-        e[i] = 1
-        bump(tuple(e))
-        e[i] = -1
-        bump(tuple(e))
-    if points_count:
-        if torsion:
-            for i in range(points_count):
-                e = [0] * ncoords
-                e[free_rank + i] = 1
-                bump(tuple(e))
-        else:
-            for kind, idx, sign in point_elems:
-                e = [0] * ncoords
-                e[idx] = sign
-                bump(tuple(e))
+    for idx, sign in gens:
+        e = [0] * group.ncoords
+        e[idx] = sign
+        coeffs[tuple(e)] = 1
 
     components = [
         CycleComponent(
@@ -449,7 +418,22 @@ def fake_jacobian_solve(
             val -= comb(c0, g - 3)
         return val
 
-    solutions = [c0 for c0 in range(0, t + 2 * g + 3) if degree_eq(c0) == t]
+    # c0 ranges over [0, end).  From c0 = rise on the degree polynomial
+    # strictly increases: its step C(c0, g-2) [- C(c0, g-4)] is positive for
+    # c0 >= g-2 [resp. c0 > 2g-6].  The stretch below rise is scanned and the
+    # rest is bisected for its one possible solution.
+    end = t + 2 * g + 3
+    rise = 2 * g - 4 if hyperelliptic else g - 2
+    solutions = [c0 for c0 in range(0, min(rise, end)) if degree_eq(c0) == t]
+    lo, hi = rise, end
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if degree_eq(mid) < t:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < end and degree_eq(lo) == t:
+        solutions.append(lo)
     if not solutions:
         return {
             "feasible": False,

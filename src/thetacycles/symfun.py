@@ -24,6 +24,11 @@ from functools import lru_cache
 from math import factorial
 
 
+def _is_int(x) -> bool:
+    """x is an int and not a bool: the one integer check for all input."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
@@ -31,7 +36,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        if not all(map(_is_int, parts)):
+            raise ValueError(f"partition parts must be integers: {parts!r}")
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")

@@ -5,8 +5,10 @@ of the library's production code paths, so that agreement between the two is
 meaningful.
 """
 
+import operator
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 
 def brute_partitions(n):
@@ -250,3 +252,159 @@ def schur_apply_oracle(group, alpha, x):
         for g, c in prod.items():
             acc[g] = acc.get(g, Fraction(0)) + m * c
     return _gr_clean(acc)
+
+
+# -- weight lattice -------------------------------------------------------------
+# A root system is read for its rank, its Cartan matrix (row i is alpha_i in
+# fundamental coordinates) and, where a height is needed, its integer inverse
+# Cartan matrix N / den.  Orbits and dominant representatives are rebuilt here
+# by simple reflections; these are the general searches that the library
+# replaced with closed forms.
+
+
+def _reflect(cartan, i, w):
+    k = w[i]
+    return tuple(a - k * b for a, b in zip(w, cartan[i]))
+
+
+def dominant_by_reflections(cartan, w):
+    """The dominant weight in the Weyl orbit of w: reflect while some
+    coordinate is negative."""
+    w = tuple(w)
+    while True:
+        for i, x in enumerate(w):
+            if x < 0:
+                w = _reflect(cartan, i, w)
+                break
+        else:
+            return w
+
+
+def weyl_orbit(cartan, w):
+    """The full Weyl orbit of w by closure under simple reflections."""
+    w = tuple(w)
+    seen = {w}
+    stack = [w]
+    while stack:
+        v = stack.pop()
+        for i in range(len(v)):
+            if v[i]:
+                u = _reflect(cartan, i, v)
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return seen
+
+
+def saturation_weights(rs, lam):
+    """All weights of V_lam: close the highest weight under root strings
+    (for each simple root, walk down <w, alpha_i^vee> steps).  A string is
+    walked from its top only: when w + alpha_i is known, its own walk covers
+    the string of w."""
+    lam = tuple(lam)
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        v = stack.pop()
+        for i, row in enumerate(rs.cartan):
+            if v[i] <= 0 or tuple(a + b for a, b in zip(v, row)) in seen:
+                continue
+            w = v
+            for _ in range(v[i]):
+                w = tuple(a - b for a, b in zip(w, row))
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
+
+
+def w0_permutation_by_dominantizing(rs):
+    """p with w0(varpi_i) = -varpi_p(i): dominantize each -varpi_i."""
+    n = rs.rank
+    return tuple(
+        dominant_by_reflections(rs.cartan, [-int(j == i) for j in range(n)]).index(1)
+        for i in range(n)
+    )
+
+
+def negate_dominant_by_dominantizing(rs, w):
+    """-w0(w) as the dominant representative of -w."""
+    return dominant_by_reflections(rs.cartan, [-x for x in w])
+
+
+def center_kernel_index_echelon(rs, lam):
+    """[P : Q + Z lam] as the product of the pivots of an integer row
+    echelon form of the Cartan rows and lam (Euclid on each column)."""
+    n = rs.rank
+    mat = [list(r) for r in rs.cartan] + [list(lam)]
+    index = 1
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            return 0
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(r + 1, len(mat)):
+            while mat[i][col] != 0:
+                q = mat[r][col] // mat[i][col]
+                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        index *= abs(mat[r][col])
+        r += 1
+    return index
+
+
+def _line(v):
+    """The primitive vector of the rational line through v != 0, with its
+    first nonzero coordinate positive."""
+    g = 0
+    for x in v:
+        g = gcd_int(g, abs(x))
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    return tuple(sign * x // g for x in v)
+
+
+def root_multiple_full_orbit(rs, lam):
+    """Some weight of V_lam lies on the line of a root: every weight against
+    every root, the roots being the orbits of the simple roots."""
+    lines = {_line(a) for row in rs.cartan for a in weyl_orbit(rs.cartan, row)}
+    return any(any(w) and _line(w) in lines for w in saturation_weights(rs, lam))
+
+
+def decompose_full_orbit(x):
+    """Highest weights with multiplicities of a character, peeling the full
+    weight system (every orbit of every dominant weight) of a highest weight
+    at each step; multiplicities from the library's Freudenthal recursion."""
+    rs = x.rs
+    height = [sum(row) for row in rs._inv_num]
+    remaining = dict(x.weights)
+    out = {}
+    while remaining:
+        top = max(remaining, key=lambda w: (sum(map(operator.mul, w, height)), w))
+        assert min(top) >= 0, f"maximal weight {top} is not dominant"
+        mult = remaining[top]
+        out[top] = mult
+        for mu, m in rs.freudenthal_dominant(top).items():
+            for w in weyl_orbit(rs.cartan, mu):
+                new = remaining.get(w, 0) - mult * m
+                if new < 0:
+                    raise ArithmeticError(f"negative multiplicity at {w}")
+                if new:
+                    remaining[w] = new
+                else:
+                    remaining.pop(w, None)
+    return out
+
+
+# -- fake-Jacobian degree equation ------------------------------------------------
+
+
+def degree_equation_scan(g, hyperelliptic, max_degree):
+    """degree t -> every c0 in [0, t + 2g + 3) with C(c0, g-1) [- C(c0, g-3)]
+    = t, for 1 <= t <= max_degree, by one linear scan of c0."""
+    out = {t: [] for t in range(1, max_degree + 1)}
+    for c0 in range(0, max_degree + 2 * g + 3):
+        t = comb(c0, g - 1) - (comb(c0, g - 3) if hyperelliptic else 0)
+        if t in out and c0 < t + 2 * g + 3:
+            out[t].append(c0)
+    return out

@@ -291,22 +291,18 @@ class TestLoaders:
         cycle = load_cycle(str(path))
         assert cycle.to_json() == json.loads(out)
 
-    def test_character_round_trip(self, capsys, tmp_path):
-        from thetacycles.cli import load_character
+    def test_character_round_trip(self, capsys):
+        from thetacycles.lierep import Character
 
         _, out = invoke(capsys, "rep-char", "A2", "1,1")
-        path = tmp_path / "char.json"
-        path.write_text(out)
-        ch = load_character(str(path))
+        ch = Character.from_json(json.loads(out))
         assert ch.to_json() == json.loads(out)
 
-    def test_character_invariant_violation_named(self, capsys, tmp_path):
-        from thetacycles.cli import InputError, load_character
+    def test_character_invariant_violation_named(self):
+        from thetacycles.lierep import Character, NotACharacterError
 
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"type": "A2", "weights": [[[1, 0], 1]]}))
-        with pytest.raises(InputError, match="invariant"):
-            load_character(str(path))
+        with pytest.raises(NotACharacterError, match="not Weyl-invariant"):
+            Character.from_json({"type": "A2", "weights": [[[1, 0], 1]]})
 
     def test_cycle_invariant_violation_named(self, capsys, tmp_path):
         from thetacycles.cli import InputError, load_cycle

@@ -29,27 +29,15 @@ from thetacycles.lierep import (
     wmf_tables_csv,
 )
 
-from oracles import subset_exterior_power_with_add
-
-
-def saturation_weights(rs, lam):
-    """Independent full weight enumeration: close the highest weight under
-    root strings (for each simple root, walk down <w, alpha_i^vee> steps)."""
-    lam = tuple(lam)
-    seen = {lam}
-    stack = [lam]
-    while stack:
-        v = stack.pop()
-        for i in range(rs.rank):
-            k = v[i]
-            if k > 0:
-                w = v
-                for _ in range(k):
-                    w = tuple(a - b for a, b in zip(w, rs.cartan[i]))
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return seen
+from oracles import (
+    center_kernel_index_echelon,
+    decompose_full_orbit,
+    negate_dominant_by_dominantizing,
+    root_multiple_full_orbit,
+    saturation_weights,
+    subset_exterior_power_with_add,
+    w0_permutation_by_dominantizing,
+)
 
 
 SMALL_CASES = [
@@ -445,6 +433,78 @@ class TestClassifiers:
             assert root_multiple_condition(rs, std_weight)
         # the standard rep of A2 has no weight on a root line
         assert not root_multiple_condition(root_system("A2"), (1, 0))
+
+
+class TestClosedFormsAgainstOracles:
+    """The closed forms of the library against the general searches they
+    replaced, kept as oracles in tests/oracles.py."""
+
+    TYPES_20 = canonical_simple_types(20) + [("D", 3), ("C", 2)]
+
+    def test_w0_permutation_is_the_opposition_involution(self):
+        assert len(canonical_simple_types(20)) == 79
+        for letter, n in self.TYPES_20:
+            rs = root_system(letter, n)
+            assert rs.w0_permutation == w0_permutation_by_dominantizing(rs), rs.name
+
+    def test_negate_dominant_permutes_coordinates(self):
+        rng = random.Random(7)
+        for letter, n in self.TYPES_20:
+            rs = root_system(letter, n)
+            for _ in range(10):
+                w = tuple(rng.randint(0, 4) for _ in range(n))
+                assert rs.negate_dominant(w) == negate_dominant_by_dominantizing(rs, w)
+                assert self_dual(rs, w) == (negate_dominant_by_dominantizing(rs, w) == w)
+
+    def test_center_index_and_root_multiples_on_dominant_weights(self):
+        count = 0
+        for letter, n in canonical_simple_types(6):
+            rs = root_system(letter, n)
+            for lam in enumerate_dominant_weights(rs, 400):
+                assert center_kernel_index(rs, lam) == center_kernel_index_echelon(rs, lam)
+                assert root_multiple_condition(rs, lam) == root_multiple_full_orbit(rs, lam), (
+                    rs.name, lam)
+                count += 1
+        assert count == 936
+
+    def test_center_index_on_arbitrary_weights(self):
+        rng = random.Random(13)
+        for letter, n in canonical_simple_types(10):
+            rs = root_system(letter, n)
+            for _ in range(20):
+                w = tuple(rng.randint(-6, 6) for _ in range(n))
+                assert center_kernel_index(rs, w) == center_kernel_index_echelon(rs, w)
+
+    def test_decompose_against_full_orbit_peeling(self):
+        count = 0
+        for letter, n in canonical_simple_types(4):
+            rs = root_system(letter, n)
+            irreps = [freudenthal_character(rs, lam)
+                      for lam in enumerate_dominant_weights(rs, 40)[:6]]
+            small = [x for x in irreps if x.dimension <= 10]
+            chars = [char_tensor(x, y) for x in irreps for y in irreps]
+            chars += [op(k, x) for x in small for op in (char_alt, char_sym) for k in (2, 3)]
+            for ch in chars:
+                assert decompose(ch) == decompose_full_orbit(ch), (rs.name, ch.weights)
+            count += len(chars)
+        assert count == 393
+
+    def test_positive_root_table_is_closed(self):
+        for letter, n in self.TYPES_20:
+            rs = root_system(letter, n)
+            C, d = rs.cartan, rs.d
+            table = {r: (w, length) for w, r, length, _, _, _ in rs.positive_roots}
+            for w, r, length, rho_alpha, height, support in rs.positive_roots:
+                assert w == tuple(sum(r[i] * C[i][j] for i in range(n)) for j in range(n))
+                assert 2 * length == sum(r[i] * d[i] * w[i] for i in range(n))
+                assert rho_alpha == sum(r[i] * d[i] for i in range(n))
+                assert height == sum(r) and min(r) >= 0
+                assert support == sum(1 << i for i in range(n) if r[i])
+                for i in range(n):
+                    if r == tuple(int(j == i) for j in range(n)):
+                        continue  # s_i alpha_i = -alpha_i
+                    image = r[:i] + (r[i] - w[i],) + r[i + 1:]
+                    assert table.get(image, (None, None))[1] == length, (rs.name, r, i)
 
 
 class TestGroupLabels:

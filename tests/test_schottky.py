@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -36,6 +37,8 @@ from thetacycles.schottky import (
     theta_target,
     verify_inverse_galois,
 )
+
+from oracles import degree_equation_scan
 
 
 class TestSSets:
@@ -243,6 +246,24 @@ class TestFakeJacobian:
     def test_higher_layers_unconstrained(self):
         sol = fake_jacobian_solve(4, theta_target(4, 20))
         assert sol["higher_layers"] == "unconstrained"
+
+    @pytest.mark.parametrize("hyp", [False, True], ids=["jacobian", "hyperelliptic"])
+    def test_c0_against_linear_scan(self, hyp):
+        for g in range(3, 8):
+            scan = degree_equation_scan(g, hyp, 2000)
+            for t in range(1, 2001):
+                sol = fake_jacobian_solve(g, theta_target(g, t), hyperelliptic=hyp)
+                assert sol["feasible"] is bool(scan[t]), (g, t)
+                if scan[t]:
+                    assert (sol["c0"], sol["c0_candidates"]) == (scan[t][0], scan[t]), (g, t)
+
+    def test_huge_degree_returns_quickly(self):
+        start = time.perf_counter()
+        sol = fake_jacobian_solve(3, theta_target(3, 10**11))
+        assert time.perf_counter() - start < 1.0
+        assert sol["feasible"] is False  # C(c0, 2) skips 10^11
+        sol = fake_jacobian_solve(3, theta_target(3, comb(10**6, 2)))
+        assert sol["c0_candidates"] == [10**6]
 
 
 class TestSummandBound:

@@ -32,6 +32,18 @@ class TestPartition:
             Partition((2, 0))
         assert P(3, 1).degree == 4
 
+    @pytest.mark.parametrize(
+        "parts", [(2.5, 1), (2.0, 1), ("2",), (True,), (2, False)],
+        ids=["float", "integral-float", "string", "bool", "bool-zero"],
+    )
+    def test_non_integer_parts_rejected(self, parts):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(parts)
+
+    def test_schur_expansion_rejects_float_parts(self):
+        with pytest.raises(ValueError, match="integers"):
+            schur_to_powersum((1.9, 1))
+
     def test_enumeration_small(self):
         assert partitions(0) == [Partition(())]
         assert [p.parts for p in partitions(4)] == [
