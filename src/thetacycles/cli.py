@@ -295,7 +295,6 @@ def _ppav_from_args(args):
         symmetric=not args.not_symmetric,
         double_points_sum_zero=args.sum_zero,
         pairwise_torsion_independent=not args.torsion_dependent,
-        stabilizer_trivial=True,
         gauss_finite=args.gauss_finite,
     )
 

@@ -271,12 +271,7 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     if not isinstance(alpha, Partition):
         alpha = Partition(tuple(alpha))
     g = c.g
-    if not 1 <= d_trunc <= g - 1:
-        raise ValueError(f"d_trunc must be in [1, {g - 1}]")
-    if d_trunc > 1 and not c.all_gauss_finite:
-        raise ValueError(
-            f"d_trunc={d_trunc} needs finite Gauss maps on all components"
-        )
+    _require_trunc_valid(c, c, d_trunc)
     coords = [Fraction(0)] * g
     for beta, m in schur_to_powersum(alpha).terms.items():
         cm_beta = _partition_cm(beta, c, d_trunc)

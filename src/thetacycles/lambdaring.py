@@ -171,9 +171,6 @@ class GroupRingElement:
     def is_reduced(self) -> bool:
         return all(c == 1 for c in self.coeffs.values())
 
-    def support(self):
-        return self.coeffs.keys()
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupRingElement)

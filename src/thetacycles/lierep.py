@@ -18,6 +18,9 @@ A Weyl orbit is described by its dominant representative, so Weyl-invariant
 questions are answered in the dominant chamber, with closed forms where a
 theorem gives one:
 
+- the dominant weights of dimension at most a bound are walked once each,
+  raising coordinates in index order; the Weyl dimension grows with every
+  coordinate, so a branch ends at the first weight over the bound;
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .lambdaring import (
     FgAbelianGroup,
@@ -220,7 +223,7 @@ class RootSystem:
             sum(r[i] * self.d[i] // length for _, r, length, _, _, _ in self.positive_roots)
             for i in range(rank)
         )
-        self.weyl_order = self._orbit_index(0)
+        self.weyl_order = self._orbit_index(self.rho)
         self._w0_permutation = _opposition_involution(letter, rank)
 
     # -- construction helpers ------------------------------------------------
@@ -280,6 +283,12 @@ class RootSystem:
                 f"weight {w} has length {len(w)}, expected rank {self.rank}"
             )
         return w
+
+    def _check_dominant(self, lam) -> tuple:
+        lam = self.check_weight(lam)
+        if min(lam) < 0:
+            raise ValueError(f"{lam} is not dominant")
+        return lam
 
     def reflect(self, i: int, w):
         k = w[i]
@@ -350,20 +359,20 @@ class RootSystem:
         return seen
 
     def orbit_size(self, w) -> int:
-        """|W| / |W_J| without enumerating the orbit, where J, the nodes on
-        which the dominant representative of w vanishes, generates its
-        stabilizer."""
-        dom = self.dominant_representative(self.check_weight(w))
-        return self._orbit_index(sum(1 << i for i, x in enumerate(dom) if x == 0))
+        """Size of the Weyl orbit of w without enumerating it, from its
+        dominant representative."""
+        return self._orbit_index(self.dominant_representative(self.check_weight(w)))
 
-    def _orbit_index(self, fixed: int) -> int:
-        """[W : W_J] for the node set J given by the bitmask ``fixed``.
+    def _orbit_index(self, dom) -> int:
+        """[W : W_J], the size of the orbit of the dominant weight dom, for J
+        the nodes on which dom vanishes.
 
         |W| is the product of (ht a + 1) / ht a over the positive roots a
         (Macdonald, "The Poincare series of a Coxeter group", Math. Ann.
         1972, at q = 1).  The positive roots of W_J are those supported on
         J, so the index is the same product over the other positive roots.
         """
+        fixed = sum(1 << i for i, x in enumerate(dom) if x == 0)
         index = self._orbit_index_cache.get(fixed)
         if index is None:
             num = den = 1
@@ -378,9 +387,7 @@ class RootSystem:
 
     def weyl_dim(self, lam) -> int:
         """Weyl dimension formula, exact."""
-        lam = self.check_weight(lam)
-        if not self.is_dominant(lam):
-            raise ValueError(f"{lam} is not dominant")
+        lam = self._check_dominant(lam)
         dlam = tuple(map(mul, self.d, lam))
         num = 1
         for _, r, _, rho_alpha, _, _ in self.positive_roots:
@@ -399,12 +406,10 @@ class RootSystem:
         Adv. Math. 1998), so the set is the closure of lam under "subtract a
         positive root, keep the result if it is dominant".
         """
-        lam = self.check_weight(lam)
+        lam = self._check_dominant(lam)
         cached = self._dominant_below_cache.get(lam)
         if cached is not None:
             return cached
-        if not self.is_dominant(lam):
-            raise ValueError(f"{lam} is not dominant")
         roots = self.positive_roots
         seen = {lam}
         frontier = [lam]
@@ -423,7 +428,7 @@ class RootSystem:
 
     def freudenthal_dominant(self, lam) -> dict:
         """Dominant weight -> multiplicity for the irreducible V_lam."""
-        lam = self.check_weight(lam)
+        lam = self._check_dominant(lam)
         cached = self._freudenthal_cache.get(lam)
         if cached is not None:
             return cached
@@ -503,7 +508,7 @@ def root_system(name, rank: int | None = None) -> RootSystem:
     return _ROOT_SYSTEM_CACHE[key]
 
 
-def canonical_simple_types(max_rank: int, include_exceptional: bool = True):
+def canonical_simple_types(max_rank: int):
     """Non-redundant list of simple types up to a rank bound:
     A_n (n>=1), B_n (n>=2), C_n (n>=3), D_n (n>=4), plus exceptionals."""
     out = []
@@ -515,10 +520,9 @@ def canonical_simple_types(max_rank: int, include_exceptional: bool = True):
         out.append(("C", n))
     for n in range(4, max_rank + 1):
         out.append(("D", n))
-    if include_exceptional:
-        for letter, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-            if n <= max_rank:
-                out.append((letter, n))
+    for letter, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
+        if n <= max_rank:
+            out.append((letter, n))
     return out
 
 
@@ -668,9 +672,7 @@ def fs_type(rs: RootSystem, lam) -> str:
     (Steinberg; Bourbaki, Lie VIII, 7.5).  The trivial
     representation is orthogonal.
     """
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    lam = rs._check_dominant(lam)
     if rs.negate_dominant(lam) != lam:
         return "none"
     odd = sum(x * c for x, c in zip(lam, rs._two_rho_vee)) % 2
@@ -688,7 +690,7 @@ def is_minuscule(rs: RootSystem, lam) -> bool:
     if lam == rs.zero():
         return False
     if rs.rank == 1:
-        return lam[0] == 1
+        return rs._check_dominant(lam) == (1,)
     return rs.dominant_weights_below(lam) == [lam]
 
 
@@ -698,7 +700,7 @@ def is_quasi_minuscule(rs: RootSystem, lam) -> bool:
     if lam == rs.zero():
         return False
     if rs.rank == 1:
-        return lam[0] <= 2
+        return rs._check_dominant(lam)[0] <= 2
     doms = set(rs.dominant_weights_below(lam))
     return doms <= {lam, rs.zero()}
 
@@ -706,31 +708,36 @@ def is_quasi_minuscule(rs: RootSystem, lam) -> bool:
 def is_wmf(rs: RootSystem, lam) -> bool:
     """Weight multiplicity free: every multiplicity is one, equivalently the
     orbit sizes of the dominant weights add up to the dimension."""
-    lam = tuple(lam)
     if rs.rank == 1:
+        rs._check_dominant(lam)
         return True  # sl2 weights k, k-2, ..., -k each occur once
-    total = sum(rs.orbit_size(mu) for mu in rs.dominant_weights_below(lam))
-    return total == rs.weyl_dim(lam)
+    return sum(map(rs._orbit_index, rs.dominant_weights_below(lam))) == rs.weyl_dim(lam)
 
 
 def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
-    """All nonzero dominant weights with Weyl dimension <= max_dim."""
-    zero = rs.zero()
-    seen = {zero}
-    frontier = [zero]
+    """All nonzero dominant weights with Weyl dimension <= max_dim.
+
+    A weight reached by raising coordinate j is raised further only at
+    coordinates >= j, so each is reached once.  Raising lam_j adds r_j d_j to
+    each numerator (lam + rho, alpha) of the Weyl product, so a branch ends at
+    the first weight over max_dim."""
+    roots = rs.positive_roots
+    den = rs._weyl_dim_den
+    bound = max_dim * den
+    columns = [tuple(r[j] * dj for _, r, _, _, _, _ in roots) for j, dj in enumerate(rs.d)]
     out = []
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                cand = tuple(x + (1 if j == i else 0) for j, x in enumerate(w))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if rs.weyl_dim(cand) <= max_dim:
-                    out.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
+    stack = [(rs.zero(), 0, tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots))]
+    while stack:
+        lam, start, nums = stack.pop()
+        for j in range(start, rs.rank):
+            raised = tuple(map(add, nums, columns[j]))
+            num = prod(raised)
+            if num > bound:
+                continue
+            assert num % den == 0
+            cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
+            out.append(cand)
+            stack.append((cand, j, raised))
     return sorted(out)
 
 
@@ -846,7 +853,7 @@ class WmfEntry:
         }
 
 
-def classify_wmf(max_rank: int, max_dim: int, include_exceptional: bool = True):
+def classify_wmf(max_rank: int, max_dim: int):
     """All weight multiplicity free irreducibles of the simple types with
     rank <= max_rank and dimension <= max_dim.
 
@@ -855,7 +862,7 @@ def classify_wmf(max_rank: int, max_dim: int, include_exceptional: bool = True):
     closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.
     """
     rows = []
-    for letter, n in canonical_simple_types(max_rank, include_exceptional):
+    for letter, n in canonical_simple_types(max_rank):
         rs = root_system(letter, n)
         for lam in enumerate_dominant_weights(rs, max_dim):
             if not is_wmf(rs, lam):
@@ -881,7 +888,7 @@ def quasi_minuscule_dim_search(dim: int, max_rank: int) -> list:
     """Quasi-minuscule irreducibles of exactly the given dimension, over all
     simple types of rank <= max_rank."""
     matches = []
-    for letter, n in canonical_simple_types(max_rank, include_exceptional=True):
+    for letter, n in canonical_simple_types(max_rank):
         rs = root_system(letter, n)
         for lam in enumerate_dominant_weights(rs, dim):
             if rs.weyl_dim(lam) == dim and is_quasi_minuscule(rs, lam):

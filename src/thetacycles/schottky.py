@@ -60,7 +60,6 @@ class PpavInput:
     symmetric: bool = True
     double_points_sum_zero: bool = False
     pairwise_torsion_independent: bool = True
-    stabilizer_trivial: bool = True
     gauss_finite: bool = False
 
     def __post_init__(self):
@@ -211,6 +210,10 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
     with Gauss degree g! - 2k, plus one conormal per double point when g is
     odd.
 
+    The divisor must be symmetric (a non-symmetric one is refused) and is
+    assumed to have trivial stabilizer: with a positive-dimensional
+    stabilizer the conormal variety is negligible and there is no clean cycle.
+
     The group-ring fiber is synthesized from the point flags: +/- pairs of
     free generators for the symmetric divisor fiber; double points become
     +/- paired free generators when the sum is zero and their count even,
@@ -221,11 +224,8 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
     g, k = p.g, p.k
     if g < 2:
         raise ValueError("cc_odp needs g >= 2")
-    if not p.stabilizer_trivial:
-        raise ValueError(
-            "a divisor with positive-dimensional stabilizer has negligible "
-            "conormal variety; no clean cycle to build"
-        )
+    if not p.symmetric:
+        raise ValueError("cc_odp requires a symmetric theta divisor")
     n = factorial(g) - 2 * k
     if n <= 0:
         raise ValueError(f"g! - 2k = {n} must be positive")

@@ -396,6 +396,36 @@ def decompose_full_orbit(x):
     return out
 
 
+def dominant_weights_by_bfs(rs, max_dim):
+    """All nonzero dominant weights with Weyl dimension <= max_dim, by a
+    breadth-first search from 0 that raises one coordinate at a time, keeps
+    a seen set and evaluates the Weyl dimension of every candidate."""
+    zero = rs.zero()
+    seen = {zero}
+    frontier = [zero]
+    out = []
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rs.rank):
+                cand = tuple(x + (1 if j == i else 0) for j, x in enumerate(w))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if rs.weyl_dim(cand) <= max_dim:
+                    out.append(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(out)
+
+
+def is_wmf_by_orbit_sizes(rs, lam):
+    """Weight multiplicity free: the orbit sizes of the dominant weights of
+    V_lam, each through the validating public orbit_size, add up to the
+    Weyl dimension."""
+    return sum(rs.orbit_size(mu) for mu in rs.dominant_weights_below(lam)) == rs.weyl_dim(lam)
+
+
 # -- fake-Jacobian degree equation ------------------------------------------------
 
 

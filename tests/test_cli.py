@@ -362,6 +362,9 @@ class TestCliContract:
             (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, dim=0.0)]},
                                   "c2": CYCLE, "d_trunc": 1}, "'dim'"),
             (["fake-jacobian", "--g", "1", "--degree", "5", "--cm1", "1"], None, "g >= 2"),
+            (["rep-char", "A1", "--", "-3"], None, "(-3,) is not dominant"),
+            (["cc-odp", "--g", "4", "--k", "1", "--not-symmetric"], None,
+             "symmetric theta divisor"),
         ],
         ids=["not-json", "cm-not-a-list", "op-not-an-object", "cm1-zero-denominator",
              "empty-type-name", "convolve-d_trunc-null", "convolve-d_trunc-str",
@@ -369,7 +372,8 @@ class TestCliContract:
              "schur-d_trunc-float", "schur-alpha-null", "verify-ig-not-an-object",
              "verify-ig-float-index", "verify-ig-float-alpha",
              "element-float-values", "element-duplicate-key", "op-k-null",
-             "mult-float", "mult-integral-float", "dim-integral-float", "fake-jacobian-g1"],
+             "mult-float", "mult-integral-float", "dim-integral-float", "fake-jacobian-g1",
+             "rep-char-not-dominant", "cc-odp-not-symmetric"],
     )
     def test_malformed_json_usage_error(self, capsys, tmp_path, argv, doc, named):
         if doc is not None:

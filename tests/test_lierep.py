@@ -32,6 +32,8 @@ from thetacycles.lierep import (
 from oracles import (
     center_kernel_index_echelon,
     decompose_full_orbit,
+    dominant_weights_by_bfs,
+    is_wmf_by_orbit_sizes,
     negate_dominant_by_dominantizing,
     root_multiple_full_orbit,
     saturation_weights,
@@ -401,6 +403,16 @@ class TestClassifiers:
         assert not is_wmf(root_system("A2"), (1, 1))
         assert is_wmf(root_system("B4"), (1, 0, 0, 0))
 
+    @pytest.mark.parametrize("name, lam", [("A1", (-3,)), ("A2", (-1, 0))])
+    @pytest.mark.parametrize(
+        "check",
+        [is_wmf, is_minuscule, is_quasi_minuscule, lambda rs, lam: rs.freudenthal_dominant(lam)],
+        ids=["is_wmf", "is_minuscule", "is_quasi_minuscule", "freudenthal_dominant"],
+    )
+    def test_non_dominant_rejected(self, check, name, lam):
+        with pytest.raises(ValueError, match="is not dominant"):
+            check(root_system(name), lam)
+
     def test_classify_contains_expected(self):
         rows = classify_wmf(3, 40)
         keyed = {(r.letter, r.rank, r.weight): r for r in rows}
@@ -464,6 +476,24 @@ class TestClosedFormsAgainstOracles:
                 assert center_kernel_index(rs, lam) == center_kernel_index_echelon(rs, lam)
                 assert root_multiple_condition(rs, lam) == root_multiple_full_orbit(rs, lam), (
                     rs.name, lam)
+                count += 1
+        assert count == 936
+
+    def test_enumeration_walk_against_bfs(self):
+        cases = [(t, dim) for t in self.TYPES_20 for dim in (-1, 0, 1, 2, 118, 600)]
+        cases += [(t, 3000) for t in canonical_simple_types(10)]
+        cases += [(("A", 1), 10000)]
+        for (letter, n), dim in cases:
+            rs = root_system(letter, n)
+            assert enumerate_dominant_weights(rs, dim) == dominant_weights_by_bfs(rs, dim), (
+                rs.name, dim)
+
+    def test_is_wmf_against_orbit_size_sum(self):
+        count = 0
+        for letter, n in canonical_simple_types(6):
+            rs = root_system(letter, n)
+            for lam in enumerate_dominant_weights(rs, 400):
+                assert is_wmf(rs, lam) == is_wmf_by_orbit_sizes(rs, lam), (rs.name, lam)
                 count += 1
         assert count == 936
 

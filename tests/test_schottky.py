@@ -89,9 +89,9 @@ class TestCcOdp:
         with pytest.raises(ValueError):
             cc_odp(PpavInput(g=2, k=1))
 
-    def test_nontrivial_stabilizer_rejected(self):
-        with pytest.raises(ValueError):
-            cc_odp(PpavInput(g=4, k=0, stabilizer_trivial=False))
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric theta divisor"):
+            cc_odp(PpavInput(g=4, k=1, symmetric=False))
 
     def test_torsion_fiber_collides(self):
         c = cc_odp(
