@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .cycles import CleanCycleModel, convolve, schur_cycle
 from .lambdaring import (
@@ -56,11 +58,51 @@ class InputError(Exception):
     pass
 
 
+_SLICE = 256  # pairs rendered per repr call
+
+
+def _is_pair_list(value: list) -> bool:
+    """Whether value is a list of [[int, ...], int] pairs with nonempty
+    keys, the shape of every group-ring coeffs block."""
+    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return False
+    keys = list(map(itemgetter(0), value))
+    return (
+        set(map(type, map(itemgetter(1), value))) == {int}
+        and set(map(type, keys)) == {list}
+        and all(keys)
+        and set(map(type, chain.from_iterable(keys))) == {int}
+    )
+
+
+def _dumps_pairs(value: list, newline: str) -> str:
+    """A pair list as _dumps renders it: the repr of each slice of _SLICE
+    pairs, without its outer brackets and its first pair's opening, with
+    the pair, key and coordinate separators re-indented."""
+    inner = newline + "  "
+    key = inner + "  "
+    coord = key + "  "
+    between = inner + "]," + inner + "[" + key + "[" + coord
+    parts = ["[", inner, "[", key, "[", coord]
+    for start in range(0, len(value), _SLICE):
+        if start:
+            parts.append(between)
+        parts.append(
+            repr(value[start:start + _SLICE])[3:-2]
+            .replace("], [[", between)
+            .replace("], ", key + "]," + key)
+            .replace(", ", "," + coord)
+        )
+    parts += [inner, "]", newline, "]"]
+    return "".join(parts)
+
+
 def _dumps(value, newline="\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the types a payload
     holds: str-keyed dicts, lists, str, int, bool and None.  The standard
-    encoder runs in pure Python whenever indent is set; this one writes a
-    list of ints with a single join."""
+    encoder runs in pure Python whenever indent is set; this one renders the
+    two bulk shapes from repr, a list of ints in one call and a group-ring
+    coeffs block in slices (_dumps_pairs), and recurses on the rest."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -72,24 +114,31 @@ def _dumps(value, newline="\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(value, list):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
-            items = map(int.__repr__, value)
-        else:
-            items = (_dumps(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        if set(map(type, value)) == {int}:
+            return "".join(["[", inner, repr(value)[1:-1].replace(", ", sep), newline, "]"])
+        if _is_pair_list(value):
+            return _dumps_pairs(value, newline)
+        parts = []
+        for v in value:
+            parts += (sep, _dumps(v, inner))
+        parts[0] = "[" + inner
+        parts += (newline, "]")
+        return "".join(parts)
     if isinstance(value, dict):
         if not value:
             return "{}"
         if not all(isinstance(k, str) for k in value):
             raise TypeError("dict keys must be str")
-        items = (
-            encode_basestring_ascii(k) + ": " + _dumps(value[k], inner)
-            for k in sorted(value)
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        parts = []
+        for k in sorted(value):
+            parts += (sep, encode_basestring_ascii(k), ": ", _dumps(value[k], inner))
+        parts[0] = "{" + inner
+        parts += (newline, "}")
+        return "".join(parts)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -101,7 +150,8 @@ def _emit(args, payload, csv_text=None, text=None):
     elif args.format == "text" and text is not None:
         sys.stdout.write(text + "\n")
     else:
-        sys.stdout.write(_dumps(payload) + "\n")
+        sys.stdout.write(_dumps(payload))
+        sys.stdout.write("\n")
 
 
 def _parse_coords(text):

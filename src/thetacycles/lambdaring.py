@@ -12,19 +12,30 @@ actual effective object.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
-every key it then holds is a canonical tuple, so the kernels below add and
-scale keys without re-reducing the free part and build their results
-through `GroupRingElement._of`, which trusts its keys.  A Schur operation
-scales the power-sum coefficients by D, the lcm of their denominators, and
-accumulates integers; the integrality check is c % D == 0.
+every key it then holds is a canonical tuple.  The kernels below work in
+Z[Z^n], n = rank + len(torsion), on keys packed into single integers
+sum_i v_i 2^(s*i) (Kronecker substitution): group addition is one integer
+addition and Psi^b one multiplication by b.  The slot width s is a whole
+number of bytes, chosen from the largest |coordinate| the result can reach
+(max|x| + max|y| for a product, |alpha| max|x| for s_alpha), so no slot
+overflows into the next; it has no upper limit.  Torsion coordinates ride
+along as unreduced lifts and each result key is reduced mod d_i once, when
+it is unpacked; keys that meet there are summed in first-occurrence order.
+The projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b,
+so a Schur operation scales the power-sum coefficients by D, the lcm of
+their denominators, accumulates integers over the lifts, and checks
+c % D == 0 after the projection.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from struct import Struct
 
 from .symfun import Partition, _is_int, schur_to_powersum
 
@@ -129,10 +140,13 @@ class GroupRingElement:
 
     @classmethod
     def _of(cls, group: FgAbelianGroup, coeffs: dict) -> "GroupRingElement":
-        """An element whose keys are already canonical; zero terms dropped."""
+        """An element that takes over `coeffs`, whose keys are already
+        canonical; zero terms dropped."""
+        if not all(coeffs.values()):
+            coeffs = {g: c for g, c in coeffs.items() if c}
         self = object.__new__(cls)
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", {g: c for g, c in coeffs.items() if c})
+        object.__setattr__(self, "coeffs", coeffs)
         return self
 
     # -- ring structure ----------------------------------------------------
@@ -212,28 +226,106 @@ def gr_element(group: FgAbelianGroup, element, coeff: int = 1) -> GroupRingEleme
     return GroupRingElement(group, {tuple(element): coeff})
 
 
+# -- packed kernels ------------------------------------------------------------
+
+
+class _Packing:
+    """Keys of `group` whose coordinates stay within +-bound, packed as
+    integers P = sum_i v_i B^i with B = 2^(8 * width).  P is converted to
+    and from the slots' two's-complement bytes T by T = (P + bias) ^ bias,
+    where bias holds B/2 in every slot: adding it makes every slot
+    nonnegative and the xor turns v_i + B/2 into v_i mod B."""
+
+    def __init__(self, group: FgAbelianGroup, bound: int):
+        n = group.ncoords
+        width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+        self.struct = None
+        if width <= 8:  # round up to struct's b, h, i or q
+            width = 1 << (width - 1).bit_length()
+            self.struct = Struct(f"={n}{'bhiq'[width.bit_length() - 1]}")
+        s = 8 * width
+        self.group, self.n, self.width = group, n, width
+        self.bias = ((1 << s * n) - 1) // ((1 << s) - 1) << (s - 1)
+
+    def _encode(self, key) -> bytes:
+        if self.struct is not None:
+            return self.struct.pack(*key)
+        return b"".join(v.to_bytes(self.width, sys.byteorder, signed=True) for v in key)
+
+    def _decode(self, buf: bytes):
+        """The keys of a buffer of n-slot keys."""
+        if self.struct is not None:
+            return self.struct.iter_unpack(buf)
+        w = self.width
+        coords = [
+            int.from_bytes(buf[i:i + w], sys.byteorder, signed=True)
+            for i in range(0, len(buf), w)
+        ]
+        return zip(*[iter(coords)] * self.n)
+
+    def pack(self, x: GroupRingElement) -> dict:
+        """x as packed key -> coefficient, in x's order."""
+        bias, encode = self.bias, self._encode
+        return {
+            (int.from_bytes(encode(g), sys.byteorder) ^ bias) - bias: c
+            for g, c in x.coeffs.items()
+        }
+
+    def project(self, acc: dict):
+        """(canonical key, summed coefficient of its lifts) pairs of a packed
+        accumulator, keys in the order of their first lift, zero sums kept."""
+        bias, nbytes = self.bias, self.n * self.width
+        if self.n:
+            keys = self._decode(b"".join([
+                ((p + bias) ^ bias).to_bytes(nbytes, sys.byteorder) for p in acc
+            ]))
+        else:
+            keys = repeat((), len(acc))
+        group = self.group
+        if not group.torsion:  # distinct lifts are distinct keys
+            return zip(keys, acc.values())
+        out: dict = {}
+        get = out.get
+        for g, c in zip(map(group._reduce, keys), acc.values()):
+            out[g] = get(g, 0) + c
+        return out.items()
+
+
+def _max_abs(x: GroupRingElement) -> int:
+    return max(map(abs, chain.from_iterable(x.coeffs)), default=0)
+
+
+def _adams(n: int, xs: dict) -> dict:
+    """Psi^n on packed lifts, which stay distinct unless n = 0."""
+    if n:
+        return {n * p: c for p, c in xs.items()}
+    return {0: sum(xs.values())}
+
+
+def _convolve(acc: dict, xs: dict, ys: dict) -> dict:
+    """acc + xs * ys on packed lifts; new keys in pair order."""
+    get = acc.get
+    ys = list(ys.items())
+    for p, c in xs.items():
+        for q, d in ys:
+            k = p + q
+            acc[k] = get(k, 0) + c * d
+    return acc
+
+
 def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: group addition on supports, coefficients multiply."""
     x._check(y)
-    add = x.group.add
-    coeffs: dict = {}
-    get = coeffs.get
-    y_terms = list(y.coeffs.items())
-    for g1, c1 in x.coeffs.items():
-        for g2, c2 in y_terms:
-            g = add(g1, g2)
-            coeffs[g] = get(g, 0) + c1 * c2
-    return GroupRingElement._of(x.group, coeffs)
+    packing = _Packing(x.group, _max_abs(x) + _max_abs(y))
+    acc = _convolve({}, packing.pack(x), packing.pack(y))
+    return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
 
 
 def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
     """Adams operation Psi^n: pushforward of coefficients along g -> n*g."""
-    scale = x.group.scale
-    coeffs: dict = {}
-    for g, c in x.coeffs.items():
-        h = scale(n, g)
-        coeffs[h] = coeffs.get(h, 0) + c
-    return GroupRingElement._of(x.group, coeffs)
+    packing = _Packing(x.group, max(abs(n), 1) * _max_abs(x))  # x itself must fit
+    acc = _adams(n, packing.pack(x))
+    return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
@@ -248,27 +340,24 @@ def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
         alpha = Partition(tuple(alpha))
     terms = schur_to_powersum(alpha).terms
     den = lcm(*(m.denominator for m in terms.values()))
-    group = x.group
+    packing = _Packing(x.group, alpha.degree * _max_abs(x))
+    xs = packing.pack(x)
+    adams = {b: _adams(b, xs) for b in set(chain.from_iterable(terms))}
     acc: dict = {}
-    get = acc.get
-    adams_cache: dict[int, GroupRingElement] = {}
     for beta, m in terms.items():
-        weight = m.numerator * (den // m.denominator)
-        prod = gr_one(group)
-        for b in beta:
-            if b not in adams_cache:
-                adams_cache[b] = gr_adams(b, x)
-            prod = gr_multiply(prod, adams_cache[b])
-        for g, c in prod.coeffs.items():
-            acc[g] = get(g, 0) + weight * c
+        prod = {0: m.numerator * (den // m.denominator)}
+        for b in beta[:-1]:
+            prod = _convolve({}, prod, adams[b])
+        _convolve(acc, prod, adams[beta[-1]])
     coeffs = {}
-    for g, c in acc.items():
+    for g, c in packing.project(acc):
         if c % den:
             raise NonIntegralResultError(
                 f"s_{alpha} produced non-integral coefficient {Fraction(c, den)} at {g}"
             )
-        coeffs[g] = c // den
-    return GroupRingElement._of(group, coeffs)
+        if c:
+            coeffs[g] = c // den
+    return GroupRingElement._of(x.group, coeffs)
 
 
 def lambda_op(k: int, x: GroupRingElement) -> GroupRingElement:

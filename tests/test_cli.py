@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import random
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacycles.cli import _dumps, run
+from thetacycles.schottky import PpavInput, cc_odp
 
 SCHEMA_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "thetacycles", "schemas"
@@ -419,21 +422,65 @@ json_scalars = (
     | st.text(st.characters(exclude_categories=()))
     | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x", "é€😀", "\u2028"])
 )
+json_ints = st.integers() | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+
+def pair_lists(key_coords, coeffs, min_key=0):
+    return st.lists(
+        st.tuples(st.lists(key_coords, min_size=min_key, max_size=4), coeffs).map(list),
+        max_size=6,
+    )
+
+
+# group-ring coeffs blocks, [[int, ...], int] pairs, and near misses: empty
+# keys and bool coordinates or coefficients, which take the generic path
+coeff_blocks = pair_lists(json_ints, json_ints, min_key=1) | pair_lists(
+    json_ints | st.booleans(), json_ints | st.booleans()
+)
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(st.integers(), max_size=6)
+    | coeff_blocks
     | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), inner,
                       max_size=5),
     max_leaves=40,
 )
 
 
+def random_pairs(rng, n, rank):
+    return [[[rng.randint(-300, 300) for _ in range(rank)], rng.randint(-(2**70), 2**70)]
+            for _ in range(n)]
+
+
 class TestWriter:
     @given(json_values)
+    @example([[[1, -2], 3], [[], 4]])
+    @example({"coeffs": [[[True, 0], 1]], "n": [[[0], False]]})
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 1000])
+    def test_long_pair_lists(self, n):
+        rng = random.Random(n)
+        pairs = random_pairs(rng, n, 3)
+        for value in (pairs, {"coeffs": pairs, "group": {"rank": 3, "torsion": []}},
+                      [{"a": random_pairs(rng, n, 1)}, random_pairs(rng, n, 5)]):
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_peak_memory(self):
+        # a join-built document needs its pieces and its result at once, so
+        # 2x the output is the floor; 4 KiB covers the pieces' object headers.
+        # Rendering a whole coeffs block from one repr goes well above it.
+        record = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).to_json()
+        tracemalloc.start()
+        try:
+            out = _dumps(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 3_000_000
+        assert peak < 2 * len(out) + 4096
 
     @pytest.mark.parametrize(
         "value", [1.5, Fraction(1, 2), {1: 2}, [{"a": [0.0]}], {"a": {None: 1}}, (1, 2)],

@@ -22,6 +22,8 @@ from thetacycles.lambdaring import (
     sym_op,
 )
 
+from thetacycles.schottky import PpavInput, cc_odp
+
 from oracles import (
     gr_adams_oracle,
     gr_multiply_oracle,
@@ -307,18 +309,40 @@ def oracle_elements(draw, group):
     return GroupRingElement(group, coeffs)
 
 
+# coordinates at the edges of the packed slot widths: 127 and 128 straddle
+# one byte, 2^15, 2^31 and 2^63 the struct widths, 10^30 needs 13 bytes
+EDGES = [127, 128, 2**15, 2**31, 2**63, 10**30]
+EDGE_GROUPS = [FgAbelianGroup(1), FgAbelianGroup(2), FgAbelianGroup(1, (3,))]
+
+
+def edge_element(group, e):
+    """Terms at +-e and +-(e - 1) in every free coordinate, the torsion
+    coordinates given unreduced."""
+    coeffs = {}
+    for i, v in enumerate((e, -e, e - 1, 1 - e)):
+        key = tuple(v if j % 2 == i % 2 else -v for j in range(group.rank))
+        coeffs[key + (v,) * len(group.torsion)] = i - 1
+    return GroupRingElement(group, coeffs)
+
+
+def small_element(group, *coords):
+    """Unit terms at each coordinate value in every coordinate."""
+    return GroupRingElement(group, {(v,) * group.ncoords: 1 for v in coords})
+
+
 class TestKernelsAgainstOracle:
-    """The kernels on canonical keys with integer accumulation against the
-    route that reduces every key and accumulates Fractions."""
+    """The packed kernels against the route that reduces every key and
+    accumulates Fractions.  Multiplication and Adams operations must also
+    keep the oracle's key order, the order of first occurrence."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_multiply_and_adams(self, data):
         group = data.draw(st.sampled_from(ORACLE_GROUPS))
         x, y = data.draw(oracle_elements(group)), data.draw(oracle_elements(group))
-        assert gr_multiply(x, y).coeffs == gr_multiply_oracle(group, x.coeffs, y.coeffs)
+        assert_same_terms(gr_multiply(x, y), gr_multiply_oracle(group, x.coeffs, y.coeffs))
         for n in (-1, 0, 2, 3, 4):
-            assert gr_adams(n, x).coeffs == gr_adams_oracle(group, n, x.coeffs)
+            assert_same_terms(gr_adams(n, x), gr_adams_oracle(group, n, x.coeffs))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -329,6 +353,72 @@ class TestKernelsAgainstOracle:
         cases += [(sym_op, k, (k,)) for k in (2, 3)]
         for op, k, alpha in cases:
             assert op(k, x).coeffs == schur_apply_oracle(group, alpha, x.coeffs)
+        assert schur_apply((2, 1), x).coeffs == schur_apply_oracle(group, (2, 1), x.coeffs)
+
+    @pytest.mark.parametrize("e", EDGES)
+    @pytest.mark.parametrize("group", EDGE_GROUPS, ids=str)
+    def test_slot_width_edges(self, group, e):
+        x = edge_element(group, e)
+        # products reaching exactly max|x| = e, and one past it
+        for y in (small_element(group, 0), small_element(group, 0, 1, -1)):
+            assert_same_terms(gr_multiply(x, y), gr_multiply_oracle(group, x.coeffs, y.coeffs))
+            assert_same_terms(gr_multiply(y, x), gr_multiply_oracle(group, y.coeffs, x.coeffs))
+        assert_same_terms(gr_multiply(x, x), gr_multiply_oracle(group, x.coeffs, x.coeffs))
+        for n in (-1, 0, 2, 3):
+            assert_same_terms(gr_adams(n, x), gr_adams_oracle(group, n, x.coeffs))
+        x = x + small_element(group, 1, 2)
+        self.assert_schur_operations(group, x)
+
+    @pytest.mark.parametrize(
+        "group, x",
+        [
+            (FgAbelianGroup(0), GroupRingElement(FgAbelianGroup(0), {(): 3})),
+            (FgAbelianGroup(0), GroupRingElement(FgAbelianGroup(0), {(): -2})),
+            (FgAbelianGroup(0, (2, 4)),
+             GroupRingElement(FgAbelianGroup(0, (2, 4)),
+                              {(10**30, -(2**63)): 2, (1, 3): -1, (127, 128): 1})),
+            (FgAbelianGroup(1, (3,)),
+             GroupRingElement(FgAbelianGroup(1, (3,)),
+                              {(-128, 10**30): 1, (127, -1): -2, (0, 0): 1})),
+        ],
+        ids=["rank0", "rank0-negative", "torsion-only", "mixed"],
+    )
+    def test_small_groups(self, group, x):
+        y = x + gr_one(group)
+        assert_same_terms(gr_multiply(x, y), gr_multiply_oracle(group, x.coeffs, y.coeffs))
+        for n in (-1, 0, 2, 3):
+            assert_same_terms(gr_adams(n, x), gr_adams_oracle(group, n, x.coeffs))
+        self.assert_schur_operations(group, x)
+
+    def test_cancelling_terms(self):
+        # (x^1 - x^2)(x^1 + x^2) = x^2 - x^4: the x^3 terms cancel
+        a = GroupRingElement(Z, {(1,): 1, (2,): -1})
+        b = GroupRingElement(Z, {(1,): 1, (2,): 1})
+        assert gr_multiply(a, b).coeffs == {(2,): 1, (4,): -1}
+        # over Z/2 the lifts 0 and 2 of one key cancel: (1 + t)(1 - t) = 0
+        c = GroupRingElement(Z2, {(0,): 1, (1,): 1})
+        d = GroupRingElement(Z2, {(0,): 1, (1,): -1})
+        assert gr_multiply(c, d).coeffs == {}
+        mixed = FgAbelianGroup(1, (3,))
+        for group, x in [
+            (Z, a), (Z2, d), (FgAbelianGroup(0, (2, 4)),
+                              GroupRingElement(FgAbelianGroup(0, (2, 4)), {(1, 1): 1, (1, 3): -1})),
+            (mixed, GroupRingElement(mixed, {(1, 1): 2, (-1, 2): -2, (0, 0): 1})),
+        ]:
+            assert_same_terms(gr_multiply(x, x), gr_multiply_oracle(group, x.coeffs, x.coeffs))
+            self.assert_schur_operations(group, x)
+
+    def test_genus5_theta_fiber_lambda2(self):
+        x = cc_odp(PpavInput(g=5, k=0, gauss_finite=True)).fiber
+        out = lambda_op(2, x)
+        assert len(out.coeffs) == 7081
+        assert out.coeffs == schur_apply_oracle(x.group, (1, 1), x.coeffs)
+
+    @staticmethod
+    def assert_schur_operations(group, x):
+        for k in (2, 3):
+            assert lambda_op(k, x).coeffs == schur_apply_oracle(group, (1,) * k, x.coeffs)
+        assert sym_op(2, x).coeffs == schur_apply_oracle(group, (2,), x.coeffs)
         assert schur_apply((2, 1), x).coeffs == schur_apply_oracle(group, (2, 1), x.coeffs)
 
     def test_non_integral_check_over_the_lcm(self, monkeypatch):
@@ -345,3 +435,13 @@ class TestKernelsAgainstOracle:
             schur_apply((2,), GroupRingElement(Z, {(0,): 2}))
         # 6*x^0: 3 + 12 = 15, integral
         assert schur_apply((2,), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
+        # over Z/2 the check runs on projected keys: 1 + t gives 3 + 3 t from
+        # p_1 and 2 (1 + 2 t + t^2) from p_(1,1), whose lift t^2 lands on 1,
+        # so the identity carries (3 + 4) / 6 and not the lift's (3 + 2) / 6
+        with pytest.raises(NonIntegralResultError, match=r"coefficient 7/6 at \(0,\)"):
+            schur_apply((2,), GroupRingElement(Z2, {(0,): 1, (1,): 1}))
+
+
+def assert_same_terms(element, oracle):
+    """Equal terms, listed in the same order."""
+    assert list(element.coeffs.items()) == list(oracle.items())
