@@ -58,51 +58,74 @@ class InputError(Exception):
     pass
 
 
-_SLICE = 256  # pairs rendered per repr call
+_SLICE = 256  # pairs rendered per join
+
+
+class _IntText(dict):
+    """int -> its JSON text: a table of the small values, computed for the
+    rest."""
+
+    def __missing__(self, value):
+        return int.__repr__(value)
+
+
+_INT_TEXT = _IntText((i, str(i)) for i in range(-256, 257))
 
 
 def _is_pair_list(value: list) -> bool:
-    """Whether value is a list of [[int, ...], int] pairs with nonempty
-    keys, the shape of every group-ring coeffs block."""
+    """Whether value is a list of [[int, ...], int] pairs, the shape of
+    every group-ring coeffs block and character weight list."""
     if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
         return False
     keys = list(map(itemgetter(0), value))
     return (
         set(map(type, map(itemgetter(1), value))) == {int}
         and set(map(type, keys)) == {list}
-        and all(keys)
-        and set(map(type, chain.from_iterable(keys))) == {int}
+        and set(map(type, chain.from_iterable(keys))) <= {int}
     )
 
 
-def _dumps_pairs(value: list, newline: str) -> str:
-    """A pair list as _dumps renders it: the repr of each slice of _SLICE
-    pairs, without its outer brackets and its first pair's opening, with
-    the pair, key and coordinate separators re-indented."""
+def _dumps_pairs(pairs: list, newline: str) -> list:
+    """The pieces of _dumps([[list(key), c] for key, c in pairs]), for
+    (key, int) pairs whose keys are lists or tuples of ints: the brackets
+    and one string per slice of _SLICE pairs with the separators between
+    them.  The caller joins them into its own text, so a block is copied
+    once.  Each pair is one f-string over the joined texts of its ints,
+    which come from _INT_TEXT; an empty key is written []."""
+    if not pairs:
+        return ["[]"]
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
-    between = inner + "]," + inner + "[" + key + "[" + coord
-    parts = ["[", inner, "[", key, "[", coord]
-    for start in range(0, len(value), _SLICE):
+    sep, coord_sep = "," + inner, "," + coord
+    open_key = "[" + key + "[" + coord
+    open_empty = "[" + key + "[]," + key
+    close_key = key + "]," + key
+    text = _INT_TEXT.__getitem__
+    parts = ["[" + inner]
+    for start in range(0, len(pairs), _SLICE):
         if start:
-            parts.append(between)
-        parts.append(
-            repr(value[start:start + _SLICE])[3:-2]
-            .replace("], [[", between)
-            .replace("], ", key + "]," + key)
-            .replace(", ", "," + coord)
-        )
-    parts += [inner, "]", newline, "]"]
-    return "".join(parts)
+            parts.append(sep)
+        parts.append(sep.join([
+            f"{open_key}{coord_sep.join(map(text, g))}{close_key}{text(c)}{inner}]"
+            if g else f"{open_empty}{text(c)}{inner}]"
+            for g, c in pairs[start:start + _SLICE]
+        ]))
+    parts += (newline, "]")
+    return parts
 
 
 def _dumps(value, newline="\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the types a payload
-    holds: str-keyed dicts, lists, str, int, bool and None.  The standard
-    encoder runs in pure Python whenever indent is set; this one renders the
-    two bulk shapes from repr, a list of ints in one call and a group-ring
-    coeffs block in slices (_dumps_pairs), and recurses on the rest."""
+    holds: str-keyed dicts, lists, str, int, bool and None, plus a
+    GroupRingElement, written as json.dumps(value.to_json(), ...) would.
+    The standard encoder runs in pure Python whenever indent is set; this
+    one renders a list of ints from one repr, writes group-ring coeffs
+    blocks with _dumps_pairs, and recurses on the rest.  An element's terms
+    come from its own sort and go to _dumps_pairs without a list image or
+    a type check, since its keys are canonical int tuples; a list of
+    [[int, ...], int] pairs (character weights, a to_json image) takes the
+    same renderer once _is_pair_list has checked every value's type."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -121,7 +144,7 @@ def _dumps(value, newline="\n") -> str:
         if set(map(type, value)) == {int}:
             return "".join(["[", inner, repr(value)[1:-1].replace(", ", sep), newline, "]"])
         if _is_pair_list(value):
-            return _dumps_pairs(value, newline)
+            return "".join(_dumps_pairs(value, newline))
         parts = []
         for v in value:
             parts += (sep, _dumps(v, inner))
@@ -139,6 +162,11 @@ def _dumps(value, newline="\n") -> str:
         parts[0] = "{" + inner
         parts += (newline, "}")
         return "".join(parts)
+    if isinstance(value, GroupRingElement):  # to_json's keys, in sorted order
+        return "".join([
+            "{", inner, '"coeffs": ', *_dumps_pairs(value._sorted_items(), inner),
+            sep, '"group": ', _dumps(value.group.to_json(), inner), newline, "}",
+        ])
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -275,7 +303,7 @@ def _cmd_lambda_eval(args):
     except NonIntegralResultError as exc:
         _emit(args, {"error": "non-integral result", "detail": str(exc)})
         return MATH_NO
-    _emit(args, out.to_json())
+    _emit(args, out)
     return 0
 
 
@@ -284,7 +312,7 @@ def _cmd_cycle_convolve(args):
     c1 = load_cycle(_object_field(data, "c1"))
     c2 = load_cycle(_object_field(data, "c2"))
     out = convolve(c1, c2, _int_field(data, "d_trunc"))
-    _emit(args, out.to_json())
+    _emit(args, out._json_fields())
     return 0
 
 
@@ -297,7 +325,7 @@ def _cmd_cycle_schur(args):
     except NonIntegralResultError as exc:
         _emit(args, {"error": "non-integral result", "detail": str(exc)})
         return MATH_NO
-    _emit(args, out.to_json())
+    _emit(args, out._json_fields())
     return 0
 
 
@@ -357,7 +385,7 @@ def _cmd_theta_group(args):
 
 def _cmd_cc_odp(args):
     out = cc_odp(_ppav_from_args(args))
-    _emit(args, out.to_json())
+    _emit(args, out._json_fields())
     return 0
 
 

@@ -130,11 +130,18 @@ class CleanCycleModel:
                 return c
         raise KeyError(f"no component labeled {label!r}")
 
-    def to_json(self) -> dict:
+    def _json_fields(self) -> dict:
+        """The fields of to_json, with the fiber left as its element."""
         out = {
             "g": self.g,
             "components": [c.to_json() for c in self.components],
         }
+        if self.fiber is not None:
+            out["fiber"] = self.fiber
+        return out
+
+    def to_json(self) -> dict:
+        out = self._json_fields()
         if self.fiber is not None:
             out["fiber"] = self.fiber.to_json()
         return out

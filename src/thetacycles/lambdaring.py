@@ -25,6 +25,13 @@ The projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b,
 so a Schur operation scales the power-sum coefficients by D, the lcm of
 their denominators, accumulates integers over the lifts, and checks
 c % D == 0 after the projection.
+
+Output lists the terms in key order.  When every coordinate fits in a
+signed byte, a key sorts by its coordinates packed as big-endian signed
+bytes with each sign bit flipped (offset binary): one bytes comparison,
+in C, orders two keys as the tuples compare, where a tuple comparison
+walks the mostly-zero prefix of a dense key element by element.  Keys
+with a larger coordinate are sorted as tuples.
 """
 
 from __future__ import annotations
@@ -36,8 +43,13 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
 from struct import Struct
+from struct import error as struct_error
 
 from .symfun import Partition, _is_int, schur_to_powersum
+
+# byte b -> b ^ 0x80: a signed byte's two's complement to offset binary,
+# so that memcmp orders the bytes as the signed values
+_FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -199,10 +211,24 @@ class GroupRingElement:
             f"{c}*x{g}" for g, c in sorted(self.coeffs.items())
         )
 
+    def _sorted_items(self) -> list:
+        """(key, coefficient) pairs in key order, sorted(self.coeffs.items()).
+        Keys whose coordinates all fit in a signed byte sort by their
+        big-endian bytes with the sign bit flipped, which memcmp orders as
+        the tuples; a coordinate outside [-128, 127] makes pack raise and
+        the tuples are sorted instead."""
+        pack = Struct(f">{self.group.ncoords}b").pack
+        try:
+            return sorted(
+                self.coeffs.items(), key=lambda kv: pack(*kv[0]).translate(_FLIP_SIGN)
+            )
+        except struct_error:
+            return sorted(self.coeffs.items())
+
     def to_json(self) -> dict:
         return {
             "group": self.group.to_json(),
-            "coeffs": [[list(g), c] for g, c in sorted(self.coeffs.items())],
+            "coeffs": [[list(g), c] for g, c in self._sorted_items()],
         }
 
     @classmethod
@@ -214,8 +240,10 @@ class GroupRingElement:
             key = group.canonical(g)
             if key in coeffs:
                 raise ValueError(f"group element {list(key)} is listed twice")
+            if not _is_int(c):
+                raise ValueError(f"coefficient of {key} must be an integer: {c!r}")
             coeffs[key] = c
-        return cls(group, coeffs)
+        return cls._of(group, coeffs)
 
 
 def gr_one(group: FgAbelianGroup) -> GroupRingElement:

@@ -71,6 +71,11 @@ class PpavInput:
 
 _FAMILIES = ("Sp", "SO", "O", "SL_mod_mu", "E6", "E7", "G2", "undetermined")
 
+# Largest dense cc_odp fiber, in key coordinates: at most g! keys of rank at
+# most g!/2.  Genus 7 needs 12,700,800; genus 8 would need 812,851,200
+# (about 6.5 GB of tuple slots).
+MAX_FIBER_COORDS = 20_000_000
+
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -226,7 +231,15 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
         raise ValueError("cc_odp needs g >= 2")
     if not p.symmetric:
         raise ValueError("cc_odp requires a symmetric theta divisor")
-    n = factorial(g) - 2 * k
+    order = 1  # g!, built up so that a huge g is refused at once
+    for i in range(2, g + 1):
+        order *= i
+        if order * (order // 2) > MAX_FIBER_COORDS:
+            raise ValueError(
+                f"cc_odp at g = {g} would build a dense fiber of g! keys of rank "
+                f"g!/2, over the limit of {MAX_FIBER_COORDS} coordinates"
+            )
+    n = order - 2 * k
     if n <= 0:
         raise ValueError(f"g! - 2k = {n} must be positive")
     points_count = k if g % 2 == 1 else 0

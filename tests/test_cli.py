@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -11,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacycles.cli import _dumps, run
+from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp
 
-SCHEMA_DIR = os.path.join(
-    os.path.dirname(__file__), "..", "src", "thetacycles", "schemas"
-)
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+SCHEMA_DIR = os.path.join(SRC_DIR, "thetacycles", "schemas")
 
 
 ELEMENT = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[1], 1], [[-1], 1]]}
@@ -388,6 +390,23 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
 
+    @pytest.mark.parametrize("g", ["8", "9", "100"])
+    def test_oversized_cc_odp_refused(self, g):
+        # under a 1 GiB address-space limit, so that a missing guard fails
+        # at once instead of filling the machine's memory
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from thetacycles.cli import run; sys.exit(run(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", child, "cc-odp", "--g", g],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cc_odp at g = {g} ")
+        assert "over the limit of" in proc.stderr
+
     def test_wmf_tables_json_schema(self, capsys):
         code, payload = invoke_json(
             capsys, "wmf_tables", "wmf-tables", "--max-rank", "3", "--max-dim", "15"
@@ -431,8 +450,9 @@ def pair_lists(key_coords, coeffs, min_key=0):
     )
 
 
-# group-ring coeffs blocks, [[int, ...], int] pairs, and near misses: empty
-# keys and bool coordinates or coefficients, which take the generic path
+# group-ring coeffs blocks, [[int, ...], int] pairs (empty keys included),
+# and near misses: bool coordinates or coefficients, which take the generic
+# path
 coeff_blocks = pair_lists(json_ints, json_ints, min_key=1) | pair_lists(
     json_ints | st.booleans(), json_ints | st.booleans()
 )
@@ -445,6 +465,39 @@ json_values = st.recursive(
                       max_size=5),
     max_leaves=40,
 )
+
+
+# elements of every group shape the writer meets: rank 0 (empty keys), rank 1
+# to 6, torsion, and residues mod 256 above 127 that do not fit a signed byte
+WRITER_GROUPS = [FgAbelianGroup(r) for r in range(7)] + [
+    FgAbelianGroup(0, (2,)), FgAbelianGroup(1, (2, 4)), FgAbelianGroup(2, (3,)),
+    FgAbelianGroup(0, (256,)), FgAbelianGroup(1, (256,)),
+]
+element_coords = st.integers(-130, 130) | st.sampled_from(
+    [127, -127, 128, -128, 10 ** 30, -(10 ** 30)])
+element_coeffs = st.integers(-3, 3) | st.sampled_from([2 ** 70, -(2 ** 70)]) | st.integers()
+
+
+@st.composite
+def elements(draw):
+    group = draw(st.sampled_from(WRITER_GROUPS))
+    keys = draw(st.lists(st.tuples(*[element_coords] * group.ncoords), max_size=12))
+    coeffs = draw(st.lists(element_coeffs, min_size=len(keys), max_size=len(keys)))
+    # insertion order is the drawn order, not the sorted one
+    return GroupRingElement(group, dict(draw(st.permutations(list(zip(keys, coeffs))))))
+
+
+def cycle_shaped(fiber):
+    return {"g": 3, "components": [POINT], "fiber": fiber}
+
+
+WRITER_EXAMPLES = [
+    GroupRingElement(FgAbelianGroup(0), {(): -(2 ** 70)}),
+    GroupRingElement(FgAbelianGroup(0)),
+    GroupRingElement(FgAbelianGroup(2), {(1, -1): 1, (-1, 1): 2, (-128, 127): -3, (0, 0): 4}),
+    GroupRingElement(FgAbelianGroup(1, (256,)), {(0, 200): 1, (0, 100): 1, (-1, 255): 5}),
+    GroupRingElement(FgAbelianGroup(3), {(10 ** 30, -(10 ** 30), 257): 2 ** 70, (0, 1, 2): 1}),
+]
 
 
 def random_pairs(rng, n, rank):
@@ -476,6 +529,39 @@ class TestWriter:
         tracemalloc.start()
         try:
             out = _dumps(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 3_000_000
+        assert peak < 2 * len(out) + 4096
+
+    @given(elements())
+    @settings(max_examples=300, deadline=None)
+    def test_element_matches_json_dumps(self, x):
+        assert _dumps(x) == json.dumps(x.to_json(), sort_keys=True, indent=2)
+        assert _dumps(cycle_shaped(x)) == json.dumps(
+            cycle_shaped(x.to_json()), sort_keys=True, indent=2)
+
+    @given(elements())
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_items(self, x):
+        assert x._sorted_items() == sorted(x.coeffs.items())
+
+    @pytest.mark.parametrize("x", WRITER_EXAMPLES, ids=[
+        "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates"])
+    def test_element_examples(self, x):
+        assert x._sorted_items() == sorted(x.coeffs.items())
+        assert _dumps(x) == json.dumps(x.to_json(), sort_keys=True, indent=2)
+        assert _dumps([cycle_shaped(x)]) == json.dumps(
+            [cycle_shaped(x.to_json())], sort_keys=True, indent=2)
+
+    def test_peak_memory_element(self):
+        # the same bound as test_peak_memory, on the payload cc-odp emits: a
+        # cycle whose fiber is still an element, sorted inside _dumps
+        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True))._json_fields()
+        tracemalloc.start()
+        try:
+            out = _dumps(payload)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

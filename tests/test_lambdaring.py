@@ -280,6 +280,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="listed twice"):
             GroupRingElement.from_json(data)
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([[[0, 1], 1], [[1.5, 0], 1]], r"coordinates must be integers: \(1\.5, 0\)"),
+            ([[[0, 1], 1], [[1], 1]], "element length 1 != rank\\+torsion 2"),
+            ([[[0, 1], 1], [[2, 3], 2.0]], r"coefficient of \(2, 1\) must be an integer: 2\.0"),
+            ([[[0, 1], 1], [[0, 3], 1]], r"group element \[0, 1\] is listed twice"),
+        ],
+        ids=["coordinate", "length", "coefficient", "duplicate"],
+    )
+    def test_each_fault_named(self, coeffs, message):
+        data = {"group": {"rank": 1, "torsion": [2]}, "coeffs": coeffs}
+        with pytest.raises(ValueError, match=message):
+            GroupRingElement.from_json(data)
+
+    def test_loaded_keys_canonical_and_zeros_dropped(self):
+        data = {"group": {"rank": 1, "torsion": [3]},
+                "coeffs": [[[2, 5], 4], [[-1, -1], 0], [[0, 0], -2]]}
+        x = GroupRingElement.from_json(data)
+        assert x.coeffs == {(2, 2): 4, (0, 0): -2}
+        assert x == GroupRingElement(x.group, {(2, 5): 4, (0, 0): -2})
+
 
 class TestInputValues:
     @pytest.mark.parametrize("bad", [2.7, 1.0, True, "1", None])

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -20,6 +20,7 @@ from thetacycles.lambdaring import (
 )
 from thetacycles.lierep import char_tensor, freudenthal_character, root_system
 from thetacycles.schottky import (
+    MAX_FIBER_COORDS,
     GroupDescriptor,
     PpavInput,
     alt_cm1_coefficient,
@@ -92,6 +93,15 @@ class TestCcOdp:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric theta divisor"):
             cc_odp(PpavInput(g=4, k=1, symmetric=False))
+
+    @pytest.mark.parametrize("g", [8, 9, 100])
+    def test_oversized_fiber_refused(self, g):
+        with pytest.raises(ValueError, match="over the limit of"):
+            cc_odp(PpavInput(g=g, k=1))
+
+    def test_fiber_limit_admits_genus_7(self):
+        assert factorial(7) * (factorial(7) // 2) <= MAX_FIBER_COORDS
+        assert factorial(8) * (factorial(8) // 2) > MAX_FIBER_COORDS
 
     def test_torsion_fiber_collides(self):
         c = cc_odp(
