@@ -69,7 +69,7 @@ class _IntText(dict):
         return int.__repr__(value)
 
 
-_INT_TEXT = _IntText((i, str(i)) for i in range(-256, 257))
+_INT_TEXT = _IntText((i, str(i)) for i in range(-128, 128))
 
 
 def _is_pair_list(value: list) -> bool:
