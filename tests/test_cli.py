@@ -398,10 +398,9 @@ class TestCliContract:
             "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from thetacycles.cli import run; sys.exit(run(sys.argv[1:]))"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC_DIR] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         proc = subprocess.run([sys.executable, "-c", child, "cc-odp", "--g", g],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=SRC_DIR))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: cc_odp at g = {g} ")
