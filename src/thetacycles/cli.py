@@ -565,10 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # run's parser, built on its first call and reused after
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

@@ -84,7 +84,9 @@ class FgAbelianGroup:
         """Validate and reduce an element given from outside: integer
         coordinates, free coords exact, torsion residues mod d_i."""
         element = tuple(element)
-        if not all(map(_is_int, element)):
+        # one pass over the types first; bools and int subclasses take the
+        # per-coordinate check, which keeps its verdict and its message
+        if not (set(map(type, element)) <= {int} or all(map(_is_int, element))):
             raise ValueError(f"element coordinates must be integers: {element!r}")
         if len(element) != self.ncoords:
             raise ValueError(

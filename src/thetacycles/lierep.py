@@ -36,7 +36,16 @@ theorem gives one:
   (-1)^<lam, 2 rho^vee> (Steinberg; Bourbaki, Lie VIII, 7.5);
 - [P : Q + Z lam] = gcd(den, lam N), as den = det C = [P : Q];
 - a weight of V_lam lies on a root line iff a dominant one lies on the line
-  of a dominant root (the highest root or the highest short root).
+  of a dominant root (the highest root or the highest short root);
+- multiplicities only grow along dominant shifts: V_lam is U(n-) modulo the
+  left ideal of the f_i^(lam_i + 1) (Humphreys, Introduction to Lie Algebras
+  and Representation Theory, 21.4), so for dominant nu the multiplicity of
+  lam + nu - beta in V_(lam + nu) is at least that of lam - beta in V_lam,
+  and a weight above a non-wmf lam - varpi_i is not wmf either;
+- a nontrivial irreducible of a simple algebra of rank n is faithful, so its
+  Cartan subalgebra embeds in the traceless diagonal matrices and its
+  dimension is at least n + 1: a sweep to dimension max_dim stops at rank
+  max_dim - 1.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.
@@ -63,6 +72,10 @@ from .lambdaring import (
 from .symfun import _is_int
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
+
+# the largest rank a weight sweep builds root systems for; all types up to
+# rank 40 take about 2 s to build (Python 3.11, 2 vCPU)
+MAX_SWEEP_RANK = 40
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -526,6 +539,19 @@ def canonical_simple_types(max_rank: int):
     return out
 
 
+def _sweep_types(max_rank: int, max_dim: int):
+    """canonical_simple_types for a sweep to dimension max_dim: ranks above
+    max_dim - 1 have no nontrivial irreducible that small.  A sweep still
+    above MAX_SWEEP_RANK is refused before any root system is built."""
+    rank = min(max_rank, max_dim - 1)
+    if rank > MAX_SWEEP_RANK:
+        raise ValueError(
+            f"a sweep to rank {rank} (the least of max_rank and dim - 1) is "
+            f"over the limit of {MAX_SWEEP_RANK}"
+        )
+    return canonical_simple_types(rank)
+
+
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -859,13 +885,20 @@ def classify_wmf(max_rank: int, max_dim: int):
 
     A weight is kept when the orbit sizes of its dominant weights add up to
     its Weyl dimension (is_wmf); Frobenius-Schur types come from the
-    closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.
+    closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with
+    some lam - varpi_i not wmf is not wmf either, as multiplicities only grow
+    along dominant shifts, and is skipped untested: lam - varpi_i sorts
+    before lam and has a smaller dimension, so it is decided first.
     """
     rows = []
-    for letter, n in canonical_simple_types(max_rank):
+    for letter, n in _sweep_types(max_rank, max_dim):
         rs = root_system(letter, n)
+        not_wmf = set()
         for lam in enumerate_dominant_weights(rs, max_dim):
-            if not is_wmf(rs, lam):
+            if any(
+                x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)
+            ) or not is_wmf(rs, lam):
+                not_wmf.add(lam)
                 continue
             rows.append(
                 WmfEntry(
@@ -888,7 +921,7 @@ def quasi_minuscule_dim_search(dim: int, max_rank: int) -> list:
     """Quasi-minuscule irreducibles of exactly the given dimension, over all
     simple types of rank <= max_rank."""
     matches = []
-    for letter, n in canonical_simple_types(max_rank):
+    for letter, n in _sweep_types(max_rank, dim):
         rs = root_system(letter, n)
         for lam in enumerate_dominant_weights(rs, dim):
             if rs.weyl_dim(lam) == dim and is_quasi_minuscule(rs, lam):

@@ -426,6 +426,27 @@ def is_wmf_by_orbit_sizes(rs, lam):
     return sum(rs.orbit_size(mu) for mu in rs.dominant_weights_below(lam)) == rs.weyl_dim(lam)
 
 
+def wmf_weights_unpruned(max_rank, max_dim):
+    """(letter, rank, weight) of every weight multiplicity free irreducible of
+    the simple types of rank <= max_rank and dimension <= max_dim: the sweep
+    tests every enumerated weight with is_wmf, skipping none.  It shares the
+    walk and is_wmf with classify_wmf, which have their own oracles above, so
+    what it checks is classify_wmf's pruning."""
+    from thetacycles.lierep import (
+        canonical_simple_types,
+        enumerate_dominant_weights,
+        is_wmf,
+        root_system,
+    )
+
+    out = []
+    for letter, n in canonical_simple_types(max_rank):
+        rs = root_system(letter, n)
+        out += [(letter, n, lam) for lam in enumerate_dominant_weights(rs, max_dim)
+                if is_wmf(rs, lam)]
+    return sorted(out)
+
+
 # -- fake-Jacobian degree equation ------------------------------------------------
 
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thetacycles.cli as cli
+import thetacycles.lierep as lierep
 from thetacycles.cli import _dumps, run
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp
@@ -389,6 +391,107 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        """One process's run, with one parser, answers a sequence of argv
+        lists byte for byte as a fresh `python -m thetacycles.cli` each."""
+        cycle = cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()
+        for name, doc in [
+            ("cycle.json", cycle),
+            ("convolve.json", {"c1": cycle, "c2": cycle, "d_trunc": 1}),
+            ("schur.json", {"cycle": cycle, "alpha": [1, 1], "d_trunc": 1}),
+            ("lambda.json", {"element": ELEMENT, "op": {"kind": "sym", "k": 3}}),
+            ("verify.json", {"target": ELEMENT, "construction": {"kind": "var", "index": 0},
+                             "e": 2, "candidates": [ELEMENT]}),
+        ]:
+            (tmp_path / name).write_text(_dumps(doc))
+        sequence = [
+            ["symfun", "partitions", "4"],
+            ["--format", "text", "symfun", "partitions", "4"],
+            ["symfun", "schur", "2,1", "--format", "text"],
+            ["symfun", "elementary", "3"],
+            ["rep-dim", "A5", "0,0,1,0,0", "--format", "text"],
+            ["rep-dim", "A5", "0,0,1,0,0"],
+            ["rep-char", "G2", "1,0", "--format", "csv"],
+            ["rep-char", "G2", "1,0"],
+            ["--format", "csv", "rep-classify", "--max-rank", "3", "--max-dim", "30"],
+            ["rep-classify", "--max-rank", "3", "--max-dim", "30"],
+            ["wmf-tables", "--max-rank", "3", "--max-dim", "15", "--format", "csv"],
+            ["wmf-tables", "--max-rank", "3", "--max-dim", "15"],
+            ["theta-group", "--g", "5", "--k", "2", "--sum-zero", "--format", "text"],
+            ["theta-group", "--g", "5", "--k", "2", "--sum-zero"],
+            ["cc-odp", "--g", "4", "--k", "0", "--gauss-finite"],
+            ["--format", "csv", "genus5"],
+            ["genus5"],
+            ["genus5", "--k", "2", "--gauss-finite"],
+            ["fake-jacobian", "--g", "5", "--degree", "70"],
+            ["fake-jacobian", "--g", "5", "--degree", "71", "--hyperelliptic"],
+            ["summand-bound", "--dims", "5", "--dz", "5"],
+            ["simplicity", "--input", "cycle.json"],
+            ["--format", "csv", "fourfold-table"],
+            ["fourfold-table"],
+            ["qm-search", "--dim", "7", "--max-rank", "3"],
+            ["qm-search", "--dim", "27", "--max-rank", "6"],
+            ["s-sets", "--bound", "100"],
+            ["lambda-eval", "--input", "lambda.json"],
+            ["cycle-convolve", "--input", "convolve.json"],
+            ["cycle-schur", "--input", "schur.json"],
+            ["cycle-schur", "--input", "missing.json"],
+            ["verify-ig", "--input", "verify.json"],
+            ["no-such-command"],
+            ["theta-group", "--k", "2"],
+            ["--help"],
+            ["rep-dim", "--help"],
+            ["--format", "xml", "genus5"],
+            ["genus5", "--format", "json"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "thetacycles.cli", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            return proc.stdout, proc.stderr, proc.returncode
+
+        builds = []
+
+        def build_parser():
+            builds.append(None)
+            return real_build_parser()
+
+        real_build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        for argv in sequence:
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err, code) == fresh(argv), argv
+        assert len(builds) == 1
+
+    def test_sweep_rank_guard(self, capsys, monkeypatch):
+        built = []
+        real_root_system = lierep.root_system
+        real_types = lierep.canonical_simple_types
+
+        def root_system(letter, rank):
+            built.append(rank)
+            return real_root_system(letter, rank)
+
+        def canonical_simple_types(max_rank):
+            # a missing guard fails here, before listing a billion types
+            assert max_rank <= lierep.MAX_SWEEP_RANK, max_rank
+            return real_types(max_rank)
+
+        monkeypatch.setattr(lierep, "root_system", root_system)
+        monkeypatch.setattr(lierep, "canonical_simple_types", canonical_simple_types)
+        assert run(["qm-search", "--dim", "118", "--max-rank", "1000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and built == []
+        assert captured.err.startswith("error: a sweep to rank 117 ")
+        assert run(["rep-classify", "--max-rank", "1000000000", "--max-dim", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rank"] == 1000000000
+        assert max(built) == 4
 
     @pytest.mark.parametrize("g", ["8", "9", "100"])
     def test_oversized_cc_odp_refused(self, g):

@@ -295,6 +295,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             GroupRingElement.from_json(data)
 
+    def test_key_coordinates_checked_as_is_int(self):
+        class Int(int):
+            pass
+
+        g = FgAbelianGroup(1, (3,))
+        assert g.canonical([Int(2), Int(5)]) == (2, 2)
+        for bad in ([True, 0], [0, False], [1, 1.0], ["1", 0], [Int(1), True]):
+            with pytest.raises(ValueError, match=r"coordinates must be integers: \("):
+                g.canonical(bad)
+
     def test_loaded_keys_canonical_and_zeros_dropped(self):
         data = {"group": {"rank": 1, "torsion": [3]},
                 "coeffs": [[[2, 5], 4], [[-1, -1], 0], [[0, 0], -2]]}

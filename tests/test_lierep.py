@@ -39,6 +39,7 @@ from oracles import (
     saturation_weights,
     subset_exterior_power_with_add,
     w0_permutation_by_dominantizing,
+    wmf_weights_unpruned,
 )
 
 
@@ -422,6 +423,34 @@ class TestClassifiers:
         assert (g2.dim, g2.fs) == (7, "orthogonal")
         assert all(r.family != "other" for r in rows)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda r: classify_wmf(r, 10 ** 9), lambda r: quasi_minuscule_dim_search(10 ** 9, r),
+    ], ids=["classify_wmf", "quasi_minuscule_dim_search"])
+    def test_sweep_rank_over_the_limit_refused(self, sweep, monkeypatch):
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "root_system", None)  # any build fails the test
+        with pytest.raises(ValueError, match="over the limit of 40"):
+            sweep(lierep.MAX_SWEEP_RANK + 1)
+
+    def test_sweep_rank_clamped_by_dimension(self, monkeypatch):
+        # rank n has no nontrivial irreducible of dimension <= n
+        import thetacycles.lierep as lierep
+
+        expected = [classify_wmf(4, 5), quasi_minuscule_dim_search(7, 6), [], []]
+        ranks = []
+        real_types = lierep.canonical_simple_types
+
+        def canonical_simple_types(max_rank):
+            ranks.append(max_rank)
+            assert max_rank <= lierep.MAX_SWEEP_RANK  # before listing a billion types
+            return real_types(max_rank)
+
+        monkeypatch.setattr(lierep, "canonical_simple_types", canonical_simple_types)
+        got = [classify_wmf(10 ** 9, 5), quasi_minuscule_dim_search(7, 10 ** 9),
+               classify_wmf(10 ** 9, 1), quasi_minuscule_dim_search(1, 10 ** 9)]
+        assert got == expected and ranks == [4, 6, 0, 0]
+
     def test_qm_search_finds_the_standard(self):
         matches = quasi_minuscule_dim_search(7, 3)
         assert ("G2", (1, 0)) in matches
@@ -496,6 +525,28 @@ class TestClosedFormsAgainstOracles:
                 assert is_wmf(rs, lam) == is_wmf_by_orbit_sizes(rs, lam), (rs.name, lam)
                 count += 1
         assert count == 936
+
+    @pytest.mark.parametrize("max_rank, max_dim", [(10, 3000), (14, 2000)])
+    def test_pruned_wmf_sweep_against_unpruned(self, max_rank, max_dim):
+        rows = classify_wmf(max_rank, max_dim)
+        assert [(r.letter, r.rank, r.weight) for r in rows] == wmf_weights_unpruned(
+            max_rank, max_dim)
+
+    def test_multiplicities_grow_along_fundamental_shifts(self):
+        """The lemma behind the pruned sweep: m_(lam + varpi_i)(mu + varpi_i)
+        >= m_lam(mu) for every dominant mu of V_lam."""
+        count = 0
+        for letter, n in canonical_simple_types(4):
+            rs = root_system(letter, n)
+            for lam in enumerate_dominant_weights(rs, 300):
+                below = rs.freudenthal_dominant(lam)
+                for i in range(n):
+                    above = rs.freudenthal_dominant(lam[:i] + (lam[i] + 1,) + lam[i + 1:])
+                    for mu, m in below.items():
+                        assert above.get(mu[:i] + (mu[i] + 1,) + mu[i + 1:], 0) >= m, (
+                            rs.name, lam, i, mu)
+                    count += len(below)
+        assert count == 31159
 
     def test_center_index_on_arbitrary_weights(self):
         rng = random.Random(13)
