@@ -2,8 +2,10 @@
 
 Weights are integer tuples in the fundamental-weight basis.  The simple
 root alpha_i is row i of the Cartan matrix in this basis, so the simple
-reflection is s_i(w) = w - w[i] * cartan[i].  The invariant bilinear form
-is normalized so short simple roots have squared length 2.
+reflection is s_i(w) = w - w[i] * cartan[i]; it is applied on the nonzero
+entries of the row alone, node i and its neighbours, at most four.  The
+invariant bilinear form is normalized so short simple roots have squared
+length 2.
 
 All lattice arithmetic is in integers.  Each concept has one integer form,
 built once per root system: the inverse Cartan matrix as N / den with
@@ -20,11 +22,14 @@ theorem gives one:
 
 - the dominant weights of dimension at most a bound are walked once each,
   raising coordinates in index order; the Weyl dimension grows with every
-  coordinate, so a branch ends at the first weight over the bound;
+  coordinate, so a branch ends at the first weight over the bound, and the
+  Weyl product the walk forms to test the bound gives the dimension;
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
-  positive roots: Stembridge, Adv. Math. 136, 1998);
+  positive roots: Stembridge, Adv. Math. 136, 1998); for dominant mu,
+  mu - alpha is dominant exactly when mu_i >= alpha_i wherever alpha_i > 0,
+  so only those differences are formed;
 - multiplicities come from Freudenthal's recursion on dominant weights, and
   a character is decomposed by peeling dominant multiplicities only;
 - |W| and orbit sizes |W| / |W_J| are products of (ht a + 1) / ht a over
@@ -47,19 +52,26 @@ theorem gives one:
   dimension is at least n + 1: a sweep to dimension max_dim stops at rank
   max_dim - 1.
 
+Public functions check the weights they are given.  The sweeps
+(classify_wmf, quasi_minuscule_dim_search) make their weights themselves, so
+they call unchecked kernels on them: the walk yields each weight with its
+dimension, and one cached closure RootSystem._dominant_below answers wmf,
+minuscule and quasi-minuscule.
+
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.
 
 RootSystem instances are immutable after construction apart from internal
-memo tables whose entries are deterministic functions of their keys;
-concurrent races can at worst recompute a value, never change one.
+memo tables, and tables built on first use, whose entries are deterministic
+functions of their keys; concurrent races can at worst recompute a value,
+never change one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, floordiv, mul, not_, sub
 
 from .lambdaring import (
     FgAbelianGroup,
@@ -76,6 +88,11 @@ SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 # the largest rank a weight sweep builds root systems for; all types up to
 # rank 40 take about 2 s to build (Python 3.11, 2 vCPU)
 MAX_SWEEP_RANK = 40
+
+# the largest dimension a weight sweep walks to: A1 alone has max_dim - 1
+# weights up to it, so no sweep is shorter than the bound, and
+# classify_wmf(40, MAX_SWEEP_DIM) takes 30 s and 0.5 GB (Python 3.11, 2 vCPU)
+MAX_SWEEP_DIM = 100_000
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -201,6 +218,11 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(letter, rank)
+        # the columns j with C_ij != 0 of each Cartan row, at most four: a
+        # simple reflection moves only node i and its neighbours
+        self._cartan_support = tuple(
+            tuple(j for j, c in enumerate(row) if c) for row in self.cartan
+        )
         # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
         # coordinates of a weight) is integral, and den = det C = [P : Q]
         self._inv_num, self._inv_den = _inverse_cartan(self.cartan)
@@ -215,6 +237,9 @@ class RootSystem:
             for i in range(rank) for j in range(i)
         ), "inner product must be symmetric"
         self._dominant_below_cache: dict = {}
+        # the coordinates where each positive root is positive, built by the
+        # first closure (see _dominant_below)
+        self._root_positive_coords = None
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
         self.rho = (1,) * rank
@@ -232,9 +257,11 @@ class RootSystem:
         self._weyl_dim_den = prod(rho_a for _, _, _, rho_a, _, _ in self.positive_roots)
         # 2 rho^vee, the sum of the positive coroots, in simple-coroot
         # coordinates: alpha^vee = sum_i r_i d_i / d_alpha alpha_i^vee
+        lengths = [length for _, _, length, _, _, _ in self.positive_roots]
+        simple_coords = zip(*(r for _, r, _, _, _, _ in self.positive_roots))
         self._two_rho_vee = tuple(
-            sum(r[i] * self.d[i] // length for _, r, length, _, _, _ in self.positive_roots)
-            for i in range(rank)
+            sum(map(floordiv, map(di.__mul__, col), lengths))
+            for col, di in zip(simple_coords, self.d)
         )
         self.weyl_order = self._orbit_index(self.rho)
         self._w0_permutation = _opposition_involution(letter, rank)
@@ -250,32 +277,31 @@ class RootSystem:
         s_i permutes the positive roots other than alpha_i, and a root beta
         with <beta, alpha_i^vee> = k < 0 maps to the higher root beta - k
         alpha_i; every non-simple positive root is reached this way from a
-        lower one.  Fundamental coordinates are formed only for a new root.
+        lower one.  Fundamental coordinates are formed only for a new root,
+        by a sparse reflection; (rho, alpha), the height and the support grow
+        with the coordinate r_i raised.
         """
         d = self.d
-        found = {}
-        frontier = []
-        for i in range(self.rank):
-            r = self._fundamental(i)
-            found[r] = (self.cartan[i], d[i])
-            frontier.append(r)
+        # r -> (w, d_alpha, (rho, alpha), height, support)
+        found = {self._fundamental(i): (self.cartan[i], d[i], d[i], 1, 1 << i)
+                 for i in range(self.rank)}
+        frontier = list(found)
         while frontier:
             nxt = []
             for r in frontier:
-                w, length = found[r]
+                w, length, rho_alpha, height, support = found[r]
                 for i, k in enumerate(w):
                     if k < 0:
                         up = r[:i] + (r[i] - k,) + r[i + 1:]
                         if up not in found:
-                            found[up] = (
-                                tuple(a - k * b for a, b in zip(w, self.cartan[i])),
-                                length,
-                            )
+                            found[up] = (self.reflect(i, w), length, rho_alpha - k * d[i],
+                                         height - k, support | 1 << i)
                             nxt.append(up)
             frontier = nxt
         return tuple(
-            (w, r, length, sum(map(mul, r, d)), sum(r), sum(1 << i for i, x in enumerate(r) if x))
-            for r, (w, length) in sorted(found.items(), key=lambda item: (sum(item[0]), item[0]))
+            (w, r, length, rho_alpha, height, support)
+            for r, (w, length, rho_alpha, height, support)
+            in sorted(found.items(), key=lambda item: (item[1][3], item[0]))
         )
 
     # -- basic weight operations ----------------------------------------------
@@ -308,7 +334,10 @@ class RootSystem:
         if k == 0:
             return tuple(w)
         row = self.cartan[i]
-        return tuple(a - k * b for a, b in zip(w, row))
+        w = list(w)
+        for j in self._cartan_support[i]:
+            w[j] -= k * row[j]
+        return tuple(w)
 
     def is_dominant(self, w) -> bool:
         return all(x >= 0 for x in w)
@@ -385,15 +414,16 @@ class RootSystem:
         1972, at q = 1).  The positive roots of W_J are those supported on
         J, so the index is the same product over the other positive roots.
         """
-        fixed = sum(1 << i for i, x in enumerate(dom) if x == 0)
-        index = self._orbit_index_cache.get(fixed)
+        zeros = tuple(map(not_, dom))
+        index = self._orbit_index_cache.get(zeros)
         if index is None:
+            fixed = sum(1 << i for i, z in enumerate(zeros) if z)
             num = den = 1
             for _, _, _, _, height, support in self.positive_roots:
                 if support & ~fixed:
                     num *= height + 1
                     den *= height
-            index = self._orbit_index_cache[fixed] = num // den
+            index = self._orbit_index_cache[zeros] = num // den
         return index
 
     # -- dimensions and dominant weight systems --------------------------------
@@ -419,23 +449,45 @@ class RootSystem:
         Adv. Math. 1998), so the set is the closure of lam under "subtract a
         positive root, keep the result if it is dominant".
         """
-        lam = self._check_dominant(lam)
+        return self._dominant_below(self._check_dominant(lam))
+
+    def _dominant_below(self, lam) -> list:
+        """dominant_weights_below for a dominant tuple lam, unchecked.
+
+        For dominant mu, mu - alpha is dominant exactly when mu_i >= alpha_i
+        at the coordinates where alpha_i > 0, so each root is tested on those
+        coordinates before its difference is formed.  Scaled heights are
+        carried along: subtracting alpha lowers one by den * ht(alpha).
+        """
         cached = self._dominant_below_cache.get(lam)
         if cached is not None:
             return cached
         roots = self.positive_roots
-        seen = {lam}
+        positive_coords = self._root_positive_coords
+        if positive_coords is None:
+            positive_coords = self._root_positive_coords = tuple(
+                tuple(i for i, x in enumerate(a) if x > 0) for a, _, _, _, _, _ in roots
+            )
+        den = self._inv_den
+        steps = [(a, positive, den * height)
+                 for (a, _, _, _, height, _), positive in zip(roots, positive_coords)]
+        seen = {lam: self._scaled_height(lam)}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                for a, _, _, _, _, _ in roots:
-                    cand = tuple(map(sub, mu, a))
-                    if cand not in seen and min(cand) >= 0:
-                        seen.add(cand)
-                        nxt.append(cand)
+                h = seen[mu]
+                for a, positive, drop in steps:
+                    for i in positive:
+                        if mu[i] < a[i]:
+                            break
+                    else:
+                        cand = tuple(map(sub, mu, a))
+                        if cand not in seen:
+                            seen[cand] = h - drop
+                            nxt.append(cand)
             frontier = nxt
-        out = sorted(seen, key=lambda m: (self._scaled_height(m), m), reverse=True)
+        out = [mu for _, mu in sorted(((h, mu) for mu, h in seen.items()), reverse=True)]
         self._dominant_below_cache[lam] = out
         return out
 
@@ -542,12 +594,17 @@ def canonical_simple_types(max_rank: int):
 def _sweep_types(max_rank: int, max_dim: int):
     """canonical_simple_types for a sweep to dimension max_dim: ranks above
     max_dim - 1 have no nontrivial irreducible that small.  A sweep still
-    above MAX_SWEEP_RANK is refused before any root system is built."""
+    above MAX_SWEEP_RANK, or to a dimension above MAX_SWEEP_DIM, is refused
+    before any root system is built."""
     rank = min(max_rank, max_dim - 1)
     if rank > MAX_SWEEP_RANK:
         raise ValueError(
             f"a sweep to rank {rank} (the least of max_rank and dim - 1) is "
             f"over the limit of {MAX_SWEEP_RANK}"
+        )
+    if max_dim > MAX_SWEEP_DIM:
+        raise ValueError(
+            f"a sweep to dimension {max_dim} is over the limit of {MAX_SWEEP_DIM}"
         )
     return canonical_simple_types(rank)
 
@@ -698,10 +755,14 @@ def fs_type(rs: RootSystem, lam) -> str:
     (Steinberg; Bourbaki, Lie VIII, 7.5).  The trivial
     representation is orthogonal.
     """
-    lam = rs._check_dominant(lam)
+    return _fs_type(rs, rs._check_dominant(lam))
+
+
+def _fs_type(rs: RootSystem, lam) -> str:
+    """fs_type for a dominant tuple lam, unchecked."""
     if rs.negate_dominant(lam) != lam:
         return "none"
-    odd = sum(x * c for x, c in zip(lam, rs._two_rho_vee)) % 2
+    odd = sum(map(mul, lam, rs._two_rho_vee)) % 2
     return "symplectic" if odd else "orthogonal"
 
 
@@ -741,17 +802,26 @@ def is_wmf(rs: RootSystem, lam) -> bool:
 
 
 def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
-    """All nonzero dominant weights with Weyl dimension <= max_dim.
+    """All nonzero dominant weights with Weyl dimension <= max_dim, sorted."""
+    return sorted(lam for lam, _ in _walk_dominant_weights(rs, max_dim))
+
+
+def _walk_dominant_weights(rs: RootSystem, max_dim: int):
+    """(lam, dim V_lam) for every nonzero dominant lam with dim V_lam <=
+    max_dim, in walk order.
 
     A weight reached by raising coordinate j is raised further only at
     coordinates >= j, so each is reached once.  Raising lam_j adds r_j d_j to
     each numerator (lam + rho, alpha) of the Weyl product, so a branch ends at
-    the first weight over max_dim."""
+    the first weight over max_dim, and the product of a weight kept is its
+    dimension times the product of the (rho, alpha)."""
     roots = rs.positive_roots
     den = rs._weyl_dim_den
     bound = max_dim * den
-    columns = [tuple(r[j] * dj for _, r, _, _, _, _ in roots) for j, dj in enumerate(rs.d)]
-    out = []
+    # column j holds r_j d_j for every root r: the simple-root coordinates
+    # transposed, so no new per-root tuple is made
+    simple_coords = zip(*(r for _, r, _, _, _, _ in roots))
+    columns = [tuple(map(dj.__mul__, col)) for col, dj in zip(simple_coords, rs.d)]
     stack = [(rs.zero(), 0, tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots))]
     while stack:
         lam, start, nums = stack.pop()
@@ -760,11 +830,11 @@ def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
             num = prod(raised)
             if num > bound:
                 continue
-            assert num % den == 0
+            dim, rem = divmod(num, den)
+            assert rem == 0
             cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
-            out.append(cand)
+            yield cand, dim
             stack.append((cand, j, raised))
-    return sorted(out)
 
 
 def center_kernel_index(rs: RootSystem, lam) -> int:
@@ -883,32 +953,43 @@ def classify_wmf(max_rank: int, max_dim: int):
     """All weight multiplicity free irreducibles of the simple types with
     rank <= max_rank and dimension <= max_dim.
 
-    A weight is kept when the orbit sizes of its dominant weights add up to
-    its Weyl dimension (is_wmf); Frobenius-Schur types come from the
-    closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with
-    some lam - varpi_i not wmf is not wmf either, as multiplicities only grow
-    along dominant shifts, and is skipped untested: lam - varpi_i sorts
-    before lam and has a smaller dimension, so it is decided first.
+    Each weight's dimension comes from the walk and its dominant weights from
+    one closure, which answers all three questions: V_lam is wmf when their
+    orbit sizes add up to the dimension (is_wmf), minuscule when lam is the
+    only one and quasi-minuscule when lam and 0 are the only ones; rank 1
+    uses the closed forms, as sl2 weights k, k-2, ..., -k each occur once.
+    Frobenius-Schur types come from the closed-form sign
+    (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with some lam - varpi_i
+    not wmf is not wmf either, as multiplicities only grow along dominant
+    shifts, and is skipped untested: lam - varpi_i sorts before lam and has
+    a smaller dimension, so it is decided first.
     """
     rows = []
     for letter, n in _sweep_types(max_rank, max_dim):
         rs = root_system(letter, n)
+        zero = rs.zero()
         not_wmf = set()
-        for lam in enumerate_dominant_weights(rs, max_dim):
-            if any(
-                x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)
-            ) or not is_wmf(rs, lam):
+        for lam, dim in sorted(_walk_dominant_weights(rs, max_dim)):
+            if any(x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)):
                 not_wmf.add(lam)
                 continue
+            if n == 1:
+                minuscule, quasi_minuscule = lam[0] == 1, lam[0] <= 2
+            else:
+                doms = rs._dominant_below(lam)
+                if sum(map(rs._orbit_index, doms)) != dim:
+                    not_wmf.add(lam)
+                    continue
+                minuscule, quasi_minuscule = len(doms) == 1, set(doms) <= {lam, zero}
             rows.append(
                 WmfEntry(
                     letter=letter,
                     rank=n,
                     weight=lam,
-                    dim=rs.weyl_dim(lam),
-                    minuscule=is_minuscule(rs, lam),
-                    quasi_minuscule=is_quasi_minuscule(rs, lam),
-                    fs=fs_type(rs, lam),
+                    dim=dim,
+                    minuscule=minuscule,
+                    quasi_minuscule=quasi_minuscule,
+                    fs=_fs_type(rs, lam),
                     family=wmf_family(rs, lam),
                     group=image_group_label(rs, lam),
                 )
@@ -923,8 +1004,13 @@ def quasi_minuscule_dim_search(dim: int, max_rank: int) -> list:
     matches = []
     for letter, n in _sweep_types(max_rank, dim):
         rs = root_system(letter, n)
-        for lam in enumerate_dominant_weights(rs, dim):
-            if rs.weyl_dim(lam) == dim and is_quasi_minuscule(rs, lam):
+        zero = rs.zero()
+        for lam in sorted(lam for lam, d in _walk_dominant_weights(rs, dim) if d == dim):
+            if n == 1:
+                quasi_minuscule = lam[0] <= 2
+            else:
+                quasi_minuscule = set(rs._dominant_below(lam)) <= {lam, zero}
+            if quasi_minuscule:
                 matches.append((f"{letter}{n}", lam))
     return matches
 

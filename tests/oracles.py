@@ -318,6 +318,26 @@ def saturation_weights(rs, lam):
     return seen
 
 
+def dominant_weights_below_unfiltered(rs, lam):
+    """The dominant weights of V_lam, highest first (by height, ties by
+    weight): the closure of lam under subtracting every positive root, each
+    difference formed and kept if it is dominant, heights summed afresh."""
+    lam = tuple(lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a, _, _, _, _, _ in rs.positive_roots:
+                cand = tuple(map(operator.sub, mu, a))
+                if cand not in seen and min(cand) >= 0:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    height = [sum(row) for row in rs._inv_num]
+    return sorted(seen, key=lambda m: (sum(map(operator.mul, m, height)), m), reverse=True)
+
+
 def w0_permutation_by_dominantizing(rs):
     """p with w0(varpi_i) = -varpi_p(i): dominantize each -varpi_i."""
     n = rs.rank

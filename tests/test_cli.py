@@ -493,6 +493,21 @@ class TestCliContract:
         assert json.loads(capsys.readouterr().out)["max_rank"] == 1000000000
         assert max(built) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["rep-classify", "--max-rank", "40", "--max-dim", "1000000000000"],
+        ["qm-search", "--dim", "1000000000000", "--max-rank", "1"],
+        ["wmf-tables", "--max-rank", "1", "--max-dim", "1000000000000"],
+    ], ids=["rep-classify", "qm-search", "wmf-tables"])
+    def test_sweep_dim_guard(self, argv, capsys, monkeypatch):
+        # A1 alone has max_dim - 1 weights, so without the guard these walk
+        # for ever; no root system may be built
+        monkeypatch.setattr(lierep, "root_system", None)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: a sweep to dimension 1000000000000 is over the limit of 100000")
+
     @pytest.mark.parametrize("g", ["8", "9", "100"])
     def test_oversized_cc_odp_refused(self, g):
         # under a 1 GiB address-space limit, so that a missing guard fails

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +8,8 @@ from thetacycles.lambdaring import FgAbelianGroup
 from thetacycles.lierep import (
     Character,
     NotACharacterError,
+    RootSystem,
+    _walk_dominant_weights,
     canonical_simple_types,
     center_kernel_index,
     char_adams,
@@ -30,8 +34,10 @@ from thetacycles.lierep import (
 )
 
 from oracles import (
+    _reflect,
     center_kernel_index_echelon,
     decompose_full_orbit,
+    dominant_weights_below_unfiltered,
     dominant_weights_by_bfs,
     is_wmf_by_orbit_sizes,
     negate_dominant_by_dominantizing,
@@ -433,6 +439,24 @@ class TestClassifiers:
         with pytest.raises(ValueError, match="over the limit of 40"):
             sweep(lierep.MAX_SWEEP_RANK + 1)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda: classify_wmf(40, 10 ** 12), lambda: quasi_minuscule_dim_search(10 ** 12, 1),
+    ], ids=["classify_wmf", "quasi_minuscule_dim_search"])
+    def test_sweep_dim_over_the_limit_refused(self, sweep, monkeypatch):
+        # A1 alone has max_dim - 1 weights to walk
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "root_system", None)  # any build fails the test
+        with pytest.raises(ValueError, match="dimension 1000000000000 is over the limit of 100000"):
+            sweep()
+
+    def test_sweep_dim_limit_is_inclusive(self):
+        import thetacycles.lierep as lierep
+
+        assert lierep._sweep_types(1, lierep.MAX_SWEEP_DIM) == [("A", 1)]
+        with pytest.raises(ValueError, match="over the limit"):
+            lierep._sweep_types(1, lierep.MAX_SWEEP_DIM + 1)
+
     def test_sweep_rank_clamped_by_dimension(self, monkeypatch):
         # rank n has no nontrivial irreducible of dimension <= n
         import thetacycles.lierep as lierep
@@ -548,6 +572,71 @@ class TestClosedFormsAgainstOracles:
                     count += len(below)
         assert count == 31159
 
+    def test_dominant_closure_against_unfiltered(self):
+        count = 0
+        for letter, n in canonical_simple_types(20):
+            rs = RootSystem(letter, n)  # empty memo tables
+            for lam in enumerate_dominant_weights(rs, 700):
+                assert rs._dominant_below(lam) == dominant_weights_below_unfiltered(rs, lam), (
+                    rs.name, lam)
+                count += 1
+        assert count == 1791
+
+    def test_walk_dimensions_are_weyl_dimensions(self):
+        cases = [(t, 700) for t in self.TYPES_20] + [(t, 3000) for t in canonical_simple_types(10)]
+        count = 0
+        for (letter, n), max_dim in cases:
+            rs = root_system(letter, n)
+            walked = list(_walk_dominant_weights(rs, max_dim))
+            assert sorted(lam for lam, _ in walked) == enumerate_dominant_weights(rs, max_dim)
+            for lam, dim in walked:
+                assert dim == rs.weyl_dim(lam), (rs.name, lam)
+            count += len(walked)
+        assert count == 7143
+
+    def test_sparse_reflection_against_dense(self):
+        rng = random.Random(17)
+        for letter, n in self.TYPES_20:
+            rs = root_system(letter, n)
+            for _ in range(10):
+                w = [rng.randint(-6, 6) for _ in range(n)]
+                w[rng.randrange(n)] = -rng.randint(1, 6)
+                for i in range(n):
+                    expected = _reflect(rs.cartan, i, w)
+                    assert rs.reflect(i, w) == rs.reflect(i, tuple(w)) == expected, (
+                        rs.name, w, i)
+
+    def test_classify_flags_against_public_predicates(self):
+        rows = classify_wmf(10, 3000) + classify_wmf(20, 118)
+        for r in rows:
+            rs = root_system(r.letter, r.rank)
+            assert (r.dim, r.minuscule, r.quasi_minuscule, r.fs) == (
+                rs.weyl_dim(r.weight), is_minuscule(rs, r.weight),
+                is_quasi_minuscule(rs, r.weight), fs_type(rs, r.weight)), (rs.name, r.weight)
+        assert len(rows) == 3383 + 320
+
+    def test_rank_one_sweeps_build_no_closure(self, monkeypatch):
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        rows = classify_wmf(1, 3000)
+        assert [r.weight for r in rows] == [(k,) for k in range(1, 3000)]
+        assert [(r.minuscule, r.quasi_minuscule) for r in rows[:3]] == [
+            (True, True), (False, True), (False, False)]
+        assert quasi_minuscule_dim_search(3, 1) == [("A1", (2,))]
+        assert root_system("A1")._dominant_below_cache == {}
+
+    @pytest.mark.parametrize("dim", [3, 7, 8, 26, 27, 56, 78, 118, 248])
+    def test_qm_search_against_public_predicates(self, dim):
+        expected = [
+            (f"{letter}{n}", lam)
+            for letter, n in canonical_simple_types(min(8, dim - 1))
+            for lam in enumerate_dominant_weights(root_system(letter, n), dim)
+            if root_system(letter, n).weyl_dim(lam) == dim
+            and is_quasi_minuscule(root_system(letter, n), lam)
+        ]
+        assert quasi_minuscule_dim_search(dim, 8) == expected
+
     def test_center_index_on_arbitrary_weights(self):
         rng = random.Random(13)
         for letter, n in canonical_simple_types(10):
@@ -612,3 +701,26 @@ class TestTables:
         assert sum(1 for l in lines if l.startswith("minuscule,")) == 7
         assert sum(1 for l in lines if l.startswith("wmf,")) == 4
         assert any(l.startswith("instance,") for l in lines)
+
+
+class TestSweepMemory:
+    def test_qm_search_peak_memory(self, monkeypatch):
+        """qm-search --dim 118 --max-rank 20 builds all 79 root systems of
+        rank <= 20 and walks each.  A table per positive root built with
+        every root system (10,175 roots here) would add 0.6 MB or more.  The
+        bound is the peak of the sweep before the walk yielded dimensions,
+        5.28 MB, with 0.12 MB of room; the sparse Cartan rows take 0.06 MB
+        of it (Python 3.11).  A full collection first empties the free lists
+        of earlier tests, whose reused objects tracemalloc would not see."""
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert quasi_minuscule_dim_search(118, 20) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lierep._ROOT_SYSTEM_CACHE) == 79
+        assert peak < 5_400_000
