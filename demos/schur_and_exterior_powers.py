@@ -13,8 +13,8 @@ from thetacycles.lambdaring import FgAbelianGroup, gr_element, lambda_op, gr_ada
 for k in (2, 3, 4):
     print(f"lambda^{k} expansion:", schur_to_powersum(Partition((1,) * k)))
 
-# the generating-series route gives the same answer
-print("e_4 via the exponential series:", elementary_to_powersum(4))
+# the sign character gives the same answer
+print("e_4 from the sign character:", elementary_to_powersum(4))
 
 # a rank-one fiber: four points +/-1, +/-2 on a one-parameter group
 Z = FgAbelianGroup(1)

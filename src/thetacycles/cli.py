@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -590,7 +591,17 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    """run() as a process: an output that cannot be written (a closed pipe,
+    a full disk) ends with one line on stderr and exit 2, not a traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = USAGE_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

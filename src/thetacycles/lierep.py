@@ -595,7 +595,12 @@ def _sweep_types(max_rank: int, max_dim: int):
     """canonical_simple_types for a sweep to dimension max_dim: ranks above
     max_dim - 1 have no nontrivial irreducible that small.  A sweep still
     above MAX_SWEEP_RANK, or to a dimension above MAX_SWEEP_DIM, is refused
-    before any root system is built."""
+    before any root system is built, as is a rank or dimension below 1."""
+    if max_rank < 1 or max_dim < 1:
+        raise ValueError(
+            f"a sweep needs a rank and a dimension of at least 1, got rank "
+            f"{max_rank} and dimension {max_dim}"
+        )
     rank = min(max_rank, max_dim - 1)
     if rank > MAX_SWEEP_RANK:
         raise ValueError(

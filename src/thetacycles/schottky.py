@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd
 
 from .chow import ChowVector, pushforward_n, theta_power
@@ -67,21 +66,31 @@ class PpavInput:
             raise ValueError("g must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
+        # g! > 2k, with the factorial built only until it passes 2k
+        order, i = 1, 1
+        while order <= 2 * self.k and i < self.g:
+            i += 1
+            order *= i
+        if order <= 2 * self.k:
+            raise ValueError(f"g! - 2k must be positive, got g = {self.g}, k = {self.k}")
 
 
-_FAMILIES = ("Sp", "SO", "O", "SL_mod_mu", "E6", "E7", "G2", "undetermined")
+_FAMILIES = ("Sp", "SO", "O", "undetermined")
 
 # Largest dense cc_odp fiber, in key coordinates: at most g! keys of rank at
 # most g!/2.  Genus 7 needs 12,700,800; genus 8 would need 812,851,200
 # (about 6.5 GB of tuple slots).
 MAX_FIBER_COORDS = 20_000_000
 
+# Largest genus theta_group decides: the exceptional sets reach g!, and their
+# binomials grow with it (4 ms at g = 100, 8.8 s at g = 1000; Python 3.11, 2 vCPU).
+MAX_THETA_GENUS = 100
+
 
 @dataclass(frozen=True)
 class GroupDescriptor:
     family: str
     size: int | None = None
-    mu: int | None = None  # for SL_mod_mu: quotient by mu_k
     note: str = ""
 
     def __post_init__(self):
@@ -92,24 +101,18 @@ class GroupDescriptor:
                 raise ValueError(f"{self.family} needs a positive size")
             if self.family == "Sp" and self.size % 2:
                 raise ValueError("Sp size must be even")
-        if self.family == "SL_mod_mu" and (self.size is None or self.size < 2):
-            raise ValueError("SL_mod_mu needs size >= 2")
 
     @property
     def label(self) -> str:
-        if self.family in ("Sp", "SO", "O"):
-            return f"{self.family}{self.size}"
-        if self.family == "SL_mod_mu":
-            return f"Sl{self.size}" + (f"/mu{self.mu}" if self.mu and self.mu > 1 else "")
         if self.family == "undetermined":
             return f"undetermined: {self.note}"
-        return self.family
+        return f"{self.family}{self.size}"
 
     def to_json(self) -> dict:
         return {
             "family": self.family,
             "size": self.size,
-            "mu": self.mu,
+            "mu": None,  # kept by the v1 schema
             "note": self.note,
             "label": self.label,
         }
@@ -240,8 +243,6 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
                 f"g!/2, over the limit of {MAX_FIBER_COORDS} coordinates"
             )
     n = order - 2 * k
-    if n <= 0:
-        raise ValueError(f"g! - 2k = {n} must be positive")
     points_count = k if g % 2 == 1 else 0
     m = n // 2  # Gauss fiber of a symmetric divisor comes in +/- pairs
 
@@ -285,34 +286,34 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
     )
 
 
-@lru_cache(maxsize=None)
-def _no_quasi_minuscule_of_dim(dim: int, max_rank: int) -> bool:
-    return not quasi_minuscule_dim_search(dim, max_rank)
-
-
 def theta_group(p: PpavInput) -> GroupDescriptor:
     """Tannaka group of the theta divisor under the ODP hypotheses.
 
-    Even g: Sp_(g!-2k) unless that dimension is in S-.  Odd g with pairwise
-    torsion-independent double points: SO/O_(g!-k) by the sum of the points,
-    unless the dimension is in S+.  The torsion-dependent genus-5, k=2 case
-    is settled by the emptiness of the quasi-minuscule dimension search.
+    Even g: Sp_(g!-2k) unless that dimension is in S-, where Sp4 is still
+    Sp4 (the spin representation of Spin5 = Sp4 is the standard pair) and a
+    finite Gauss map makes dimension 20 in genus 4 Sp20 (it excludes the
+    nonhyperelliptic Jacobian pair).  Odd g with pairwise torsion-independent
+    double points: SO/O_(g!-k) by the sum of the points, unless the
+    dimension is in S+.  The torsion-dependent genus-5, k=2 case is settled
+    by the emptiness of the quasi-minuscule dimension search.
     """
     g, k = p.g, p.k
     if not p.symmetric:
         return GroupDescriptor(
             "undetermined", note="requires a symmetric theta divisor"
         )
-    if factorial(g) - 2 * k <= 0:
-        raise ValueError("g! - 2k must be positive")
+    if g > MAX_THETA_GENUS:
+        raise ValueError(
+            f"theta_group at g = {g} is over the limit of g <= {MAX_THETA_GENUS}"
+        )
     if g % 2 == 0:
         n = factorial(g) - 2 * k
-        s_minus, _ = s_sets(n)
-        if n in s_minus:
-            return GroupDescriptor(
-                "undetermined",
-                note=f"exceptional dimension {n} in S-",
-            )
+        if n == 4:
+            return GroupDescriptor("Sp", size=4, note="dimension-4 alternative is Sp4 itself")
+        if (g, n) == (4, 20) and p.gauss_finite:
+            return GroupDescriptor("Sp", size=20, note="assuming the Gauss map is finite")
+        if n in s_sets(n)[0]:
+            return GroupDescriptor("undetermined", note=f"exceptional dimension {n} in S-")
         return GroupDescriptor("Sp", size=n)
     n = factorial(g) - k
     if k > 0 and not p.pairwise_torsion_independent:
@@ -320,7 +321,7 @@ def theta_group(p: PpavInput) -> GroupDescriptor:
             # the double points differ by torsion; the weights still form a
             # single orbit plus zeros because no quasi-minuscule module has
             # dimension 118
-            if not _no_quasi_minuscule_of_dim(118, 20):
+            if quasi_minuscule_dim_search(118, 20):
                 return GroupDescriptor(
                     "undetermined", note="quasi-minuscule search not empty"
                 )
@@ -331,11 +332,8 @@ def theta_group(p: PpavInput) -> GroupDescriptor:
             note="double points differing by torsion are not covered for "
             f"(g, k) = ({g}, {k})",
         )
-    _, s_plus = s_sets(n)
-    if n in s_plus:
-        return GroupDescriptor(
-            "undetermined", note=f"exceptional dimension {n} in S+"
-        )
+    if n in s_sets(n)[1]:
+        return GroupDescriptor("undetermined", note=f"exceptional dimension {n} in S+")
     if k == 0 or p.double_points_sum_zero:
         return GroupDescriptor("SO", size=n)
     return GroupDescriptor("O", size=n)
@@ -496,6 +494,8 @@ def summand_bound(ad_support_dims: list[int], d_z: int) -> dict:
     """Bound min(dim X, dim Y) >= delta = half the minimal positive support
     dimension inside the adjoint module; no decomposition if
     delta > floor(d_z / 2)."""
+    if d_z < 0 or any(d < 0 for d in ad_support_dims):
+        raise ValueError("dimensions must be nonnegative")
     positive = [d for d in ad_support_dims if d > 0]
     if not positive:
         return {
@@ -526,6 +526,8 @@ def simplicity_criteria(
     the caller's responsibility.  Criterion 3 quantifies over all m, so it is
     only *verified up to the bound*, never proved here.
     """
+    if m_bound < 1:
+        raise ValueError(f"m_bound must be >= 1, got {m_bound}")
     div = c.component(divisor_label)
     if div.dim != c.g - 1:
         raise ValueError(f"component {divisor_label!r} is not a divisor")
@@ -632,21 +634,6 @@ def fourfold_table() -> dict:
         cck = cc_odp(pk)
         grp_k = theta_group(pk)
         n = factorial(g) - 2 * k
-        if grp_k.family == "undetermined":
-            if k == 2:
-                # dimension 20 lies in S-; with a finite Gauss map the
-                # alternative (the nonhyperelliptic Jacobian pair) is
-                # excluded on this non-Jacobian stratum
-                if pk.gauss_finite:
-                    grp_k = GroupDescriptor(
-                        "Sp", size=n, note="assuming the Gauss map is finite"
-                    )
-            elif k == 10:
-                # dimension 4 lies in S- only through the spin rep of
-                # Spin_5 = Sp_4, which is the standard pair itself
-                grp_k = GroupDescriptor(
-                    "Sp", size=n, note="dimension-4 alternative is Sp4 itself"
-                )
         assert grp_k.family == "Sp" and grp_k.size == n, (k, grp_k)
         assert degree(cck) == n
         instances.append(

@@ -479,3 +479,44 @@ def degree_equation_scan(g, hyperelliptic, max_degree):
         if t in out and c0 < t + 2 * g + 3:
             out[t].append(c0)
     return out
+
+
+# -- elementary symmetric functions and exterior-power coefficients ---------------
+
+
+def _series_exp(coeffs, n):
+    """exp of a power series truncated at X^n, by E' = A' E.
+
+    ``coeffs[k]`` maps partition tuples to the Fraction coefficients of the
+    power-sum terms of X^k, with coeffs[0] = {} (no constant term)."""
+    exp = [dict() for _ in range(n + 1)]
+    exp[0] = {(): Fraction(1)}
+    for m in range(1, n + 1):
+        acc = {}
+        for k in range(1, m + 1):
+            a_k = coeffs[k] if k < len(coeffs) else {}
+            for p1, c1 in a_k.items():
+                for p2, c2 in exp[m - k].items():
+                    merged = tuple(sorted(p1 + p2, reverse=True))
+                    acc[merged] = acc.get(merged, Fraction(0)) + Fraction(k, m) * c1 * c2
+        exp[m] = {p: c for p, c in acc.items() if c != 0}
+    return exp
+
+
+def elementary_by_exponential_series(n):
+    """e_n in power sums, {partition tuple: Fraction}, from the generating
+    series sum_n e_n X^n = exp( sum_nu (-1)^(nu+1)/nu * p_nu X^nu )."""
+    log_coeffs = [dict()] + [
+        {(nu,): Fraction((-1) ** (nu + 1), nu)} for nu in range(1, n + 1)
+    ]
+    return _series_exp(log_coeffs, n)[n]
+
+
+def generalized_binomial(x, m):
+    """C(x, m) = x (x-1) ... (x-m+1) / m! for any integer x; 0 for m < 0."""
+    if m < 0:
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(m):
+        out = out * (x - i) / (i + 1)
+    return out

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import thetacycles.cli as cli
 import thetacycles.lierep as lierep
+import thetacycles.schottky as schottky
 from thetacycles.cli import _dumps, run
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp
@@ -28,6 +30,9 @@ CYCLE = {"g": 3, "components": [POINT]}
 # sha256 of the cycle-schur output in TestCycleFiles.test_cycle_schur, 5863401
 # bytes, as written by json.dumps(payload, sort_keys=True, indent=2) + "\n"
 CYCLE_SCHUR_SHA256 = "368084e9fa75482fd6c0093028f2d34853e7d6f2075c56fa44e479e224cd3202"
+# sha256 of the fourfold-table JSON (2400 bytes) and CSV (173 bytes) outputs
+FOURFOLD_JSON_SHA256 = "12d88b34e3b31b2401e58bd94e3166bef8cf9a3b4f0326d2b32692d1e4e98f7d"
+FOURFOLD_CSV_SHA256 = "1dec96b0820ec0884ec3b443b5e456898d3262f1a845f6dab371f50b4b7859b1"
 
 
 def load_schema(name):
@@ -129,6 +134,28 @@ class TestThetaCommands:
         code, out = invoke(capsys, "--format", "csv", "fourfold-table")
         assert code == 0
         assert len(out.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["fourfold-table"], FOURFOLD_JSON_SHA256),
+        (["--format", "csv", "fourfold-table"], FOURFOLD_CSV_SHA256),
+    ], ids=["json", "csv"])
+    def test_fourfold_table_bytes(self, capsys, argv, digest):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_gauss_finite_flag(self, capsys):
+        def both(*argv):
+            return [invoke(capsys, "theta-group", *argv, *flag) for flag in ([], ["--gauss-finite"])]
+
+        plain, finite = both("--g", "4", "--k", "2")
+        assert plain != finite
+        assert json.loads(plain[1])["label"] == "undetermined: exceptional dimension 20 in S-"
+        assert json.loads(finite[1])["label"] == "Sp20"
+        plain, finite = both("--g", "4", "--k", "1")
+        assert plain == finite
+        assert invoke(capsys, "theta-group", "--g", "4", "--k", "2", "--gauss-finite",
+                      "--format", "text") == (0, "Sp20\n")
 
     def test_s_sets(self, capsys):
         code, payload = invoke_json(capsys, "s_sets", "s-sets", "--bound", "100")
@@ -523,6 +550,68 @@ class TestCliContract:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: cc_odp at g = {g} ")
         assert "over the limit of" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["simplicity", "--input", "cycle.json", "--m-bound", "-1"],
+        ["simplicity", "--input", "cycle.json", "--m-bound", "0"],
+        ["summand-bound", "--dims", "3", "--dz", "-1"],
+        ["summand-bound", "--dims", "3,-1", "--dz", "3"],
+        ["qm-search", "--dim", "-1"],
+        ["rep-classify", "--max-rank", "-1", "--max-dim", "-1"],
+        ["rep-classify", "--max-rank", "0"],
+        ["wmf-tables", "--max-dim", "0"],
+        ["theta-group", "--g", "1000000000"],
+        ["theta-group", "--g", "1000000000", "--k", str(10**30)],
+        ["genus5", "--k", "60"],
+        ["cc-odp", "--g", "5", "--k", "60"],
+    ], ids=["m-bound-negative", "m-bound-zero", "dz-negative", "dims-negative",
+            "qm-dim-negative", "classify-negative", "classify-rank-zero",
+            "tables-dim-zero", "theta-genus", "theta-genus-and-k", "genus5-k",
+            "cc-odp-k"])
+    def test_impossible_numbers_refused(self, argv, capsys, monkeypatch, tmp_path):
+        (tmp_path / "cycle.json").write_text(
+            _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()))
+        monkeypatch.chdir(tmp_path)
+        # every refusal comes before a factorial: a missing guard fails at
+        # once instead of forming the factorial of a billion
+        monkeypatch.setattr(schottky, "factorial", None)
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert elapsed < 1
+
+    def test_double_point_count_has_one_message(self, capsys):
+        errs = []
+        for argv in (["theta-group", "--g", "5", "--k", "60"],
+                     ["cc-odp", "--g", "5", "--k", "60"], ["genus5", "--k", "60"]):
+            assert run(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error: g! - 2k must be positive, got g = 5, k = 60\n"] * 3
+
+    def test_unwritable_output(self, tmp_path):
+        # a closed pipe and a full device both end in one line and exit 2,
+        # with no traceback and no "Exception ignored" from the flush at exit
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        argv = [sys.executable, "-m", "thetacycles.cli", "fourfold-table"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, timeout=120, env=env)
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                "error: cannot write output: [Errno 28] No space left on device\n")
 
     def test_wmf_tables_json_schema(self, capsys):
         code, payload = invoke_json(

@@ -18,9 +18,11 @@ from thetacycles.lambdaring import (
     gr_multiply,
     lambda_op,
 )
+import thetacycles.schottky as schottky
 from thetacycles.lierep import char_tensor, freudenthal_character, root_system
 from thetacycles.schottky import (
     MAX_FIBER_COORDS,
+    MAX_THETA_GENUS,
     GroupDescriptor,
     PpavInput,
     alt_cm1_coefficient,
@@ -39,7 +41,7 @@ from thetacycles.schottky import (
     verify_inverse_galois,
 )
 
-from oracles import degree_equation_scan
+from oracles import degree_equation_scan, generalized_binomial
 
 
 class TestSSets:
@@ -61,6 +63,25 @@ class TestSSets:
     def test_matches_classification_extraction_small(self):
         # the full bound-10000 comparison runs in the acceptance suite
         assert s_sets(300) == s_sets_from_classification(300, 9)
+
+
+class TestPpavInput:
+    def test_gauss_degree_must_be_positive(self):
+        PpavInput(g=4, k=11)  # 24 - 22 = 2
+        PpavInput(g=1, k=0)
+        for g, k in [(4, 12), (2, 1), (1, 1), (5, 60)]:
+            with pytest.raises(ValueError, match=f"g! - 2k must be positive, got g = {g}, k = {k}"):
+                PpavInput(g=g, k=k)
+
+    def test_huge_genus_checked_at_once(self, monkeypatch):
+        # the factorial is built only until it passes 2k (29 factors for
+        # k = 10**30), never as g!
+        monkeypatch.setattr(schottky, "factorial", None)
+        start = time.perf_counter()
+        PpavInput(g=10**9, k=10**30)
+        with pytest.raises(ValueError, match="^g! - 2k must be positive, got g = 28, k = 10{30}$"):
+            PpavInput(g=28, k=10**30)
+        assert time.perf_counter() - start < 1
 
 
 class TestCcOdp:
@@ -170,14 +191,56 @@ class TestThetaGroup:
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
             GroupDescriptor("Sp", size=7)
-        with pytest.raises(ValueError):
-            GroupDescriptor("Banana", size=2)
+        for family in ("Banana", "SL_mod_mu", "E6", "E7", "G2"):
+            with pytest.raises(ValueError, match="unknown family"):
+                GroupDescriptor(family, size=4)
+
+    def test_descriptor_json_keeps_mu(self):
+        assert GroupDescriptor("Sp", size=20, note="n").to_json() == {
+            "family": "Sp", "size": 20, "mu": None, "note": "n", "label": "Sp20"}
+
+    def test_gauss_finite_decides_dimension_20(self):
+        finite = theta_group(PpavInput(g=4, k=2, gauss_finite=True))
+        assert (finite.label, finite.note) == ("Sp20", "assuming the Gauss map is finite")
+        assert theta_group(PpavInput(g=4, k=2)).family == "undetermined"
+        # away from dimension 20 the flag changes nothing
+        for k in (0, 1, 3, 10):
+            assert theta_group(PpavInput(g=4, k=k)) == theta_group(
+                PpavInput(g=4, k=k, gauss_finite=True))
+
+    def test_dimension_4_is_sp4(self):
+        for g, k in [(4, 10), (6, 358)]:
+            out = theta_group(PpavInput(g=g, k=k))
+            assert (out.label, out.note) == ("Sp4", "dimension-4 alternative is Sp4 itself")
+        # neither rule is widened: 2, 20 and 32 stay exceptional in genus 6
+        for k in (359, 350, 344):
+            p = PpavInput(g=6, k=k, gauss_finite=True)
+            assert theta_group(p).family == "undetermined"
+
+    def test_genus_over_the_limit_refused(self, monkeypatch):
+        # refused before g! or the exceptional sets are formed
+        monkeypatch.setattr(schottky, "factorial", None)
+        monkeypatch.setattr(schottky, "s_sets", None)
+        for g in (MAX_THETA_GENUS + 1, 10**9):
+            with pytest.raises(ValueError, match=f"at g = {g} is over the limit of g <= 100"):
+                theta_group(PpavInput(g=g))
+
+    def test_genus_limit_is_inclusive(self):
+        out = theta_group(PpavInput(g=MAX_THETA_GENUS, k=1))
+        assert out.label == f"Sp{factorial(MAX_THETA_GENUS) - 2}"
 
     def test_too_many_double_points_rejected(self):
         with pytest.raises(ValueError):
             theta_group(PpavInput(g=3, k=3))
         with pytest.raises(ValueError):
             theta_group(PpavInput(g=2, k=1))
+
+    def test_fourfold_rows_read_theta_group(self):
+        tn = {r["stratum"]: r for r in fourfold_table()["rows"]}["Theta_null^k"]
+        assert [i["k"] for i in tn["instances"]] == list(range(1, 11))
+        for row in tn["instances"]:
+            grp = theta_group(PpavInput(4, row["k"], gauss_finite=True))
+            assert (row["group"], row["note"]) == (grp.label, grp.note)
 
 
 class TestGenus5:
@@ -197,6 +260,15 @@ class TestGenus5:
         assert rec["c1_coefficient"] == "96/5"
         assert rec["integral"] is False
         assert "excluded" in rec["verdict"]
+
+    def test_alt_coefficient_is_a_binomial(self):
+        # oracle: the exterior j-th power of a cycle with cm = (c0, c1, ...)
+        # has degree-1 coefficient C(c0 - 2, j - 1) c1, as a generalized
+        # binomial for c0 < 2
+        for j in range(1, 9):
+            for c0 in range(20):
+                assert alt_cm1_coefficient(j, c0) == generalized_binomial(c0 - 2, j - 1), (j, c0)
+        assert alt_cm1_coefficient(4, 8) == comb(6, 3) == 20
 
     def test_alt4_combination(self):
         # (1/24)(2048 - 6*384 + 3*64 + 8*80 - 6*16) = 20
@@ -301,8 +373,19 @@ class TestSummandBound:
         assert rec["vacuous"] is True
         assert rec["no_decomposition"] is False
 
+    @pytest.mark.parametrize("dims,d_z", [([3], -1), ([-1, 2], 3), ([], -2)])
+    def test_negative_dimension_refused(self, dims, d_z):
+        with pytest.raises(ValueError, match="dimensions must be nonnegative"):
+            summand_bound(dims, d_z=d_z)
+
 
 class TestSimplicity:
+    @pytest.mark.parametrize("m_bound", [0, -1])
+    def test_m_bound_below_one_refused(self, m_bound):
+        c = cc_odp(PpavInput(g=4, k=0, gauss_finite=True))
+        with pytest.raises(ValueError, match=f"m_bound must be >= 1, got {m_bound}"):
+            simplicity_criteria(c, "theta", m_bound=m_bound)
+
     def test_genus5_odp_cycle(self):
         c = cc_odp(PpavInput(g=5, k=2, double_points_sum_zero=True, gauss_finite=True))
         rec = simplicity_criteria(c, "theta")

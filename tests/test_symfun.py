@@ -14,6 +14,7 @@ from thetacycles.symfun import (
 
 from oracles import (
     brute_partitions,
+    elementary_by_exponential_series,
     expand_powersum_expr,
     frobenius_character,
     ssyt_monomials,
@@ -154,6 +155,11 @@ class TestElementary:
     def test_agrees_with_schur_column(self):
         for n in range(1, 9):
             assert elementary_to_powersum(n) == schur_to_powersum(P(*([1] * n)))
+
+    def test_agrees_with_exponential_series(self):
+        for n in range(1, 13):
+            terms = {p.parts: c for p, c in elementary_to_powersum(n).terms.items()}
+            assert terms == elementary_by_exponential_series(n), n
 
 
 class TestZee:
