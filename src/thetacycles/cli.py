@@ -592,13 +592,17 @@ def run(argv=None) -> int:
 
 def main():
     """run() as a process: an output that cannot be written (a closed pipe,
-    a full disk) ends with one line on stderr and exit 2, not a traceback."""
+    a full disk, a standard output closed at start-up) ends with one line on
+    stderr and exit 2, not a traceback."""
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("standard output is closed")
         code = run()
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit; let that go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            # the interpreter flushes stdout again at exit; let that go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         code = USAGE_ERROR
     sys.exit(code)

@@ -333,13 +333,17 @@ def essentially_multiplicity_free(c: CleanCycleModel, n_max: int | None = None) 
     there.  When ``n_max`` is omitted it defaults to the torsion exponent of
     the fiber group, which covers every possible collision: two support
     elements can collide under [n] only if they share their free part and
-    their (torsion) difference has order dividing n.
+    their (torsion) difference has order dividing n.  Psi^1 is the identity,
+    so n = 1 reads the fiber's own reducedness and only n >= 2 is pushed; a
+    torsion-free fiber with the default n_max is never pushed at all.
     """
     if c.fiber is None:
         raise ValueError("essentially_multiplicity_free requires a fiber model")
     if n_max is None:
         n_max = c.fiber.group.torsion_exponent()
-    for n in range(1, n_max + 1):
+    if n_max >= 1 and not c.fiber.is_reduced:
+        return False
+    for n in range(2, n_max + 1):
         if not gr_adams(n, c.fiber).is_reduced:
             return False
     return True

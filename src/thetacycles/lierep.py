@@ -94,6 +94,10 @@ MAX_SWEEP_RANK = 40
 # classify_wmf(40, MAX_SWEEP_DIM) takes 30 s and 0.5 GB (Python 3.11, 2 vCPU)
 MAX_SWEEP_DIM = 100_000
 
+# the largest rank a root system is built for: a classical type of rank 100
+# takes 0.7 s to build, rank 150 about 2 s (Python 3.11, 2 vCPU)
+MAX_ROOT_SYSTEM_RANK = 100
+
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
     "B": lambda n: n * n,
@@ -215,6 +219,10 @@ class RootSystem:
     """Immutable simple root system data."""
 
     def __init__(self, letter: str, rank: int):
+        if rank > MAX_ROOT_SYSTEM_RANK:
+            raise ValueError(
+                f"a root system of rank {rank} is over the limit of {MAX_ROOT_SYSTEM_RANK}"
+            )
         self.letter = letter
         self.rank = rank
         self.cartan, self.d = _cartan_and_lengths(letter, rank)

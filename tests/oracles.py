@@ -228,6 +228,47 @@ def gr_adams_oracle(group, n, x):
     return _gr_clean(acc)
 
 
+def multiplicity_free_by_push(group, x, n_max):
+    """Whether Psi^n x is reduced (every coefficient 1) for each n = 1..n_max,
+    pushing the element once per n, Psi^1 included."""
+    return all(
+        all(c == 1 for c in gr_adams_oracle(group, n, x).values())
+        for n in range(1, n_max + 1)
+    )
+
+
+def _pontryagin_square(cm, g):
+    """The Pontryagin square of a Chern-Mather vector, truncated at g - 1:
+    (x*x)_c = sum_{a+b=c} C(c, a) x_a x_b."""
+    return [
+        sum(comb(c, a) * cm[a] * cm[c - a] for a in range(c + 1)) for c in range(g)
+    ]
+
+
+def criterion3_by_push(components, g, fiber, divisor, m_max):
+    """The self-convolution test of the simplicity criteria for m = 1..m_max,
+    pushing the whole cycle as a list: for each m, [2m]_* of every component
+    (CH_i scaled by (2m)^(2i)) and of the fiber, whose coefficient sum must
+    survive the push, then the multiplicity-weighted total against the
+    square of [m]_* of the divisor.  ``components`` are (mult, cm) pairs with
+    cm a list of Fractions, ``fiber`` a (group, {key: coeff}) pair or None,
+    ``divisor`` the divisor's (mult, cm)."""
+    out = []
+    for m in range(1, m_max + 1):
+        n = 2 * m
+        pushed = [(mult, [n ** (2 * i) * a for i, a in enumerate(cm)])
+                  for mult, cm in components]
+        if fiber is not None:
+            group, x = fiber
+            assert sum(gr_adams_oracle(group, n, x).values()) == sum(x.values())
+        lhs = [sum(mult * cm[i] for mult, cm in pushed) for i in range(g)]
+        mult, cm = divisor
+        rhs = _pontryagin_square(
+            [mult * m ** (2 * i) * a for i, a in enumerate(cm)], g)
+        out.append(lhs != rhs)
+    return out
+
+
 def _zee(beta):
     out = 1
     for part in set(beta):

@@ -33,6 +33,18 @@ CYCLE_SCHUR_SHA256 = "368084e9fa75482fd6c0093028f2d34853e7d6f2075c56fa44e479e224
 # sha256 of the fourfold-table JSON (2400 bytes) and CSV (173 bytes) outputs
 FOURFOLD_JSON_SHA256 = "12d88b34e3b31b2401e58bd94e3166bef8cf9a3b4f0326d2b32692d1e4e98f7d"
 FOURFOLD_CSV_SHA256 = "1dec96b0820ec0884ec3b443b5e456898d3262f1a845f6dab371f50b4b7859b1"
+# sha256 of `cc-odp --g 6` with --k 1 --gauss-finite and with --k 2 --sum-zero
+# (3.4 MB each), and of `simplicity` on them with --m-bound 2 and 4 (266 and
+# 277 bytes), as written when criterion 3 pushed the whole cycle and cc_odp
+# canonicalized its keys
+GENUS6_CYCLE_SHA256 = (
+    "93e2fd0d44325b502ddea65ad6278f93b6aac38b54505f48babe77643a6e633e",
+    "80b99d2aa7477ca22939a629b84201eeafae34db3dab8367f9318c9ed8765a1d",
+)
+GENUS6_SIMPLICITY_SHA256 = (
+    "cabac232eb63f92e89535697b17c360e2005fd64348ec2ae5cb970fc51ee55c2",
+    "258239a4a64cafcb0b066adfd9d41f79fff8b3480e279c7746f5cd40a48d21c1",
+)
 
 
 def load_schema(name):
@@ -189,6 +201,21 @@ class TestSummandAndSimplicity:
             capsys, "summand_bound", "summand-bound", "--dims", "5", "--dz", "5"
         )
         assert code == 1 and payload["no_decomposition"] is True
+
+    @pytest.mark.parametrize("flags,m_bound,cycle_digest,digest", [
+        (["--k", "1", "--gauss-finite"], "2", GENUS6_CYCLE_SHA256[0], GENUS6_SIMPLICITY_SHA256[0]),
+        (["--k", "2", "--sum-zero"], "4", GENUS6_CYCLE_SHA256[1], GENUS6_SIMPLICITY_SHA256[1]),
+    ], ids=["finite", "sum-zero"])
+    def test_genus6_bytes(self, capsys, tmp_path, flags, m_bound, cycle_digest, digest):
+        code, out = invoke(capsys, "cc-odp", "--g", "6", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == cycle_digest
+        cycle_path = tmp_path / "cycle.json"
+        cycle_path.write_text(out)
+        code, out = invoke(capsys, "simplicity", "--input", str(cycle_path),
+                           "--m-bound", m_bound)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_simplicity_roundtrip(self, capsys, tmp_path):
         code, out = invoke(capsys, "cc-odp", "--g", "5", "--k", "2", "--sum-zero",
@@ -564,10 +591,16 @@ class TestCliContract:
         ["theta-group", "--g", "1000000000", "--k", str(10**30)],
         ["genus5", "--k", "60"],
         ["cc-odp", "--g", "5", "--k", "60"],
+        ["simplicity", "--input", "cycle.json", "--m-bound", "100000000"],
+        ["symfun", "partitions", "1000000"],
+        ["symfun", "elementary", "200"],
+        ["symfun", "schur", "50"],
+        ["rep-dim", "A99999999", "1"],
     ], ids=["m-bound-negative", "m-bound-zero", "dz-negative", "dims-negative",
             "qm-dim-negative", "classify-negative", "classify-rank-zero",
             "tables-dim-zero", "theta-genus", "theta-genus-and-k", "genus5-k",
-            "cc-odp-k"])
+            "cc-odp-k", "m-bound-huge", "partitions-huge", "elementary-huge",
+            "schur-huge", "root-system-rank-huge"])
     def test_impossible_numbers_refused(self, argv, capsys, monkeypatch, tmp_path):
         (tmp_path / "cycle.json").write_text(
             _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()))
@@ -612,6 +645,15 @@ class TestCliContract:
             assert proc.returncode == 2
             assert proc.stderr == (
                 "error: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout(self):
+        # with fd 1 closed at start-up Python sets sys.stdout to None
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetacycles.cli", "rep-dim", "A5", "0,0,1,0,0"],
+            stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=lambda: os.close(1),
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: standard output is closed\n"
 
     def test_wmf_tables_json_schema(self, capsys):
         code, payload = invoke_json(

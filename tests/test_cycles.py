@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -20,10 +21,13 @@ from thetacycles.cycles import (
 )
 from thetacycles.lambdaring import (
     FgAbelianGroup,
+    GroupRingElement,
     NonIntegralResultError,
     gr_element,
     gr_one,
 )
+
+from oracles import multiplicity_free_by_push
 
 
 def theta_like(g, gauss_degree, mult=1, finite=False, label="theta"):
@@ -287,6 +291,30 @@ class TestPredicates:
         )
         c = CleanCycleModel(3, (comp,), fiber=fiber)
         assert essentially_multiplicity_free(c, n_max=6)
+
+    def test_emf_matches_pushing_oracle(self):
+        # random fibers, reduced or not, over groups with and without torsion
+        rng = random.Random(12)
+        groups = [FgAbelianGroup(0, (2,)), FgAbelianGroup(1, (2, 4)),
+                  FgAbelianGroup(0, (3, 6)), FgAbelianGroup(2), FgAbelianGroup(1, (5,))]
+        verdicts = set()
+        for group in groups:
+            for _ in range(40):
+                coeffs = {}
+                for _ in range(rng.randint(1, 6)):
+                    key = tuple(rng.randint(-3, 3) for _ in range(group.ncoords))
+                    coeffs[group.canonical(key)] = rng.choice((1, 1, 1, 2))
+                fiber = GroupRingElement(group, coeffs)
+                point = CycleComponent("p", dim=0, mult=fiber.coefficient_sum,
+                                       cm=ChowVector.point(3), gauss_finite=True)
+                c = CleanCycleModel(3, (point,), fiber=fiber)
+                for n_max in (None, 0, 1, 2, 6):
+                    n = group.torsion_exponent() if n_max is None else n_max
+                    expected = multiplicity_free_by_push(group, fiber.coeffs, n)
+                    assert essentially_multiplicity_free(c, n_max) == expected
+                    verdicts.add((fiber.is_reduced, expected))
+        # reduced fibers that do and do not collide, and fibers that are not reduced
+        assert verdicts >= {(True, True), (True, False), (False, False)}
 
     def test_emf_requires_fiber(self):
         c = CleanCycleModel(3, (point_component(3),))

@@ -4,8 +4,11 @@ import tracemalloc
 
 import pytest
 
+import thetacycles.lierep as lierep
 from thetacycles.lambdaring import FgAbelianGroup
 from thetacycles.lierep import (
+    MAX_ROOT_SYSTEM_RANK,
+    MAX_SWEEP_RANK,
     Character,
     NotACharacterError,
     RootSystem,
@@ -146,6 +149,23 @@ class TestRootSystemInvariants:
         for name in ("", "X3", "A", "Ax"):
             with pytest.raises(ValueError):
                 root_system(name)
+
+    def test_rank_guard(self, monkeypatch):
+        assert MAX_SWEEP_RANK <= MAX_ROOT_SYSTEM_RANK
+        # a missing guard fails at the Cartan matrix instead of building one
+        # with 10^16 entries
+        monkeypatch.setattr(lierep, "_cartan_and_lengths", None)
+        with pytest.raises(ValueError, match="rank 99999999 is over the limit of 100$"):
+            root_system("A99999999")
+        with pytest.raises(ValueError, match="rank 101 is over the limit"):
+            RootSystem("D", MAX_ROOT_SYSTEM_RANK + 1)
+
+    def test_rank_guard_only_on_build(self, monkeypatch):
+        rs = root_system("B3")
+        monkeypatch.setattr(lierep, "MAX_ROOT_SYSTEM_RANK", 2)
+        assert root_system("B3") is rs
+        with pytest.raises(ValueError, match="rank 3 is over the limit of 2"):
+            RootSystem("B", 3)
 
     def test_dominant_closure_matches_saturation(self):
         # the positive-root closure must find exactly the dominant weights of

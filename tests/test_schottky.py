@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -7,11 +8,14 @@ import pytest
 from thetacycles.chow import ChowVector
 from thetacycles.cycles import (
     CleanCycleModel,
+    CycleComponent,
     degree,
     essentially_multiplicity_free,
+    point_component,
 )
 from thetacycles.lambdaring import (
     FgAbelianGroup,
+    GroupRingElement,
     TensorConstruction,
     gr_adams,
     gr_element,
@@ -22,6 +26,7 @@ import thetacycles.schottky as schottky
 from thetacycles.lierep import char_tensor, freudenthal_character, root_system
 from thetacycles.schottky import (
     MAX_FIBER_COORDS,
+    MAX_M_BOUND,
     MAX_THETA_GENUS,
     GroupDescriptor,
     PpavInput,
@@ -41,7 +46,59 @@ from thetacycles.schottky import (
     verify_inverse_galois,
 )
 
-from oracles import degree_equation_scan, generalized_binomial
+from oracles import (
+    criterion3_by_push,
+    degree_equation_scan,
+    generalized_binomial,
+    multiplicity_free_by_push,
+)
+
+# the PpavInput flags cc_odp reads besides g and k, every combination
+ODP_FLAGS = [
+    dict(zip(("double_points_sum_zero", "pairwise_torsion_independent", "gauss_finite"), on))
+    for on in itertools.product((False, True), repeat=3)
+]
+
+
+def odp_inputs():
+    """PpavInput for g = 2..6, k = 0, 1, 2 where g! > 2k, and every flag
+    combination."""
+    return [
+        PpavInput(g=g, k=k, **flags)
+        for g in range(2, 7) for k in (0, 1, 2) if factorial(g) > 2 * k
+        for flags in ODP_FLAGS
+    ]
+
+
+def oracle_simplicity_records(c, label, m_max):
+    """simplicity_criteria's records for m_bound = 1..m_max, criterion 3 from
+    pushing the whole cycle and criterion 4 from pushing the fiber by every
+    n = 1..torsion exponent."""
+    div = c.component(label)
+    total_degree = sum(comp.mult * comp.gauss_degree for comp in c.components)
+    crit1 = Fraction(div.mult * div.gauss_degree) > Fraction(total_degree, 3)
+    crit2 = all(comp.dim == 0 for comp in c.components if comp.label != label)
+    group, x = c.fiber.group, c.fiber.coeffs
+    crit4 = multiplicity_free_by_push(group, x, group.torsion_exponent())
+    checked = None
+    if div.gauss_finite:
+        checked = criterion3_by_push(
+            [(comp.mult, list(comp.cm.coords)) for comp in c.components],
+            c.g, (group, x), (div.mult, list(div.cm.coords)), m_max)
+    records = []
+    for m_bound in range(1, m_max + 1):
+        crit3 = None if checked is None else all(checked[:m_bound])
+        note = ("gauss map not finite; criterion unavailable" if crit3 is None
+                else f"verified up to m = {m_bound}, not proved" if crit3 else "failed")
+        records.append({
+            "criterion_1_degree_dominance": crit1,
+            "criterion_2_isolated_companions": crit2,
+            "criterion_3_not_a_self_convolution": crit3,
+            "criterion_3_note": note,
+            "criterion_4_essentially_multiplicity_free": crit4,
+            "established": bool(crit1 or crit2 or crit4),
+        })
+    return records
 
 
 class TestSSets:
@@ -123,6 +180,17 @@ class TestCcOdp:
     def test_fiber_limit_admits_genus_7(self):
         assert factorial(7) * (factorial(7) // 2) <= MAX_FIBER_COORDS
         assert factorial(8) * (factorial(8) // 2) > MAX_FIBER_COORDS
+
+    def test_fiber_keys_are_canonical(self, monkeypatch):
+        fibers = [cc_odp(p).fiber for p in odp_inputs()]
+        for fiber in fibers:
+            assert fiber == GroupRingElement(fiber.group, dict(fiber.coeffs))
+
+        def canonical(self, element):
+            raise AssertionError("cc_odp re-canonicalized a key")
+
+        monkeypatch.setattr(FgAbelianGroup, "canonical", canonical)
+        assert [cc_odp(p).fiber for p in odp_inputs()] == fibers
 
     def test_torsion_fiber_collides(self):
         c = cc_odp(
@@ -385,6 +453,74 @@ class TestSimplicity:
         c = cc_odp(PpavInput(g=4, k=0, gauss_finite=True))
         with pytest.raises(ValueError, match=f"m_bound must be >= 1, got {m_bound}"):
             simplicity_criteria(c, "theta", m_bound=m_bound)
+
+    def test_m_bound_over_limit_refused(self, monkeypatch):
+        c = cc_odp(PpavInput(g=4, k=0, gauss_finite=True))
+        # a missing guard fails at the first push instead of running 10^8 of them
+        monkeypatch.setattr(schottky, "pushforward_n", None)
+        for m_bound in (MAX_M_BOUND + 1, 10**8):
+            with pytest.raises(ValueError, match=f"m_bound {m_bound} is over the limit"):
+                simplicity_criteria(c, "theta", m_bound=m_bound)
+
+    def test_m_bound_limit_admitted(self):
+        c = cc_odp(PpavInput(g=6, k=1, gauss_finite=True))
+        rec = simplicity_criteria(c, "theta", m_bound=MAX_M_BOUND)
+        assert rec["criterion_3_note"] == f"verified up to m = {MAX_M_BOUND}, not proved"
+
+    def test_records_match_pushing_oracle(self):
+        for p in odp_inputs():
+            c = cc_odp(p)
+            expected = oracle_simplicity_records(c, "theta", 4)
+            got = [simplicity_criteria(c, "theta", m_bound=m) for m in range(1, 5)]
+            assert got == expected, p
+
+    def test_hand_built_cycle_matches_pushing_oracle(self):
+        # a divisor of mult 2 and points of mult 3 and 1 over a group with
+        # 2-torsion: degree 2 * 4 + 3 + 1 = 12
+        cm = ChowVector(3, (Fraction(4), Fraction(2), Fraction(1)))
+        theta = CycleComponent("theta", dim=2, mult=2, cm=cm, gauss_finite=True)
+        e1 = CycleComponent("e1", dim=0, mult=3, cm=ChowVector.point(3), gauss_finite=True)
+        comps = (theta, e1, point_component(3, "e2"))
+        group = FgAbelianGroup(1, (2,))
+        fibers = [
+            {(1, 0): 2, (-1, 0): 2, (0, 1): 3, (2, 1): 1, (1, 1): 4},  # not reduced
+            {(i, t): 1 for i in range(-3, 3) for t in (0, 1)},  # collides under [2]
+            {(i, 0): 1 for i in range(-6, 6)},  # torsion-free support
+        ]
+        crit4 = []
+        for coeffs in fibers:
+            c = CleanCycleModel(3, comps, fiber=GroupRingElement(group, coeffs))
+            for m_bound, expected in enumerate(oracle_simplicity_records(c, "theta", 4), 1):
+                assert simplicity_criteria(c, "theta", m_bound=m_bound) == expected
+            crit4.append(expected["criterion_4_essentially_multiplicity_free"])
+            divisor_first = CleanCycleModel(3, comps[::-1], fiber=c.fiber)
+            assert simplicity_criteria(divisor_first, "theta") == expected
+        assert crit4 == [False, False, True]
+
+    def test_self_convolution_fails_criterion_3(self):
+        # [2m]_* of theta + 2 points has the Chern-Mather total of the square
+        # of [m]_* theta when theta has cm = (2, e): both are (4, 4 m^2 e)
+        theta = CycleComponent("theta", dim=1, mult=1, cm=ChowVector(2, (2, 1)),
+                               gauss_finite=True)
+        e1 = CycleComponent("e1", dim=0, mult=2, cm=ChowVector.point(2), gauss_finite=True)
+        fiber = GroupRingElement(FgAbelianGroup(1), {(1,): 1, (-1,): 1, (0,): 2})
+        c = CleanCycleModel(2, (theta, e1), fiber=fiber)
+        expected = oracle_simplicity_records(c, "theta", 4)
+        assert [simplicity_criteria(c, "theta", m_bound=m) for m in range(1, 5)] == expected
+        assert {r["criterion_3_note"] for r in expected} == {"failed"}
+
+    def test_torsion_free_cycle_pushes_no_fiber(self, monkeypatch):
+        def gr_adams(n, x):
+            raise AssertionError(f"Psi^{n} of a torsion-free fiber")
+
+        monkeypatch.setattr("thetacycles.cycles.gr_adams", gr_adams)
+        for p in (PpavInput(g=6, k=1, gauss_finite=True),
+                  PpavInput(g=5, k=2, double_points_sum_zero=True, gauss_finite=True)):
+            rec = simplicity_criteria(cc_odp(p), "theta", m_bound=4)
+            assert rec["criterion_4_essentially_multiplicity_free"] is True
+        torsion = cc_odp(PpavInput(g=5, k=2, pairwise_torsion_independent=False))
+        with pytest.raises(AssertionError, match="Psi"):
+            simplicity_criteria(torsion, "theta")
 
     def test_genus5_odp_cycle(self):
         c = cc_odp(PpavInput(g=5, k=2, double_points_sum_zero=True, gauss_finite=True))

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+import thetacycles.symfun as symfun
 from thetacycles.symfun import (
+    MAX_PARTITIONS,
     Partition,
     SymExpr,
+    _partition_count_over,
     elementary_to_powersum,
     partitions,
     schur_to_powersum,
@@ -64,6 +67,34 @@ class TestPartition:
         for n in range(1, 9):
             ps = [p.parts for p in partitions(n)]
             assert ps == sorted(ps, reverse=True)
+
+
+class TestPartitionGuard:
+    def test_count_matches_brute_force(self):
+        for n in range(20):
+            count = len(brute_partitions(n))
+            assert _partition_count_over(n, count - 1), n
+            assert not _partition_count_over(n, count), n
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(symfun, "MAX_PARTITIONS", 22)  # p(8) = 22, p(9) = 30
+        assert len(partitions(8)) == 22
+        with pytest.raises(ValueError, match=r"^p\(9\) is over the limit of 22 partitions$"):
+            partitions(9)
+
+    def test_limit_admits_degree_45(self):
+        # p(45) = 89,134 and p(46) = 105,558
+        assert not _partition_count_over(45, MAX_PARTITIONS)
+        assert _partition_count_over(46, MAX_PARTITIONS)
+
+    def test_refused_before_listing(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^p\(50\) is over the limit"):
+            schur_to_powersum(P(50))
+        # a missing guard fails at the first partition instead of listing p(n)
+        monkeypatch.setattr(symfun, "Partition", None)
+        for call in (lambda: partitions(10**6), lambda: elementary_to_powersum(200)):
+            with pytest.raises(ValueError, match="over the limit of 100000 partitions"):
+                call()
 
 
 class TestSchurToPowersum:
