@@ -62,10 +62,6 @@ class ChowVector:
         self._check(other)
         return ChowVector(self.g, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "ChowVector") -> "ChowVector":
-        self._check(other)
-        return ChowVector(self.g, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def scale(self, c) -> "ChowVector":
         c = Fraction(c)
         return ChowVector(self.g, tuple(c * a for a in self.coords))
@@ -98,13 +94,6 @@ class ChowVector:
             if self.coords[i] != 0:
                 return i
         return None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowVector)
-            and self.g == other.g
-            and self.coords == other.coords
-        )
 
     def __str__(self):
         bits = [f"({c})*mu_{i}" for i, c in enumerate(self.coords) if c != 0]

@@ -37,6 +37,7 @@ from .lierep import (
 )
 from .schottky import (
     PpavInput,
+    _check_m_bound,
     cc_odp,
     fake_jacobian_solve,
     fourfold_table,
@@ -172,12 +173,14 @@ def _dumps(value, newline="\n") -> str:
 
 
 def _emit(args, payload, csv_text=None, text=None):
-    if args.format == "csv":
-        if csv_text is None:
-            raise InputError("this subcommand has no CSV output")
-        sys.stdout.write(csv_text)
-    elif args.format == "text" and text is not None:
-        sys.stdout.write(text + "\n")
+    """Write payload as JSON, or its CSV or text form; a subcommand without
+    the form asked for is a usage error."""
+    if args.format != "json":
+        out = csv_text if args.format == "csv" else text
+        if out is None:
+            name = "CSV" if args.format == "csv" else "text"
+            raise InputError(f"this subcommand has no {name} output")
+        sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
         sys.stdout.write(_dumps(payload))
         sys.stdout.write("\n")
@@ -256,7 +259,7 @@ def _load_element(data) -> GroupRingElement:
 
 def _symexpr_json(expr):
     return {
-        "basis": expr.basis,
+        "basis": "powersum",
         "terms": [
             [list(p.parts), str(c)]
             for p, c in sorted(expr.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
@@ -413,6 +416,7 @@ def _cmd_summand_bound(args):
 
 
 def _cmd_simplicity(args):
+    _check_m_bound(args.m_bound)
     c = load_cycle(args.input)
     rec = simplicity_criteria(c, args.divisor, m_bound=args.m_bound)
     _emit(args, rec)

@@ -104,14 +104,6 @@ class FgAbelianGroup:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ncoords
 
-    def add(self, a, b) -> tuple[int, ...]:
-        """Sum of two canonical keys."""
-        return self._reduce(tuple(map(operator.add, a, b)))
-
-    def scale(self, n: int, a) -> tuple[int, ...]:
-        """n times a canonical key."""
-        return self._reduce(tuple([n * x for x in a]))
-
     def torsion_exponent(self) -> int:
         return self.torsion[-1] if self.torsion else 1
 
@@ -172,14 +164,8 @@ class GroupRingElement:
             coeffs[g] = coeffs.get(g, 0) + c
         return GroupRingElement._of(self.group, coeffs)
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + other.scale(-1)
-
     def scale(self, n: int) -> "GroupRingElement":
         return GroupRingElement._of(self.group, {g: n * c for g, c in self.coeffs.items()})
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return gr_multiply(self, other)
 
     def _check(self, other: "GroupRingElement"):
         if self.group != other.group:
@@ -198,13 +184,6 @@ class GroupRingElement:
     @property
     def is_reduced(self) -> bool:
         return all(c == 1 for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
 
     def __str__(self):
         if not self.coeffs:

@@ -9,9 +9,9 @@ length 2.
 
 All lattice arithmetic is in integers.  Each concept has one integer form,
 built once per root system: the inverse Cartan matrix as N / den with
-C N = den I (fraction-free elimination), the Gram matrix of the
-fundamental weights scaled by den, and one table of positive roots, each a
-tuple of its fundamental and simple-root coordinates, half its squared
+C N = den I (fraction-free elimination), which gives
+den (u, u) = sum_ij u_i N_ij d_j u_j, and one table of positive roots, each
+a tuple of its fundamental and simple-root coordinates, half its squared
 length, (rho, alpha), its height and its support.  A weight lam pairs with
 the positive root alpha = sum_i r_i alpha_i as
 (lam, alpha) = sum_i r_i (d_i lam_i), with d lam formed once per weight.
@@ -29,9 +29,11 @@ theorem gives one:
   dominant" (covers in the dominance order on dominant weights differ by
   positive roots: Stembridge, Adv. Math. 136, 1998); for dominant mu,
   mu - alpha is dominant exactly when mu_i >= alpha_i wherever alpha_i > 0,
-  so only those differences are formed;
-- multiplicities come from Freudenthal's recursion on dominant weights, and
-  a character is decomposed by peeling dominant multiplicities only;
+  so only those differences are formed, and each weight's depth below the
+  highest one is the sum of the root heights subtracted;
+- multiplicities come from Freudenthal's recursion on dominant weights,
+  checked once against sum_mu m(mu) |W mu| = dim V_lam, and a character is
+  decomposed by peeling dominant weights, largest (w + rho, w + rho) first;
 - |W| and orbit sizes |W| / |W_J| are products of (ht a + 1) / ht a over
   positive roots a (Macdonald's Poincare series at q = 1, Math. Ann. 1972);
 - -w0 permutes the fundamental weights by the opposition involution of the
@@ -97,6 +99,11 @@ MAX_SWEEP_DIM = 100_000
 # the largest rank a root system is built for: a classical type of rank 100
 # takes 0.7 s to build, rank 150 about 2 s (Python 3.11, 2 vCPU)
 MAX_ROOT_SYSTEM_RANK = 100
+
+# the largest dimension of a character whose weights are listed: the slowest
+# input found under it, A87 2 varpi_1 (dim 3,916), takes 1.4 s as a cold
+# rep-char; dimension 5,000 would admit A98 at 2.3 s (Python 3.11, 2 vCPU)
+MAX_CHARACTER_DIM = 4000
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -234,15 +241,10 @@ class RootSystem:
         # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
         # coordinates of a weight) is integral, and den = det C = [P : Q]
         self._inv_num, self._inv_den = _inverse_cartan(self.cartan)
-        # den * height of each fundamental weight
-        self._height_num = tuple(sum(row) for row in self._inv_num)
         # den * (w_i, w_j) = N_ij d_j, from (w_i, alpha_j) = delta_ij d_j
-        self._gram_num = tuple(
-            tuple(v * dj for v, dj in zip(row, self.d)) for row in self._inv_num
-        )
+        N, d = self._inv_num, self.d
         assert all(
-            self._gram_num[i][j] == self._gram_num[j][i]
-            for i in range(rank) for j in range(i)
+            N[i][j] * d[j] == N[j][i] * d[i] for i in range(rank) for j in range(i)
         ), "inner product must be symmetric"
         self._dominant_below_cache: dict = {}
         # the coordinates where each positive root is positive, built by the
@@ -272,7 +274,8 @@ class RootSystem:
             for col, di in zip(simple_coords, self.d)
         )
         self.weyl_order = self._orbit_index(self.rho)
-        self._w0_permutation = _opposition_involution(letter, rank)
+        # p with w0(varpi_i) = -varpi_p(i)
+        self.w0_permutation = _opposition_involution(letter, rank)
 
     # -- construction helpers ------------------------------------------------
 
@@ -364,30 +367,12 @@ class RootSystem:
     def negate_dominant(self, w):
         """-w0(w) for dominant w, the dominant representative of -w: the
         coordinates permuted by the opposition involution."""
-        return tuple(w[i] for i in self._w0_permutation)
-
-    @property
-    def w0_permutation(self):
-        """Permutation p with w0(varpi_i) = -varpi_p(i)."""
-        return self._w0_permutation
-
-    def _scaled_height(self, w) -> int:
-        """den * height of w in the simple-root basis; den is self._inv_den."""
-        return sum(x * h for x, h in zip(w, self._height_num))
-
-    def in_root_cone(self, diff) -> bool:
-        """diff lies in the nonnegative-integer span of the simple roots."""
-        den = self._inv_den
-        inv = self._inv_num
-        for j in range(self.rank):
-            c = sum(x * row[j] for x, row in zip(diff, inv))
-            if c < 0 or c % den:
-                return False
-        return True
+        return tuple(w[i] for i in self.w0_permutation)
 
     def _scaled_norm(self, u) -> int:
-        """den * (u, u); den is self._inv_den."""
-        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, self._gram_num) if x)
+        """den * (u, u) = sum_ij u_i N_ij d_j u_j; den is self._inv_den."""
+        du = tuple(map(mul, self.d, u))
+        return sum(x * sum(map(mul, row, du)) for x, row in zip(u, self._inv_num) if x)
 
     # -- orbits ---------------------------------------------------------------
 
@@ -464,8 +449,9 @@ class RootSystem:
 
         For dominant mu, mu - alpha is dominant exactly when mu_i >= alpha_i
         at the coordinates where alpha_i > 0, so each root is tested on those
-        coordinates before its difference is formed.  Scaled heights are
-        carried along: subtracting alpha lowers one by den * ht(alpha).
+        coordinates before its difference is formed.  Each weight mu carries
+        its depth ht(lam - mu): lam has depth 0, and subtracting alpha adds
+        ht(alpha), so the order needs no height of its own.
         """
         cached = self._dominant_below_cache.get(lam)
         if cached is not None:
@@ -476,26 +462,25 @@ class RootSystem:
             positive_coords = self._root_positive_coords = tuple(
                 tuple(i for i, x in enumerate(a) if x > 0) for a, _, _, _, _, _ in roots
             )
-        den = self._inv_den
-        steps = [(a, positive, den * height)
+        steps = [(a, positive, height)
                  for (a, _, _, _, height, _), positive in zip(roots, positive_coords)]
-        seen = {lam: self._scaled_height(lam)}
+        seen = {lam: 0}
         frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
-                h = seen[mu]
-                for a, positive, drop in steps:
+                depth = seen[mu]
+                for a, positive, height in steps:
                     for i in positive:
                         if mu[i] < a[i]:
                             break
                     else:
                         cand = tuple(map(sub, mu, a))
                         if cand not in seen:
-                            seen[cand] = h - drop
+                            seen[cand] = depth + height
                             nxt.append(cand)
             frontier = nxt
-        out = [mu for _, mu in sorted(((h, mu) for mu, h in seen.items()), reverse=True)]
+        out = [mu for _, mu in sorted(((-depth, mu) for mu, depth in seen.items()), reverse=True)]
         self._dominant_below_cache[lam] = out
         return out
 
@@ -526,30 +511,29 @@ class RootSystem:
                 j = 1
                 while True:
                     nu = tuple(x + j * y for x, y in zip(mu, a))
-                    dom = self.dominant_representative(nu)
-                    m = mults.get(dom)
+                    m = mults.get(self.dominant_representative(nu))
                     if m is None:
-                        if self.in_root_cone(
-                            tuple(a - b for a, b in zip(lam, dom))
-                        ):
-                            # mu + j*alpha is higher than mu, so it was
-                            # processed already; reaching here means the
-                            # dominant closure missed a weight
-                            raise AssertionError(
-                                f"dominant weight closure incomplete at {dom}"
-                            )
                         break
-                    if m:
-                        total += m * (mu_alpha + 2 * j * length)
+                    total += m * (mu_alpha + 2 * j * length)
                     j += 1
             val, rem = divmod(2 * den * total, denom)
             assert rem == 0 and val > 0
             mults[mu] = val
+        # a weight missing from the closure drops its orbit here; it can only
+        # lower the multiplicities above it, as each (mu + j alpha, alpha) > 0
+        if sum(m * self._orbit_index(mu) for mu, m in mults.items()) != self.weyl_dim(lam):
+            raise AssertionError(f"dominant weight closure of {lam} incomplete")
         self._freudenthal_cache[lam] = mults
         return mults
 
     def weight_system(self, lam) -> dict:
-        """Full weight -> multiplicity map of V_lam."""
+        """Full weight -> multiplicity map of V_lam.  A V_lam of dimension
+        over MAX_CHARACTER_DIM is refused before any closure is built."""
+        dim = self.weyl_dim(lam)
+        if dim > MAX_CHARACTER_DIM:
+            raise ValueError(
+                f"a character of dimension {dim} is over the limit of {MAX_CHARACTER_DIM}"
+            )
         out: dict = {}
         for mu, m in self.freudenthal_dominant(lam).items():
             for w in self.weyl_orbit(mu):
@@ -674,13 +658,6 @@ class Character:
     def is_wmf(self) -> bool:
         return all(m == 1 for m in self.weights.values())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and self.rs is other.rs
-            and self.weights == other.weights
-        )
-
     def to_json(self) -> dict:
         return {
             "type": self.rs.name,
@@ -729,17 +706,23 @@ def decompose(x: Character) -> dict:
     """Highest weights with multiplicities, by peeling maximal weights.
 
     A character is Weyl-invariant, so its dominant part determines it.
-    Repeatedly removes mult * (dominant Freudenthal multiplicities) of a
-    highest dominant weight present; raises NotACharacterError if any
-    multiplicity goes negative.  Reconstruction equals the input by
+    Repeatedly removes mult * (dominant Freudenthal multiplicities) of the
+    dominant weight present with the largest (w + rho, w + rho), ties by
+    weight; on dominant weights this norm strictly grows along the dominance
+    order (Humphreys, 13.4), so the weight peeled is maximal.  Peeling only
+    removes weights, so they are ordered once.  Raises NotACharacterError
+    if any multiplicity goes negative.  Reconstruction equals the input by
     construction.
     """
     rs = x.rs
     remaining = {w: m for w, m in x.weights.items() if rs.is_dominant(w)}
     out: dict = {}
-    while remaining:
-        top = max(remaining, key=lambda w: (rs._scaled_height(w), w))
-        mult = remaining[top]
+    order = sorted(remaining, reverse=True,
+                   key=lambda w: (rs._scaled_norm(tuple(v + 1 for v in w)), w))
+    for top in order:
+        mult = remaining.get(top)
+        if mult is None:
+            continue
         out[top] = mult
         for w, m in rs.freudenthal_dominant(top).items():
             new = remaining.get(w, 0) - mult * m

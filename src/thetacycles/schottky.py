@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .chow import ChowVector, pushforward_n, theta_power
+from .chow import ChowVector, pontryagin, pushforward_n, theta_power
 from .cycles import (
     CleanCycleModel,
     CycleComponent,
-    adams_push,
     cm1_partition_product,
-    convolve,
     degree,
     essentially_multiplicity_free,
     point_component,
@@ -90,6 +88,14 @@ MAX_THETA_GENUS = 100
 # one Pontryagin product of the pushed divisor with itself, about 0.5 ms at
 # g = 6 (Python 3.11, 2 vCPU).
 MAX_M_BOUND = 1000
+
+
+def _check_m_bound(m_bound: int) -> None:
+    """Refuse an m_bound outside [1, MAX_M_BOUND]."""
+    if m_bound < 1:
+        raise ValueError(f"m_bound must be >= 1, got {m_bound}")
+    if m_bound > MAX_M_BOUND:
+        raise ValueError(f"m_bound {m_bound} is over the limit of {MAX_M_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -533,13 +539,11 @@ def simplicity_criteria(
     only *verified up to the bound*, never proved here; m_bound must lie in
     [1, MAX_M_BOUND].  It compares Chern-Mather totals, on which [2m]_* acts
     linearly (CH_i scales by (2m)^(2i)), so the cycle's side is [2m]_* of its
-    total: neither its components nor its fiber are pushed.  Criterion 4 is
-    essentially_multiplicity_free on the fiber.
+    total and the divisor's side the Pontryagin square of [m]_* of its
+    cm * mult, truncated at g - 1: neither components nor fibers are pushed.
+    Criterion 4 is essentially_multiplicity_free on the fiber.
     """
-    if m_bound < 1:
-        raise ValueError(f"m_bound must be >= 1, got {m_bound}")
-    if m_bound > MAX_M_BOUND:
-        raise ValueError(f"m_bound {m_bound} is over the limit of {MAX_M_BOUND}")
+    _check_m_bound(m_bound)
     div = c.component(divisor_label)
     if div.dim != c.g - 1:
         raise ValueError(f"component {divisor_label!r} is not a divisor")
@@ -551,12 +555,12 @@ def simplicity_criteria(
     crit3_checked = []
     crit3 = None
     if div.gauss_finite:
-        divisor_only = CleanCycleModel(g=c.g, components=(div,))
         total = c.total_cm()
+        div_total = div.cm.scale(div.mult)
         for m in range(1, m_bound + 1):
             lhs = pushforward_n(2 * m, total)
-            pushed = adams_push(m, divisor_only)
-            rhs = convolve(pushed, pushed, c.g - 1).total_cm()
+            p = pushforward_n(m, div_total)
+            rhs = pontryagin(p, p, c.g - 1)
             crit3_checked.append(lhs != rhs)
         crit3 = all(crit3_checked)
     if c.fiber is None:
@@ -715,9 +719,10 @@ def push_character_to_group_ring(
     coeffs: dict = {}
     zero = group.zero()
     for w, m in x.weights.items():
+        # plain integer sums: GroupRingElement reduces and merges the keys
         acc = zero
         for coord, image in zip(w, images):
             if coord:
-                acc = group.add(acc, group.scale(coord, image))
+                acc = tuple(a + coord * b for a, b in zip(acc, image))
         coeffs[acc] = coeffs.get(acc, 0) + m
     return GroupRingElement(group, coeffs)

@@ -49,10 +49,6 @@ class Partition:
     def degree(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -168,20 +164,12 @@ def symmetric_group_character(alpha: Partition, beta: Partition) -> int:
 
 @dataclass(frozen=True)
 class SymExpr:
-    """A finite linear combination of basis symmetric functions.
+    """A finite linear combination of power sums p_beta: ``terms`` maps
+    Partition -> Fraction and never stores zeros."""
 
-    ``basis`` is one of ``"powersum"``, ``"elementary"``, ``"schur"``;
-    ``terms`` maps Partition -> Fraction and never stores zeros.
-    """
-
-    basis: str
     terms: dict  # Partition -> Fraction
 
-    BASES = ("powersum", "elementary", "schur")
-
     def __post_init__(self):
-        if self.basis not in self.BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
         clean = {}
         for part, coeff in self.terms.items():
             if not isinstance(part, Partition):
@@ -209,31 +197,21 @@ class SymExpr:
         return self.terms.get(part, Fraction(0))
 
     def __add__(self, other: "SymExpr") -> "SymExpr":
-        if self.basis != other.basis:
-            raise ValueError("cannot add expressions in different bases")
         terms = dict(self.terms)
         for p, c in other.terms.items():
             terms[p] = terms.get(p, Fraction(0)) + c
-        return SymExpr(self.basis, terms)
+        return SymExpr(terms)
 
     def scale(self, c) -> "SymExpr":
         c = Fraction(c)
-        return SymExpr(self.basis, {p: c * v for p, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymExpr)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
+        return SymExpr({p: c * v for p, v in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
             return "0"
-        sym = {"powersum": "p", "elementary": "e", "schur": "s"}[self.basis]
         bits = []
         for p in sorted(self.terms, key=lambda q: (q.degree, q.parts), reverse=True):
-            bits.append(f"{self.terms[p]}*{sym}{p}")
+            bits.append(f"{self.terms[p]}*p{p}")
         return " + ".join(bits)
 
 
@@ -251,7 +229,7 @@ def schur_to_powersum(alpha) -> SymExpr:
         chi = symmetric_group_character(alpha, beta)
         if chi:
             terms[beta] = Fraction(chi, zee(beta))
-    return SymExpr("powersum", terms)
+    return SymExpr(terms)
 
 
 def elementary_to_powersum(n: int) -> SymExpr:
@@ -265,6 +243,5 @@ def elementary_to_powersum(n: int) -> SymExpr:
     if n < 1:
         raise ValueError("n must be >= 1")
     return SymExpr(
-        "powersum",
-        {beta: Fraction((-1) ** (n - len(beta)), zee(beta)) for beta in partitions(n)},
+        {beta: Fraction((-1) ** (n - len(beta)), zee(beta)) for beta in partitions(n)}
     )

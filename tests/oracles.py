@@ -207,6 +207,12 @@ def _gr_reduce(group, coords):
     return free + tuple(x % d for x, d in zip(coords[group.rank:], group.torsion))
 
 
+def gr_add_oracle(group):
+    """The group law of ``group`` on key tuples: coordinatewise sum, torsion
+    coordinates reduced."""
+    return lambda a, b: _gr_reduce(group, [x + y for x, y in zip(a, b)])
+
+
 def _gr_clean(acc):
     return {g: c for g, c in acc.items() if c != 0}
 
@@ -413,6 +419,36 @@ def center_kernel_index_echelon(rs, lam):
         index *= abs(mat[r][col])
         r += 1
     return index
+
+
+def fundamental_heights(cartan):
+    """The height of each fundamental weight in the simple-root basis, the
+    row sums of the inverse Cartan matrix, by Gauss-Jordan elimination in
+    Fractions with row swaps."""
+    n = len(cartan)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(cartan)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [sum(row[n:]) for row in a]
+
+
+def push_character_oracle(group, weights, images):
+    """{key: coefficient} of a weight map pushed along the homomorphism that
+    sends fundamental weight i to images[i]: each weight's image summed in
+    full, then reduced."""
+    acc = {}
+    for w, m in weights.items():
+        key = _gr_reduce(group, [sum(c * im[j] for c, im in zip(w, images))
+                                 for j in range(group.ncoords)])
+        acc[key] = acc.get(key, 0) + m
+    return _gr_clean(acc)
 
 
 def _line(v):

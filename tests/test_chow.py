@@ -51,6 +51,13 @@ class TestBasics:
         x = vec(3, 2, Fraction(1, 3), -1)
         assert ChowVector.from_json(x.to_json()) == x
 
+    def test_equality_compares_g_and_coordinates(self):
+        x = vec(3, 2, Fraction(1, 3), -1)
+        assert x == ChowVector(3, (2, Fraction(1, 3), -1))  # ints become Fractions
+        assert x != vec(3, 2, Fraction(1, 3), 1)
+        assert ChowVector.zero(2) != ChowVector.zero(3)
+        assert x != x.coords and not x == [3]
+
 
 class TestStructureConstants:
     def test_point_acts_by_degree(self):

@@ -616,6 +616,46 @@ class TestCliContract:
         assert captured.err.startswith("error: ")
         assert elapsed < 1
 
+    def test_character_dim_guard(self, capsys, monkeypatch):
+        # E8 5 varpi_8 has dimension 2,642,777,280 and A20 9 rho 10^210: a
+        # missing guard fails at the closure instead of listing their weights
+        def closure(self, lam):
+            raise AssertionError(f"closure of {lam} built")
+
+        monkeypatch.setattr(lierep.RootSystem, "freudenthal_dominant", closure)
+        for argv, dim in [(["rep-char", "E8", "0,0,0,0,0,0,0,5"], 2642777280),
+                          (["rep-char", "A20", ",".join(["9"] * 20)], 10**210)]:
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: a character of dimension {dim} is over the "
+                                    f"limit of {lierep.MAX_CHARACTER_DIM}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--format", "text", "genus5"],
+        ["cc-odp", "--g", "4", "--k", "1", "--format", "text"],
+        ["rep-char", "G2", "1,0", "--format", "text"],
+        ["--format", "csv", "genus5"],
+    ], ids=["genus5-text", "cc-odp-text", "rep-char-text", "genus5-csv"])
+    def test_format_without_that_output_refused(self, argv, capsys):
+        # an accepted --format must change the output: a subcommand without
+        # the form asked for exits 2 instead of printing JSON
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        name = "CSV" if "csv" in argv else "text"
+        assert (captured.out, captured.err) == (
+            "", f"error: this subcommand has no {name} output\n")
+
+    @pytest.mark.parametrize("m_bound", ["0", "-1", "100000000"])
+    def test_m_bound_checked_before_the_cycle_is_read(self, m_bound, capsys, monkeypatch):
+        def load_cycle(source):
+            raise AssertionError(f"{source} read")
+
+        monkeypatch.setattr(cli, "load_cycle", load_cycle)
+        assert run(["simplicity", "--input", "/nonexistent.json", "--m-bound", m_bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "m_bound" in captured.err
+
     def test_double_point_count_has_one_message(self, capsys):
         errs = []
         for argv in (["theta-group", "--g", "5", "--k", "60"],

@@ -26,6 +26,7 @@ from thetacycles.schottky import PpavInput, cc_odp
 
 from oracles import (
     gr_adams_oracle,
+    gr_add_oracle,
     gr_multiply_oracle,
     schur_apply_oracle,
     subset_exterior_power_with_add,
@@ -69,6 +70,18 @@ class TestGroup:
             FgAbelianGroup(bad)
         with pytest.raises(ValueError, match="integers"):
             FgAbelianGroup(0, (bad,))
+
+
+class TestEquality:
+    def test_equality_compares_group_and_coefficients(self):
+        z5 = FgAbelianGroup(0, (5,))
+        x = GroupRingElement(Z, {(1,): 2})
+        assert x == GroupRingElement(Z, {(1,): 1}) + GroupRingElement(Z, {(1,): 1})
+        assert x != GroupRingElement(Z, {(1,): 3})
+        assert x != GroupRingElement(Z, {(2,): 2})
+        # the same keys over another group are another element
+        assert x != GroupRingElement(z5, {(1,): 2})
+        assert x != x.coeffs and not x == 2
 
 
 class TestMultiply:
@@ -207,7 +220,7 @@ class TestExteriorPowerValues:
             x = GroupRingElement(Z, {(s,): 1 for s in support})
             for k in (1, 2, 3, 4, 5):
                 oracle = subset_exterior_power_with_add(
-                    [(s,) for s in support], k, Z.add, Z.zero()
+                    [(s,) for s in support], k, gr_add_oracle(Z), Z.zero()
                 )
                 assert lambda_op(k, x).coeffs == oracle
 
@@ -460,7 +473,7 @@ class TestKernelsAgainstOracle:
         import thetacycles.lambdaring as lr
         from thetacycles.symfun import SymExpr
 
-        fake = SymExpr("powersum", {(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+        fake = SymExpr({(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
         monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
         # 2*x^0: (1/2)*2 + (1/3)*4 = 7/3 at the identity
         with pytest.raises(NonIntegralResultError, match=r"coefficient 7/3 at \(0,\)"):

@@ -1,12 +1,14 @@
 import gc
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 
 import thetacycles.lierep as lierep
 from thetacycles.lambdaring import FgAbelianGroup
 from thetacycles.lierep import (
+    MAX_CHARACTER_DIM,
     MAX_ROOT_SYSTEM_RANK,
     MAX_SWEEP_RANK,
     Character,
@@ -42,6 +44,8 @@ from oracles import (
     decompose_full_orbit,
     dominant_weights_below_unfiltered,
     dominant_weights_by_bfs,
+    fundamental_heights,
+    gr_add_oracle,
     is_wmf_by_orbit_sizes,
     negate_dominant_by_dominantizing,
     root_multiple_full_orbit,
@@ -182,6 +186,25 @@ class TestRootSystemInvariants:
             rs = root_system(name)
             assert set(rs.weight_system(lam)) == saturation_weights(rs, lam)
 
+    def test_character_dim_guard(self, monkeypatch):
+        def closure(self, lam):
+            raise AssertionError(f"closure of {lam} built")
+
+        # a missing guard fails at the closure instead of listing billions
+        # of weights
+        monkeypatch.setattr(RootSystem, "freudenthal_dominant", closure)
+        with pytest.raises(ValueError, match="dimension 2642777280 is over the limit"):
+            freudenthal_character(root_system("E8"), (0,) * 7 + (5,))
+        with pytest.raises(ValueError, match=f"dimension {10**210} is over the limit"):
+            freudenthal_character(root_system("A20"), (9,) * 20)
+        limit = f"over the limit of {MAX_CHARACTER_DIM}"
+        with pytest.raises(ValueError, match=limit):
+            freudenthal_character(root_system("A1"), (MAX_CHARACTER_DIM,))
+        with pytest.raises(AssertionError, match="closure"):
+            freudenthal_character(root_system("A1"), (MAX_CHARACTER_DIM - 1,))
+        # the largest benchmark input, E8 varpi_1, is admitted
+        assert root_system("E8").weyl_dim((1,) + (0,) * 7) == 3875 <= MAX_CHARACTER_DIM
+
 
 class TestWeylOrbit:
     def test_zero(self):
@@ -272,6 +295,21 @@ class TestFreudenthal:
         assert ch.dimension == 14
         assert set(ch.weights.values()) == {1}
 
+    def test_incomplete_closure_refused(self):
+        # a weight dropped from the closure drops its orbit from
+        # sum m(mu) |W mu|, which then falls short of the Weyl dimension;
+        # the lowest weight feeds no other multiplicity, so only the
+        # identity can see it gone
+        for name, lam in [("A2", (2, 2)), ("B3", (1, 1, 0)), ("G2", (1, 1)), ("F4", (1, 0, 0, 0))]:
+            doms = root_system(name).dominant_weights_below(lam)
+            assert len(doms) >= 3
+            for k in range(1, len(doms)):
+                rs = RootSystem(name[0], int(name[1:]))  # empty memo tables
+                rs._dominant_below_cache[lam] = doms[:k] + doms[k + 1:]
+                match = "incomplete" if k == len(doms) - 1 else None
+                with pytest.raises(AssertionError, match=match):
+                    rs.freudenthal_dominant(lam)
+
     def test_e8_adjoint_zero_weight(self):
         # the adjoint is the unique 248-dimensional irreducible; its zero
         # weight space is a Cartan subalgebra, so multiplicity = rank = 8
@@ -318,7 +356,7 @@ class TestCharacterOps:
             grp = FgAbelianGroup(rs.rank)
             elems = list(x.weights)
             for k in (2, 3):
-                oracle = subset_exterior_power_with_add(elems, k, grp.add, grp.zero())
+                oracle = subset_exterior_power_with_add(elems, k, gr_add_oracle(grp), grp.zero())
                 ours = char_alt(k, x)
                 assert ours.weights == oracle, (name, k)
 
@@ -364,6 +402,15 @@ class TestCharacterOps:
     def test_non_integer_input_rejected(self, weights):
         with pytest.raises(NotACharacterError, match="integer"):
             Character(root_system("A1"), weights)
+
+    def test_equality_compares_root_system_and_weights(self):
+        rs = root_system("A2")
+        x = freudenthal_character(rs, (1, 0))
+        assert x == Character(rs, dict(x.weights))
+        assert x != freudenthal_character(rs, (0, 1))
+        # the same weights on another instance of A2 are another character
+        assert x != Character(RootSystem("A", 2), dict(x.weights))
+        assert x != x.weights and not x == "A2"
 
     def test_decompose_rejects_corrupted(self):
         rs = root_system("A2")
@@ -664,6 +711,21 @@ class TestClosedFormsAgainstOracles:
             for _ in range(20):
                 w = tuple(rng.randint(-6, 6) for _ in range(n))
                 assert center_kernel_index(rs, w) == center_kernel_index_echelon(rs, w)
+
+    def test_closure_order_against_fraction_heights(self):
+        # highest first by height, ties by weight, with the heights from an
+        # inverse Cartan matrix in Fractions and the set from saturation
+        count = 0
+        for letter, n in canonical_simple_types(8):
+            rs = RootSystem(letter, n)  # empty memo tables
+            heights = fundamental_heights(rs.cartan)
+            for lam in enumerate_dominant_weights(rs, 400):
+                doms = [w for w in saturation_weights(rs, lam) if min(w) >= 0]
+                expected = sorted(
+                    doms, key=lambda w: (sum(map(mul, w, heights)), w), reverse=True)
+                assert rs.dominant_weights_below(lam) == expected, (rs.name, lam)
+                count += 1
+        assert count == 1008
 
     def test_decompose_against_full_orbit_peeling(self):
         count = 0

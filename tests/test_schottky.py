@@ -51,6 +51,7 @@ from oracles import (
     degree_equation_scan,
     generalized_binomial,
     multiplicity_free_by_push,
+    push_character_oracle,
 )
 
 # the PpavInput flags cc_odp reads besides g and k, every combination
@@ -497,6 +498,22 @@ class TestSimplicity:
             assert simplicity_criteria(divisor_first, "theta") == expected
         assert crit4 == [False, False, True]
 
+    @pytest.mark.parametrize("mult, points", [(0, 3), (0, 0), (-1, 3)])
+    def test_criterion3_with_a_zero_or_negative_divisor(self, mult, points):
+        # mult 0 makes the divisor's side the zero vector, which the cycle's
+        # total matches when no point carries degree; mult -1 makes both
+        # sides virtual
+        cm = ChowVector(3, (Fraction(4), Fraction(2), Fraction(1)))
+        theta = CycleComponent("theta", dim=2, mult=mult, cm=cm, gauss_finite=True)
+        e1 = CycleComponent("e1", dim=0, mult=points, cm=ChowVector.point(3), gauss_finite=True)
+        fiber = {(1, 0): 1, (0, 1): 4 * mult + points - 1}  # coefficient sum = degree
+        c = CleanCycleModel(3, (theta, e1),
+                            fiber=GroupRingElement(FgAbelianGroup(1, (2,)), fiber))
+        expected = oracle_simplicity_records(c, "theta", 4)
+        assert [simplicity_criteria(c, "theta", m_bound=m) for m in range(1, 5)] == expected
+        verdicts = {r["criterion_3_not_a_self_convolution"] for r in expected}
+        assert verdicts == ({False} if points == 0 else {True})
+
     def test_self_convolution_fails_criterion_3(self):
         # [2m]_* of theta + 2 points has the Chern-Mather total of the square
         # of [m]_* theta when theta has cm = (2, e): both are (4, 4 m^2 e)
@@ -629,6 +646,20 @@ class TestWeightDictionary:
         fxy = push_character_to_group_ring(char_tensor(x, y), grp, images)
         assert fxy == gr_multiply(fx, fy)
         assert fx.coefficient_sum == x.dimension
+
+    def test_pushforward_against_oracle_on_torsion(self):
+        # image coordinates up to 5 times weight coordinates up to 3 pass
+        # the torsion orders 3 and 6, so keys meet only after reduction
+        grp = FgAbelianGroup(1, (3, 6))
+        for name, lam, images in [
+            ("A2", (2, 1), [(1, 2, 5), (-2, 1, 4)]),
+            ("B2", (1, 1), [(0, 2, 5), (3, 2, 3)]),
+            ("G2", (1, 0), [(1, 1, 1), (0, 2, 5)]),
+        ]:
+            x = freudenthal_character(root_system(name), lam)
+            got = push_character_to_group_ring(x, grp, images)
+            assert got.coeffs == push_character_oracle(grp, x.weights, images), name
+            assert got.coefficient_sum == x.dimension
 
     def test_pushforward_commutes_with_adams(self):
         from thetacycles.lierep import char_adams

@@ -207,17 +207,18 @@ class TestZee:
 
 class TestSymExpr:
     def test_zero_coefficients_dropped(self):
-        ex = SymExpr("powersum", {P(2): Fraction(0), P(1, 1): Fraction(1)})
+        ex = SymExpr({P(2): Fraction(0), P(1, 1): Fraction(1)})
         assert P(2) not in ex.terms
 
     def test_add_and_scale(self):
-        a = SymExpr("powersum", {P(1): 1})
-        b = SymExpr("powersum", {P(1): -1})
+        a = SymExpr({P(1): 1})
+        b = SymExpr({P(1): -1})
         assert (a + b).terms == {}
         assert a.scale(Fraction(2, 3)).coefficient(P(1)) == Fraction(2, 3)
 
-    def test_basis_mismatch(self):
-        a = SymExpr("powersum", {P(1): 1})
-        b = SymExpr("schur", {P(1): 1})
-        with pytest.raises(ValueError):
-            a + b
+    def test_equality_compares_terms(self):
+        a = SymExpr({P(2): Fraction(1, 2), P(1, 1): 1})
+        assert a == SymExpr({(2,): Fraction(1, 2), (1, 1): Fraction(1), (1,): 0})
+        assert a != SymExpr({P(2): Fraction(1, 2), P(1, 1): 2})
+        assert a != SymExpr({P(2): Fraction(1, 2), P(2, 1): 1})
+        assert a != a.terms and not a == "p"
