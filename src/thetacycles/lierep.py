@@ -9,7 +9,7 @@ length 2.
 
 All lattice arithmetic is in integers.  Each concept has one integer form,
 built once per root system: the inverse Cartan matrix as N / den with
-C N = den I (fraction-free elimination), which gives
+C N = den I (closed forms from Bourbaki's Plates), which gives
 den (u, u) = sum_ij u_i N_ij d_j u_j, and one table of positive roots, each
 a tuple of its fundamental and simple-root coordinates, half its squared
 length, (rho, alpha), its height and its support.  A weight lam pairs with
@@ -56,17 +56,28 @@ theorem gives one:
 
 Public functions check the weights they are given.  The sweeps
 (classify_wmf, quasi_minuscule_dim_search) make their weights themselves, so
-they call unchecked kernels on them: the walk yields each weight with its
-dimension, and one cached closure RootSystem._dominant_below answers wmf,
-minuscule and quasi-minuscule.
+they call unchecked kernels on them, and each root system keeps three tables
+that later sweeps read instead of redoing the work:
+
+- the walk table: the sorted (weight, dimension) walk to the largest bound
+  asked so far, which a smaller bound filters and a larger one replaces;
+- the facts table: for each weight tested, the orbit-size sum, minuscule and
+  quasi-minuscule, read from one uncached closure RootSystem._closure that is
+  dropped once read;
+- the rows table: the wmf rows to the largest bound asked so far, whose rows
+  of dimension at most D' are the rows to any bound D' below it.
+
+The cached closure RootSystem._dominant_below serves dominant_weights_below
+and Freudenthal alone.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.
 
 RootSystem instances are immutable after construction apart from internal
 memo tables, and tables built on first use, whose entries are deterministic
-functions of their keys; concurrent races can at worst recompute a value,
-never change one.
+functions of their keys (a weight, or a bound for the walk and rows tables,
+stored with it); concurrent races can at worst recompute a value or keep a
+smaller bound's table, never change one.
 """
 
 from __future__ import annotations
@@ -187,25 +198,63 @@ def _cartan_and_lengths(letter: str, rank: int):
     return tuple(tuple(row) for row in C), tuple(d)
 
 
-def _inverse_cartan(C):
-    """(N, den) with C N = den I: the adjugate and determinant of C by
-    fraction-free Gauss-Jordan elimination (Bareiss).  Every entry after
-    step k is a (k+1)-minor of [C | I], so each division is exact; the
-    pivots are the leading principal minors, positive for a Cartan matrix,
-    so no pivoting is needed."""
-    n = len(C)
-    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(C)]
-    prev = 1
-    for k in range(n):
-        pivot_row = A[k]
-        p = pivot_row[k]
-        assert p > 0, "leading principal minors of a Cartan matrix are positive"
-        for i in range(n):
-            if i != k:
-                f = A[i][k]
-                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
-        prev = p
-    return tuple(tuple(row[n:]) for row in A), prev
+# den C^-1 for the exceptional types, row i the simple-root coordinates of
+# den varpi_i (Bourbaki, Lie VI, Plates V-IX)
+_EXCEPTIONAL_INVERSE_CARTAN = {
+    ("E", 6): (3, ((4, 3, 5, 6, 4, 2), (3, 6, 6, 9, 6, 3), (5, 6, 10, 12, 8, 4),
+                   (6, 9, 12, 18, 12, 6), (4, 6, 8, 12, 10, 5), (2, 3, 4, 6, 5, 4))),
+    ("E", 7): (2, ((4, 4, 6, 8, 6, 4, 2), (4, 7, 8, 12, 9, 6, 3), (6, 8, 12, 16, 12, 8, 4),
+                   (8, 12, 16, 24, 18, 12, 6), (6, 9, 12, 18, 15, 10, 5),
+                   (4, 6, 8, 12, 10, 8, 4), (2, 3, 4, 6, 5, 4, 3))),
+    ("E", 8): (1, ((4, 5, 7, 10, 8, 6, 4, 2), (5, 8, 10, 15, 12, 9, 6, 3),
+                   (7, 10, 14, 20, 16, 12, 8, 4), (10, 15, 20, 30, 24, 18, 12, 6),
+                   (8, 12, 16, 24, 20, 15, 10, 5), (6, 9, 12, 18, 15, 12, 8, 4),
+                   (4, 6, 8, 12, 10, 8, 6, 3), (2, 3, 4, 6, 5, 4, 3, 2))),
+    ("F", 4): (1, ((2, 3, 4, 2), (3, 6, 8, 4), (2, 4, 6, 3), (1, 2, 3, 2))),
+    ("G", 2): (1, ((2, 1), (3, 2))),
+}
+
+
+def _inverse_cartan(letter: str, rank: int):
+    """(N, den) with C N = den I and den = det C = [P : Q], in closed form:
+    row i of N / den is the fundamental weight varpi_i in simple-root
+    coordinates (Bourbaki, Lie VI, Plates I-IX).  With 1-based indices,
+
+    - A_n: den = n + 1, N_ij = min(i, j) (n + 1 - max(i, j));
+    - B_n: den = 2, N_ij = 2 min(i, j) for i < n, N_nj = j;
+    - C_n: den = 2, N_ij = 2 min(i, j) for j < n, N_in = i;
+    - D_n: den = 4, N_ij = 4 min(i, j) for i, j <= n - 2, 2 min(i, j) when
+      one index is above n - 2, and n on, n - 2 off the diagonal of the
+      spin block;
+    - E6-E8, F4, G2: the integer tables of the Plates.
+    """
+    n = rank
+    if letter == "A":
+        den = n + 1
+
+        def entry(i, j):
+            return min(i, j) * (n + 1 - max(i, j))
+    elif letter == "B":
+        den = 2
+
+        def entry(i, j):
+            return 2 * min(i, j) if i < n else j
+    elif letter == "C":
+        den = 2
+
+        def entry(i, j):
+            return 2 * min(i, j) if j < n else i
+    elif letter == "D":
+        den = 4
+
+        def entry(i, j):
+            if i > n - 2 and j > n - 2:
+                return n if i == j else n - 2
+            return (2 if max(i, j) > n - 2 else 4) * min(i, j)
+    else:
+        den, N = _EXCEPTIONAL_INVERSE_CARTAN[letter, n]
+        return N, den
+    return tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)), den
 
 
 def _opposition_involution(letter: str, rank: int) -> tuple:
@@ -240,7 +289,7 @@ class RootSystem:
         )
         # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
         # coordinates of a weight) is integral, and den = det C = [P : Q]
-        self._inv_num, self._inv_den = _inverse_cartan(self.cartan)
+        self._inv_num, self._inv_den = _inverse_cartan(letter, rank)
         # den * (w_i, w_j) = N_ij d_j, from (w_i, alpha_j) = delta_ij d_j
         N, d = self._inv_num, self.d
         assert all(
@@ -248,8 +297,14 @@ class RootSystem:
         ), "inner product must be symmetric"
         self._dominant_below_cache: dict = {}
         # the coordinates where each positive root is positive, built by the
-        # first closure (see _dominant_below)
+        # first closure (see _closure)
         self._root_positive_coords = None
+        # the weight sweeps' tables (see _sorted_walk, _weight_facts and
+        # _wmf_rows): (bound, sorted (lam, dim) walk to it), lam -> (orbit-size
+        # sum, minuscule, quasi-minuscule), and (bound, wmf rows up to it)
+        self._walk_table = None
+        self._facts_table: dict = {}
+        self._rows_table = None
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
         self.rho = (1,) * rank
@@ -445,17 +500,26 @@ class RootSystem:
         return self._dominant_below(self._check_dominant(lam))
 
     def _dominant_below(self, lam) -> list:
-        """dominant_weights_below for a dominant tuple lam, unchecked.
+        """dominant_weights_below for a dominant tuple lam, unchecked; each
+        weight mu's depth ht(lam - mu) from the closure orders it."""
+        cached = self._dominant_below_cache.get(lam)
+        if cached is None:
+            depths = self._closure(lam)
+            cached = self._dominant_below_cache[lam] = [
+                mu for _, mu in sorted(((-depth, mu) for mu, depth in depths.items()),
+                                       reverse=True)]
+        return cached
+
+    def _closure(self, lam) -> dict:
+        """The dominant weights mu of V_lam, each with its depth ht(lam - mu),
+        for a dominant tuple lam: unchecked, unordered and uncached.
 
         For dominant mu, mu - alpha is dominant exactly when mu_i >= alpha_i
         at the coordinates where alpha_i > 0, so each root is tested on those
-        coordinates before its difference is formed.  Each weight mu carries
-        its depth ht(lam - mu): lam has depth 0, and subtracting alpha adds
-        ht(alpha), so the order needs no height of its own.
+        coordinates before its difference is formed.  lam has depth 0, and
+        subtracting alpha adds ht(alpha), so the order needs no height of its
+        own.
         """
-        cached = self._dominant_below_cache.get(lam)
-        if cached is not None:
-            return cached
         roots = self.positive_roots
         positive_coords = self._root_positive_coords
         if positive_coords is None:
@@ -480,9 +544,7 @@ class RootSystem:
                             seen[cand] = depth + height
                             nxt.append(cand)
             frontier = nxt
-        out = [mu for _, mu in sorted(((-depth, mu) for mu, depth in seen.items()), reverse=True)]
-        self._dominant_below_cache[lam] = out
-        return out
+        return seen
 
     def freudenthal_dominant(self, lam) -> dict:
         """Dominant weight -> multiplicity for the irreducible V_lam."""
@@ -517,7 +579,9 @@ class RootSystem:
                     total += m * (mu_alpha + 2 * j * length)
                     j += 1
             val, rem = divmod(2 * den * total, denom)
-            assert rem == 0 and val > 0
+            if rem or val <= 0:
+                raise AssertionError(f"dominant weight closure of {lam} incomplete: "
+                                     f"no positive integer multiplicity at {mu}")
             mults[mu] = val
         # a weight missing from the closure drops its orbit here; it can only
         # lower the multiplicities above it, as each (mu + j alpha, alpha) > 0
@@ -947,50 +1011,12 @@ class WmfEntry:
 
 def classify_wmf(max_rank: int, max_dim: int):
     """All weight multiplicity free irreducibles of the simple types with
-    rank <= max_rank and dimension <= max_dim.
-
-    Each weight's dimension comes from the walk and its dominant weights from
-    one closure, which answers all three questions: V_lam is wmf when their
-    orbit sizes add up to the dimension (is_wmf), minuscule when lam is the
-    only one and quasi-minuscule when lam and 0 are the only ones; rank 1
-    uses the closed forms, as sl2 weights k, k-2, ..., -k each occur once.
-    Frobenius-Schur types come from the closed-form sign
-    (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with some lam - varpi_i
-    not wmf is not wmf either, as multiplicities only grow along dominant
-    shifts, and is skipped untested: lam - varpi_i sorts before lam and has
-    a smaller dimension, so it is decided first.
-    """
+    rank <= max_rank and dimension <= max_dim, ordered by type, as
+    canonical_simple_types lists them in (letter, rank) order, then by weight
+    (see _wmf_rows)."""
     rows = []
     for letter, n in _sweep_types(max_rank, max_dim):
-        rs = root_system(letter, n)
-        zero = rs.zero()
-        not_wmf = set()
-        for lam, dim in sorted(_walk_dominant_weights(rs, max_dim)):
-            if any(x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)):
-                not_wmf.add(lam)
-                continue
-            if n == 1:
-                minuscule, quasi_minuscule = lam[0] == 1, lam[0] <= 2
-            else:
-                doms = rs._dominant_below(lam)
-                if sum(map(rs._orbit_index, doms)) != dim:
-                    not_wmf.add(lam)
-                    continue
-                minuscule, quasi_minuscule = len(doms) == 1, set(doms) <= {lam, zero}
-            rows.append(
-                WmfEntry(
-                    letter=letter,
-                    rank=n,
-                    weight=lam,
-                    dim=dim,
-                    minuscule=minuscule,
-                    quasi_minuscule=quasi_minuscule,
-                    fs=_fs_type(rs, lam),
-                    family=wmf_family(rs, lam),
-                    group=image_group_label(rs, lam),
-                )
-            )
-    rows.sort(key=lambda r: (r.letter, r.rank, r.weight))
+        rows += _wmf_rows(root_system(letter, n), max_dim)
     return rows
 
 
@@ -1000,15 +1026,82 @@ def quasi_minuscule_dim_search(dim: int, max_rank: int) -> list:
     matches = []
     for letter, n in _sweep_types(max_rank, dim):
         rs = root_system(letter, n)
-        zero = rs.zero()
-        for lam in sorted(lam for lam, d in _walk_dominant_weights(rs, dim) if d == dim):
-            if n == 1:
-                quasi_minuscule = lam[0] <= 2
-            else:
-                quasi_minuscule = set(rs._dominant_below(lam)) <= {lam, zero}
-            if quasi_minuscule:
-                matches.append((f"{letter}{n}", lam))
+        matches += [(f"{letter}{n}", lam) for lam, d in _sorted_walk(rs, dim)
+                    if d == dim and _weight_facts(rs, lam)[2]]
     return matches
+
+
+def _sorted_walk(rs: RootSystem, max_dim: int) -> list:
+    """sorted(_walk_dominant_weights(rs, max_dim)), from the walk table:
+    the walk to the largest bound asked so far, which a smaller bound
+    filters and a larger one replaces."""
+    table = rs._walk_table
+    if table is None or table[0] < max_dim:
+        table = rs._walk_table = (max_dim, sorted(_walk_dominant_weights(rs, max_dim)))
+    bound, walk = table
+    return walk if bound == max_dim else [(lam, d) for lam, d in walk if d <= max_dim]
+
+
+def _weight_facts(rs: RootSystem, lam) -> tuple:
+    """(sum of |W mu| over the dominant weights mu of V_lam, minuscule?,
+    quasi-minuscule?) for a nonzero dominant tuple lam.
+
+    V_lam is wmf when the sum is its dimension, minuscule when lam is its
+    only dominant weight and quasi-minuscule when lam and 0 are the only
+    ones.  The facts table keeps the three, read from one uncached closure;
+    rank 1 uses the closed forms, as sl2 weights k, k-2, ..., -k each occur
+    once."""
+    if rs.rank == 1:
+        return lam[0] + 1, lam[0] == 1, lam[0] <= 2
+    facts = rs._facts_table.get(lam)
+    if facts is None:
+        doms = rs._closure(lam)
+        facts = rs._facts_table[lam] = (
+            sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()})
+    return facts
+
+
+def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
+    """The wmf rows of rs with dimension at most max_dim, sorted by weight.
+
+    Each weight's dimension comes from the walk and the rest from its facts
+    (_weight_facts); Frobenius-Schur types come from the closed-form sign
+    (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with some lam - varpi_i
+    not wmf is not wmf either, as multiplicities only grow along dominant
+    shifts, and is skipped untested: lam - varpi_i sorts before lam and has
+    a smaller dimension, so it is decided first.  The pruning only looks at
+    weights of smaller dimension, so the rows to a bound D' <= D are those
+    to D of dimension at most D'; the rows table keeps those to the largest
+    bound asked so far.
+    """
+    table = rs._rows_table
+    if table is not None and max_dim <= table[0]:
+        return [row for row in table[1] if row.dim <= max_dim]
+    rows = []
+    not_wmf = set()
+    for lam, dim in _sorted_walk(rs, max_dim):
+        if any(x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)):
+            not_wmf.add(lam)
+            continue
+        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam)
+        if orbit_sum != dim:
+            not_wmf.add(lam)
+            continue
+        rows.append(
+            WmfEntry(
+                letter=rs.letter,
+                rank=rs.rank,
+                weight=lam,
+                dim=dim,
+                minuscule=minuscule,
+                quasi_minuscule=quasi_minuscule,
+                fs=_fs_type(rs, lam),
+                family=wmf_family(rs, lam),
+                group=image_group_label(rs, lam),
+            )
+        )
+    rs._rows_table = (max_dim, rows)
+    return rows
 
 
 def orbit_rank_bound(rs: RootSystem, w) -> bool:

@@ -80,8 +80,10 @@ _FAMILIES = ("Sp", "SO", "O", "undetermined")
 # (about 6.5 GB of tuple slots).
 MAX_FIBER_COORDS = 20_000_000
 
-# Largest genus theta_group decides: the exceptional sets reach g!, and their
-# binomials grow with it (4 ms at g = 100, 8.8 s at g = 1000; Python 3.11, 2 vCPU).
+# Largest genus theta_group decides and theta_target builds a divisor for: the
+# exceptional sets reach g!, and their binomials grow with it (4 ms at g = 100,
+# 8.8 s at g = 1000), and the divisor's Chern-Mather class takes 0.5 ms at
+# g = 100 and 0.4 s at g = 3000 (Python 3.11, 2 vCPU).
 MAX_THETA_GENUS = 100
 
 # Largest m up to which simplicity_criteria checks criterion 3: each m costs
@@ -212,6 +214,10 @@ def theta_target(g: int, gauss_degree: int, cm1: Fraction | None = None) -> Clea
     one-component cycle; cm1, when given, replaces its degree-1 class."""
     if g < 2:
         raise ValueError(f"a theta divisor needs g >= 2, got g = {g}")
+    if g > MAX_THETA_GENUS:
+        raise ValueError(
+            f"a theta divisor at g = {g} is over the limit of g <= {MAX_THETA_GENUS}"
+        )
     cm = _theta_cm(g, gauss_degree)
     if cm1 is not None:
         coords = list(cm.coords)

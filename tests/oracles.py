@@ -421,6 +421,27 @@ def center_kernel_index_echelon(rs, lam):
     return index
 
 
+def inverse_cartan_bareiss(cartan):
+    """(N, den) with C N = den I: the adjugate and determinant of C by
+    fraction-free Gauss-Jordan elimination (Bareiss).  Every entry after
+    step k is a (k+1)-minor of [C | I], so each division is exact; the
+    pivots are the leading principal minors, positive for a Cartan matrix,
+    so no pivoting is needed."""
+    n = len(cartan)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        p = pivot_row[k]
+        assert p > 0, "leading principal minors of a Cartan matrix are positive"
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
 def fundamental_heights(cartan):
     """The height of each fundamental weight in the simple-root basis, the
     row sums of the inverse Cartan matrix, by Gauss-Jordan elimination in

@@ -596,18 +596,21 @@ class TestCliContract:
         ["symfun", "elementary", "200"],
         ["symfun", "schur", "50"],
         ["rep-dim", "A99999999", "1"],
+        ["fake-jacobian", "--g", "1000000", "--degree", "5"],
     ], ids=["m-bound-negative", "m-bound-zero", "dz-negative", "dims-negative",
             "qm-dim-negative", "classify-negative", "classify-rank-zero",
             "tables-dim-zero", "theta-genus", "theta-genus-and-k", "genus5-k",
             "cc-odp-k", "m-bound-huge", "partitions-huge", "elementary-huge",
-            "schur-huge", "root-system-rank-huge"])
+            "schur-huge", "root-system-rank-huge", "fake-jacobian-genus"])
     def test_impossible_numbers_refused(self, argv, capsys, monkeypatch, tmp_path):
         (tmp_path / "cycle.json").write_text(
             _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()))
         monkeypatch.chdir(tmp_path)
-        # every refusal comes before a factorial: a missing guard fails at
-        # once instead of forming the factorial of a billion
+        # every refusal comes before a factorial or a theta divisor's class:
+        # a missing guard fails at once instead of forming the factorial of a
+        # billion
         monkeypatch.setattr(schottky, "factorial", None)
+        monkeypatch.setattr(schottky, "_theta_cm", None)
         start = time.perf_counter()
         code = run(argv)
         elapsed = time.perf_counter() - start

@@ -1,9 +1,15 @@
 import gc
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thetacycles.lierep as lierep
 from thetacycles.lambdaring import FgAbelianGroup
@@ -14,6 +20,8 @@ from thetacycles.lierep import (
     Character,
     NotACharacterError,
     RootSystem,
+    _cartan_and_lengths,
+    _inverse_cartan,
     _walk_dominant_weights,
     canonical_simple_types,
     center_kernel_index,
@@ -46,6 +54,7 @@ from oracles import (
     dominant_weights_by_bfs,
     fundamental_heights,
     gr_add_oracle,
+    inverse_cartan_bareiss,
     is_wmf_by_orbit_sizes,
     negate_dominant_by_dominantizing,
     root_multiple_full_orbit,
@@ -139,15 +148,23 @@ class TestRootSystemInvariants:
                 inv[i, j] == Rational(N[i][j], den) for i in range(n) for j in range(n)
             ), rs.name
 
-    def test_integer_inverse_cartan(self):
-        for letter, n in canonical_simple_types(20):
-            rs = root_system(letter, n)
-            C, N, den = rs.cartan, rs._inv_num, rs._inv_den
-            assert den > 0
+    def test_closed_form_inverse_cartan_against_elimination(self):
+        # every type up to rank 40, the repeats B2 = C2 and A3 = D3 included:
+        # C N = den I with den = det C, and the same N / den as elimination
+        types = [(letter, n) for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for n in range(low, 41)]
+        types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        for letter, n in types:
+            C, d = _cartan_and_lengths(letter, n)
+            N, den = _inverse_cartan(letter, n)
+            assert (N, den) == inverse_cartan_bareiss(C), (letter, n)
             for i in range(n):
                 for j in range(n):
                     entry = sum(C[i][k] * N[k][j] for k in range(n))
-                    assert entry == (den if i == j else 0), (rs.name, i, j)
+                    assert entry == (den if i == j else 0), (letter, n, i, j)
+                    # den (varpi_i, varpi_j) = N_ij d_j is symmetric
+                    assert N[i][j] * d[j] == N[j][i] * d[i], (letter, n, i, j)
+        assert len(types) == 161
 
     def test_bad_type_names_rejected(self):
         for name in ("", "X3", "A", "Ax"):
@@ -296,19 +313,39 @@ class TestFreudenthal:
         assert set(ch.weights.values()) == {1}
 
     def test_incomplete_closure_refused(self):
-        # a weight dropped from the closure drops its orbit from
-        # sum m(mu) |W mu|, which then falls short of the Weyl dimension;
-        # the lowest weight feeds no other multiplicity, so only the
-        # identity can see it gone
+        # a weight dropped from the closure leaves a weight below it whose
+        # multiplicity is no positive integer, or drops its orbit from
+        # sum m(mu) |W mu|, which then falls short of the Weyl dimension; the
+        # lowest weight feeds no other multiplicity, so only the identity can
+        # see it gone
         for name, lam in [("A2", (2, 2)), ("B3", (1, 1, 0)), ("G2", (1, 1)), ("F4", (1, 0, 0, 0))]:
             doms = root_system(name).dominant_weights_below(lam)
             assert len(doms) >= 3
             for k in range(1, len(doms)):
                 rs = RootSystem(name[0], int(name[1:]))  # empty memo tables
                 rs._dominant_below_cache[lam] = doms[:k] + doms[k + 1:]
-                match = "incomplete" if k == len(doms) - 1 else None
+                match = re.escape(f"dominant weight closure of {lam} incomplete")
                 with pytest.raises(AssertionError, match=match):
                     rs.freudenthal_dominant(lam)
+
+    def test_incomplete_closure_refused_under_optimize(self):
+        # python -O strips assert statements; dropping (1, 1) from A2 2 rho
+        # leaves (0, 0) with no integer multiplicity, a check that must stay
+        child = (
+            "from thetacycles.lierep import RootSystem\n"
+            "rs = RootSystem('A', 2)\n"
+            "rs._dominant_below_cache[(2, 2)] = [(2, 2), (3, 0), (0, 3), (0, 0)]\n"
+            "try:\n"
+            "    rs.freudenthal_dominant((2, 2))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("dominant weight closure of (2, 2) incomplete: "
+                               "no positive integer multiplicity at (0, 0)\n")
 
     def test_e8_adjoint_zero_weight(self):
         # the adjoint is the unique 248-dimensional irreducible; its zero
@@ -790,10 +827,10 @@ class TestSweepMemory:
         """qm-search --dim 118 --max-rank 20 builds all 79 root systems of
         rank <= 20 and walks each.  A table per positive root built with
         every root system (10,175 roots here) would add 0.6 MB or more.  The
-        bound is the peak of the sweep before the walk yielded dimensions,
-        5.28 MB, with 0.12 MB of room; the sparse Cartan rows take 0.06 MB
-        of it (Python 3.11).  A full collection first empties the free lists
-        of earlier tests, whose reused objects tracemalloc would not see."""
+        sweep peaks at 5.28 MB, the walk tables' 0.07 MB included, which
+        leaves 0.12 MB of room under the bound (Python 3.11).  A full
+        collection first empties the free lists of earlier tests, whose
+        reused objects tracemalloc would not see."""
         import thetacycles.lierep as lierep
 
         monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
@@ -806,3 +843,60 @@ class TestSweepMemory:
             tracemalloc.stop()
         assert len(lierep._ROOT_SYSTEM_CACHE) == 79
         assert peak < 5_400_000
+
+    # short sequences of sweeps with small bounds: classify_wmf(rank, dim)
+    # and quasi_minuscule_dim_search(dim, rank)
+    SWEEPS = st.one_of(
+        st.tuples(st.just("classify"), st.integers(1, 5), st.integers(1, 400)),
+        st.tuples(st.just("qm"), st.integers(1, 400), st.integers(1, 5)),
+    )
+
+    @staticmethod
+    def _sweep(kind, a, b):
+        return classify_wmf(a, b) if kind == "classify" else quasi_minuscule_dim_search(a, b)
+
+    @given(st.lists(SWEEPS, min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    @example([("classify", 4, 100), ("classify", 5, 400), ("classify", 3, 60),
+              ("qm", 26, 4), ("qm", 400, 5)])
+    @example([("classify", 5, 400), ("classify", 5, 27), ("qm", 27, 5), ("classify", 5, 400)])
+    @example([("qm", 56, 5), ("qm", 8, 5), ("classify", 5, 300), ("qm", 56, 5)])
+    def test_tables_answer_as_cold_sweeps(self, sweeps):
+        """Each sweep of a sequence, with bounds growing and shrinking and
+        qm-search after classify, equals the same sweep made cold, and no
+        sweep leaves a closure behind."""
+        import thetacycles.lierep as lierep
+
+        cold = []
+        for sweep in sweeps:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+                cold.append(self._sweep(*sweep))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+            for sweep, expected in zip(sweeps, cold):
+                assert self._sweep(*sweep) == expected, sweep
+                assert all(rs._dominant_below_cache == {}
+                           for rs in lierep._ROOT_SYSTEM_CACHE.values()), sweep
+
+    def test_cold_sweep_keeps_no_closure(self, monkeypatch):
+        """A cold classify_wmf(10, 3000) builds 647 closures and keeps none:
+        what stays in the 39 root systems is their tables, the walk to 3000
+        (5,177 weights), 647 facts and 3,383 rows, 2.92 MB with the rows the
+        sweep returns.  When each closure was kept, this read 4.53 MB.  The
+        bound leaves 0.18 MB of room (Python 3.11)."""
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = classify_wmf(10, 3000)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        systems = lierep._ROOT_SYSTEM_CACHE.values()
+        assert len(rows) == 3383 and len(systems) == 39
+        assert all(rs._dominant_below_cache == {} for rs in systems)
+        assert sum(len(rs._facts_table) for rs in systems) == 647
+        assert kept < 3_100_000

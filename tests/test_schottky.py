@@ -416,6 +416,17 @@ class TestFakeJacobian:
         sol = fake_jacobian_solve(3, theta_target(3, comb(10**6, 2)))
         assert sol["c0_candidates"] == [10**6]
 
+    def test_genus_over_the_limit_refused(self, monkeypatch):
+        # refused before the divisor's Chern-Mather class is formed
+        monkeypatch.setattr(schottky, "_theta_cm", None)
+        for g in (MAX_THETA_GENUS + 1, 10**6):
+            with pytest.raises(ValueError, match=f"at g = {g} is over the limit of g <= 100"):
+                theta_target(g, 5)
+
+    def test_genus_limit_is_inclusive(self):
+        sol = fake_jacobian_solve(MAX_THETA_GENUS, theta_target(MAX_THETA_GENUS, 5))
+        assert sol["g"] == MAX_THETA_GENUS
+
 
 class TestSummandBound:
     def test_jacobian_curve_summands_allowed(self):
