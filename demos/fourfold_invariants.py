@@ -9,7 +9,7 @@ out of the quotient character of Sp_6.
 from thetacycles.schottky import fourfold_table, fourfold_table_csv
 
 table = fourfold_table()
-print(fourfold_table_csv())
+print(fourfold_table_csv(table))
 
 print("theta-null strata in detail:")
 for inst in table["rows"][-1]["instances"]:

@@ -95,10 +95,6 @@ class ChowVector:
                 return i
         return None
 
-    def __str__(self):
-        bits = [f"({c})*mu_{i}" for i, c in enumerate(self.coords) if c != 0]
-        return " + ".join(bits) if bits else "0"
-
     def to_json(self) -> dict:
         return {"g": self.g, "coords": [str(c) for c in self.coords]}
 

@@ -13,9 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .cycles import CleanCycleModel, convolve, schur_cycle
 from .lambdaring import (
@@ -29,6 +27,7 @@ from .lambdaring import (
     sym_op,
 )
 from .lierep import (
+    Character,
     classify_wmf,
     freudenthal_character,
     quasi_minuscule_dim_search,
@@ -74,19 +73,6 @@ class _IntText(dict):
 _INT_TEXT = _IntText((i, str(i)) for i in range(-128, 128))
 
 
-def _is_pair_list(value: list) -> bool:
-    """Whether value is a list of [[int, ...], int] pairs, the shape of
-    every group-ring coeffs block and character weight list."""
-    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
-        return False
-    keys = list(map(itemgetter(0), value))
-    return (
-        set(map(type, map(itemgetter(1), value))) == {int}
-        and set(map(type, keys)) == {list}
-        and set(map(type, chain.from_iterable(keys))) <= {int}
-    )
-
-
 def _dumps_pairs(pairs: list, newline: str) -> list:
     """The pieces of _dumps([[list(key), c] for key, c in pairs]), for
     (key, int) pairs whose keys are lists or tuples of ints: the brackets
@@ -120,14 +106,13 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
 def _dumps(value, newline="\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the types a payload
     holds: str-keyed dicts, lists, str, int, bool and None, plus a
-    GroupRingElement, written as json.dumps(value.to_json(), ...) would.
-    The standard encoder runs in pure Python whenever indent is set; this
-    one renders a list of ints from one repr, writes group-ring coeffs
-    blocks with _dumps_pairs, and recurses on the rest.  An element's terms
-    come from its own sort and go to _dumps_pairs without a list image or
-    a type check, since its keys are canonical int tuples; a list of
-    [[int, ...], int] pairs (character weights, a to_json image) takes the
-    same renderer once _is_pair_list has checked every value's type."""
+    GroupRingElement or Character, written as json.dumps(value.to_json(),
+    ...) would.  The standard encoder runs in pure Python whenever indent is
+    set; this one renders a list of ints from one repr, writes an element's
+    coeffs block and a character's weight list with _dumps_pairs, and
+    recurses on the rest.  Their terms go to _dumps_pairs in key order
+    without a list image or a type check, since their keys are int tuples
+    and their values ints."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -145,8 +130,6 @@ def _dumps(value, newline="\n") -> str:
             return "[]"
         if set(map(type, value)) == {int}:
             return "".join(["[", inner, repr(value)[1:-1].replace(", ", sep), newline, "]"])
-        if _is_pair_list(value):
-            return "".join(_dumps_pairs(value, newline))
         parts = []
         for v in value:
             parts += (sep, _dumps(v, inner))
@@ -169,17 +152,24 @@ def _dumps(value, newline="\n") -> str:
             "{", inner, '"coeffs": ', *_dumps_pairs(value._sorted_items(), inner),
             sep, '"group": ', _dumps(value.group.to_json(), inner), newline, "}",
         ])
+    if isinstance(value, Character):  # to_json's keys, in sorted order
+        return "".join([
+            "{", inner, '"type": ', encode_basestring_ascii(value.rs.name), sep,
+            '"weights": ', *_dumps_pairs(sorted(value.weights.items()), inner), newline, "}",
+        ])
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, payload, csv_text=None, text=None):
-    """Write payload as JSON, or its CSV or text form; a subcommand without
-    the form asked for is a usage error."""
+    """Write payload as JSON, or its CSV or text form, which csv_text and
+    text build when called with no arguments; only the form asked for is
+    built, and a subcommand without it is a usage error."""
     if args.format != "json":
-        out = csv_text if args.format == "csv" else text
-        if out is None:
+        build = csv_text if args.format == "csv" else text
+        if build is None:
             name = "CSV" if args.format == "csv" else "text"
             raise InputError(f"this subcommand has no {name} output")
+        out = build()
         sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
         sys.stdout.write(_dumps(payload))
@@ -208,6 +198,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to decode") from None
 
 
 def _object_field(data, key) -> dict:
@@ -274,7 +266,7 @@ def _cmd_symfun(args):
     if args.what == "partitions":
         ps = partitions(int(args.arg))
         _emit(args, {"n": int(args.arg), "partitions": [list(p.parts) for p in ps]},
-              text="\n".join(str(p) for p in ps))
+              text=lambda: "\n".join(map(str, ps)))
         return 0
     if args.what == "schur":
         expr = schur_to_powersum(_parse_coords(args.arg))
@@ -282,7 +274,7 @@ def _cmd_symfun(args):
         expr = elementary_to_powersum(int(args.arg))
     else:
         raise InputError(f"unknown symfun operation {args.what!r}")
-    _emit(args, _symexpr_json(expr), text=str(expr))
+    _emit(args, _symexpr_json(expr), text=lambda: str(expr))
     return 0
 
 
@@ -337,17 +329,15 @@ def _cmd_rep_dim(args):
     rs = root_system(args.type)
     dim = rs.weyl_dim(_parse_coords(args.weight))
     _emit(args, {"type": rs.name, "weight": list(_parse_coords(args.weight)), "dim": dim},
-          text=str(dim))
+          text=lambda: str(dim))
     return 0
 
 
 def _cmd_rep_char(args):
     rs = root_system(args.type)
     ch = freudenthal_character(rs, _parse_coords(args.weight))
-    csv_lines = ["weight,multiplicity"] + [
-        f"{' '.join(map(str, w))},{m}" for w, m in sorted(ch.weights.items())
-    ]
-    _emit(args, ch.to_json(), csv_text="\n".join(csv_lines) + "\n")
+    _emit(args, ch, csv_text=lambda: "weight,multiplicity\n" + "".join([
+        f"{' '.join(map(str, w))},{m}\n" for w, m in sorted(ch.weights.items())]))
     return 0
 
 
@@ -355,18 +345,15 @@ def _cmd_rep_classify(args):
     rows = classify_wmf(args.max_rank, args.max_dim)
     payload = {"max_rank": args.max_rank, "max_dim": args.max_dim,
                "rows": [r.to_json() for r in rows]}
-    csv_lines = ["type,weight,dim,minuscule,fs,family,group"] + [
+    _emit(args, payload, csv_text=lambda: "type,weight,dim,minuscule,fs,family,group\n" + "".join([
         f"{r.letter}{r.rank},{' '.join(map(str, r.weight))},{r.dim},"
-        f"{r.minuscule},{r.fs},{r.family},{r.group}"
-        for r in rows
-    ]
-    _emit(args, payload, csv_text="\n".join(csv_lines) + "\n")
+        f"{r.minuscule},{r.fs},{r.family},{r.group}\n" for r in rows]))
     return 0
 
 
 def _cmd_wmf_tables(args):
     csv_text = wmf_tables_csv(args.max_rank, args.max_dim)
-    _emit(args, {"csv": csv_text}, csv_text=csv_text, text=csv_text)
+    _emit(args, {"csv": csv_text}, csv_text=lambda: csv_text, text=lambda: csv_text)
     return 0
 
 
@@ -383,7 +370,7 @@ def _ppav_from_args(args):
 
 def _cmd_theta_group(args):
     out = theta_group(_ppav_from_args(args))
-    _emit(args, out.to_json(), text=out.label)
+    _emit(args, out.to_json(), text=lambda: out.label)
     return 0
 
 
@@ -424,7 +411,8 @@ def _cmd_simplicity(args):
 
 
 def _cmd_fourfold_table(args):
-    _emit(args, fourfold_table(), csv_text=fourfold_table_csv())
+    table = fourfold_table()
+    _emit(args, table, csv_text=lambda: fourfold_table_csv(table))
     return 0
 
 

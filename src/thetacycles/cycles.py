@@ -30,6 +30,10 @@ from .lambdaring import (
 )
 from .symfun import Partition, _is_int, schur_to_powersum
 
+# Largest g of a cycle, whose Pontryagin products cost g^2 Fractions;
+# theta_target builds cycles up to schottky.MAX_THETA_GENUS, the same value.
+MAX_CYCLE_GENUS = 100
+
 
 @dataclass(frozen=True)
 class CycleComponent:
@@ -97,6 +101,8 @@ class CleanCycleModel:
     fiber: GroupRingElement | None = None
 
     def __post_init__(self):
+        if not _is_int(self.g) or not 1 <= self.g <= MAX_CYCLE_GENUS:
+            raise ValueError(f"g must be an integer in [1, {MAX_CYCLE_GENUS}], got {self.g!r}")
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
         for c in comps:
@@ -326,27 +332,22 @@ def reduced(c: CleanCycleModel) -> bool:
     return True
 
 
-def essentially_multiplicity_free(c: CleanCycleModel, n_max: int | None = None) -> bool:
-    """Whether [n]_* of the cycle stays reduced for n = 1..n_max.
+def essentially_multiplicity_free(c: CleanCycleModel) -> bool:
+    """Whether [n]_* of the cycle stays reduced for n = 1..e, e the torsion
+    exponent of the fiber group; requires the fiber model.
 
-    Requires the fiber model: collisions of supports under [n] are detected
-    there.  When ``n_max`` is omitted it defaults to the torsion exponent of
-    the fiber group, which covers every possible collision: two support
-    elements can collide under [n] only if they share their free part and
-    their (torsion) difference has order dividing n.  Psi^1 is the identity,
-    so n = 1 reads the fiber's own reducedness and only n >= 2 is pushed; a
-    torsion-free fiber with the default n_max is never pushed at all.
+    Closed form, so no fiber is pushed: two keys sharing their free part
+    key[:rank] differ by torsion of order dividing e and collide under [e],
+    leaving a coefficient 2 in a reduced fiber; keys with different free
+    parts never collide, as n times a nonzero free difference is nonzero.
     """
     if c.fiber is None:
         raise ValueError("essentially_multiplicity_free requires a fiber model")
-    if n_max is None:
-        n_max = c.fiber.group.torsion_exponent()
-    if n_max >= 1 and not c.fiber.is_reduced:
+    fiber = c.fiber
+    if not fiber.is_reduced:
         return False
-    for n in range(2, n_max + 1):
-        if not gr_adams(n, c.fiber).is_reduced:
-            return False
-    return True
+    rank, keys = fiber.group.rank, fiber.coeffs
+    return not fiber.group.torsion or len({key[:rank] for key in keys}) == len(keys)
 
 
 def unit_cycle(g: int, group=None) -> CleanCycleModel:

@@ -45,11 +45,16 @@ from math import lcm
 from struct import Struct
 from struct import error as struct_error
 
-from .symfun import Partition, _is_int, schur_to_powersum
+from .symfun import Partition, _check_schur_degree, _is_int, schur_to_powersum
 
 # byte b -> b ^ 0x80: a signed byte's two's complement to offset binary,
 # so that memcmp orders the bytes as the signed values
 _FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
+
+# Most coordinates a group may have: every key, and the zero key of an empty
+# element, is a tuple of this length (8 MB at the limit); the genus-7 theta
+# fiber has 2,520.
+MAX_GROUP_COORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,9 @@ class FgAbelianGroup:
             )
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
+        if self.ncoords > MAX_GROUP_COORDS:
+            raise ValueError(
+                f"a group of {self.ncoords} coordinates is over the limit of {MAX_GROUP_COORDS}")
         for d in self.torsion:
             if d < 2:
                 raise ValueError("torsion invariant factors must be >= 2")
@@ -103,9 +111,6 @@ class FgAbelianGroup:
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ncoords
-
-    def torsion_exponent(self) -> int:
-        return self.torsion[-1] if self.torsion else 1
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
@@ -163,9 +168,6 @@ class GroupRingElement:
         for g, c in other.coeffs.items():
             coeffs[g] = coeffs.get(g, 0) + c
         return GroupRingElement._of(self.group, coeffs)
-
-    def scale(self, n: int) -> "GroupRingElement":
-        return GroupRingElement._of(self.group, {g: n * c for g, c in self.coeffs.items()})
 
     def _check(self, other: "GroupRingElement"):
         if self.group != other.group:
@@ -375,6 +377,7 @@ def lambda_op(k: int, x: GroupRingElement) -> GroupRingElement:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return gr_one(x.group)
+    _check_schur_degree(k)  # before the k parts of (1^k) are made
     return schur_apply(Partition((1,) * k), x)
 
 

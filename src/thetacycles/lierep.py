@@ -57,7 +57,9 @@ theorem gives one:
 Public functions check the weights they are given.  The sweeps
 (classify_wmf, quasi_minuscule_dim_search) make their weights themselves, so
 they call unchecked kernels on them, and each root system keeps three tables
-that later sweeps read instead of redoing the work:
+that later sweeps, and the predicates is_minuscule, is_quasi_minuscule,
+is_wmf and enumerate_dominant_weights once they have checked their input,
+read instead of redoing the work:
 
 - the walk table: the sorted (weight, dimension) walk to the largest bound
   asked so far, which a smaller bound filters and a larger one replaces;
@@ -833,37 +835,26 @@ def _fs_type(rs: RootSystem, lam) -> str:
 
 def is_minuscule(rs: RootSystem, lam) -> bool:
     """All weights form a single Weyl orbit."""
-    lam = tuple(lam)
-    if lam == rs.zero():
-        return False
-    if rs.rank == 1:
-        return rs._check_dominant(lam) == (1,)
-    return rs.dominant_weights_below(lam) == [lam]
+    lam = rs._check_dominant(lam)
+    return any(lam) and _weight_facts(rs, lam)[1]
 
 
 def is_quasi_minuscule(rs: RootSystem, lam) -> bool:
     """All nonzero weights form a single Weyl orbit."""
-    lam = tuple(lam)
-    if lam == rs.zero():
-        return False
-    if rs.rank == 1:
-        return rs._check_dominant(lam)[0] <= 2
-    doms = set(rs.dominant_weights_below(lam))
-    return doms <= {lam, rs.zero()}
+    lam = rs._check_dominant(lam)
+    return any(lam) and _weight_facts(rs, lam)[2]
 
 
 def is_wmf(rs: RootSystem, lam) -> bool:
     """Weight multiplicity free: every multiplicity is one, equivalently the
     orbit sizes of the dominant weights add up to the dimension."""
-    if rs.rank == 1:
-        rs._check_dominant(lam)
-        return True  # sl2 weights k, k-2, ..., -k each occur once
-    return sum(map(rs._orbit_index, rs.dominant_weights_below(lam))) == rs.weyl_dim(lam)
+    lam = rs._check_dominant(lam)
+    return _weight_facts(rs, lam)[0] == rs.weyl_dim(lam)
 
 
 def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
     """All nonzero dominant weights with Weyl dimension <= max_dim, sorted."""
-    return sorted(lam for lam, _ in _walk_dominant_weights(rs, max_dim))
+    return [lam for lam, _ in _sorted_walk(rs, max_dim)]
 
 
 def _walk_dominant_weights(rs: RootSystem, max_dim: int):
@@ -917,49 +908,30 @@ def _fundamental_index(lam) -> int | None:
 
 def wmf_family(rs: RootSystem, lam) -> str:
     """Which row family of the minuscule/wmf classification a pair belongs to."""
-    n = rs.rank
-    lam = tuple(lam)
+    n, lam = rs.rank, tuple(lam)
     fund = _fundamental_index(lam)
     if rs.letter == "A":
         if fund is not None:
             return "A-fund"
         nz = [i for i, x in enumerate(lam) if x != 0]
-        if len(nz) == 1 and nz[0] in (0, n - 1):
-            return "A-sym"
-        return "other"
-    if rs.letter == "B":
-        if fund == 0:
-            return "B-std"
-        if fund == n - 1:
-            return "B-spin"
-        return "other"
-    if rs.letter == "C":
-        if fund == 0:
-            return "C-std"
-        if n == 3 and fund == 2:
-            return "C3-wedge3"
-        return "other"
-    if rs.letter == "D":
-        if fund == 0:
-            return "D-std"
-        if fund in (n - 2, n - 1):
-            return "D-halfspin"
-        return "other"
-    if rs.letter == "E" and n == 6 and fund in (0, 5):
-        return "E6-27"
-    if rs.letter == "E" and n == 7 and fund == 6:
-        return "E7-56"
-    if rs.letter == "G" and fund == 0:
-        return "G2-7"
-    return "other"
+        return "A-sym" if len(nz) == 1 and nz[0] in (0, n - 1) else "other"
+    # the family of each fundamental weight varpi_(i+1) that has one, by i
+    families = {
+        "B": {0: "B-std", n - 1: "B-spin"},
+        "C": {0: "C-std", 2: "C3-wedge3" if n == 3 else "other"},
+        "D": {0: "D-std", n - 2: "D-halfspin", n - 1: "D-halfspin"},
+        "E": {0: "E6-27", 5: "E6-27"} if n == 6 else {6: "E7-56"} if n == 7 else {},
+        "G": {0: "G2-7"},
+    }
+    return families.get(rs.letter, {}).get(fund, "other")
 
 
 def image_group_label(rs: RootSystem, lam) -> str:
     """Image of the simply connected group in Gl(V_lam), in the notation of
-    the classification tables."""
+    the classification tables: in type D it is Spin when the center acts
+    faithfully (d = 1) or lam is a half-spin weight, SO otherwise."""
     n = rs.rank
     d = center_kernel_index(rs, lam)
-    family = wmf_family(rs, lam)
     if rs.letter == "A":
         return f"Sl{n + 1}" + (f"/mu{d}" if d > 1 else "")
     if rs.letter == "B":
@@ -967,11 +939,9 @@ def image_group_label(rs: RootSystem, lam) -> str:
     if rs.letter == "C":
         return f"Sp{2 * n}" if d == 1 else f"PSp{2 * n}"
     if rs.letter == "D":
-        if family == "D-std":
-            return f"SO{2 * n}"
-        if family == "D-halfspin":
+        if d == 1 or _fundamental_index(lam) in (n - 2, n - 1):
             return f"Spin{2 * n}"
-        return f"Spin{2 * n}" if d == 1 else f"SO{2 * n}"
+        return f"SO{2 * n}"
     if rs.letter == "E":
         return f"E{n}"
     if rs.letter == "F":
@@ -1044,13 +1014,13 @@ def _sorted_walk(rs: RootSystem, max_dim: int) -> list:
 
 def _weight_facts(rs: RootSystem, lam) -> tuple:
     """(sum of |W mu| over the dominant weights mu of V_lam, minuscule?,
-    quasi-minuscule?) for a nonzero dominant tuple lam.
+    quasi-minuscule?) for a dominant tuple lam, unchecked.
 
     V_lam is wmf when the sum is its dimension, minuscule when lam is its
     only dominant weight and quasi-minuscule when lam and 0 are the only
-    ones.  The facts table keeps the three, read from one uncached closure;
-    rank 1 uses the closed forms, as sl2 weights k, k-2, ..., -k each occur
-    once."""
+    ones; the two flags are read for nonzero lam only.  The facts table keeps
+    the three, read from one uncached closure; rank 1 uses the closed forms,
+    as sl2 weights k, k-2, ..., -k each occur once."""
     if rs.rank == 1:
         return lam[0] + 1, lam[0] == 1, lam[0] <= 2
     facts = rs._facts_table.get(lam)

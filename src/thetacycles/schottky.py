@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from .chow import ChowVector, pontryagin, pushforward_n, theta_power
 from .cycles import (
@@ -39,7 +39,7 @@ from .lierep import (
     quasi_minuscule_dim_search,
     root_system,
 )
-from .symfun import Partition, partitions, schur_to_powersum
+from .symfun import partitions
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +364,18 @@ def theta_group(p: PpavInput) -> GroupDescriptor:
 
 def alt_cm1_coefficient(j: int, c0: int) -> Fraction:
     """Coefficient of c_1 in the degree-1 Chern-Mather class of the j-th
-    exterior convolution power of a cycle with cm = (c0, c1, 0, ...)."""
+    exterior convolution power of a cycle with cm = (c0, c1, 0, ...).
+
+    In degrees <= 1, [b]_* acts as c0 + eps b^2 c1 with eps^2 = 0, so the
+    exponential formula sum_j Lambda^j t^j = exp(sum_b (-1)^(b+1) [b]_* t^b / b)
+    gives (1 + t)^c0 (1 + eps c1 t / (1 + t)^2), and the coefficient is that
+    of t^j in t (1 + t)^(c0 - 2): the generalized binomial C(c0 - 2, j - 1).
+    """
+    if j < 0 or c0 < 0:
+        raise ValueError(f"j and c0 must be nonnegative, got j = {j}, c0 = {c0}")
     if j == 0:
         return Fraction(0)
-    total = Fraction(0)
-    for beta, m in schur_to_powersum(Partition((1,) * j)).terms.items():
-        total += m * cm1_partition_product(beta, c0)
-    return total
+    return Fraction(prod(range(c0 - 2, c0 - 1 - j, -1)), factorial(j - 1))
 
 
 def genus5_obstruction(p: PpavInput, cm1_theta: ChowVector | None = None) -> dict:
@@ -682,8 +687,8 @@ def fourfold_table() -> dict:
     return {"g": g, "rows": rows}
 
 
-def fourfold_table_csv() -> str:
-    table = fourfold_table()
+def fourfold_table_csv(table: dict) -> str:
+    """The rows of a fourfold_table() record as CSV."""
     lines = ["stratum,gauss_degree,dim_omega,weight,group"]
     for row in table["rows"]:
         lines.append(

@@ -66,6 +66,11 @@ class Partition:
 # list and e_45 about 2 s to expand (Python 3.11, 2 vCPU)
 MAX_PARTITIONS = 100_000
 
+# the most partitions schur_to_powersum expands over, one Murnaghan-Nakayama
+# character each: p(32) = 8,349 take up to 1.6 s (s_(4^8)) and p(33) =
+# 10,143 up to 2.0 s (Python 3.11, 2 vCPU), so degree 32 is the largest
+MAX_SCHUR_PARTITIONS = 10_000
+
 
 def _partition_count_over(n: int, limit: int) -> bool:
     """Whether p(n) > limit, by Euler's pentagonal-number recurrence; p is
@@ -179,33 +184,6 @@ class SymExpr:
                 clean[part] = coeff
         object.__setattr__(self, "terms", clean)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        degrees = {p.degree for p in self.terms}
-        return len(degrees) <= 1
-
-    @property
-    def degree(self) -> int | None:
-        degrees = {p.degree for p in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def coefficient(self, part) -> Fraction:
-        if not isinstance(part, Partition):
-            part = Partition(tuple(part))
-        return self.terms.get(part, Fraction(0))
-
-    def __add__(self, other: "SymExpr") -> "SymExpr":
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return SymExpr(terms)
-
-    def scale(self, c) -> "SymExpr":
-        c = Fraction(c)
-        return SymExpr({p: c * v for p, v in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -213,6 +191,14 @@ class SymExpr:
         for p in sorted(self.terms, key=lambda q: (q.degree, q.parts), reverse=True):
             bits.append(f"{self.terms[p]}*p{p}")
         return " + ".join(bits)
+
+
+def _check_schur_degree(n: int) -> None:
+    """Refuse a Schur expansion of degree n, over MAX_SCHUR_PARTITIONS
+    partitions, before any is listed."""
+    if _partition_count_over(n, MAX_SCHUR_PARTITIONS):
+        raise ValueError(
+            f"p({n}) is over the limit of {MAX_SCHUR_PARTITIONS} partitions of a Schur expansion")
 
 
 def schur_to_powersum(alpha) -> SymExpr:
@@ -224,6 +210,7 @@ def schur_to_powersum(alpha) -> SymExpr:
         alpha = Partition(tuple(alpha))
     if alpha.degree == 0:
         raise ValueError("alpha must be a nonempty partition")
+    _check_schur_degree(alpha.degree)
     terms = {}
     for beta in partitions(alpha.degree):
         chi = symmetric_group_character(alpha, beta)

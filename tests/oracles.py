@@ -234,12 +234,14 @@ def gr_adams_oracle(group, n, x):
     return _gr_clean(acc)
 
 
-def multiplicity_free_by_push(group, x, n_max):
-    """Whether Psi^n x is reduced (every coefficient 1) for each n = 1..n_max,
-    pushing the element once per n, Psi^1 included."""
+def multiplicity_free_by_push(group, x):
+    """Whether Psi^n x is reduced (every coefficient 1) for each n = 1..e,
+    e the torsion exponent of the group (1 without torsion), pushing the
+    element once per n, Psi^1 included."""
+    e = group.torsion[-1] if group.torsion else 1
     return all(
         all(c == 1 for c in gr_adams_oracle(group, n, x).values())
-        for n in range(1, n_max + 1)
+        for n in range(1, e + 1)
     )
 
 
@@ -618,3 +620,17 @@ def generalized_binomial(x, m):
     for i in range(m):
         out = out * (x - i) / (i + 1)
     return out
+
+
+def alt_cm1_by_partition_sum(j, c0):
+    """The c1-coefficient of the j-th exterior convolution power of a cycle
+    L with cm = (c0, c1, 0, ...): e_j expanded in power sums, each p_beta
+    read as [b1]_*L o ... o [bl]_*L, whose c1-coefficient is
+    (sum_i b_i^2) c0^(l - 1) as [b]_* scales c_1 by b^2."""
+    if j == 0:
+        return Fraction(0)
+    return sum(
+        (m * sum(b * b for b in beta) * c0 ** (len(beta) - 1)
+         for beta, m in elementary_by_exponential_series(j).items()),
+        Fraction(0),
+    )

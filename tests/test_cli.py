@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -95,6 +96,20 @@ class TestRepCommands:
         assert code == 0
         assert sum(m for _, m in payload["weights"]) == 8
 
+    @pytest.mark.parametrize("name, weight", [
+        ("A1", "3"), ("G2", "1,1"), ("C3", "0,1,0"), ("D4", "1,0,1,0"),
+        ("E8", "0,0,0,0,0,0,0,1")])
+    def test_rep_char_matches_json_dumps(self, capsys, name, weight):
+        # the Character goes to the writer itself, with no list image
+        code, out = invoke(capsys, "rep-char", name, weight)
+        ch = lierep.freudenthal_character(lierep.root_system(name),
+                                          tuple(map(int, weight.split(","))))
+        assert (code, out) == (0, json.dumps(ch.to_json(), sort_keys=True, indent=2) + "\n")
+
+    def test_rep_char_csv(self, capsys):
+        code, out = invoke(capsys, "--format", "csv", "rep-char", "A2", "1,0")
+        assert (code, out) == (0, "weight,multiplicity\n-1 1,1\n0 -1,1\n1 0,1\n")
+
     def test_rep_classify(self, capsys):
         code, payload = invoke_json(
             capsys, "rep_classify", "rep-classify", "--max-rank", "3", "--max-dim", "30"
@@ -146,6 +161,26 @@ class TestThetaCommands:
         code, out = invoke(capsys, "--format", "csv", "fourfold-table")
         assert code == 0
         assert len(out.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fourfold_table_computed_once(self, capsys, monkeypatch, fmt):
+        calls = {"table": 0, "csv": 0}
+        table, table_csv = schottky.fourfold_table, schottky.fourfold_table_csv
+
+        def counted_table():
+            calls["table"] += 1
+            return table()
+
+        def counted_csv(rows):
+            calls["csv"] += 1
+            return table_csv(rows)
+
+        for module in (cli, schottky):
+            monkeypatch.setattr(module, "fourfold_table", counted_table)
+            monkeypatch.setattr(module, "fourfold_table_csv", counted_csv)
+        assert run(["--format", fmt, "fourfold-table"]) == 0
+        capsys.readouterr()
+        assert calls == {"table": 1, "csv": int(fmt == "csv")}
 
     @pytest.mark.parametrize("argv,digest", [
         (["fourfold-table"], FOURFOLD_JSON_SHA256),
@@ -595,13 +630,16 @@ class TestCliContract:
         ["symfun", "partitions", "1000000"],
         ["symfun", "elementary", "200"],
         ["symfun", "schur", "50"],
+        ["symfun", "schur", "15,15,15"],
+        ["symfun", "schur", "33"],
         ["rep-dim", "A99999999", "1"],
         ["fake-jacobian", "--g", "1000000", "--degree", "5"],
     ], ids=["m-bound-negative", "m-bound-zero", "dz-negative", "dims-negative",
             "qm-dim-negative", "classify-negative", "classify-rank-zero",
             "tables-dim-zero", "theta-genus", "theta-genus-and-k", "genus5-k",
             "cc-odp-k", "m-bound-huge", "partitions-huge", "elementary-huge",
-            "schur-huge", "root-system-rank-huge", "fake-jacobian-genus"])
+            "schur-huge", "schur-15-15-15", "schur-33", "root-system-rank-huge",
+            "fake-jacobian-genus"])
     def test_impossible_numbers_refused(self, argv, capsys, monkeypatch, tmp_path):
         (tmp_path / "cycle.json").write_text(
             _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()))
@@ -648,6 +686,58 @@ class TestCliContract:
         name = "CSV" if "csv" in argv else "text"
         assert (captured.out, captured.err) == (
             "", f"error: this subcommand has no {name} output\n")
+
+    def test_emit_builds_only_the_form_asked_for(self, capsys):
+        def never():
+            raise AssertionError("a form not asked for was built")
+
+        for fmt, form, text in (("json", None, ""), ("csv", "csv_text", "c\n"), ("text", "text", "t")):
+            builders = {"csv_text": never, "text": never}
+            if form:
+                builders[form] = lambda: text
+            cli._emit(argparse.Namespace(format=fmt), {"a": 1}, **builders)
+        assert capsys.readouterr().out == '{\n  "a": 1\n}\nc\nt\n'
+
+    @pytest.mark.parametrize("doc", [
+        '{"element": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"construction": ' + '{"kind": "sum", "children": [' * 600 + '{"kind": "var"}'
+        + "]}" * 600 + "}",
+    ], ids=["array-100000", "construction-600"])
+    def test_deep_document_refused(self, doc, capsys, tmp_path):
+        # the decoder's recursion limit ends as an input error, before any
+        # field is read
+        path = tmp_path / "deep.json"
+        path.write_text(doc)
+        command = "lambda-eval" if doc.startswith('{"element"') else "verify-ig"
+        assert run([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path} is nested too deeply to decode\n")
+
+    @pytest.mark.parametrize("g", ["3", 1000000, 101, 0, True, None])
+    def test_cycle_genus_refused_before_any_work(self, g, capsys, monkeypatch, tmp_path):
+        def schur_cycle(*args):
+            raise AssertionError("schur_cycle ran")
+
+        monkeypatch.setattr(cli, "schur_cycle", schur_cycle)
+        path = tmp_path / "schur.json"
+        path.write_text(json.dumps(
+            {"cycle": {"g": g, "components": []}, "alpha": [1], "d_trunc": 1}))
+        assert run(["cycle-schur", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cycle invariant violated in embedded cycle: g must be an integer in "
+            f"[1, 100], got {g!r}\n")
+
+    def test_empty_element_of_a_huge_group_refused(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"element": {"group": {"rank": 10**9, "torsion": []},
+                                                "coeffs": []},
+                                    "op": {"kind": "lambda", "k": 0}}))
+        assert run(["lambda-eval", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: a group of 1000000000 coordinates is over the limit of 1000000\n")
 
     @pytest.mark.parametrize("m_bound", ["0", "-1", "100000000"])
     def test_m_bound_checked_before_the_cycle_is_read(self, m_bound, capsys, monkeypatch):
@@ -816,7 +906,9 @@ class TestWriter:
         # a join-built document needs its pieces and its result at once, so
         # 2x the output is the floor; 4 KiB covers the pieces' object headers.
         # Rendering a whole coeffs block from one repr goes well above it.
-        record = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).to_json()
+        # The payload is what cc-odp hands to _emit: the cycle's fields with
+        # its fiber still an element, sorted inside _dumps.
+        record = cc_odp(PpavInput(g=6, k=2, gauss_finite=True))._json_fields()
         tracemalloc.start()
         try:
             out = _dumps(record)
@@ -847,16 +939,16 @@ class TestWriter:
             [cycle_shaped(x.to_json())], sort_keys=True, indent=2)
 
     def test_peak_memory_element(self):
-        # the same bound as test_peak_memory, on the payload cc-odp emits: a
-        # cycle whose fiber is still an element, sorted inside _dumps
-        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True))._json_fields()
+        # the same bound as test_peak_memory, on a bare element, the payload
+        # lambda-eval hands to _emit
+        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).fiber
         tracemalloc.start()
         try:
             out = _dumps(payload)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(out) > 3_000_000
+        assert len(out) > 2_500_000
         assert peak < 2 * len(out) + 4096
 
     @pytest.mark.parametrize(

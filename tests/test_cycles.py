@@ -6,6 +6,7 @@ import pytest
 
 from thetacycles.chow import ChowVector
 from thetacycles.cycles import (
+    MAX_CYCLE_GENUS,
     CleanCycleModel,
     CycleComponent,
     adams_push,
@@ -83,6 +84,19 @@ class TestComponentInvariants:
         fiber = gr_element(g, (1,)) + gr_element(g, (-1,))
         with pytest.raises(ValueError):
             CleanCycleModel(g=4, components=(point_component(4),), fiber=fiber)
+
+
+class TestCycleGenus:
+    @pytest.mark.parametrize("g", ["3", 3.0, True, None, 0, -1, 101, 10**6])
+    def test_refused(self, g):
+        with pytest.raises(ValueError, match=r"^g must be an integer in \[1, 100\]"):
+            CleanCycleModel(g=g)
+
+    def test_theta_targets_fit(self):
+        from thetacycles.schottky import MAX_THETA_GENUS, theta_target
+
+        assert MAX_THETA_GENUS <= MAX_CYCLE_GENUS == 100
+        assert theta_target(MAX_THETA_GENUS, 5).g == MAX_THETA_GENUS
 
 
 class TestDegree:
@@ -290,16 +304,17 @@ class TestPredicates:
             "c", dim=1, mult=1, cm=ChowVector(3, (Fraction(2), Fraction(1), 0)),
         )
         c = CleanCycleModel(3, (comp,), fiber=fiber)
-        assert essentially_multiplicity_free(c, n_max=6)
+        assert essentially_multiplicity_free(c)
 
     def test_emf_matches_pushing_oracle(self):
         # random fibers, reduced or not, over groups with and without torsion
         rng = random.Random(12)
         groups = [FgAbelianGroup(0, (2,)), FgAbelianGroup(1, (2, 4)),
-                  FgAbelianGroup(0, (3, 6)), FgAbelianGroup(2), FgAbelianGroup(1, (5,))]
+                  FgAbelianGroup(0, (3, 6)), FgAbelianGroup(2), FgAbelianGroup(1, (5,)),
+                  FgAbelianGroup(2, (2, 2)), FgAbelianGroup(0), FgAbelianGroup(1, (4,))]
         verdicts = set()
         for group in groups:
-            for _ in range(40):
+            for _ in range(100):
                 coeffs = {}
                 for _ in range(rng.randint(1, 6)):
                     key = tuple(rng.randint(-3, 3) for _ in range(group.ncoords))
@@ -308,11 +323,9 @@ class TestPredicates:
                 point = CycleComponent("p", dim=0, mult=fiber.coefficient_sum,
                                        cm=ChowVector.point(3), gauss_finite=True)
                 c = CleanCycleModel(3, (point,), fiber=fiber)
-                for n_max in (None, 0, 1, 2, 6):
-                    n = group.torsion_exponent() if n_max is None else n_max
-                    expected = multiplicity_free_by_push(group, fiber.coeffs, n)
-                    assert essentially_multiplicity_free(c, n_max) == expected
-                    verdicts.add((fiber.is_reduced, expected))
+                expected = multiplicity_free_by_push(group, fiber.coeffs)
+                assert essentially_multiplicity_free(c) == expected, (group, fiber.coeffs)
+                verdicts.add((fiber.is_reduced, expected))
         # reduced fibers that do and do not collide, and fibers that are not reduced
         assert verdicts >= {(True, True), (True, False), (False, False)}
 

@@ -71,6 +71,22 @@ class TestGroup:
         with pytest.raises(ValueError, match="integers"):
             FgAbelianGroup(0, (bad,))
 
+    def test_coordinate_limit(self):
+        import thetacycles.lambdaring as lr
+
+        assert FgAbelianGroup(lr.MAX_GROUP_COORDS - 1, (2,)).ncoords == lr.MAX_GROUP_COORDS
+        for rank, torsion in ((lr.MAX_GROUP_COORDS, (2,)), (10**9, ())):
+            with pytest.raises(ValueError, match="coordinates is over the limit of 1000000"):
+                FgAbelianGroup(rank, torsion)
+
+    def test_exterior_power_degree_checked_first(self, monkeypatch):
+        import thetacycles.lambdaring as lr
+
+        # a missing guard fails at the partition instead of making 10^12 parts
+        monkeypatch.setattr(lr, "Partition", None)
+        with pytest.raises(ValueError, match=r"^p\(1000000000000\) is over the limit"):
+            lambda_op(10**12, elem(Z, 1))
+
 
 class TestEquality:
     def test_equality_compares_group_and_coefficients(self):

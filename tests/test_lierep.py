@@ -524,6 +524,17 @@ class TestClassifiers:
         with pytest.raises(ValueError, match="is not dominant"):
             check(root_system(name), lam)
 
+    def test_predicates_read_the_facts_table(self):
+        rs = RootSystem("B", 3)  # empty tables
+        lam = (1, 0, 1)
+        assert (is_minuscule(rs, lam), is_quasi_minuscule(rs, lam), is_wmf(rs, lam)) == (
+            False, False, False)
+        assert list(rs._facts_table) == [lam] and rs._dominant_below_cache == {}
+        assert enumerate_dominant_weights(rs, 30) == [lam for lam, _ in rs._walk_table[1]]
+        zero = rs.zero()
+        assert (is_minuscule(rs, zero), is_quasi_minuscule(rs, zero), is_wmf(rs, zero)) == (
+            False, False, True)
+
     def test_classify_contains_expected(self):
         rows = classify_wmf(3, 40)
         keyed = {(r.letter, r.rank, r.weight): r for r in rows}
@@ -710,13 +721,18 @@ class TestClosedFormsAgainstOracles:
                     assert rs.reflect(i, w) == rs.reflect(i, tuple(w)) == expected, (
                         rs.name, w, i)
 
-    def test_classify_flags_against_public_predicates(self):
+    def test_classify_flags_against_unfiltered_closure(self):
+        # the predicates read the same facts table as the sweep, so the flags
+        # are checked against the closure that forms every root difference
         rows = classify_wmf(10, 3000) + classify_wmf(20, 118)
         for r in rows:
             rs = root_system(r.letter, r.rank)
+            doms = dominant_weights_below_unfiltered(rs, r.weight)
             assert (r.dim, r.minuscule, r.quasi_minuscule, r.fs) == (
-                rs.weyl_dim(r.weight), is_minuscule(rs, r.weight),
-                is_quasi_minuscule(rs, r.weight), fs_type(rs, r.weight)), (rs.name, r.weight)
+                rs.weyl_dim(r.weight), doms == [r.weight],
+                set(doms) <= {r.weight, rs.zero()}, fs_type(rs, r.weight)), (rs.name, r.weight)
+            assert (is_minuscule(rs, r.weight), is_quasi_minuscule(rs, r.weight)) == (
+                r.minuscule, r.quasi_minuscule)
         assert len(rows) == 3383 + 320
 
     def test_rank_one_sweeps_build_no_closure(self, monkeypatch):
@@ -731,13 +747,14 @@ class TestClosedFormsAgainstOracles:
         assert root_system("A1")._dominant_below_cache == {}
 
     @pytest.mark.parametrize("dim", [3, 7, 8, 26, 27, 56, 78, 118, 248])
-    def test_qm_search_against_public_predicates(self, dim):
+    def test_qm_search_against_bfs_and_unfiltered_closure(self, dim):
         expected = [
             (f"{letter}{n}", lam)
             for letter, n in canonical_simple_types(min(8, dim - 1))
-            for lam in enumerate_dominant_weights(root_system(letter, n), dim)
+            for lam in dominant_weights_by_bfs(root_system(letter, n), dim)
             if root_system(letter, n).weyl_dim(lam) == dim
-            and is_quasi_minuscule(root_system(letter, n), lam)
+            and set(dominant_weights_below_unfiltered(root_system(letter, n), lam))
+            <= {lam, root_system(letter, n).zero()}
         ]
         assert quasi_minuscule_dim_search(dim, 8) == expected
 
@@ -810,6 +827,19 @@ class TestGroupLabels:
         assert image_group_label(root_system("B3"), (1, 0, 0)) == "SO7"
         assert image_group_label(root_system("B3"), (0, 0, 1)) == "Spin7"
         assert image_group_label(root_system("E7"), (0,) * 6 + (1,)) == "E7"
+
+    def test_type_d_labels_against_families(self):
+        # the family rule the label used to read: D-std is SO, a half-spin
+        # weight Spin, and any other weight Spin exactly when d = 1
+        cases = [(r.rank, r.weight) for r in classify_wmf(10, 3000) if r.letter == "D"]
+        cases += [(n, lam) for n in range(4, 15)
+                  for lam in enumerate_dominant_weights(root_system("D", n), 300)]
+        for n, lam in cases:
+            rs = root_system("D", n)
+            family = lierep.wmf_family(rs, lam)
+            spin = family == "D-halfspin" or (
+                family != "D-std" and center_kernel_index(rs, lam) == 1)
+            assert image_group_label(rs, lam) == f"{'Spin' if spin else 'SO'}{2 * n}", (n, lam)
 
 
 class TestTables:

@@ -47,8 +47,10 @@ from thetacycles.schottky import (
 )
 
 from oracles import (
+    alt_cm1_by_partition_sum,
     criterion3_by_push,
     degree_equation_scan,
+    elementary_by_exponential_series,
     generalized_binomial,
     multiplicity_free_by_push,
     push_character_oracle,
@@ -80,7 +82,7 @@ def oracle_simplicity_records(c, label, m_max):
     crit1 = Fraction(div.mult * div.gauss_degree) > Fraction(total_degree, 3)
     crit2 = all(comp.dim == 0 for comp in c.components if comp.label != label)
     group, x = c.fiber.group, c.fiber.coeffs
-    crit4 = multiplicity_free_by_push(group, x, group.torsion_exponent())
+    crit4 = multiplicity_free_by_push(group, x)
     checked = None
     if div.gauss_finite:
         checked = criterion3_by_push(
@@ -325,19 +327,28 @@ class TestGenus5:
             "4": "16",
         }
         assert rec["alt4_coefficient"] == "20"
+        # the listed products, weighted by e_4 in power sums, give the formula
+        e4 = elementary_by_exponential_series(4)
+        assert sum(m * Fraction(coeffs[",".join(map(str, beta))]) for beta, m in e4.items()) == 20
         assert rec["left_side"]["coords"][1] == "384"
         assert rec["c1_coefficient"] == "96/5"
         assert rec["integral"] is False
         assert "excluded" in rec["verdict"]
 
-    def test_alt_coefficient_is_a_binomial(self):
-        # oracle: the exterior j-th power of a cycle with cm = (c0, c1, ...)
-        # has degree-1 coefficient C(c0 - 2, j - 1) c1, as a generalized
-        # binomial for c0 < 2
-        for j in range(1, 9):
-            for c0 in range(20):
-                assert alt_cm1_coefficient(j, c0) == generalized_binomial(c0 - 2, j - 1), (j, c0)
+    def test_alt_coefficient_against_partition_sum(self):
+        # the closed form C(c0 - 2, j - 1), a generalized binomial for c0 < 2,
+        # against the sum over the power-sum expansion of e_j
+        for j in range(13):
+            for c0 in range(40):
+                value = alt_cm1_coefficient(j, c0)
+                assert type(value) is Fraction
+                assert value == alt_cm1_by_partition_sum(j, c0), (j, c0)
+                if j:
+                    assert value == generalized_binomial(c0 - 2, j - 1), (j, c0)
         assert alt_cm1_coefficient(4, 8) == comb(6, 3) == 20
+        for j, c0 in ((-1, 8), (4, -1)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                alt_cm1_coefficient(j, c0)
 
     def test_alt4_combination(self):
         # (1/24)(2048 - 6*384 + 3*64 + 8*80 - 6*16) = 20
@@ -537,18 +548,21 @@ class TestSimplicity:
         assert [simplicity_criteria(c, "theta", m_bound=m) for m in range(1, 5)] == expected
         assert {r["criterion_3_note"] for r in expected} == {"failed"}
 
-    def test_torsion_free_cycle_pushes_no_fiber(self, monkeypatch):
+    def test_no_cycle_pushes_a_fiber(self, monkeypatch):
         def gr_adams(n, x):
-            raise AssertionError(f"Psi^{n} of a torsion-free fiber")
+            raise AssertionError(f"Psi^{n} of a fiber")
 
         monkeypatch.setattr("thetacycles.cycles.gr_adams", gr_adams)
+        monkeypatch.setattr("thetacycles.schottky.gr_adams", gr_adams)
         for p in (PpavInput(g=6, k=1, gauss_finite=True),
                   PpavInput(g=5, k=2, double_points_sum_zero=True, gauss_finite=True)):
             rec = simplicity_criteria(cc_odp(p), "theta", m_bound=4)
             assert rec["criterion_4_essentially_multiplicity_free"] is True
+        # the torsion-dependent double points collide under [2]
         torsion = cc_odp(PpavInput(g=5, k=2, pairwise_torsion_independent=False))
-        with pytest.raises(AssertionError, match="Psi"):
-            simplicity_criteria(torsion, "theta")
+        assert torsion.fiber.group.torsion
+        rec = simplicity_criteria(torsion, "theta")
+        assert rec["criterion_4_essentially_multiplicity_free"] is False
 
     def test_genus5_odp_cycle(self):
         c = cc_odp(PpavInput(g=5, k=2, double_points_sum_zero=True, gauss_finite=True))
@@ -609,7 +623,7 @@ class TestFourfoldTable:
                 assert row["gauss_degree"] == row["dim_omega"]
 
     def test_csv(self):
-        csv = fourfold_table_csv()
+        csv = fourfold_table_csv(fourfold_table())
         assert csv.splitlines()[0] == "stratum,gauss_degree,dim_omega,weight,group"
         assert len(csv.strip().splitlines()) == 5
 
