@@ -98,10 +98,6 @@ class ChowVector:
     def to_json(self) -> dict:
         return {"g": self.g, "coords": [str(c) for c in self.coords]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ChowVector":
-        return cls(data["g"], tuple(Fraction(c) for c in data["coords"]))
-
 
 def pontryagin(x: ChowVector, y: ChowVector, d_trunc: int) -> ChowVector:
     """Pontryagin product truncated at index d_trunc (quotient CH_{<=d}).

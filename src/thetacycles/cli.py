@@ -27,7 +27,6 @@ from .lambdaring import (
     sym_op,
 )
 from .lierep import (
-    Character,
     classify_wmf,
     freudenthal_character,
     quasi_minuscule_dim_search,
@@ -73,15 +72,19 @@ class _IntText(dict):
 _INT_TEXT = _IntText((i, str(i)) for i in range(-128, 128))
 
 
+def _is_pairs(value) -> bool:
+    """A pair list: a nonempty list whose first item is a tuple."""
+    return type(value) is list and bool(value) and type(value[0]) is tuple
+
+
 def _dumps_pairs(pairs: list, newline: str) -> list:
-    """The pieces of _dumps([[list(key), c] for key, c in pairs]), for
-    (key, int) pairs whose keys are lists or tuples of ints: the brackets
-    and one string per slice of _SLICE pairs with the separators between
-    them.  The caller joins them into its own text, so a block is copied
-    once.  Each pair is one f-string over the joined texts of its ints,
-    which come from _INT_TEXT; an empty key is written []."""
-    if not pairs:
-        return ["[]"]
+    """The pieces of _dumps(pairs, newline) for a pair list, the (key tuple,
+    int) pairs a to_json writes for an element's terms or a character's
+    weights, each key a tuple of ints: the brackets and one string per slice
+    of _SLICE pairs with the separators between them.  The caller joins them
+    into its own text, so a block is copied once.  Each pair is one f-string
+    over the joined texts of its ints, which come from _INT_TEXT; an empty
+    key is written []."""
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
@@ -105,14 +108,13 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
 
 def _dumps(value, newline="\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the types a payload
-    holds: str-keyed dicts, lists, str, int, bool and None, plus a
-    GroupRingElement or Character, written as json.dumps(value.to_json(),
-    ...) would.  The standard encoder runs in pure Python whenever indent is
-    set; this one renders a list of ints from one repr, writes an element's
-    coeffs block and a character's weight list with _dumps_pairs, and
-    recurses on the rest.  Their terms go to _dumps_pairs in key order
-    without a list image or a type check, since their keys are int tuples
-    and their values ints."""
+    holds: str-keyed dicts, lists, str, int, bool and None, and the pair
+    lists of a value's to_json(), which the standard encoder writes as
+    arrays of [key, coefficient] arrays since it writes a tuple as an array.
+    The standard encoder runs in pure Python whenever indent is set; this
+    one renders a list of ints from one repr, writes a pair list with
+    _dumps_pairs, whose pieces a dict splices into its own, and recurses on
+    the rest."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -128,6 +130,8 @@ def _dumps(value, newline="\n") -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
+        if _is_pairs(value):
+            return "".join(_dumps_pairs(value, newline))
         if set(map(type, value)) == {int}:
             return "".join(["[", inner, repr(value)[1:-1].replace(", ", sep), newline, "]"])
         parts = []
@@ -143,25 +147,17 @@ def _dumps(value, newline="\n") -> str:
             raise TypeError("dict keys must be str")
         parts = []
         for k in sorted(value):
-            parts += (sep, encode_basestring_ascii(k), ": ", _dumps(value[k], inner))
+            v = value[k]
+            parts += (sep, encode_basestring_ascii(k), ": ")
+            parts += _dumps_pairs(v, inner) if _is_pairs(v) else (_dumps(v, inner),)
         parts[0] = "{" + inner
         parts += (newline, "}")
         return "".join(parts)
-    if isinstance(value, GroupRingElement):  # to_json's keys, in sorted order
-        return "".join([
-            "{", inner, '"coeffs": ', *_dumps_pairs(value._sorted_items(), inner),
-            sep, '"group": ', _dumps(value.group.to_json(), inner), newline, "}",
-        ])
-    if isinstance(value, Character):  # to_json's keys, in sorted order
-        return "".join([
-            "{", inner, '"type": ', encode_basestring_ascii(value.rs.name), sep,
-            '"weights": ', *_dumps_pairs(sorted(value.weights.items()), inner), newline, "}",
-        ])
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, payload, csv_text=None, text=None):
-    """Write payload as JSON, or its CSV or text form, which csv_text and
+def _emit(args, json_form, csv_text=None, text=None):
+    """Write a result as JSON, CSV or text, which json_form, csv_text and
     text build when called with no arguments; only the form asked for is
     built, and a subcommand without it is a usage error."""
     if args.format != "json":
@@ -172,7 +168,7 @@ def _emit(args, payload, csv_text=None, text=None):
         out = build()
         sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
-        sys.stdout.write(_dumps(payload))
+        sys.stdout.write(_dumps(json_form()))
         sys.stdout.write("\n")
 
 
@@ -265,7 +261,7 @@ def _symexpr_json(expr):
 def _cmd_symfun(args):
     if args.what == "partitions":
         ps = partitions(int(args.arg))
-        _emit(args, {"n": int(args.arg), "partitions": [list(p.parts) for p in ps]},
+        _emit(args, lambda: {"n": int(args.arg), "partitions": [list(p.parts) for p in ps]},
               text=lambda: "\n".join(map(str, ps)))
         return 0
     if args.what == "schur":
@@ -274,7 +270,7 @@ def _cmd_symfun(args):
         expr = elementary_to_powersum(int(args.arg))
     else:
         raise InputError(f"unknown symfun operation {args.what!r}")
-    _emit(args, _symexpr_json(expr), text=lambda: str(expr))
+    _emit(args, lambda: _symexpr_json(expr), text=lambda: str(expr))
     return 0
 
 
@@ -297,9 +293,9 @@ def _cmd_lambda_eval(args):
         else:
             raise InputError(f"unknown op kind {kind!r}")
     except NonIntegralResultError as exc:
-        _emit(args, {"error": "non-integral result", "detail": str(exc)})
+        _emit(args, lambda: {"error": "non-integral result", "detail": str(exc)})
         return MATH_NO
-    _emit(args, out)
+    _emit(args, out.to_json)
     return 0
 
 
@@ -308,7 +304,7 @@ def _cmd_cycle_convolve(args):
     c1 = load_cycle(_object_field(data, "c1"))
     c2 = load_cycle(_object_field(data, "c2"))
     out = convolve(c1, c2, _int_field(data, "d_trunc"))
-    _emit(args, out._json_fields())
+    _emit(args, out.to_json)
     return 0
 
 
@@ -319,16 +315,16 @@ def _cmd_cycle_schur(args):
     try:
         out = schur_cycle(alpha, c, d_trunc)
     except NonIntegralResultError as exc:
-        _emit(args, {"error": "non-integral result", "detail": str(exc)})
+        _emit(args, lambda: {"error": "non-integral result", "detail": str(exc)})
         return MATH_NO
-    _emit(args, out._json_fields())
+    _emit(args, out.to_json)
     return 0
 
 
 def _cmd_rep_dim(args):
     rs = root_system(args.type)
     dim = rs.weyl_dim(_parse_coords(args.weight))
-    _emit(args, {"type": rs.name, "weight": list(_parse_coords(args.weight)), "dim": dim},
+    _emit(args, lambda: {"type": rs.name, "weight": list(_parse_coords(args.weight)), "dim": dim},
           text=lambda: str(dim))
     return 0
 
@@ -336,24 +332,24 @@ def _cmd_rep_dim(args):
 def _cmd_rep_char(args):
     rs = root_system(args.type)
     ch = freudenthal_character(rs, _parse_coords(args.weight))
-    _emit(args, ch, csv_text=lambda: "weight,multiplicity\n" + "".join([
+    _emit(args, ch.to_json, csv_text=lambda: "weight,multiplicity\n" + "".join([
         f"{' '.join(map(str, w))},{m}\n" for w, m in sorted(ch.weights.items())]))
     return 0
 
 
 def _cmd_rep_classify(args):
     rows = classify_wmf(args.max_rank, args.max_dim)
-    payload = {"max_rank": args.max_rank, "max_dim": args.max_dim,
-               "rows": [r.to_json() for r in rows]}
-    _emit(args, payload, csv_text=lambda: "type,weight,dim,minuscule,fs,family,group\n" + "".join([
-        f"{r.letter}{r.rank},{' '.join(map(str, r.weight))},{r.dim},"
-        f"{r.minuscule},{r.fs},{r.family},{r.group}\n" for r in rows]))
+    _emit(args, lambda: {"max_rank": args.max_rank, "max_dim": args.max_dim,
+                         "rows": [r.to_json() for r in rows]},
+          csv_text=lambda: "type,weight,dim,minuscule,fs,family,group\n" + "".join([
+              f"{r.letter}{r.rank},{' '.join(map(str, r.weight))},{r.dim},"
+              f"{r.minuscule},{r.fs},{r.family},{r.group}\n" for r in rows]))
     return 0
 
 
 def _cmd_wmf_tables(args):
     csv_text = wmf_tables_csv(args.max_rank, args.max_dim)
-    _emit(args, {"csv": csv_text}, csv_text=lambda: csv_text, text=lambda: csv_text)
+    _emit(args, lambda: {"csv": csv_text}, csv_text=lambda: csv_text, text=lambda: csv_text)
     return 0
 
 
@@ -370,20 +366,20 @@ def _ppav_from_args(args):
 
 def _cmd_theta_group(args):
     out = theta_group(_ppav_from_args(args))
-    _emit(args, out.to_json(), text=lambda: out.label)
+    _emit(args, out.to_json, text=lambda: out.label)
     return 0
 
 
 def _cmd_cc_odp(args):
     out = cc_odp(_ppav_from_args(args))
-    _emit(args, out._json_fields())
+    _emit(args, out.to_json)
     return 0
 
 
 def _cmd_genus5(args):
     p = PpavInput(g=5, k=args.k, gauss_finite=args.gauss_finite)
     rec = genus5_obstruction(p)
-    _emit(args, rec)
+    _emit(args, lambda: rec)
     return 0 if rec["integral"] else MATH_NO
 
 
@@ -391,14 +387,14 @@ def _cmd_fake_jacobian(args):
     cm1 = _parse_fraction(args.cm1) if args.cm1 is not None else None
     target = theta_target(args.g, args.degree, cm1)
     rec = fake_jacobian_solve(args.g, target, hyperelliptic=args.hyperelliptic)
-    _emit(args, rec)
+    _emit(args, lambda: rec)
     return 0 if rec["feasible"] else MATH_NO
 
 
 def _cmd_summand_bound(args):
     dims = [int(x) for x in args.dims.split(",")] if args.dims else []
     rec = summand_bound(dims, args.dz)
-    _emit(args, rec)
+    _emit(args, lambda: rec)
     return MATH_NO if rec["no_decomposition"] else 0
 
 
@@ -406,13 +402,13 @@ def _cmd_simplicity(args):
     _check_m_bound(args.m_bound)
     c = load_cycle(args.input)
     rec = simplicity_criteria(c, args.divisor, m_bound=args.m_bound)
-    _emit(args, rec)
+    _emit(args, lambda: rec)
     return 0
 
 
 def _cmd_fourfold_table(args):
     table = fourfold_table()
-    _emit(args, table, csv_text=lambda: fourfold_table_csv(table))
+    _emit(args, lambda: table, csv_text=lambda: fourfold_table_csv(table))
     return 0
 
 
@@ -420,7 +416,7 @@ def _cmd_qm_search(args):
     matches = quasi_minuscule_dim_search(args.dim, args.max_rank)
     _emit(
         args,
-        {
+        lambda: {
             "dim": args.dim,
             "max_rank": args.max_rank,
             "matches": [{"type": t, "weight": list(w)} for t, w in matches],
@@ -431,7 +427,7 @@ def _cmd_qm_search(args):
 
 def _cmd_s_sets(args):
     sm, sp = s_sets(args.bound)
-    _emit(args, {"bound": args.bound, "s_minus": sm, "s_plus": sp})
+    _emit(args, lambda: {"bound": args.bound, "s_minus": sm, "s_plus": sp})
     return 0
 
 
@@ -447,7 +443,7 @@ def _cmd_verify_ig(args):
         raise InputError("field 'candidates' must be a list")
     candidates = [_load_element(c) for c in candidates]
     ok = verify_inverse_galois(target, construction, _int_field(data, "e"), candidates)
-    _emit(args, {"verified": ok})
+    _emit(args, lambda: {"verified": ok})
     return 0 if ok else MATH_NO
 
 

@@ -25,7 +25,6 @@ from .lambdaring import (
     NonIntegralResultError,
     gr_adams,
     gr_multiply,
-    gr_one,
     schur_apply,
 )
 from .symfun import Partition, _is_int, schur_to_powersum
@@ -136,18 +135,11 @@ class CleanCycleModel:
                 return c
         raise KeyError(f"no component labeled {label!r}")
 
-    def _json_fields(self) -> dict:
-        """The fields of to_json, with the fiber left as its element."""
+    def to_json(self) -> dict:
         out = {
             "g": self.g,
             "components": [c.to_json() for c in self.components],
         }
-        if self.fiber is not None:
-            out["fiber"] = self.fiber
-        return out
-
-    def to_json(self) -> dict:
-        out = self._json_fields()
         if self.fiber is not None:
             out["fiber"] = self.fiber.to_json()
         return out
@@ -317,12 +309,6 @@ def cm1_partition_product(beta, c0: int) -> Fraction:
     return Fraction(sum(b * b for b in beta) * c0 ** (len(beta) - 1))
 
 
-def mindim_bound(d1: int, d2: int) -> int:
-    """Lower bound |d1 - d2| for the base dimension of any nonnegligible
-    component of the convolution of conormal cycles with those base dims."""
-    return abs(d1 - d2)
-
-
 def reduced(c: CleanCycleModel) -> bool:
     """All multiplicities equal one (checked on the fiber too if present)."""
     if not all(comp.mult == 1 for comp in c.components):
@@ -348,13 +334,3 @@ def essentially_multiplicity_free(c: CleanCycleModel) -> bool:
         return False
     rank, keys = fiber.group.rank, fiber.coeffs
     return not fiber.group.torsion or len({key[:rank] for key in keys}) == len(keys)
-
-
-def unit_cycle(g: int, group=None) -> CleanCycleModel:
-    """The origin point cycle, unit of the convolution product."""
-    fiber = None
-    if group is not None:
-        fiber = gr_one(group)
-    return CleanCycleModel(
-        g=g, components=(point_component(g, "origin"),), fiber=fiber
-    )

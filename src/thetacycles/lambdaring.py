@@ -26,6 +26,10 @@ so a Schur operation scales the power-sum coefficients by D, the lcm of
 their denominators, accumulates integers over the lifts, and checks
 c % D == 0 after the projection.
 
+An element's JSON is its to_json(): the group and its (key tuple,
+coefficient) pairs, a pair list that the standard encoder writes as
+[key, coefficient] arrays and `cli._dumps` writes from the tuples.
+
 Output lists the terms in key order.  When every coordinate fits in a
 signed byte, a key sorts by its coordinates packed as big-endian signed
 bytes with each sign bit flipped (offset binary): one bytes comparison,
@@ -209,10 +213,7 @@ class GroupRingElement:
             return sorted(self.coeffs.items())
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "coeffs": [[list(g), c] for g, c in self._sorted_items()],
-        }
+        return {"group": self.group.to_json(), "coeffs": self._sorted_items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupRingElement":
@@ -434,10 +435,6 @@ class TensorConstruction:
         if not isinstance(alpha, Partition):
             alpha = Partition(tuple(alpha))
         return cls("schur", children=(child,), alpha=alpha)
-
-    @classmethod
-    def alt(cls, k: int, child) -> "TensorConstruction":
-        return cls.schur(Partition((1,) * k), child)
 
     def to_json(self) -> dict:
         if self.kind == "var":

@@ -91,7 +91,6 @@ from operator import add, floordiv, mul, not_, sub
 from .lambdaring import (
     FgAbelianGroup,
     GroupRingElement,
-    gr_adams,
     gr_multiply,
     lambda_op,
     sym_op,
@@ -330,7 +329,6 @@ class RootSystem:
             sum(map(floordiv, map(di.__mul__, col), lengths))
             for col, di in zip(simple_coords, self.d)
         )
-        self.weyl_order = self._orbit_index(self.rho)
         # p with w0(varpi_i) = -varpi_p(i)
         self.w0_permutation = _opposition_involution(letter, rank)
 
@@ -717,23 +715,8 @@ class Character:
     def dimension(self) -> int:
         return sum(self.weights.values())
 
-    def multiplicity(self, w) -> int:
-        return self.weights.get(tuple(w), 0)
-
-    @property
-    def is_wmf(self) -> bool:
-        return all(m == 1 for m in self.weights.values())
-
     def to_json(self) -> dict:
-        return {
-            "type": self.rs.name,
-            "weights": [[list(w), m] for w, m in sorted(self.weights.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Character":
-        rs = root_system(data["type"])
-        return cls(rs, {tuple(w): m for w, m in data["weights"]})
+        return {"type": self.rs.name, "weights": sorted(self.weights.items())}
 
 
 def freudenthal_character(rs: RootSystem, lam) -> Character:
@@ -742,20 +725,16 @@ def freudenthal_character(rs: RootSystem, lam) -> Character:
 
 
 def _group_ring(x: Character) -> GroupRingElement:
-    """x as an element of the group ring Z[P] of the weight lattice."""
-    return GroupRingElement(FgAbelianGroup(x.rs.rank), x.weights)
+    """x as an element of the group ring Z[P] of the weight lattice, sharing
+    x's weights: Character checked each as an int tuple of the rank's length,
+    and Z[P] has no torsion to reduce, so the keys are canonical already."""
+    return GroupRingElement._of(FgAbelianGroup(x.rs.rank), x.weights)
 
 
 def char_tensor(x: Character, y: Character) -> Character:
     if x.rs is not y.rs:
         raise ValueError("characters live on different root systems")
     return Character(x.rs, gr_multiply(_group_ring(x), _group_ring(y)).coeffs)
-
-
-def char_adams(n: int, x: Character) -> Character:
-    if n < 1:
-        raise ValueError("Adams index must be >= 1 on characters")
-    return Character(x.rs, gr_adams(n, _group_ring(x)).coeffs)
 
 
 def char_alt(k: int, x: Character) -> Character:
@@ -801,11 +780,6 @@ def decompose(x: Character) -> dict:
             else:
                 remaining[w] = new
     return out
-
-
-def self_dual(rs: RootSystem, lam) -> bool:
-    lam = tuple(lam)
-    return rs.is_dominant(lam) and rs.negate_dominant(lam) == lam
 
 
 def fs_type(rs: RootSystem, lam) -> str:

@@ -49,7 +49,7 @@ class TestBasics:
 
     def test_json_roundtrip(self):
         x = vec(3, 2, Fraction(1, 3), -1)
-        assert ChowVector.from_json(x.to_json()) == x
+        assert x.to_json() == {"g": 3, "coords": ["2", "1/3", "-1"]}
 
     def test_equality_compares_g_and_coordinates(self):
         x = vec(3, 2, Fraction(1, 3), -1)

@@ -18,6 +18,7 @@ import thetacycles.cli as cli
 import thetacycles.lierep as lierep
 import thetacycles.schottky as schottky
 from thetacycles.cli import _dumps, run
+from thetacycles.cycles import CleanCycleModel, point_component
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp
 
@@ -100,7 +101,7 @@ class TestRepCommands:
         ("A1", "3"), ("G2", "1,1"), ("C3", "0,1,0"), ("D4", "1,0,1,0"),
         ("E8", "0,0,0,0,0,0,0,1")])
     def test_rep_char_matches_json_dumps(self, capsys, name, weight):
-        # the Character goes to the writer itself, with no list image
+        # the character's to_json goes to the writer with its pairs as tuples
         code, out = invoke(capsys, "rep-char", name, weight)
         ch = lierep.freudenthal_character(lierep.root_system(name),
                                           tuple(map(int, weight.split(","))))
@@ -385,20 +386,21 @@ class TestLoaders:
         path = tmp_path / "cycle.json"
         path.write_text(out)
         cycle = load_cycle(str(path))
-        assert cycle.to_json() == json.loads(out)
+        assert json.loads(json.dumps(cycle.to_json())) == json.loads(out)
 
     def test_character_round_trip(self, capsys):
         from thetacycles.lierep import Character
 
         _, out = invoke(capsys, "rep-char", "A2", "1,1")
-        ch = Character.from_json(json.loads(out))
-        assert ch.to_json() == json.loads(out)
+        doc = json.loads(out)
+        ch = Character(lierep.root_system(doc["type"]), {tuple(w): m for w, m in doc["weights"]})
+        assert json.loads(json.dumps(ch.to_json())) == doc
 
     def test_character_invariant_violation_named(self):
         from thetacycles.lierep import Character, NotACharacterError
 
         with pytest.raises(NotACharacterError, match="not Weyl-invariant"):
-            Character.from_json({"type": "A2", "weights": [[[1, 0], 1]]})
+            Character(lierep.root_system("A2"), {(1, 0): 1})
 
     def test_cycle_invariant_violation_named(self, capsys, tmp_path):
         from thetacycles.cli import InputError, load_cycle
@@ -484,7 +486,7 @@ class TestCliContract:
     def test_reused_parser_matches_fresh_processes(self, capsys, monkeypatch, tmp_path):
         """One process's run, with one parser, answers a sequence of argv
         lists byte for byte as a fresh `python -m thetacycles.cli` each."""
-        cycle = cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()
+        cycle = cc_odp(PpavInput(g=4, k=0, gauss_finite=True)).to_json()
         for name, doc in [
             ("cycle.json", cycle),
             ("convolve.json", {"c1": cycle, "c2": cycle, "d_trunc": 1}),
@@ -642,7 +644,7 @@ class TestCliContract:
             "fake-jacobian-genus"])
     def test_impossible_numbers_refused(self, argv, capsys, monkeypatch, tmp_path):
         (tmp_path / "cycle.json").write_text(
-            _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True))._json_fields()))
+            _dumps(cc_odp(PpavInput(g=4, k=0, gauss_finite=True)).to_json()))
         monkeypatch.chdir(tmp_path)
         # every refusal comes before a factorial or a theta divisor's class:
         # a missing guard fails at once instead of forming the factorial of a
@@ -691,12 +693,21 @@ class TestCliContract:
         def never():
             raise AssertionError("a form not asked for was built")
 
-        for fmt, form, text in (("json", None, ""), ("csv", "csv_text", "c\n"), ("text", "text", "t")):
-            builders = {"csv_text": never, "text": never}
-            if form:
-                builders[form] = lambda: text
-            cli._emit(argparse.Namespace(format=fmt), {"a": 1}, **builders)
+        for fmt, form, out in (("json", "json_form", {"a": 1}), ("csv", "csv_text", "c\n"),
+                               ("text", "text", "t")):
+            builders = {"json_form": never, "csv_text": never, "text": never}
+            builders[form] = lambda: out
+            cli._emit(argparse.Namespace(format=fmt), **builders)
         assert capsys.readouterr().out == '{\n  "a": 1\n}\nc\nt\n'
+
+    def test_classify_csv_builds_no_rows(self, capsys, monkeypatch):
+        def never(self):
+            raise AssertionError("a JSON row was built for CSV output")
+
+        monkeypatch.setattr(lierep.WmfEntry, "to_json", never)
+        code, out = invoke(capsys, "--format", "csv", "rep-classify", "--max-rank", "3",
+                           "--max-dim", "30")
+        assert code == 0 and out.startswith("type,weight,dim,")
 
     @pytest.mark.parametrize("doc", [
         '{"element": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -872,17 +883,27 @@ def cycle_shaped(fiber):
     return {"g": 3, "components": [POINT], "fiber": fiber}
 
 
+def stdlib_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# each value type the CLI writes, with the number of pair lists in its
+# to_json(): elements of rank 0, empty, past a signed byte, with torsion and
+# past 64 bits, a character, and cycles with and without a fiber
 WRITER_EXAMPLES = [
-    GroupRingElement(FgAbelianGroup(0), {(): -(2 ** 70)}),
-    GroupRingElement(FgAbelianGroup(0)),
-    GroupRingElement(FgAbelianGroup(2), {(1, -1): 1, (-1, 1): 2, (-128, 127): -3, (0, 0): 4}),
-    GroupRingElement(FgAbelianGroup(1, (256,)), {(0, 200): 1, (0, 100): 1, (-1, 255): 5}),
-    GroupRingElement(FgAbelianGroup(3), {(10 ** 30, -(10 ** 30), 257): 2 ** 70, (0, 1, 2): 1}),
+    (GroupRingElement(FgAbelianGroup(0), {(): -(2 ** 70)}), 1),
+    (GroupRingElement(FgAbelianGroup(0)), 0),
+    (GroupRingElement(FgAbelianGroup(2), {(1, -1): 1, (-1, 1): 2, (-128, 127): -3, (0, 0): 4}), 1),
+    (GroupRingElement(FgAbelianGroup(1, (256,)), {(0, 200): 1, (0, 100): 1, (-1, 255): 5}), 1),
+    (GroupRingElement(FgAbelianGroup(3), {(10 ** 30, -(10 ** 30), 257): 2 ** 70, (0, 1, 2): 1}), 1),
+    (lierep.freudenthal_character(lierep.root_system("G2"), (1, 1)), 1),
+    (cc_odp(PpavInput(g=3, k=1, gauss_finite=True)), 1),
+    (CleanCycleModel(3, (point_component(3),)), 0),
 ]
 
 
 def random_pairs(rng, n, rank):
-    return [[[rng.randint(-300, 300) for _ in range(rank)], rng.randint(-(2**70), 2**70)]
+    return [(tuple(rng.randint(-300, 300) for _ in range(rank)), rng.randint(-(2**70), 2**70))
             for _ in range(n)]
 
 
@@ -906,9 +927,8 @@ class TestWriter:
         # a join-built document needs its pieces and its result at once, so
         # 2x the output is the floor; 4 KiB covers the pieces' object headers.
         # Rendering a whole coeffs block from one repr goes well above it.
-        # The payload is what cc-odp hands to _emit: the cycle's fields with
-        # its fiber still an element, sorted inside _dumps.
-        record = cc_odp(PpavInput(g=6, k=2, gauss_finite=True))._json_fields()
+        # The payload is what cc-odp's builder hands to _dumps.
+        record = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).to_json()
         tracemalloc.start()
         try:
             out = _dumps(record)
@@ -921,27 +941,38 @@ class TestWriter:
     @given(elements())
     @settings(max_examples=300, deadline=None)
     def test_element_matches_json_dumps(self, x):
-        assert _dumps(x) == json.dumps(x.to_json(), sort_keys=True, indent=2)
-        assert _dumps(cycle_shaped(x)) == json.dumps(
-            cycle_shaped(x.to_json()), sort_keys=True, indent=2)
+        doc = x.to_json()
+        assert _dumps(doc) == stdlib_dumps(doc)
+        assert _dumps(cycle_shaped(doc)) == stdlib_dumps(cycle_shaped(doc))
 
     @given(elements())
     @settings(max_examples=300, deadline=None)
     def test_sorted_items(self, x):
         assert x._sorted_items() == sorted(x.coeffs.items())
 
-    @pytest.mark.parametrize("x", WRITER_EXAMPLES, ids=[
-        "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates"])
-    def test_element_examples(self, x):
-        assert x._sorted_items() == sorted(x.coeffs.items())
-        assert _dumps(x) == json.dumps(x.to_json(), sort_keys=True, indent=2)
-        assert _dumps([cycle_shaped(x)]) == json.dumps(
-            [cycle_shaped(x.to_json())], sort_keys=True, indent=2)
+    @pytest.mark.parametrize("value, pair_lists", WRITER_EXAMPLES, ids=[
+        "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates", "character",
+        "cycle", "cycle-without-fiber"])
+    def test_value_examples(self, value, pair_lists, monkeypatch):
+        calls = []
+
+        def dumps_pairs(pairs, newline):
+            calls.append(len(pairs))
+            return write_pairs(pairs, newline)
+
+        write_pairs = cli._dumps_pairs
+        monkeypatch.setattr(cli, "_dumps_pairs", dumps_pairs)
+        if isinstance(value, GroupRingElement):
+            assert value._sorted_items() == sorted(value.coeffs.items())
+        doc = value.to_json()
+        assert _dumps(doc) == stdlib_dumps(doc)
+        assert _dumps([doc]) == stdlib_dumps([doc])
+        assert len(calls) == 2 * pair_lists
 
     def test_peak_memory_element(self):
         # the same bound as test_peak_memory, on a bare element, the payload
-        # lambda-eval hands to _emit
-        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).fiber
+        # lambda-eval's builder hands to _dumps
+        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).fiber.to_json()
         tracemalloc.start()
         try:
             out = _dumps(payload)
@@ -952,8 +983,10 @@ class TestWriter:
         assert peak < 2 * len(out) + 4096
 
     @pytest.mark.parametrize(
-        "value", [1.5, Fraction(1, 2), {1: 2}, [{"a": [0.0]}], {"a": {None: 1}}, (1, 2)],
-        ids=["float", "fraction", "int-key", "nested-float", "nested-none-key", "tuple"],
+        "value", [1.5, Fraction(1, 2), {1: 2}, [{"a": [0.0]}], {"a": {None: 1}}, (1, 2),
+                  GroupRingElement(FgAbelianGroup(1), {(1,): 1})],
+        ids=["float", "fraction", "int-key", "nested-float", "nested-none-key", "tuple",
+             "element"],
     )
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):

@@ -14,11 +14,9 @@ from thetacycles.cycles import (
     convolve,
     degree,
     essentially_multiplicity_free,
-    mindim_bound,
     point_component,
     reduced,
     schur_cycle,
-    unit_cycle,
 )
 from thetacycles.lambdaring import (
     FgAbelianGroup,
@@ -119,7 +117,7 @@ class TestDegree:
 class TestConvolve:
     def test_unit(self):
         c = CleanCycleModel(5, (theta_like(5, 120, finite=True),))
-        u = unit_cycle(5)
+        u = CleanCycleModel(5, (point_component(5, "origin"),))
         out = convolve(c, u, 4)
         assert degree(out) == 120
         assert out.total_cm() == c.total_cm()
@@ -276,11 +274,6 @@ class TestPartitionCoefficients:
 
 
 class TestPredicates:
-    def test_mindim(self):
-        assert mindim_bound(3, 1) == 2
-        assert mindim_bound(1, 3) == 2
-        assert mindim_bound(2, 2) == 0
-
     def test_reduced(self):
         c = CleanCycleModel(4, (theta_like(4, 24, mult=2),))
         assert not reduced(c)

@@ -109,7 +109,8 @@ FORMAT = st.sampled_from([[], ["--format", "csv"], ["--format", "text"], ["--for
 
 
 def _cycle():
-    return cc_odp(PpavInput(g=3, k=1, gauss_finite=True)).to_json()
+    # through json, so that the mutations below meet lists, not tuples
+    return json.loads(json.dumps(cc_odp(PpavInput(g=3, k=1, gauss_finite=True)).to_json()))
 
 
 def _element():

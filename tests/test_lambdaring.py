@@ -280,7 +280,7 @@ class TestSchurAndConstructions:
             TensorConstruction.product(
                 TensorConstruction.var(0), TensorConstruction.var(1)
             ),
-            TensorConstruction.alt(2, TensorConstruction.var(0)),
+            TensorConstruction.schur((1, 1), TensorConstruction.var(0)),
         )
         expect = gr_multiply(x, y) + lambda_op(2, x)
         assert eval_construction(t, [x, y]) == expect

@@ -25,7 +25,6 @@ from thetacycles.lierep import (
     _walk_dominant_weights,
     canonical_simple_types,
     center_kernel_index,
-    char_adams,
     char_alt,
     char_sym,
     char_tensor,
@@ -42,7 +41,6 @@ from thetacycles.lierep import (
     quasi_minuscule_dim_search,
     root_multiple_condition,
     root_system,
-    self_dual,
     wmf_tables_csv,
 )
 
@@ -118,14 +116,11 @@ class TestRootSystemInvariants:
             assert all(p[p[i]] == i for i in range(n))
 
     def test_weyl_orders(self):
-        assert root_system("A3").weyl_order == 24
-        assert root_system("B4").weyl_order == 2**4 * 24
-        assert root_system("D5").weyl_order == 2**4 * 120
-        assert root_system("G2").weyl_order == 12
-        assert root_system("F4").weyl_order == 1152
-        assert root_system("E6").weyl_order == 51840
-        assert root_system("E7").weyl_order == 2903040
-        assert root_system("E8").weyl_order == 696729600
+        # the orbit of the regular weight rho is the whole Weyl group
+        for name, order in [("A3", 24), ("B4", 2**4 * 24), ("D5", 2**4 * 120), ("G2", 12),
+                            ("F4", 1152), ("E6", 51840), ("E7", 2903040), ("E8", 696729600)]:
+            rs = root_system(name)
+            assert rs.orbit_size(rs.rho) == order, name
 
     def test_against_sympy(self):
         # independent oracle: sympy's Weyl groups and root systems
@@ -137,7 +132,7 @@ class TestRootSystemInvariants:
 
         for letter, n in canonical_simple_types(8):
             rs = root_system(letter, n)
-            assert rs.weyl_order == WeylGroup(rs.name).group_order(), rs.name
+            assert rs.orbit_size(rs.rho) == WeylGroup(rs.name).group_order(), rs.name
             all_roots = SympyRootSystem(rs.name).all_roots()
             assert 2 * len(rs.positive_roots) == len(all_roots), rs.name
             if n == 1:
@@ -300,7 +295,7 @@ class TestFreudenthal:
         prod[(0, 0)] -= 1
         adjoint = freudenthal_character(rs, (1, 1))
         assert adjoint.weights == prod
-        assert adjoint.multiplicity((0, 0)) == 2
+        assert adjoint.weights[(0, 0)] == 2
 
     def test_minuscule_all_ones(self):
         for name, lam in [("A3", (0, 1, 0)), ("D4", (0, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 0))]:
@@ -364,11 +359,6 @@ class TestCharacterOps:
         y = freudenthal_character(rs, (1, 1))
         assert char_tensor(x, y).dimension == x.dimension * y.dimension
 
-    def test_adams_identity(self):
-        rs = root_system("B2")
-        x = freudenthal_character(rs, (1, 0))
-        assert char_adams(1, x) == x
-
     def test_alt3_a5_is_w3(self):
         rs = root_system("A5")
         std = freudenthal_character(rs, (1, 0, 0, 0, 0))
@@ -389,7 +379,7 @@ class TestCharacterOps:
         for name, lam in [("A2", (1, 0)), ("B2", (1, 0)), ("C3", (1, 0, 0)), ("A3", (0, 1, 0))]:
             rs = root_system(name)
             x = freudenthal_character(rs, lam)
-            assert x.is_wmf
+            assert is_wmf(rs, lam)
             grp = FgAbelianGroup(rs.rank)
             elems = list(x.weights)
             for k in (2, 3):
@@ -464,11 +454,15 @@ class TestCharacterOps:
 
 class TestSelfDualAndFs:
     def test_self_duality(self):
-        assert self_dual(root_system("C4"), (1, 0, 0, 0))
-        assert not self_dual(root_system("A2"), (1, 0))
-        assert self_dual(root_system("A2"), (1, 1))
-        assert not self_dual(root_system("E6"), (1, 0, 0, 0, 0, 0))
-        assert not self_dual(root_system("D5"), (0, 0, 0, 0, 1))
+        # V_lam is self-dual exactly when it has a Frobenius-Schur type
+        def self_dual(name, lam):
+            return fs_type(root_system(name), lam) != "none"
+
+        assert self_dual("C4", (1, 0, 0, 0))
+        assert not self_dual("A2", (1, 0))
+        assert self_dual("A2", (1, 1))
+        assert not self_dual("E6", (1, 0, 0, 0, 0, 0))
+        assert not self_dual("D5", (0, 0, 0, 0, 1))
 
     def test_fs_against_direct_decomposition(self):
         # the closed-form sign agrees with literally decomposing the squares
@@ -634,7 +628,8 @@ class TestClosedFormsAgainstOracles:
             for _ in range(10):
                 w = tuple(rng.randint(0, 4) for _ in range(n))
                 assert rs.negate_dominant(w) == negate_dominant_by_dominantizing(rs, w)
-                assert self_dual(rs, w) == (negate_dominant_by_dominantizing(rs, w) == w)
+                self_dual = fs_type(rs, w) != "none"
+                assert self_dual == (negate_dominant_by_dominantizing(rs, w) == w)
 
     def test_center_index_and_root_multiples_on_dominant_weights(self):
         count = 0
