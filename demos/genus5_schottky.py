@@ -19,7 +19,7 @@ record = genus5_obstruction(PpavInput(g=5, k=0))
 print("candidate curve cycle degree  c0 =", record["c0"])
 print("\ndegree-one classes of the convolution powers (units of c1):")
 for beta in partitions(4):
-    key = ",".join(str(b) for b in beta.parts)
+    key = ",".join(map(str, beta))
     print(f"  partition {str(beta):>12}: {record['partition_cm1_coefficients'][key]}")
 print("\nexterior fourth power combines these to", record["alt4_coefficient"], "* c1")
 print("left-hand side 16 * [Theta]^4  =", record["left_side"]["coords"][1], "* mu_1")

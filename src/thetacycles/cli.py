@@ -245,23 +245,13 @@ def _load_element(data) -> GroupRingElement:
         raise InputError(f"group-ring element schema violation: {exc}") from None
 
 
-def _symexpr_json(expr):
-    return {
-        "basis": "powersum",
-        "terms": [
-            [list(p.parts), str(c)]
-            for p, c in sorted(expr.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
-        ],
-    }
-
-
 # -- subcommand handlers: return process exit code ---------------------------
 
 
 def _cmd_symfun(args):
     if args.what == "partitions":
         ps = partitions(int(args.arg))
-        _emit(args, lambda: {"n": int(args.arg), "partitions": [list(p.parts) for p in ps]},
+        _emit(args, lambda: {"n": int(args.arg), "partitions": list(map(list, ps))},
               text=lambda: "\n".join(map(str, ps)))
         return 0
     if args.what == "schur":
@@ -270,7 +260,7 @@ def _cmd_symfun(args):
         expr = elementary_to_powersum(int(args.arg))
     else:
         raise InputError(f"unknown symfun operation {args.what!r}")
-    _emit(args, lambda: _symexpr_json(expr), text=lambda: str(expr))
+    _emit(args, expr.to_json, text=lambda: str(expr))
     return 0
 
 

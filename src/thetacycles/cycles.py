@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .chow import ChowVector, pontryagin, pushforward_n
 from .lambdaring import (
@@ -257,13 +258,13 @@ def adams_push(n: int, c: CleanCycleModel) -> CleanCycleModel:
     return CleanCycleModel(g=c.g, components=comps, fiber=fiber)
 
 
-def _partition_cm(beta, c: CleanCycleModel, d_trunc: int) -> ChowVector:
-    """Total Chern-Mather vector of [b1]_*c o [b2]_*c o ... (truncated)."""
-    total = None
-    for b in beta:
-        pushed = pushforward_n(b, c.total_cm())
-        total = pushed if total is None else pontryagin(total, pushed, d_trunc)
-    return total if total is not None else ChowVector.point(c.g)
+def _partition_cm(beta, pushed: dict, d_trunc: int) -> ChowVector:
+    """Total Chern-Mather vector of [b1]_*c o [b2]_*c o ... (truncated) for
+    a nonempty beta, from pushed[b] = [b]_* of the total of c."""
+    total = pushed[beta[0]]
+    for b in beta[1:]:
+        total = pontryagin(total, pushed[b], d_trunc)
+    return total
 
 
 def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
@@ -273,13 +274,15 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     rationals, checks integrality, and applies the same Schur operation to
     the fiber model when present.
     """
-    if not isinstance(alpha, Partition):
-        alpha = Partition(tuple(alpha))
+    alpha = Partition(alpha)
     g = c.g
     _require_trunc_valid(c, c, d_trunc)
+    terms = schur_to_powersum(alpha).terms
+    total = c.total_cm()
+    pushed = {b: pushforward_n(b, total) for b in set(chain.from_iterable(terms))}
     coords = [Fraction(0)] * g
-    for beta, m in schur_to_powersum(alpha).terms.items():
-        cm_beta = _partition_cm(beta, c, d_trunc)
+    for beta, m in terms.items():
+        cm_beta = _partition_cm(beta, pushed, d_trunc)
         for i in range(g):
             coords[i] += m * cm_beta.coords[i]
     cm = ChowVector(g, tuple(coords))
@@ -302,8 +305,7 @@ def cm1_partition_product(beta, c0: int) -> Fraction:
     Closed form (sum_i beta_i^2) * c0^(len(beta)-1); each factor [b]_* scales
     c_1 by b^2 and the degree-1 Pontryagin coefficient is multilinear.
     """
-    if not isinstance(beta, Partition):
-        beta = Partition(tuple(beta))
+    beta = Partition(beta)
     if c0 < 0:
         raise ValueError("c0 must be nonnegative")
     return Fraction(sum(b * b for b in beta) * c0 ** (len(beta) - 1))

@@ -6,9 +6,11 @@ finite integer-coefficient sums of group elements; the Adams operation
 Psi^n pushes coefficients forward along g -> n*g.  Exterior powers and
 general Schur operations are *defined* from the Adams operations through
 the power-sum expansions of `symfun` -- legitimate because Z[Gamma] has no
-Z-torsion -- and an integrality check at the end.  A non-integral result is
-reported as an error: it certifies that the input is not the fiber of an
-actual effective object.
+Z-torsion -- and an integrality check at the end.  Z[Gamma] is a lambda-ring,
+so a Schur operation on any element, virtual ones included, has integer
+coefficients: the check guards the implementation and says nothing about
+the input.  The mathematical verdict on integrality is the Chern-Mather
+check of `cycles.schur_cycle`.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
@@ -129,10 +131,12 @@ class GroupMismatchError(ValueError):
 
 
 class NonIntegralResultError(ArithmeticError):
-    """A Schur/lambda operation produced non-integer coefficients.
+    """A Schur operation produced non-integer coefficients.
 
-    This is a mathematical verdict, not a bug: the input cannot be the
-    fiber of an effective clean cycle for the requested construction.
+    From `cycles.schur_cycle`'s Chern-Mather check this is a mathematical
+    verdict: no clean cycle has those aggregate classes.  From
+    `schur_apply` it is an internal fault, since Z[Gamma] is a lambda-ring
+    and s_alpha of any element has integer coefficients.
     """
 
 
@@ -345,11 +349,11 @@ def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
     sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, accumulated as integers
     over D, the lcm of the denominators of the m(alpha,beta).
 
-    Raises NonIntegralResultError when the exact rational combination fails
-    to have integer coefficients.
+    Raises NonIntegralResultError if the exact rational combination fails
+    to have integer coefficients, which in the lambda-ring Z[Gamma] only a
+    fault of this code can cause.
     """
-    if not isinstance(alpha, Partition):
-        alpha = Partition(tuple(alpha))
+    alpha = Partition(alpha)
     terms = schur_to_powersum(alpha).terms
     den = lcm(*(m.denominator for m in terms.values()))
     packing = _Packing(x.group, alpha.degree * _max_abs(x))
@@ -432,9 +436,7 @@ class TensorConstruction:
 
     @classmethod
     def schur(cls, alpha, child) -> "TensorConstruction":
-        if not isinstance(alpha, Partition):
-            alpha = Partition(tuple(alpha))
-        return cls("schur", children=(child,), alpha=alpha)
+        return cls("schur", children=(child,), alpha=Partition(alpha))
 
     def to_json(self) -> dict:
         if self.kind == "var":
@@ -442,7 +444,7 @@ class TensorConstruction:
         if self.kind == "schur":
             return {
                 "kind": "schur",
-                "alpha": list(self.alpha.parts),
+                "alpha": list(self.alpha),
                 "child": self.children[0].to_json(),
             }
         return {"kind": self.kind, "children": [c.to_json() for c in self.children]}

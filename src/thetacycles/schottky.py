@@ -392,9 +392,7 @@ def genus5_obstruction(p: PpavInput, cm1_theta: ChowVector | None = None) -> dic
     g = 5
     e = g - 1
     c0 = 2 * g - 2
-    part_coeffs = {
-        beta.parts: cm1_partition_product(beta, c0) for beta in partitions(g - 1)
-    }
+    part_coeffs = {beta: cm1_partition_product(beta, c0) for beta in partitions(g - 1)}
     alt_coeff = alt_cm1_coefficient(g - 1, c0)
     if cm1_theta is None:
         # isolated singularities: cm_1 of the clean cycle is [Theta]^4

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import ge
 
 
 def _is_int(x) -> bool:
@@ -29,41 +30,40 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers, checked once when it
+    is made; it equals, and hashes as, the plain tuple of its parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not all(map(_is_int, parts)):
-            raise ValueError(f"partition parts must be integers: {parts!r}")
-        object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+    def __new__(cls, parts):
+        if type(parts) is cls:
+            return parts
+        self = super().__new__(cls, parts)
+        if not {int}.issuperset(map(type, self)) and not all(map(_is_int, self)):
+            raise ValueError(f"partition parts must be integers: {self!r}")
+        if self and min(self) <= 0:
+            raise ValueError(f"partition parts must be positive: {self!r}")
+        if not all(map(ge, self, self[1:])):
+            raise ValueError(f"partition parts must be weakly decreasing: {self!r}")
+        return self
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return sum(self)
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
 
-# the most partitions `partitions` lists: p(45) = 89,134 take about 1 s to
-# list and e_45 about 2 s to expand (Python 3.11, 2 vCPU)
+# the most partitions `partitions` lists: through cli.run, p(45) = 89,134
+# take 0.5 to 0.8 s to list and print and e_45 1.7 to 2.4 s to expand and
+# print (Python 3.11, 2 vCPU)
 MAX_PARTITIONS = 100_000
 
 # the most partitions schur_to_powersum expands over, one Murnaghan-Nakayama
@@ -103,10 +103,11 @@ def partitions(n: int) -> list[Partition]:
     if _partition_count_over(n, MAX_PARTITIONS):
         raise ValueError(f"p({n}) is over the limit of {MAX_PARTITIONS} partitions")
     out: list[Partition] = []
+    make = tuple.__new__  # each prefix is a partition: made once, unchecked
 
     def rec(remaining: int, maxpart: int, prefix: list[int]):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            out.append(make(Partition, prefix))
             return
         for p in range(min(maxpart, remaining), 0, -1):
             prefix.append(p)
@@ -164,33 +165,40 @@ def symmetric_group_character(alpha: Partition, beta: Partition) -> int:
     """Irreducible character of the symmetric group, chi^alpha at class beta."""
     if alpha.degree != beta.degree:
         raise ValueError("alpha and beta must have equal degree")
-    return _mn_character(alpha.parts, beta.parts)
+    return _mn_character(alpha, beta)
 
 
 @dataclass(frozen=True)
 class SymExpr:
     """A finite linear combination of power sums p_beta: ``terms`` maps
-    Partition -> Fraction and never stores zeros."""
+    Partition -> Fraction and never stores zeros.  Partition keys and
+    Fraction coefficients are kept as given; anything else is converted."""
 
     terms: dict  # Partition -> Fraction
 
     def __post_init__(self):
         clean = {}
         for part, coeff in self.terms.items():
-            if not isinstance(part, Partition):
-                part = Partition(tuple(part))
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            part = Partition(part)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
                 clean[part] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for p in sorted(self.terms, key=lambda q: (q.degree, q.parts), reverse=True):
-            bits.append(f"{self.terms[p]}*p{p}")
-        return " + ".join(bits)
+        return " + ".join(
+            f"{self.terms[p]}*p{p}"
+            for p in sorted(self.terms, key=lambda q: (q.degree, q), reverse=True)
+        ) or "0"
+
+    def to_json(self) -> dict:
+        """The power-sum basis and the [parts, "p/q"] terms, in descending
+        order of the partitions."""
+        return {
+            "basis": "powersum",
+            "terms": [[list(p), str(c)] for p, c in sorted(self.terms.items(), reverse=True)],
+        }
 
 
 def _check_schur_degree(n: int) -> None:
@@ -206,8 +214,7 @@ def schur_to_powersum(alpha) -> SymExpr:
 
     Coefficients are chi^alpha(beta)/z_beta, exact rationals.
     """
-    if not isinstance(alpha, Partition):
-        alpha = Partition(tuple(alpha))
+    alpha = Partition(alpha)
     if alpha.degree == 0:
         raise ValueError("alpha must be a nonempty partition")
     _check_schur_degree(alpha.degree)

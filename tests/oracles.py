@@ -28,83 +28,113 @@ def brute_partitions(n):
     return out
 
 
-def ssyt_monomials(shape, nvars):
-    """Monomial expansion of the Schur polynomial s_shape(x_1..x_nvars).
+_content_memo = {}
 
-    Enumerates semistandard tableaux (rows weakly increasing, columns
-    strictly increasing) and returns a dict exponent-tuple -> count.
-    """
-    shape = tuple(shape)
-    rows = len(shape)
-    out = {}
 
-    def fill(r, c, tab):
-        if r == rows:
-            expo = [0] * nvars
-            for row in tab:
-                for v in row:
-                    expo[v - 1] += 1
-            key = tuple(expo)
-            out[key] = out.get(key, 0) + 1
+def _compositions_by_content(n, nvars):
+    """The weak compositions of n into nvars parts (exponent vectors), grouped
+    by content: the nonzero parts sorted into a partition."""
+    key = (n, nvars)
+    if key in _content_memo:
+        return _content_memo[key]
+    groups = {}
+
+    def rec(rem, acc):
+        if len(acc) == nvars:
+            if rem == 0:
+                content = tuple(sorted((e for e in acc if e), reverse=True))
+                groups.setdefault(content, []).append(tuple(acc))
             return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, tab[r][c - 1])
-        if r > 0:
-            lo = max(lo, tab[r - 1][c] + 1)
-        for v in range(lo, nvars + 1):
-            tab[r].append(v)
-            fill(nr, nc, tab)
-            tab[r].pop()
+        for e in range(rem + 1):
+            acc.append(e)
+            rec(rem - e, acc)
+            acc.pop()
 
-    if rows == 0:
-        return {tuple([0] * nvars): 1}
-    fill(0, 0, [[] for _ in range(rows)])
+    rec(n, [])
+    _content_memo[key] = groups
+    return groups
+
+
+def _strip_removals(shape, k):
+    """The shapes inside ``shape`` that leave a horizontal strip of k cells:
+    shape[i + 1] <= inner[i] <= shape[i] in each row i."""
+    out = []
+
+    def rec(i, rem, acc):
+        if i == len(shape):
+            if rem == 0:
+                out.append(tuple(p for p in acc if p))
+            return
+        low = shape[i + 1] if i + 1 < len(shape) else 0
+        for p in range(max(low, shape[i] - rem), shape[i] + 1):
+            acc.append(p)
+            rec(i + 1, rem - (shape[i] - p), acc)
+            acc.pop()
+
+    rec(0, k, [])
     return out
 
 
-_powersum_cache = {}
+_tableau_memo = {}
 
 
-def powersum_monomials(beta, nvars):
-    """Monomial expansion of p_beta = prod_i (x_1^{beta_i}+...+x_n^{beta_i})."""
-    key = (tuple(beta), nvars)
-    if key in _powersum_cache:
-        return _powersum_cache[key]
-    acc = {tuple([0] * nvars): 1}
-    for b in beta:
-        nxt = {}
-        for expo, c in acc.items():
-            for j in range(nvars):
-                e2 = list(expo)
-                e2[j] += b
-                k2 = tuple(e2)
-                nxt[k2] = nxt.get(k2, 0) + c
-        acc = nxt
-    _powersum_cache[key] = acc
-    return acc
+def _tableau_count(shape, content):
+    """The number of semistandard tableaux of ``shape`` with content[i]
+    entries equal to i + 1.  The cells holding the largest entry form a
+    horizontal strip on the rim: strip it off and count the rest."""
+    key = (shape, content)
+    if key in _tableau_memo:
+        return _tableau_memo[key]
+    if not content:
+        out = 1 if not shape else 0
+    else:
+        out = sum(
+            _tableau_count(inner, content[:-1])
+            for inner in _strip_removals(shape, content[-1])
+        )
+    _tableau_memo[key] = out
+    return out
+
+
+def ssyt_monomials(shape, nvars):
+    """Monomial expansion of the Schur polynomial s_shape(x_1..x_nvars).
+
+    Counts semistandard tableaux (rows weakly increasing, columns strictly
+    increasing) and returns a dict exponent-tuple -> count.  The count is
+    symmetric in the exponents (Bender-Knuth), so it is taken once per
+    content and copied to each exponent vector with that content.
+    """
+    shape = tuple(shape)
+    out = {}
+    for content, expos in _compositions_by_content(sum(shape), nvars).items():
+        count = _tableau_count(shape, content)
+        if count:
+            out.update(dict.fromkeys(expos, count))
+    return out
 
 
 def expand_powersum_expr(expr_terms, nvars):
     """Monomial expansion of sum_beta c_beta p_beta, c_beta rational.
 
-    Internally scales by the common denominator and merges with integer
-    arithmetic, then divides back out.
+    Internally scales by the common denominator and sums with integer
+    arithmetic, then divides back out.  A sum of power sums is symmetric, so
+    each coefficient is taken once per content, from the coefficients of
+    the p_beta at the sorted exponent vector, and copied to each exponent
+    vector with that content.
     """
     coeffs = {tuple(beta): Fraction(c) for beta, c in expr_terms.items()}
     den = 1
     for c in coeffs.values():
         den = den * c.denominator // gcd_int(den, c.denominator)
     out = {}
-    for beta, coeff in coeffs.items():
-        scaled = int(coeff * den)
-        if not scaled:
-            continue
-        mono = powersum_monomials(beta, nvars)
-        for expo, mult in mono.items():
-            out[expo] = out.get(expo, 0) + scaled * mult
-    return {k: Fraction(v, den) for k, v in out.items() if v != 0}
+    for n in sorted({sum(beta) for beta in coeffs}):
+        scaled = [(beta, int(c * den)) for beta, c in coeffs.items() if sum(beta) == n]
+        for content, expos in _compositions_by_content(n, nvars).items():
+            expo = content + (0,) * (nvars - len(content))
+            v = sum(m * _powersum_coefficient(beta, expo) for beta, m in scaled)
+            if v:
+                out.update(dict.fromkeys(expos, Fraction(v, den)))
+    return out
 
 
 def gcd_int(a, b):
@@ -140,31 +170,24 @@ def _powersum_coefficient(beta, expo):
     return out
 
 
-def frobenius_character(alpha, beta):
-    """chi^alpha(beta) via the classical alternant coefficient formula.
+_alternant_memo = {}
 
-    chi^alpha(beta) = [x^(alpha+delta)] a_delta * p_beta
-                    = sum_w sign(w) [x^(alpha+delta-w(delta))] p_beta
-    with delta = (l-1, ..., 0) in l = len(alpha) variables.  Independent of
-    the Murnaghan-Nakayama recursion; only single coefficients of p_beta are
-    ever computed (no full expansion), and permutations are built
-    recursively with a nonnegativity prune.
-    """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+
+def _alternant_terms(alpha):
+    """The pairs (sign(w), alpha+delta-w(delta)) over the permutations w
+    that leave no exponent negative, delta = (l-1, ..., 0) in l = len(alpha)
+    variables; permutations are built recursively with a nonnegativity
+    prune."""
+    if alpha in _alternant_memo:
+        return _alternant_memo[alpha]
     ell = len(alpha)
-    if ell == 0:
-        return 1 if len(beta) == 0 else 0
     delta = tuple(ell - 1 - i for i in range(ell))
     target = tuple(alpha[i] + delta[i] for i in range(ell))
-    total = 0
+    terms = []
 
     def rec(pos, used, expo_prefix, inversions):
-        nonlocal total
         if pos == ell:
-            coeff = _powersum_coefficient(beta, tuple(expo_prefix))
-            if coeff:
-                total += (-1 if inversions % 2 else 1) * coeff
+            terms.append((-1 if inversions % 2 else 1, tuple(expo_prefix)))
             return
         for j in range(ell):
             if j in used:
@@ -180,7 +203,25 @@ def frobenius_character(alpha, beta):
             used.discard(j)
 
     rec(0, set(), [], 0)
-    return total
+    _alternant_memo[alpha] = terms
+    return terms
+
+
+def frobenius_character(alpha, beta):
+    """chi^alpha(beta) via the classical alternant coefficient formula.
+
+    chi^alpha(beta) = [x^(alpha+delta)] a_delta * p_beta
+                    = sum_w sign(w) [x^(alpha+delta-w(delta))] p_beta
+    with delta = (l-1, ..., 0) in l = len(alpha) variables.  Independent of
+    the Murnaghan-Nakayama recursion; only single coefficients of p_beta are
+    ever computed (no full expansion), and the alternant terms of each alpha
+    are listed once.
+    """
+    alpha = tuple(alpha)
+    beta = tuple(beta)
+    if not alpha:
+        return 1 if len(beta) == 0 else 0
+    return sum(sign * _powersum_coefficient(beta, expo) for sign, expo in _alternant_terms(alpha))
 
 
 def subset_exterior_power_with_add(elements, k, add, zero):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,9 +31,10 @@ def P(*parts):
 
 class TestPartition:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition((1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^partition parts must be weakly "
+                           r"decreasing: \(3, 1, 2\)$"):
+            Partition((3, 1, 2))
+        with pytest.raises(ValueError, match=r"^partition parts must be positive: \(2, 0\)$"):
             Partition((2, 0))
         assert P(3, 1).degree == 4
 
@@ -41,8 +43,19 @@ class TestPartition:
         ids=["float", "integral-float", "string", "bool", "bool-zero"],
     )
     def test_non_integer_parts_rejected(self, parts):
-        with pytest.raises(ValueError, match="integers"):
+        message = "^partition parts must be integers: " + re.escape(repr(parts)) + "$"
+        with pytest.raises(ValueError, match=message):
             Partition(parts)
+
+    def test_is_its_tuple(self):
+        p = Partition((3, 2, 1))
+        assert isinstance(p, tuple)
+        assert p == (3, 2, 1) and hash(p) == hash((3, 2, 1))
+        assert {(3, 2, 1): "key"}[p] == "key"
+        assert Partition(p) is p
+        assert p.parts == (3, 2, 1) and type(p.parts) is tuple
+        assert str(p) == "(3,2,1)" and str(Partition(())) == "()"
+        assert all(type(q) is Partition for q in partitions(6))
 
     def test_schur_expansion_rejects_float_parts(self):
         with pytest.raises(ValueError, match="integers"):
@@ -50,7 +63,7 @@ class TestPartition:
 
     def test_enumeration_small(self):
         assert partitions(0) == [Partition(())]
-        assert [p.parts for p in partitions(4)] == [
+        assert partitions(4) == [
             (4,),
             (3, 1),
             (2, 2),
@@ -61,11 +74,11 @@ class TestPartition:
     def test_enumeration_degree8_count(self):
         # frozen from the brute-force oracle: p(8) = 22
         assert len(partitions(8)) == 22
-        assert sorted(p.parts for p in partitions(8)) == sorted(brute_partitions(8))
+        assert sorted(partitions(8)) == sorted(brute_partitions(8))
 
     def test_lex_descending_order(self):
         for n in range(1, 9):
-            ps = [p.parts for p in partitions(n)]
+            ps = partitions(n)
             assert ps == sorted(ps, reverse=True)
 
 
@@ -147,7 +160,7 @@ class TestCharacterOracle:
             for alpha in partitions(n):
                 for beta in partitions(n):
                     assert symmetric_group_character(alpha, beta) == frobenius_character(
-                        alpha.parts, beta.parts
+                        alpha, beta
                     ), (alpha, beta)
 
     def test_dimension_column(self):
@@ -162,13 +175,8 @@ class TestMonomialOracle:
         nvars = 8
         for n in range(1, 9):
             for alpha in partitions(n):
-                ours = expand_powersum_expr(
-                    {p.parts: c for p, c in schur_to_powersum(alpha).terms.items()},
-                    nvars,
-                )
-                oracle = {
-                    k: Fraction(v) for k, v in ssyt_monomials(alpha.parts, nvars).items()
-                }
+                ours = expand_powersum_expr(schur_to_powersum(alpha).terms, nvars)
+                oracle = {k: Fraction(v) for k, v in ssyt_monomials(alpha, nvars).items()}
                 assert ours == oracle, alpha
 
     def test_principal_specialization_counts_tableaux(self):
@@ -180,7 +188,7 @@ class TestMonomialOracle:
                         c * Fraction(k) ** len(beta)
                         for beta, c in schur_to_powersum(alpha).terms.items()
                     )
-                    count = sum(ssyt_monomials(alpha.parts, k).values())
+                    count = sum(ssyt_monomials(alpha, k).values())
                     assert value == count, (alpha, k)
 
 
@@ -201,8 +209,7 @@ class TestElementary:
 
     def test_agrees_with_exponential_series(self):
         for n in range(1, 13):
-            terms = {p.parts: c for p, c in elementary_to_powersum(n).terms.items()}
-            assert terms == elementary_by_exponential_series(n), n
+            assert elementary_to_powersum(n).terms == elementary_by_exponential_series(n), n
 
 
 class TestZee:
