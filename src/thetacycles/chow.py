@@ -72,11 +72,6 @@ class ChowVector:
 
     # -- predicates ----------------------------------------------------------
 
-    @property
-    def degree(self) -> Fraction:
-        """The CH_0 degree a_0 (mu_0 is a single point)."""
-        return self.coords[0]
-
     def is_integral(self) -> bool:
         """All coordinates integral in the minimal-class lattice.
 

@@ -78,13 +78,14 @@ def _is_pairs(value) -> bool:
 
 
 def _dumps_pairs(pairs: list, newline: str) -> list:
-    """The pieces of _dumps(pairs, newline) for a pair list, the (key tuple,
-    int) pairs a to_json writes for an element's terms or a character's
-    weights, each key a tuple of ints: the brackets and one string per slice
-    of _SLICE pairs with the separators between them.  The caller joins them
+    """The pieces of _dumps(pairs, newline) for a pair list, the (int tuple,
+    coefficient) pairs of an element's terms, a character's weights or a
+    power-sum expansion's terms: the brackets and one string per slice of
+    _SLICE pairs with the separators between them.  The caller joins them
     into its own text, so a block is copied once.  Each pair is one f-string
-    over the joined texts of its ints, which come from _INT_TEXT; an empty
-    key is written []."""
+    over texts from _INT_TEXT; the coefficients, all ints or all "p/q"
+    strings, take _INT_TEXT or encode_basestring_ascii as the first does;
+    an empty key is written []."""
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
@@ -93,13 +94,14 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     open_empty = "[" + key + "[]," + key
     close_key = key + "]," + key
     text = _INT_TEXT.__getitem__
+    value = text if type(pairs[0][1]) is int else encode_basestring_ascii
     parts = ["[" + inner]
     for start in range(0, len(pairs), _SLICE):
         if start:
             parts.append(sep)
         parts.append(sep.join([
-            f"{open_key}{coord_sep.join(map(text, g))}{close_key}{text(c)}{inner}]"
-            if g else f"{open_empty}{text(c)}{inner}]"
+            f"{open_key}{coord_sep.join(map(text, g))}{close_key}{value(c)}{inner}]"
+            if g else f"{open_empty}{value(c)}{inner}]"
             for g, c in pairs[start:start + _SLICE]
         ]))
     parts += (newline, "]")
@@ -256,10 +258,8 @@ def _cmd_symfun(args):
         return 0
     if args.what == "schur":
         expr = schur_to_powersum(_parse_coords(args.arg))
-    elif args.what == "elementary":
-        expr = elementary_to_powersum(int(args.arg))
     else:
-        raise InputError(f"unknown symfun operation {args.what!r}")
+        expr = elementary_to_powersum(int(args.arg))
     _emit(args, expr.to_json, text=lambda: str(expr))
     return 0
 
@@ -269,22 +269,18 @@ def _cmd_lambda_eval(args):
     x = _load_element(_object_field(data, "element"))
     op = _object_field(data, "op")
     kind = op["kind"]
-    try:
-        if kind == "adams":
-            out = gr_adams(_int_field(op, "n"), x)
-        elif kind == "lambda":
-            out = lambda_op(_int_field(op, "k"), x)
-        elif kind == "sym":
-            out = sym_op(_int_field(op, "k"), x)
-        elif kind == "schur":
-            out = schur_apply(_partition_field(op, "alpha"), x)
-        elif kind == "multiply":
-            out = gr_multiply(x, _load_element(op["other"]))
-        else:
-            raise InputError(f"unknown op kind {kind!r}")
-    except NonIntegralResultError as exc:
-        _emit(args, lambda: {"error": "non-integral result", "detail": str(exc)})
-        return MATH_NO
+    if kind == "adams":
+        out = gr_adams(_int_field(op, "n"), x)
+    elif kind == "lambda":
+        out = lambda_op(_int_field(op, "k"), x)
+    elif kind == "sym":
+        out = sym_op(_int_field(op, "k"), x)
+    elif kind == "schur":
+        out = schur_apply(_partition_field(op, "alpha"), x)
+    elif kind == "multiply":
+        out = gr_multiply(x, _load_element(op["other"]))
+    else:
+        raise InputError(f"unknown op kind {kind!r}")
     _emit(args, out.to_json)
     return 0
 
@@ -560,9 +556,6 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except NonIntegralResultError as exc:
-        print(f"non-integral result: {exc}", file=sys.stderr)
-        return MATH_NO
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

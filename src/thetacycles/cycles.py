@@ -116,10 +116,6 @@ class CleanCycleModel:
                 )
 
     @property
-    def is_effective(self) -> bool:
-        return all(c.mult >= 0 for c in self.components)
-
-    @property
     def all_gauss_finite(self) -> bool:
         return all(c.gauss_finite for c in self.components)
 
@@ -309,15 +305,6 @@ def cm1_partition_product(beta, c0: int) -> Fraction:
     if c0 < 0:
         raise ValueError("c0 must be nonnegative")
     return Fraction(sum(b * b for b in beta) * c0 ** (len(beta) - 1))
-
-
-def reduced(c: CleanCycleModel) -> bool:
-    """All multiplicities equal one (checked on the fiber too if present)."""
-    if not all(comp.mult == 1 for comp in c.components):
-        return False
-    if c.fiber is not None:
-        return c.fiber.is_reduced
-    return True
 
 
 def essentially_multiplicity_free(c: CleanCycleModel) -> bool:

@@ -8,9 +8,10 @@ general Schur operations are *defined* from the Adams operations through
 the power-sum expansions of `symfun` -- legitimate because Z[Gamma] has no
 Z-torsion -- and an integrality check at the end.  Z[Gamma] is a lambda-ring,
 so a Schur operation on any element, virtual ones included, has integer
-coefficients: the check guards the implementation and says nothing about
-the input.  The mathematical verdict on integrality is the Chern-Mather
-check of `cycles.schur_cycle`.
+coefficients: the check guards the implementation, raises AssertionError
+and says nothing about the input.  The mathematical verdict on integrality
+is the Chern-Mather check of `cycles.schur_cycle`, which raises
+NonIntegralResultError.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
@@ -131,12 +132,10 @@ class GroupMismatchError(ValueError):
 
 
 class NonIntegralResultError(ArithmeticError):
-    """A Schur operation produced non-integer coefficients.
+    """A Schur operation on a cycle has non-integral Chern-Mather classes.
 
-    From `cycles.schur_cycle`'s Chern-Mather check this is a mathematical
-    verdict: no clean cycle has those aggregate classes.  From
-    `schur_apply` it is an internal fault, since Z[Gamma] is a lambda-ring
-    and s_alpha of any element has integer coefficients.
+    Raised by `cycles.schur_cycle` alone, it is a mathematical verdict: no
+    clean cycle has those aggregate classes.
     """
 
 
@@ -186,10 +185,6 @@ class GroupRingElement:
     @property
     def coefficient_sum(self) -> int:
         return sum(self.coeffs.values())
-
-    @property
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
 
     @property
     def is_reduced(self) -> bool:
@@ -349,9 +344,9 @@ def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
     sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, accumulated as integers
     over D, the lcm of the denominators of the m(alpha,beta).
 
-    Raises NonIntegralResultError if the exact rational combination fails
-    to have integer coefficients, which in the lambda-ring Z[Gamma] only a
-    fault of this code can cause.
+    Raises AssertionError if the exact rational combination fails to have
+    integer coefficients, which in the lambda-ring Z[Gamma] only a fault of
+    this code can cause.
     """
     alpha = Partition(alpha)
     terms = schur_to_powersum(alpha).terms
@@ -368,7 +363,7 @@ def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
     coeffs = {}
     for g, c in packing.project(acc):
         if c % den:
-            raise NonIntegralResultError(
+            raise AssertionError(
                 f"s_{alpha} produced non-integral coefficient {Fraction(c, den)} at {g}"
             )
         if c:
@@ -427,27 +422,8 @@ class TensorConstruction:
         return cls("var", index=index)
 
     @classmethod
-    def sum(cls, *children) -> "TensorConstruction":
-        return cls("sum", children=tuple(children))
-
-    @classmethod
-    def product(cls, *children) -> "TensorConstruction":
-        return cls("product", children=tuple(children))
-
-    @classmethod
     def schur(cls, alpha, child) -> "TensorConstruction":
         return cls("schur", children=(child,), alpha=Partition(alpha))
-
-    def to_json(self) -> dict:
-        if self.kind == "var":
-            return {"kind": "var", "index": self.index}
-        if self.kind == "schur":
-            return {
-                "kind": "schur",
-                "alpha": list(self.alpha),
-                "child": self.children[0].to_json(),
-            }
-        return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
 
     @classmethod
     def from_json(cls, data: dict) -> "TensorConstruction":

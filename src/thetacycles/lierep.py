@@ -56,21 +56,19 @@ theorem gives one:
 
 Public functions check the weights they are given.  The sweeps
 (classify_wmf, quasi_minuscule_dim_search) make their weights themselves, so
-they call unchecked kernels on them, and each root system keeps three tables
-that later sweeps, and the predicates is_minuscule, is_quasi_minuscule,
-is_wmf and enumerate_dominant_weights once they have checked their input,
-read instead of redoing the work:
+they call unchecked kernels on them, and each root system keeps two tables
+that later sweeps, and enumerate_dominant_weights, read instead of redoing
+the work:
 
 - the walk table: the sorted (weight, dimension) walk to the largest bound
   asked so far, which a smaller bound filters and a larger one replaces;
-- the facts table: for each weight tested, the orbit-size sum, minuscule and
-  quasi-minuscule, read from one uncached closure RootSystem._closure that is
-  dropped once read;
 - the rows table: the wmf rows to the largest bound asked so far, whose rows
   of dimension at most D' are the rows to any bound D' below it.
 
-The cached closure RootSystem._dominant_below serves dominant_weights_below
-and Freudenthal alone.
+A sweep, and the predicates is_minuscule, is_quasi_minuscule and is_wmf,
+read each weight's facts from one uncached closure RootSystem._closure that
+is dropped once read; the one cached closure entry, dominant_weights_below,
+serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.
@@ -296,19 +294,18 @@ class RootSystem:
         assert all(
             N[i][j] * d[j] == N[j][i] * d[i] for i in range(rank) for j in range(i)
         ), "inner product must be symmetric"
+        # dominant_weights_below's closures: no benchmark workload hits it; it
+        # stays for bench/tracing.py, which counts its hits (ROADMAP item 2)
         self._dominant_below_cache: dict = {}
         # the coordinates where each positive root is positive, built by the
         # first closure (see _closure)
         self._root_positive_coords = None
-        # the weight sweeps' tables (see _sorted_walk, _weight_facts and
-        # _wmf_rows): (bound, sorted (lam, dim) walk to it), lam -> (orbit-size
-        # sum, minuscule, quasi-minuscule), and (bound, wmf rows up to it)
+        # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
+        # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
-        self._facts_table: dict = {}
         self._rows_table = None
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
-        self.rho = (1,) * rank
         # the positive roots, lowest first, one tuple per root alpha:
         # (fundamental coordinates w, simple-root coordinates r,
         #  d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
@@ -495,13 +492,10 @@ class RootSystem:
         weights (covers in the dominance order on dominant weights are
         positive roots: Stembridge, "The partial order of dominant weights",
         Adv. Math. 1998), so the set is the closure of lam under "subtract a
-        positive root, keep the result if it is dominant".
+        positive root, keep the result if it is dominant"; each weight mu's
+        depth ht(lam - mu) from the closure orders it.
         """
-        return self._dominant_below(self._check_dominant(lam))
-
-    def _dominant_below(self, lam) -> list:
-        """dominant_weights_below for a dominant tuple lam, unchecked; each
-        weight mu's depth ht(lam - mu) from the closure orders it."""
+        lam = self._check_dominant(lam)
         cached = self._dominant_below_cache.get(lam)
         if cached is None:
             depths = self._closure(lam)
@@ -992,17 +986,13 @@ def _weight_facts(rs: RootSystem, lam) -> tuple:
 
     V_lam is wmf when the sum is its dimension, minuscule when lam is its
     only dominant weight and quasi-minuscule when lam and 0 are the only
-    ones; the two flags are read for nonzero lam only.  The facts table keeps
-    the three, read from one uncached closure; rank 1 uses the closed forms,
-    as sl2 weights k, k-2, ..., -k each occur once."""
+    ones; the two flags are read for nonzero lam only.  The three are read
+    from one uncached closure; rank 1 uses the closed forms, as sl2 weights
+    k, k-2, ..., -k each occur once."""
     if rs.rank == 1:
         return lam[0] + 1, lam[0] == 1, lam[0] <= 2
-    facts = rs._facts_table.get(lam)
-    if facts is None:
-        doms = rs._closure(lam)
-        facts = rs._facts_table[lam] = (
-            sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()})
-    return facts
+    doms = rs._closure(lam)
+    return sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()}
 
 
 def _wmf_rows(rs: RootSystem, max_dim: int) -> list:

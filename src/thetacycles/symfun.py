@@ -62,7 +62,7 @@ class Partition(tuple):
 
 
 # the most partitions `partitions` lists: through cli.run, p(45) = 89,134
-# take 0.5 to 0.8 s to list and print and e_45 1.7 to 2.4 s to expand and
+# take 0.9 to 1.2 s to list and print and e_45 1.4 to 1.6 s to expand and
 # print (Python 3.11, 2 vCPU)
 MAX_PARTITIONS = 100_000
 
@@ -193,11 +193,12 @@ class SymExpr:
         ) or "0"
 
     def to_json(self) -> dict:
-        """The power-sum basis and the [parts, "p/q"] terms, in descending
-        order of the partitions."""
+        """The power-sum basis and the (partition, "p/q") terms, in
+        descending order of the partitions: a pair list, which the standard
+        encoder writes as [parts, "p/q"] arrays."""
         return {
             "basis": "powersum",
-            "terms": [[list(p), str(c)] for p, c in sorted(self.terms.items(), reverse=True)],
+            "terms": [(p, str(c)) for p, c in sorted(self.terms.items(), reverse=True)],
         }
 
 

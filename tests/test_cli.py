@@ -21,6 +21,7 @@ from thetacycles.cli import _dumps, run
 from thetacycles.cycles import CleanCycleModel, point_component
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp
+from thetacycles.symfun import elementary_to_powersum, schur_to_powersum
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 SCHEMA_DIR = os.path.join(SRC_DIR, "thetacycles", "schemas")
@@ -47,6 +48,45 @@ GENUS6_SIMPLICITY_SHA256 = (
     "cabac232eb63f92e89535697b17c360e2005fd64348ec2ae5cb970fc51ee55c2",
     "258239a4a64cafcb0b066adfd9d41f79fff8b3480e279c7746f5cd40a48d21c1",
 )
+# the Schur operation s_(2,1) on an element of Z + Z/2 + Z/4, lambda-eval's input
+SCHUR_21_INPUT = {
+    "op": {"kind": "schur", "alpha": [2, 1]},
+    "element": {"group": {"rank": 1, "torsion": [2, 4]},
+                "coeffs": [[[1, 1, 3], 1], [[0, 0, 1], 2], [[-1, 1, 0], 1]]},
+}
+# argv, exit code and sha256 of the fourfold-table outputs, of each README
+# invocation that reads no earlier output, of a power-sum expansion and of
+# lambda-eval on SCHUR_21_INPUT
+OUTPUT_SHA256 = [
+    (["fourfold-table"], 0, FOURFOLD_JSON_SHA256),
+    (["--format", "csv", "fourfold-table"], 0, FOURFOLD_CSV_SHA256),
+    (["rep-dim", "A5", "0,0,1,0,0"], 0,
+     "79bfeaa19c8e6e27bd9f74ea6b23643223a28c3b50a44c10dd63e56b8b2dcf69"),
+    (["genus5"], 1, "63441d429343943e31c2b6ca7aae36d12e4980352d49259fee06efd692b2d89b"),
+    (["fourfold-table", "--format", "csv"], 0, FOURFOLD_CSV_SHA256),
+    (["theta-group", "--g", "5", "--k", "2", "--sum-zero"], 0,
+     "676f2df1d0ab33182893cc6dbfd94ca01fc4c0dd810cd8f3b21538c0dc3cd965"),
+    (["fake-jacobian", "--g", "5", "--degree", "70"], 0,
+     "2772a1150339f36dbf775d17565193cd7cfc480f3927379bf6ef5b613a317408"),
+    (["qm-search", "--dim", "118", "--max-rank", "20"], 0,
+     "34f3262bb66385b2934a392282e3dea022d5a4d7dc43d703a1b115459328adac"),
+    (["s-sets", "--bound", "10000"], 0,
+     "95dc1f0268d99f75eed11f2b16add242b581c4ebb819241c14d5d45dbae55c6e"),
+    (["rep-classify", "--max-rank", "8", "--max-dim", "600", "--format", "csv"], 0,
+     "1047351671fdee1155a8c5cc6a62ca49bff569e87e0849508cb2c8cfaeb8cb17"),
+    (["wmf-tables", "--format", "csv"], 0,
+     "13b7ef8ea88300b79d2302c3922217530f5e417de3d2f2aa87e9f0c48fe4438d"),
+    (["symfun", "schur", "1,1,1,1"], 0,
+     "d0ccc93143dff3785224466e93b3d6c808cfa50fd07bceef8b5810c809b42a80"),
+    (["symfun", "elementary", "12"], 0,
+     "c324c090adea066f6d8363e9743f71edb0b79f20cf3800c7b714525ee2700d19"),
+    (["lambda-eval", "--input", "lambda.json"], 0,
+     "081555d76bb3290c5d2ee65353161fe6336c2897d8b55bfa402343bb73ef527e"),
+]
+# sha256 of the README's `cc-odp --g 5 --k 2 --sum-zero --gauss-finite` and
+# of `simplicity --divisor theta` on it
+GENUS5_CYCLE_SHA256 = "3bffdb44266b948d6c74169d7d0e600785c77e260c8dafea2969060561519d8e"
+GENUS5_SIMPLICITY_SHA256 = "216b476838c276865d2b5aa9a2f0212d3c1d326326f843ca09dee579bce9a4f6"
 
 
 def load_schema(name):
@@ -183,13 +223,16 @@ class TestThetaCommands:
         capsys.readouterr()
         assert calls == {"table": 1, "csv": int(fmt == "csv")}
 
-    @pytest.mark.parametrize("argv,digest", [
-        (["fourfold-table"], FOURFOLD_JSON_SHA256),
-        (["--format", "csv", "fourfold-table"], FOURFOLD_CSV_SHA256),
-    ], ids=["json", "csv"])
-    def test_fourfold_table_bytes(self, capsys, argv, digest):
+    @pytest.mark.parametrize("argv,exit_code,digest", OUTPUT_SHA256, ids=[
+        "json", "csv", "rep-dim", "genus5", "readme-csv", "theta-group", "fake-jacobian",
+        "qm-search", "s-sets", "rep-classify", "wmf-tables", "symfun-schur",
+        "symfun-elementary", "lambda-eval"])
+    def test_fourfold_table_bytes(self, capsys, monkeypatch, tmp_path, argv, exit_code,
+                                  digest):
+        (tmp_path / "lambda.json").write_text(json.dumps(SCHUR_21_INPUT))
+        monkeypatch.chdir(tmp_path)
         code, out = invoke(capsys, *argv)
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_gauss_finite_flag(self, capsys):
@@ -238,18 +281,22 @@ class TestSummandAndSimplicity:
         )
         assert code == 1 and payload["no_decomposition"] is True
 
-    @pytest.mark.parametrize("flags,m_bound,cycle_digest,digest", [
-        (["--k", "1", "--gauss-finite"], "2", GENUS6_CYCLE_SHA256[0], GENUS6_SIMPLICITY_SHA256[0]),
-        (["--k", "2", "--sum-zero"], "4", GENUS6_CYCLE_SHA256[1], GENUS6_SIMPLICITY_SHA256[1]),
-    ], ids=["finite", "sum-zero"])
-    def test_genus6_bytes(self, capsys, tmp_path, flags, m_bound, cycle_digest, digest):
-        code, out = invoke(capsys, "cc-odp", "--g", "6", *flags)
+    @pytest.mark.parametrize("cycle_argv,simplicity_argv,cycle_digest,digest", [
+        (["--g", "6", "--k", "1", "--gauss-finite"], ["--m-bound", "2"],
+         GENUS6_CYCLE_SHA256[0], GENUS6_SIMPLICITY_SHA256[0]),
+        (["--g", "6", "--k", "2", "--sum-zero"], ["--m-bound", "4"],
+         GENUS6_CYCLE_SHA256[1], GENUS6_SIMPLICITY_SHA256[1]),
+        (["--g", "5", "--k", "2", "--sum-zero", "--gauss-finite"], ["--divisor", "theta"],
+         GENUS5_CYCLE_SHA256, GENUS5_SIMPLICITY_SHA256),
+    ], ids=["finite", "sum-zero", "readme-g5"])
+    def test_genus6_bytes(self, capsys, tmp_path, cycle_argv, simplicity_argv, cycle_digest,
+                          digest):
+        code, out = invoke(capsys, "cc-odp", *cycle_argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == cycle_digest
         cycle_path = tmp_path / "cycle.json"
         cycle_path.write_text(out)
-        code, out = invoke(capsys, "simplicity", "--input", str(cycle_path),
-                           "--m-bound", m_bound)
+        code, out = invoke(capsys, "simplicity", "--input", str(cycle_path), *simplicity_argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -304,6 +351,20 @@ class TestCycleFiles:
         code, out = invoke(capsys, "cycle-convolve", "--input", str(path))
         assert code == 2
 
+    def test_non_integral_verdict(self, capsys, tmp_path):
+        # cm_1 = 1/3 gives lambda^4 a degree-1 class 20/3: no clean cycle has
+        # these classes, the one "no" a Schur operation can answer
+        comp = {"label": "c", "dim": 1, "mult": 1, "cm": ["8", "1/3", "0", "0", "0"],
+                "gauss_finite": True}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"cycle": {"g": 5, "components": [comp]},
+                                    "alpha": [1, 1, 1, 1], "d_trunc": 1}))
+        code, payload = invoke_json(capsys, "cycle_schur", "cycle-schur", "--input", str(path))
+        assert code == 1
+        assert payload == {"error": "non-integral result", "detail": (
+            "schur_cycle((1,1,1,1)) has non-integral Chern-Mather coordinates "
+            "at indices [1]: ['20/3']")}
+
     def test_fiber_degree_mismatch_rejected(self, capsys, tmp_path):
         bad = {
             "g": 3,
@@ -340,6 +401,23 @@ class TestLambdaEval:
         )
         assert code == 0
         assert payload["coeffs"] == []
+
+    def test_non_integral_coefficient_is_a_fault(self, capsys, monkeypatch, tmp_path):
+        # Z[Gamma] is a lambda-ring, so only a fault of the code makes a
+        # Schur operation non-integral: the made-up expansion
+        # (1/2) p_1 + (1/3) p_(1,1) gives 7/3 at the identity on 2 x^0, and
+        # lambda-eval raises rather than answer "no" with exit 1
+        import thetacycles.lambdaring as lr
+        from thetacycles.symfun import SymExpr
+
+        fake = SymExpr({(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+        monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
+        elem = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[0], 2]]}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"element": elem, "op": {"kind": "sym", "k": 2}}))
+        with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
+            run(["lambda-eval", "--input", str(path)])
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyIg:
@@ -899,6 +977,8 @@ WRITER_EXAMPLES = [
     (lierep.freudenthal_character(lierep.root_system("G2"), (1, 1)), 1),
     (cc_odp(PpavInput(g=3, k=1, gauss_finite=True)), 1),
     (CleanCycleModel(3, (point_component(3),)), 0),
+    (schur_to_powersum((3, 2, 1)), 1),
+    (elementary_to_powersum(6), 1),
 ]
 
 
@@ -952,7 +1032,7 @@ class TestWriter:
 
     @pytest.mark.parametrize("value, pair_lists", WRITER_EXAMPLES, ids=[
         "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates", "character",
-        "cycle", "cycle-without-fiber"])
+        "cycle", "cycle-without-fiber", "schur-powersum", "elementary-powersum"])
     def test_value_examples(self, value, pair_lists, monkeypatch):
         calls = []
 

@@ -10,7 +10,6 @@ from thetacycles.lambdaring import (
     FgAbelianGroup,
     GroupMismatchError,
     GroupRingElement,
-    NonIntegralResultError,
     TensorConstruction,
     eval_construction,
     gr_adams,
@@ -221,7 +220,7 @@ class TestLambdaRingAxioms:
     @settings(max_examples=40, deadline=None)
     def test_exterior_powers_of_effective_are_effective(self, x):
         for k in range(4):
-            assert lambda_op(k, x).is_effective
+            assert all(c >= 0 for c in lambda_op(k, x).coeffs.values())
 
 
 class TestExteriorPowerValues:
@@ -276,21 +275,21 @@ class TestSchurAndConstructions:
     def test_eval_construction(self):
         x = elem(Z, 1) + elem(Z, -1)
         y = elem(Z, 2)
-        t = TensorConstruction.sum(
-            TensorConstruction.product(
+        t = TensorConstruction("sum", children=(
+            TensorConstruction("product", children=(
                 TensorConstruction.var(0), TensorConstruction.var(1)
-            ),
+            )),
             TensorConstruction.schur((1, 1), TensorConstruction.var(0)),
-        )
+        ))
         expect = gr_multiply(x, y) + lambda_op(2, x)
         assert eval_construction(t, [x, y]) == expect
 
     def test_construction_json_roundtrip(self):
-        t = TensorConstruction.schur(
-            (2, 1),
-            TensorConstruction.sum(TensorConstruction.var(0), TensorConstruction.var(1)),
-        )
-        assert TensorConstruction.from_json(t.to_json()) == t
+        data = {"kind": "schur", "alpha": [2, 1], "child": {
+            "kind": "sum", "children": [{"kind": "var", "index": 0}, {"kind": "var", "index": 1}]}}
+        t = TensorConstruction.schur((2, 1), TensorConstruction("sum", children=(
+            TensorConstruction.var(0), TensorConstruction.var(1))))
+        assert TensorConstruction.from_json(data) == t
 
 
 class TestSerialization:
@@ -484,22 +483,23 @@ class TestKernelsAgainstOracle:
 
     def test_non_integral_check_over_the_lcm(self, monkeypatch):
         # Z[Gamma] is a lambda-ring, so a real expansion never trips the
-        # check; a made-up one, (1/2) p_1 + (1/3) p_(1,1), does where the
-        # integer sum over D = 6 is not divisible by 6
+        # check, which guards the code and raises AssertionError; a made-up
+        # one, (1/2) p_1 + (1/3) p_(1,1), trips it where the integer sum over
+        # D = 6 is not divisible by 6
         import thetacycles.lambdaring as lr
         from thetacycles.symfun import SymExpr
 
         fake = SymExpr({(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
         monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
         # 2*x^0: (1/2)*2 + (1/3)*4 = 7/3 at the identity
-        with pytest.raises(NonIntegralResultError, match=r"coefficient 7/3 at \(0,\)"):
+        with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
             schur_apply((2,), GroupRingElement(Z, {(0,): 2}))
         # 6*x^0: 3 + 12 = 15, integral
         assert schur_apply((2,), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
         # over Z/2 the check runs on projected keys: 1 + t gives 3 + 3 t from
         # p_1 and 2 (1 + 2 t + t^2) from p_(1,1), whose lift t^2 lands on 1,
         # so the identity carries (3 + 4) / 6 and not the lift's (3 + 2) / 6
-        with pytest.raises(NonIntegralResultError, match=r"coefficient 7/6 at \(0,\)"):
+        with pytest.raises(AssertionError, match=r"coefficient 7/6 at \(0,\)"):
             schur_apply((2,), GroupRingElement(Z2, {(0,): 1, (1,): 1}))
 
 

@@ -120,7 +120,7 @@ class TestRootSystemInvariants:
         for name, order in [("A3", 24), ("B4", 2**4 * 24), ("D5", 2**4 * 120), ("G2", 12),
                             ("F4", 1152), ("E6", 51840), ("E7", 2903040), ("E8", 696729600)]:
             rs = root_system(name)
-            assert rs.orbit_size(rs.rho) == order, name
+            assert rs.orbit_size((1,) * rs.rank) == order, name
 
     def test_against_sympy(self):
         # independent oracle: sympy's Weyl groups and root systems
@@ -132,7 +132,7 @@ class TestRootSystemInvariants:
 
         for letter, n in canonical_simple_types(8):
             rs = root_system(letter, n)
-            assert rs.orbit_size(rs.rho) == WeylGroup(rs.name).group_order(), rs.name
+            assert rs.orbit_size((1,) * rs.rank) == WeylGroup(rs.name).group_order(), rs.name
             all_roots = SympyRootSystem(rs.name).all_roots()
             assert 2 * len(rs.positive_roots) == len(all_roots), rs.name
             if n == 1:
@@ -518,12 +518,15 @@ class TestClassifiers:
         with pytest.raises(ValueError, match="is not dominant"):
             check(root_system(name), lam)
 
-    def test_predicates_read_the_facts_table(self):
+    def test_predicates_keep_no_closure(self, monkeypatch):
         rs = RootSystem("B", 3)  # empty tables
+        closures = []
+        closure = rs._closure
+        monkeypatch.setattr(rs, "_closure", lambda lam: closures.append(lam) or closure(lam))
         lam = (1, 0, 1)
         assert (is_minuscule(rs, lam), is_quasi_minuscule(rs, lam), is_wmf(rs, lam)) == (
             False, False, False)
-        assert list(rs._facts_table) == [lam] and rs._dominant_below_cache == {}
+        assert closures == [lam] * 3 and rs._dominant_below_cache == {}
         assert enumerate_dominant_weights(rs, 30) == [lam for lam, _ in rs._walk_table[1]]
         zero = rs.zero()
         assert (is_minuscule(rs, zero), is_quasi_minuscule(rs, zero), is_wmf(rs, zero)) == (
@@ -687,8 +690,8 @@ class TestClosedFormsAgainstOracles:
         for letter, n in canonical_simple_types(20):
             rs = RootSystem(letter, n)  # empty memo tables
             for lam in enumerate_dominant_weights(rs, 700):
-                assert rs._dominant_below(lam) == dominant_weights_below_unfiltered(rs, lam), (
-                    rs.name, lam)
+                expected = dominant_weights_below_unfiltered(rs, lam)
+                assert rs.dominant_weights_below(lam) == expected, (rs.name, lam)
                 count += 1
         assert count == 1791
 
@@ -717,7 +720,7 @@ class TestClosedFormsAgainstOracles:
                         rs.name, w, i)
 
     def test_classify_flags_against_unfiltered_closure(self):
-        # the predicates read the same facts table as the sweep, so the flags
+        # the predicates read the same facts as the sweep, so the flags
         # are checked against the closure that forms every root difference
         rows = classify_wmf(10, 3000) + classify_wmf(20, 118)
         for r in rows:
@@ -907,12 +910,20 @@ class TestSweepMemory:
     def test_cold_sweep_keeps_no_closure(self, monkeypatch):
         """A cold classify_wmf(10, 3000) builds 647 closures and keeps none:
         what stays in the 39 root systems is their tables, the walk to 3000
-        (5,177 weights), 647 facts and 3,383 rows, 2.92 MB with the rows the
-        sweep returns.  When each closure was kept, this read 4.53 MB.  The
-        bound leaves 0.18 MB of room (Python 3.11)."""
+        (5,177 weights) and 3,383 rows, 2.86 MB with the rows the sweep
+        returns.  When each closure was kept, this read 4.53 MB.  The bound
+        leaves 0.24 MB of room (Python 3.11)."""
         import thetacycles.lierep as lierep
 
         monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        closures = [0]
+        closure = RootSystem._closure
+
+        def counted(rs, lam):
+            closures[0] += 1
+            return closure(rs, lam)
+
+        monkeypatch.setattr(RootSystem, "_closure", counted)
         gc.collect()
         tracemalloc.start()
         try:
@@ -923,5 +934,5 @@ class TestSweepMemory:
         systems = lierep._ROOT_SYSTEM_CACHE.values()
         assert len(rows) == 3383 and len(systems) == 39
         assert all(rs._dominant_below_cache == {} for rs in systems)
-        assert sum(len(rs._facts_table) for rs in systems) == 647
-        assert kept < 3_100_000
+        assert closures == [647]
+        assert kept < 3_100_000, kept
