@@ -82,10 +82,10 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     coefficient) pairs of an element's terms, a character's weights or a
     power-sum expansion's terms: the brackets and one string per slice of
     _SLICE pairs with the separators between them.  The caller joins them
-    into its own text, so a block is copied once.  Each pair is one f-string
-    over texts from _INT_TEXT; the coefficients, all ints or all "p/q"
-    strings, take _INT_TEXT or encode_basestring_ascii as the first does;
-    an empty key is written []."""
+    into its own text, or writes them in turn, so a block is copied once.
+    Each pair is one f-string over texts from _INT_TEXT; the coefficients,
+    all ints or all "p/q" strings, take _INT_TEXT or encode_basestring_ascii
+    as the first does; an empty key is written []."""
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
@@ -108,15 +108,37 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     return parts
 
 
+def _dict_parts(value: dict, newline: str) -> list:
+    """The pieces of _dumps(value, newline) for a nonempty dict: its keys
+    with their separators, the pieces of its pair lists and nested dicts
+    spliced in, and every other value joined by _dumps."""
+    if not all(isinstance(k, str) for k in value):
+        raise TypeError("dict keys must be str")
+    inner = newline + "  "
+    sep = "," + inner
+    parts = []
+    for k in sorted(value):
+        v = value[k]
+        parts += (sep, encode_basestring_ascii(k), ": ")
+        if _is_pairs(v):
+            parts += _dumps_pairs(v, inner)
+        elif isinstance(v, dict) and v:
+            parts += _dict_parts(v, inner)
+        else:
+            parts.append(_dumps(v, inner))
+    parts[0] = "{" + inner
+    parts += (newline, "}")
+    return parts
+
+
 def _dumps(value, newline="\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for the types a payload
     holds: str-keyed dicts, lists, str, int, bool and None, and the pair
     lists of a value's to_json(), which the standard encoder writes as
     arrays of [key, coefficient] arrays since it writes a tuple as an array.
     The standard encoder runs in pure Python whenever indent is set; this
-    one renders a list of ints from one repr, writes a pair list with
-    _dumps_pairs, whose pieces a dict splices into its own, and recurses on
-    the rest."""
+    one renders a list of ints from one repr, joins the pieces of a pair
+    list (_dumps_pairs) or a dict (_dict_parts), and recurses on the rest."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -143,25 +165,16 @@ def _dumps(value, newline="\n") -> str:
         parts += (newline, "]")
         return "".join(parts)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("dict keys must be str")
-        parts = []
-        for k in sorted(value):
-            v = value[k]
-            parts += (sep, encode_basestring_ascii(k), ": ")
-            parts += _dumps_pairs(v, inner) if _is_pairs(v) else (_dumps(v, inner),)
-        parts[0] = "{" + inner
-        parts += (newline, "}")
-        return "".join(parts)
+        return "".join(_dict_parts(value, newline)) if value else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, json_form, csv_text=None, text=None):
     """Write a result as JSON, CSV or text, which json_form, csv_text and
     text build when called with no arguments; only the form asked for is
-    built, and a subcommand without it is a usage error."""
+    built, and a subcommand without it is a usage error.  A JSON object is
+    written piece by piece (_dict_parts), so its text is held once, not
+    also joined."""
     if args.format != "json":
         build = csv_text if args.format == "csv" else text
         if build is None:
@@ -170,7 +183,11 @@ def _emit(args, json_form, csv_text=None, text=None):
         out = build()
         sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
-        sys.stdout.write(_dumps(json_form()))
+        value = json_form()
+        if isinstance(value, dict) and value:
+            sys.stdout.writelines(_dict_parts(value, "\n"))
+        else:
+            sys.stdout.write(_dumps(value))
         sys.stdout.write("\n")
 
 

@@ -20,6 +20,14 @@ A Weyl orbit is described by its dominant representative, so Weyl-invariant
 questions are answered in the dominant chamber, with closed forms where a
 theorem gives one:
 
+- the dominant representative of a weight of type A-D comes from sorting its
+  epsilon-coordinates, on which W acts by permutations (A), signed
+  permutations (B, C) and signed permutations with an even number of sign
+  changes (D) (Bourbaki, Lie VI, Plates I-IV); E6-E8, F4 and G2 reflect at
+  the first negative coordinate until none is left;
+- an orbit is listed as a tree rooted at its dominant weight: every other
+  weight w has one parent, s_j w for j its first negative coordinate, so each
+  weight is formed once and no set of those seen is kept;
 - the dominant weights of dimension at most a bound are walked once each,
   raising coordinates in index order; the Weyl dimension grows with every
   coordinate, so a branch ends at the first weight over the bound, and the
@@ -71,7 +79,11 @@ is dropped once read; the one cached closure entry, dominant_weights_below,
 serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
-with the `lambdaring` kernels.
+with the `lambdaring` kernels.  freudenthal_character's characters are
+trusted (Character._of): each weight is an orbit weight of a Freudenthal
+multiplicity, Weyl-invariant by construction.  The public Character
+constructor, and char_tensor, char_alt and char_sym through it, check every
+weight and multiplicity and the invariance.
 
 RootSystem instances are immutable after construction apart from internal
 memo tables, and tables built on first use, whose entries are deterministic
@@ -83,6 +95,7 @@ smaller bound's table, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul, not_, sub
 
@@ -110,10 +123,24 @@ MAX_SWEEP_DIM = 100_000
 # takes 0.7 s to build, rank 150 about 2 s (Python 3.11, 2 vCPU)
 MAX_ROOT_SYSTEM_RANK = 100
 
-# the largest dimension of a character whose weights are listed: the slowest
-# input found under it, A87 2 varpi_1 (dim 3,916), takes 1.4 s as a cold
-# rep-char; dimension 5,000 would admit A98 at 2.3 s (Python 3.11, 2 vCPU)
-MAX_CHARACTER_DIM = 4000
+# the largest dimension of a character whose weights are listed.  A cold
+# rep-char with the limit lifted takes (dimension, seconds; Python 3.11,
+# 2 vCPU; runs spread by about 25%):
+#
+#   type   2 varpi_1        varpi_2          varpi_1 + varpi_2 (A: + varpi_n)
+#   A50     1,326  0.13      1,275  0.09       2,600  0.14
+#   B50     5,150  0.43      5,050  0.34     343,299  3.0
+#   C50     5,050  0.28      4,949  0.23     333,200  2.1
+#   D50     5,049  0.34      4,950  0.26     333,200  2.1
+#   A100    5,151  0.47      5,050  0.30      10,200  0.52
+#   B100   20,300  2.0      20,100  2.0      (2.7 million weights, not run)
+#   C100   20,100  1.5      19,899  1.4
+#   D100   20,099  1.5      19,900  1.3
+#
+# and E8 2 varpi_8 (27,000) 0.11 s.  The slowest inputs admitted are
+# B85 2 varpi_1 (14,705) and B86 varpi_2 (14,878), 1.3-1.5 s; B92 2 varpi_1
+# (17,204) took up to 1.8 s and B99 2 varpi_1 (19,899) 2.0-2.4 s.
+MAX_CHARACTER_DIM = 15_000
 
 _POSITIVE_ROOT_COUNT = {
     "A": lambda n: n * (n + 1) // 2,
@@ -270,6 +297,41 @@ def _opposition_involution(letter: str, rank: int) -> tuple:
     return tuple(p)
 
 
+def _sorted_dominant(letter: str, w) -> tuple:
+    """The dominant weight in the Weyl orbit of w for a type A-D, which acts
+    on epsilon-coordinates by permutations (A), signed permutations (B, C) and
+    signed permutations with an even number of sign changes (D) (Bourbaki,
+    Lie VI, Plates I-IV).  With s_i = w_i + ... + w_(n-1), the coordinates are
+
+    - A_n: e = (s_0, ..., s_(n-1), 0) up to a shift, sorted descending;
+    - B_n, doubled: E_i = 2 s_i - w_(n-1), sorted by |E| descending;
+    - C_n: e_i = s_i, sorted by |e| descending;
+    - D_n, doubled: E_i = 2 s_i - w_(n-2) - w_(n-1), so E_(n-1) =
+      w_(n-1) - w_(n-2), sorted by |E| descending, the last one negated
+      when an odd number were negative (a zero, sorted last, takes the sign);
+
+    and each is converted back: w_i = e_i - e_(i+1) (halved when doubled),
+    with w_(n-1) = e_(n-1) for B and C and (E_(n-2) + E_(n-1)) / 2 for D.
+    """
+    if letter == "A":
+        e = sorted(accumulate(reversed(w), initial=0), reverse=True)
+        return tuple(map(sub, e, e[1:]))
+    if letter == "C":
+        e = sorted(map(abs, accumulate(reversed(w))), reverse=True)
+        e.append(0)
+        return tuple(map(sub, e, e[1:]))
+    # E_(n-1) = w_(n-1) (B) or w_(n-1) - w_(n-2) (D), and E_i = E_(i+1) + 2 w_i
+    doubled = list(map(add, w, w))
+    doubled[-1] = w[-1] if letter == "B" else w[-1] - w[-2]
+    signed = list(accumulate(reversed(doubled)))
+    e = sorted(map(abs, signed), reverse=True)
+    if letter == "B":
+        return tuple(map(floordiv, map(sub, e, e[1:]), repeat(2))) + (e[-1],)
+    if sum(map((0).__gt__, signed)) % 2:
+        e[-1] = -e[-1]
+    return tuple(map(floordiv, map(sub, e, e[1:]), repeat(2))) + ((e[-2] + e[-1]) // 2,)
+
+
 class RootSystem:
     """Immutable simple root system data."""
 
@@ -406,7 +468,11 @@ class RootSystem:
         return all(x >= 0 for x in w)
 
     def dominant_representative(self, w):
-        """The unique dominant weight in the Weyl orbit of w."""
+        """The unique dominant weight in the Weyl orbit of w: for A-D by
+        sorting its epsilon-coordinates (_sorted_dominant), for E-G by
+        reflecting at the first negative coordinate until none is left."""
+        if self.letter in "ABCD":
+            return _sorted_dominant(self.letter, w)
         w = tuple(w)
         while True:
             for i in range(self.rank):
@@ -429,21 +495,38 @@ class RootSystem:
     # -- orbits ---------------------------------------------------------------
 
     def weyl_orbit(self, w) -> set:
-        """Full orbit by closure under simple reflections."""
-        start = self.check_weight(w)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    if v[i] != 0:
-                        u = self.reflect(i, v)
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-            frontier = nxt
-        return seen
+        """The Weyl orbit of w."""
+        return set(self._orbit(self.dominant_representative(self.check_weight(w))))
+
+    def _orbit(self, dom) -> list:
+        """The Weyl orbit of the dominant weight dom, each weight formed once.
+
+        A weight w != dom has one parent, s_j w for j its first negative
+        coordinate, and the parent is higher by -w_j alpha_j, so the orbit is
+        a tree rooted at dom.  The children of v are the s_i v with v_i > 0
+        whose coordinates before i stay nonnegative.  A reflection raises only
+        the neighbours of i, so such an i lies before v's first negative
+        coordinate f, where every child qualifies, or is a neighbour of f
+        after it, where the child is tested.
+        """
+        reflect, support, rank = self.reflect, self._cartan_support, self.rank
+        out = [dom]
+        stack = [(dom, rank)]
+        while stack:
+            v, first = stack.pop()
+            for i in range(first):
+                if v[i] > 0:
+                    u = reflect(i, v)
+                    out.append(u)
+                    stack.append((u, i))
+            if first < rank:
+                for i in support[first]:
+                    if i > first and v[i] > 0:
+                        u = reflect(i, v)
+                        if min(u[:i]) >= 0:
+                            out.append(u)
+                            stack.append((u, i))
+        return out
 
     def orbit_size(self, w) -> int:
         """Size of the Weyl orbit of w without enumerating it, from its
@@ -556,6 +639,7 @@ class RootSystem:
         #         / ((lam + rho, lam + rho) - (mu + rho, mu + rho)),
         # with both forms scaled by den to integers
         den = self._inv_den
+        dominant = self.dominant_representative
         norm_top = self._scaled_norm(tuple(x + 1 for x in lam))
         for mu in doms[1:]:
             denom = norm_top - self._scaled_norm(tuple(x + 1 for x in mu))
@@ -564,10 +648,10 @@ class RootSystem:
             for a, r, length, _, _, _ in self.positive_roots:
                 # (mu + j alpha, alpha) = (mu, alpha) + 2 j d_alpha
                 mu_alpha = sum(map(mul, r, dmu))
-                j = 1
+                nu, j = mu, 1
                 while True:
-                    nu = tuple(x + j * y for x, y in zip(mu, a))
-                    m = mults.get(self.dominant_representative(nu))
+                    nu = tuple(map(add, nu, a))
+                    m = mults.get(dominant(nu))
                     if m is None:
                         break
                     total += m * (mu_alpha + 2 * j * length)
@@ -594,8 +678,7 @@ class RootSystem:
             )
         out: dict = {}
         for mu, m in self.freudenthal_dominant(lam).items():
-            for w in self.weyl_orbit(mu):
-                out[w] = m
+            out.update(dict.fromkeys(self._orbit(mu), m))
         return out
 
     def __repr__(self):
@@ -705,6 +788,16 @@ class Character:
                         f"weight map is not Weyl-invariant at {w}, reflection {i}"
                     )
 
+    @classmethod
+    def _of(cls, rs: RootSystem, weights: dict) -> "Character":
+        """A character that takes over `weights`, built by the library as int
+        tuples of the rank's length with positive multiplicities, invariant
+        by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "weights", weights)
+        return self
+
     @property
     def dimension(self) -> int:
         return sum(self.weights.values())
@@ -714,8 +807,9 @@ class Character:
 
 
 def freudenthal_character(rs: RootSystem, lam) -> Character:
-    """Full weight multiplicity map of the irreducible with highest weight lam."""
-    return Character(rs, rs.weight_system(lam))
+    """Full weight multiplicity map of the irreducible with highest weight lam,
+    trusted: each weight is an orbit weight of a Freudenthal multiplicity."""
+    return Character._of(rs, rs.weight_system(lam))
 
 
 def _group_ring(x: Character) -> GroupRingElement:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -82,6 +83,18 @@ OUTPUT_SHA256 = [
      "c324c090adea066f6d8363e9743f71edb0b79f20cf3800c7b714525ee2700d19"),
     (["lambda-eval", "--input", "lambda.json"], 0,
      "081555d76bb3290c5d2ee65353161fe6336c2897d8b55bfa402343bb73ef527e"),
+    # characters whose weights are listed orbit by orbit: E8 varpi_1, A14
+    # varpi_5, D7 varpi_6, B5 2 varpi_1 + varpi_5 and C4 varpi_1 + varpi_3
+    (["rep-char", "E8", "1,0,0,0,0,0,0,0"], 0,
+     "529f606a986d20e97653f12fa92f6f92198139a57d7517659eb7312f82b2c4db"),
+    (["rep-char", "A14", "0,0,0,0,1,0,0,0,0,0,0,0,0,0"], 0,
+     "cbc4d9043b4a4afa84566ca1ce77914246b44829c8d2bc2703e44a0730af5304"),
+    (["rep-char", "D7", "0,0,0,0,0,1,0"], 0,
+     "e5a09343d44c7d0a20afa070acaf2f79c761d44414970c1e799a8d1a5dbc52af"),
+    (["rep-char", "B5", "2,0,0,0,1"], 0,
+     "dc9c6d5dbd14f71d716939a86b884d5efc737e42eecbb5165f1a38e04de8de46"),
+    (["--format", "csv", "rep-char", "C4", "1,0,1,0"], 0,
+     "831e7f1ba9d3c000cb0108cc8909c3019dd05fe35cd28c80f734c41cd3b5f971"),
 ]
 # sha256 of the README's `cc-odp --g 5 --k 2 --sum-zero --gauss-finite` and
 # of `simplicity --divisor theta` on it
@@ -226,7 +239,8 @@ class TestThetaCommands:
     @pytest.mark.parametrize("argv,exit_code,digest", OUTPUT_SHA256, ids=[
         "json", "csv", "rep-dim", "genus5", "readme-csv", "theta-group", "fake-jacobian",
         "qm-search", "s-sets", "rep-classify", "wmf-tables", "symfun-schur",
-        "symfun-elementary", "lambda-eval"])
+        "symfun-elementary", "lambda-eval", "rep-char-E8", "rep-char-A14", "rep-char-D7",
+        "rep-char-B5", "rep-char-C4-csv"])
     def test_fourfold_table_bytes(self, capsys, monkeypatch, tmp_path, argv, exit_code,
                                   digest):
         (tmp_path / "lambda.json").write_text(json.dumps(SCHUR_21_INPUT))
@@ -1061,6 +1075,28 @@ class TestWriter:
             tracemalloc.stop()
         assert len(out) > 2_500_000
         assert peak < 2 * len(out) + 4096
+
+    def test_peak_memory_emit(self, monkeypatch):
+        # _emit writes a dict's pieces in turn instead of joining them, so
+        # the text is held once: into a discarding writer cc-odp's genus-6
+        # payload peaked at 1.29x its 3,366,610 bytes, the pieces and the
+        # last 256-pair slice being built (rank-360 keys make a slice about
+        # 1.1 MB); a joined write peaks at 2x
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        payload = cc_odp(PpavInput(g=6, k=2, gauss_finite=True)).to_json()
+        size = len(_dumps(payload))
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            cli._emit(argparse.Namespace(format="json"), lambda: payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 3_000_000
+        assert peak < 1.4 * size
 
     @pytest.mark.parametrize(
         "value", [1.5, Fraction(1, 2), {1: 2}, [{"a": [0.0]}], {"a": {None: 1}}, (1, 2),

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import re
@@ -48,6 +49,7 @@ from oracles import (
     _reflect,
     center_kernel_index_echelon,
     decompose_full_orbit,
+    dominant_by_reflections,
     dominant_weights_below_unfiltered,
     dominant_weights_by_bfs,
     fundamental_heights,
@@ -59,6 +61,7 @@ from oracles import (
     saturation_weights,
     subset_exterior_power_with_add,
     w0_permutation_by_dominantizing,
+    weyl_orbit,
     wmf_weights_unpruned,
 )
 
@@ -240,14 +243,100 @@ class TestWeylOrbit:
             rs = root_system(letter, n)
             for _ in range(8):
                 w = tuple(rng.randint(-2, 2) for _ in range(n))
-                assert rs.orbit_size(w) == len(rs.weyl_orbit(w)), (letter, n, w)
+                assert rs.orbit_size(w) == len(weyl_orbit(rs.cartan, w)), (letter, n, w)
 
     def test_dominant_representative_unique(self):
         rs = root_system("B3")
-        orbit = rs.weyl_orbit((1, -1, 2))
+        orbit = weyl_orbit(rs.cartan, (1, -1, 2))
         doms = [w for w in orbit if rs.is_dominant(w)]
         assert len(doms) == 1
         assert rs.dominant_representative((1, -1, 2)) == doms[0]
+
+
+def weight_from_epsilon(letter, e):
+    """The weight of epsilon-coordinates e (n + 1 of them for A_n, n doubled
+    ones of one parity for B_n and D_n), by the Plates of Bourbaki, Lie VI:
+    differences of consecutive coordinates, halved when doubled, then the
+    last coordinate for B and C and the half sum of the last two for D."""
+    diffs = [x - y for x, y in zip(e, e[1:])]
+    if letter == "A":
+        return tuple(diffs)
+    if letter == "C":
+        return tuple(diffs + [e[-1]])
+    if letter == "B":
+        return tuple([x // 2 for x in diffs] + [e[-1]])
+    return tuple([x // 2 for x in diffs] + [(e[-2] + e[-1]) // 2])
+
+
+class TestEpsilonKernels:
+    @pytest.mark.parametrize("letter, low", [("A", 1), ("B", 2), ("C", 2), ("D", 3)])
+    def test_sorting_against_reflections(self, letter, low):
+        # random weights, and weights drawn as epsilon-coordinates: for D an
+        # odd number of negative ones with none zero, and for every type
+        # some with a zero coordinate
+        rng = random.Random(letter)
+        for n in range(low, 41):
+            rs = root_system(letter, n)
+            size = n + 1 if letter == "A" else n
+            weights = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+            for _ in range(3):
+                parity = rng.randint(0, 1) if letter in "BD" else 0
+                e = [2 * rng.randint(-4, 4) + parity if letter in "BD" else rng.randint(-4, 4)
+                     for _ in range(size)]
+                if not parity:
+                    e[rng.randrange(size)] = 0
+                weights.append(weight_from_epsilon(letter, e))
+                if letter == "D":
+                    odd = [2 * rng.randint(0, 4) + 1 for _ in range(size)]
+                    for i in rng.sample(range(size), rng.randrange(1, size + 1, 2)):
+                        odd[i] = -odd[i]
+                    weights.append(weight_from_epsilon(letter, odd))
+            for w in weights:
+                assert rs.dominant_representative(w) == dominant_by_reflections(rs.cartan, w), \
+                    (rs.name, w)
+
+    def test_small_ranks_exhaustively(self):
+        for name in ("A1", "B2", "C2", "D3"):
+            rs = root_system(name)
+            for w in itertools.product(range(-4, 5), repeat=rs.rank):
+                assert rs.dominant_representative(w) == dominant_by_reflections(rs.cartan, w)
+
+    def test_orbits_against_reflection_closure(self):
+        cases = [(root_system(letter, n), lam) for letter, n in canonical_simple_types(6)
+                 for lam in enumerate_dominant_weights(root_system(letter, n), 300)]
+        for name in ("E6", "E7", "E8", "F4", "G2"):
+            rs = root_system(name)
+            cases += [(rs, lam) for lam in enumerate_dominant_weights(rs, 3875)]
+        assert (root_system("E8"), (1,) + (0,) * 7) in cases
+        for rs, lam in cases:
+            orbit = rs._orbit(lam)
+            assert len(orbit) == len(set(orbit)) == rs.orbit_size(lam), (rs.name, lam)
+            assert set(orbit) == weyl_orbit(rs.cartan, lam), (rs.name, lam)
+
+
+# the comparisons of freudenthal_character's output with oracles and identities
+CHARACTER_COMPARISONS = [
+    "TestWeylDim.test_matches_freudenthal_total",
+    "TestFreudenthal.test_a2_adjoint_against_tensor_arithmetic",
+    "TestFreudenthal.test_minuscule_all_ones",
+    "TestFreudenthal.test_c3_wedge3_multiplicity_free",
+    "TestCharacterOps.test_alt_matches_subset_enumeration",
+    "TestCharacterOps.test_decompose_reconstructs_random_tensors",
+    "TestCharacterOps.test_equality_compares_root_system_and_weights",
+    "TestSelfDualAndFs.test_fs_against_direct_decomposition",
+    "TestClosedFormsAgainstOracles.test_decompose_against_full_orbit_peeling",
+]
+
+
+class TestCheckedCharacters:
+    @pytest.mark.parametrize("comparison", CHARACTER_COMPARISONS)
+    def test_comparison_with_checked_constructor(self, comparison, monkeypatch):
+        # freudenthal_character trusts its output (Character._of); built by
+        # the checked constructor instead, it passes the same comparisons
+        monkeypatch.setattr(Character, "_of",
+                            classmethod(lambda cls, rs, weights: cls(rs, weights)))
+        class_name, method = comparison.split(".")
+        getattr(globals()[class_name](), method)()
 
 
 class TestWeylDim:
