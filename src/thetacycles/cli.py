@@ -58,7 +58,9 @@ class InputError(Exception):
     pass
 
 
-_SLICE = 256  # pairs rendered per join
+# key coordinates rendered per join: a slice of a pair list holds
+# _SLICE // (key length + 1) + 1 pairs, so wide keys make no larger slices
+_SLICE = 8192
 
 
 class _IntText(dict):
@@ -81,11 +83,11 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     """The pieces of _dumps(pairs, newline) for a pair list, the (int tuple,
     coefficient) pairs of an element's terms, a character's weights or a
     power-sum expansion's terms: the brackets and one string per slice of
-    _SLICE pairs with the separators between them.  The caller joins them
-    into its own text, or writes them in turn, so a block is copied once.
-    Each pair is one f-string over texts from _INT_TEXT; the coefficients,
-    all ints or all "p/q" strings, take _INT_TEXT or encode_basestring_ascii
-    as the first does; an empty key is written []."""
+    about _SLICE key coordinates with the separators between them.  The
+    caller joins them into its own text, or writes them in turn, so a block
+    is copied once.  Each pair is one f-string over texts from _INT_TEXT;
+    the coefficients, all ints or all "p/q" strings, take _INT_TEXT or
+    encode_basestring_ascii as the first does; an empty key is written []."""
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
@@ -95,14 +97,15 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     close_key = key + "]," + key
     text = _INT_TEXT.__getitem__
     value = text if type(pairs[0][1]) is int else encode_basestring_ascii
+    step = _SLICE // (len(pairs[0][0]) + 1) + 1
     parts = ["[" + inner]
-    for start in range(0, len(pairs), _SLICE):
+    for start in range(0, len(pairs), step):
         if start:
             parts.append(sep)
         parts.append(sep.join([
             f"{open_key}{coord_sep.join(map(text, g))}{close_key}{value(c)}{inner}]"
             if g else f"{open_empty}{value(c)}{inner}]"
-            for g, c in pairs[start:start + _SLICE]
+            for g, c in pairs[start:start + step]
         ]))
     parts += (newline, "]")
     return parts
@@ -172,8 +175,9 @@ def _dumps(value, newline="\n") -> str:
 def _emit(args, json_form, csv_text=None, text=None):
     """Write a result as JSON, CSV or text, which json_form, csv_text and
     text build when called with no arguments; only the form asked for is
-    built, and a subcommand without it is a usage error.  A JSON object is
-    written piece by piece (_dict_parts), so its text is held once, not
+    built, and a subcommand without it is a usage error.  json_form builds a
+    nonempty dict, as every output schema's top level is an object, and it
+    is written piece by piece (_dict_parts), so its text is held once, not
     also joined."""
     if args.format != "json":
         build = csv_text if args.format == "csv" else text
@@ -183,11 +187,7 @@ def _emit(args, json_form, csv_text=None, text=None):
         out = build()
         sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
-        value = json_form()
-        if isinstance(value, dict) and value:
-            sys.stdout.writelines(_dict_parts(value, "\n"))
-        else:
-            sys.stdout.write(_dumps(value))
+        sys.stdout.writelines(_dict_parts(json_form(), "\n"))
         sys.stdout.write("\n")
 
 
@@ -326,8 +326,9 @@ def _cmd_cycle_schur(args):
 
 def _cmd_rep_dim(args):
     rs = root_system(args.type)
-    dim = rs.weyl_dim(_parse_coords(args.weight))
-    _emit(args, lambda: {"type": rs.name, "weight": list(_parse_coords(args.weight)), "dim": dim},
+    weight = _parse_coords(args.weight)
+    dim = rs.weyl_dim(weight)
+    _emit(args, lambda: {"type": rs.name, "weight": list(weight), "dim": dim},
           text=lambda: str(dim))
     return 0
 
@@ -570,10 +571,7 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

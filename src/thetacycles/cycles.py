@@ -46,10 +46,16 @@ class CycleComponent:
     gauss_finite: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"component 'label' must be a string, got {self.label!r}")
         for name in ("dim", "mult"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"component {name!r} must be an integer, got {value!r}")
+        if not isinstance(self.gauss_finite, bool):
+            raise ValueError(
+                f"component 'gauss_finite' must be true or false, got {self.gauss_finite!r}"
+            )
         g = self.cm.g
         if not 0 <= self.dim <= g - 1:
             raise ValueError(f"component dim must be in [0, {g - 1}], got {self.dim}")
@@ -162,7 +168,10 @@ class CleanCycleModel:
 def _cm_from_json(g, coords) -> ChowVector:
     if not isinstance(coords, list):
         raise TypeError(f"'cm' must be a list of rationals, got {coords!r}")
-    return ChowVector(g, tuple(Fraction(v) for v in coords))
+    for v in coords:
+        if not (isinstance(v, str) or _is_int(v)):
+            raise TypeError(f"'cm' entries must be \"p/q\" strings or integers, got {v!r}")
+    return ChowVector(g, tuple(map(Fraction, coords)))
 
 
 def degree(c: CleanCycleModel) -> int:

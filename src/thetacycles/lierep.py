@@ -7,11 +7,17 @@ entries of the row alone, node i and its neighbours, at most four.  The
 invariant bilinear form is normalized so short simple roots have squared
 length 2.
 
+Each simple type is one plate (_plate, after Bourbaki, Lie VI, Plates
+I-IX): its Dynkin edges, the symmetrizers d_i = (alpha_i, alpha_i)/2, the
+closed form of its inverse Cartan matrix, -w0 and its number of positive
+roots.  The Cartan matrix comes from the diagram and d: joined nodes have
+(alpha_i, alpha_j) = -max(d_i, d_j).
+
 All lattice arithmetic is in integers.  Each concept has one integer form,
 built once per root system: the inverse Cartan matrix as N / den with
-C N = den I (closed forms from Bourbaki's Plates), which gives
-den (u, u) = sum_ij u_i N_ij d_j u_j, and one table of positive roots, each
-a tuple of its fundamental and simple-root coordinates, half its squared
+C N = den I, which gives den (u, u) = sum_ij u_i N_ij d_j u_j and 2 rho^vee
+as twice the row sums of N / den, and one table of positive roots, each a
+tuple of its fundamental and simple-root coordinates, half its squared
 length, (rho, alpha), its height and its support.  A weight lam pairs with
 the positive root alpha = sum_i r_i alpha_i as
 (lam, alpha) = sum_i r_i (d_i lam_i), with d lam formed once per weight.
@@ -142,159 +148,98 @@ MAX_ROOT_SYSTEM_RANK = 100
 # (17,204) took up to 1.8 s and B99 2 varpi_1 (19,899) 2.0-2.4 s.
 MAX_CHARACTER_DIM = 15_000
 
-_POSITIVE_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
 
+def _plate(letter: str, rank: int) -> tuple:
+    """Bourbaki's plate of the simple type letter_rank (Lie VI, Plates
+    I-IX): (C, d, N, den, p, number of positive roots).
 
-def _cartan_and_lengths(letter: str, rank: int):
-    """Cartan matrix rows (alpha_i in fundamental coordinates) and the
-    symmetrizers d_i = (alpha_i, alpha_i)/2, short roots normalized to 1."""
+    Each type states its Dynkin edges, the symmetrizers d_i = (alpha_i,
+    alpha_i)/2 (short roots 1), N / den = C^-1 (closed forms in 1-based
+    indices, the Plates' integer tables for E6-E8, F4, G2) and p with
+    w0(varpi_i) = -varpi_p(i).  Row i of N / den is varpi_i in simple-root
+    coordinates, and den = det C = [P : Q].  Row i of C is alpha_i in
+    fundamental coordinates, C_ij = (alpha_i, alpha_j) / d_j, and joined
+    nodes have (alpha_i, alpha_j) = -max(d_i, d_j), so C comes from the
+    diagram and d alone.
+    """
     n = rank
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def chain(i, j):
-        C[i][j] = -1
-        C[j][i] = -1
-
+    chain = [(i, i + 1) for i in range(n - 1)]
+    p = list(range(n))
+    table = None
     if letter == "A":
         if n < 1:
             raise ValueError("A_n needs n >= 1")
-        for i in range(n - 1):
-            chain(i, i + 1)
-        d = [1] * n
-    elif letter == "B":
-        if n < 2:
-            raise ValueError("B_n needs n >= 2")
-        for i in range(n - 2):
-            chain(i, i + 1)
-        C[n - 2][n - 1] = -2
-        C[n - 1][n - 2] = -1
-        d = [2] * (n - 1) + [1]
-    elif letter == "C":
-        if n < 2:
-            raise ValueError("C_n needs n >= 2")
-        for i in range(n - 2):
-            chain(i, i + 1)
-        C[n - 2][n - 1] = -1
-        C[n - 1][n - 2] = -2
-        d = [1] * (n - 1) + [2]
-    elif letter == "D":
-        if n < 3:
-            raise ValueError("D_n needs n >= 3")
-        for i in range(n - 3):
-            chain(i, i + 1)
-        chain(n - 3, n - 2)
-        chain(n - 3, n - 1)
-        d = [1] * n
-    elif letter == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6,7,8}")
-        # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 attached to 4
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            chain(i, j)
-        d = [1] * n
-    elif letter == "F":
-        if n != 4:
-            raise ValueError("F_n needs n = 4")
-        chain(0, 1)
-        C[1][2] = -2
-        C[2][1] = -1
-        chain(2, 3)
-        d = [2, 2, 1, 1]
-    elif letter == "G":
-        if n != 2:
-            raise ValueError("G_n needs n = 2")
-        C[0][1] = -1
-        C[1][0] = -3
-        d = [1, 3]
-    else:
-        raise ValueError(f"unknown type {letter!r}")
-    return tuple(tuple(row) for row in C), tuple(d)
-
-
-# den C^-1 for the exceptional types, row i the simple-root coordinates of
-# den varpi_i (Bourbaki, Lie VI, Plates V-IX)
-_EXCEPTIONAL_INVERSE_CARTAN = {
-    ("E", 6): (3, ((4, 3, 5, 6, 4, 2), (3, 6, 6, 9, 6, 3), (5, 6, 10, 12, 8, 4),
-                   (6, 9, 12, 18, 12, 6), (4, 6, 8, 12, 10, 5), (2, 3, 4, 6, 5, 4))),
-    ("E", 7): (2, ((4, 4, 6, 8, 6, 4, 2), (4, 7, 8, 12, 9, 6, 3), (6, 8, 12, 16, 12, 8, 4),
-                   (8, 12, 16, 24, 18, 12, 6), (6, 9, 12, 18, 15, 10, 5),
-                   (4, 6, 8, 12, 10, 8, 4), (2, 3, 4, 6, 5, 4, 3))),
-    ("E", 8): (1, ((4, 5, 7, 10, 8, 6, 4, 2), (5, 8, 10, 15, 12, 9, 6, 3),
-                   (7, 10, 14, 20, 16, 12, 8, 4), (10, 15, 20, 30, 24, 18, 12, 6),
-                   (8, 12, 16, 24, 20, 15, 10, 5), (6, 9, 12, 18, 15, 12, 8, 4),
-                   (4, 6, 8, 12, 10, 8, 6, 3), (2, 3, 4, 6, 5, 4, 3, 2))),
-    ("F", 4): (1, ((2, 3, 4, 2), (3, 6, 8, 4), (2, 4, 6, 3), (1, 2, 3, 2))),
-    ("G", 2): (1, ((2, 1), (3, 2))),
-}
-
-
-def _inverse_cartan(letter: str, rank: int):
-    """(N, den) with C N = den I and den = det C = [P : Q], in closed form:
-    row i of N / den is the fundamental weight varpi_i in simple-root
-    coordinates (Bourbaki, Lie VI, Plates I-IX).  With 1-based indices,
-
-    - A_n: den = n + 1, N_ij = min(i, j) (n + 1 - max(i, j));
-    - B_n: den = 2, N_ij = 2 min(i, j) for i < n, N_nj = j;
-    - C_n: den = 2, N_ij = 2 min(i, j) for j < n, N_in = i;
-    - D_n: den = 4, N_ij = 4 min(i, j) for i, j <= n - 2, 2 min(i, j) when
-      one index is above n - 2, and n on, n - 2 off the diagonal of the
-      spin block;
-    - E6-E8, F4, G2: the integer tables of the Plates.
-    """
-    n = rank
-    if letter == "A":
-        den = n + 1
+        edges, d, den, count = chain, [1] * n, n + 1, n * (n + 1) // 2
+        p.reverse()
 
         def entry(i, j):
             return min(i, j) * (n + 1 - max(i, j))
     elif letter == "B":
-        den = 2
+        if n < 2:
+            raise ValueError("B_n needs n >= 2")
+        edges, d, den, count = chain, [2] * (n - 1) + [1], 2, n * n
 
         def entry(i, j):
             return 2 * min(i, j) if i < n else j
     elif letter == "C":
-        den = 2
+        if n < 2:
+            raise ValueError("C_n needs n >= 2")
+        edges, d, den, count = chain, [1] * (n - 1) + [2], 2, n * n
 
         def entry(i, j):
             return 2 * min(i, j) if j < n else i
     elif letter == "D":
-        den = 4
+        if n < 3:
+            raise ValueError("D_n needs n >= 3")
+        edges, d, den, count = chain[:-1] + [(n - 3, n - 1)], [1] * n, 4, n * (n - 1)
+        if n % 2:
+            p[-2], p[-1] = p[-1], p[-2]
 
         def entry(i, j):
             if i > n - 2 and j > n - 2:
                 return n if i == j else n - 2
             return (2 if max(i, j) > n - 2 else 4) * min(i, j)
+    elif letter == "E":
+        if n not in (6, 7, 8):
+            raise ValueError("E_n needs n in {6,7,8}")
+        # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 attached to 4
+        edges, d = [(0, 2), (1, 3)] + chain[2:], [1] * n
+        if n == 6:
+            p = [5, 1, 4, 3, 2, 0]
+            den, count, table = 3, 36, (
+                (4, 3, 5, 6, 4, 2), (3, 6, 6, 9, 6, 3), (5, 6, 10, 12, 8, 4),
+                (6, 9, 12, 18, 12, 6), (4, 6, 8, 12, 10, 5), (2, 3, 4, 6, 5, 4))
+        elif n == 7:
+            den, count, table = 2, 63, (
+                (4, 4, 6, 8, 6, 4, 2), (4, 7, 8, 12, 9, 6, 3), (6, 8, 12, 16, 12, 8, 4),
+                (8, 12, 16, 24, 18, 12, 6), (6, 9, 12, 18, 15, 10, 5),
+                (4, 6, 8, 12, 10, 8, 4), (2, 3, 4, 6, 5, 4, 3))
+        else:
+            den, count, table = 1, 120, (
+                (4, 5, 7, 10, 8, 6, 4, 2), (5, 8, 10, 15, 12, 9, 6, 3),
+                (7, 10, 14, 20, 16, 12, 8, 4), (10, 15, 20, 30, 24, 18, 12, 6),
+                (8, 12, 16, 24, 20, 15, 10, 5), (6, 9, 12, 18, 15, 12, 8, 4),
+                (4, 6, 8, 12, 10, 8, 6, 3), (2, 3, 4, 6, 5, 4, 3, 2))
+    elif letter == "F":
+        if n != 4:
+            raise ValueError("F_n needs n = 4")
+        edges, d, den, count = chain, [2, 2, 1, 1], 1, 24
+        table = ((2, 3, 4, 2), (3, 6, 8, 4), (2, 4, 6, 3), (1, 2, 3, 2))
+    elif letter == "G":
+        if n != 2:
+            raise ValueError("G_n needs n = 2")
+        edges, d, den, count = chain, [1, 3], 1, 6
+        table = ((2, 1), (3, 2))
     else:
-        den, N = _EXCEPTIONAL_INVERSE_CARTAN[letter, n]
-        return N, den
-    return tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)), den
-
-
-def _opposition_involution(letter: str, rank: int) -> tuple:
-    """p with w0(varpi_i) = -varpi_p(i), on 0-based nodes: reverse A_n, swap
-    the spin nodes of D_n for odd n and nodes 1-6, 3-5 of E6, fix the rest
-    (Bourbaki, Lie VI, Plates I-IX)."""
-    p = list(range(rank))
-    if letter == "A":
-        p.reverse()
-    elif letter == "D" and rank % 2:
-        p[-2], p[-1] = p[-1], p[-2]
-    elif letter == "E" and rank == 6:
-        p = [5, 1, 4, 3, 2, 0]
-    return tuple(p)
+        raise ValueError(f"unknown type {letter!r}")
+    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        inner = -max(d[i], d[j])
+        C[i][j], C[j][i] = inner // d[j], inner // d[i]
+    if table is None:
+        nodes = range(1, n + 1)
+        table = tuple(tuple(entry(i, j) for j in nodes) for i in nodes)
+    return tuple(map(tuple, C)), tuple(d), table, den, tuple(p), count
 
 
 def _sorted_dominant(letter: str, w) -> tuple:
@@ -342,15 +287,15 @@ class RootSystem:
             )
         self.letter = letter
         self.rank = rank
-        self.cartan, self.d = _cartan_and_lengths(letter, rank)
+        # the Cartan matrix, d, N / den = C^-1 (den = det C = [P : Q]) and
+        # p with w0(varpi_i) = -varpi_p(i)
+        (self.cartan, self.d, self._inv_num, self._inv_den, self.w0_permutation,
+         expected) = _plate(letter, rank)
         # the columns j with C_ij != 0 of each Cartan row, at most four: a
         # simple reflection moves only node i and its neighbours
         self._cartan_support = tuple(
             tuple(j for j, c in enumerate(row) if c) for row in self.cartan
         )
-        # integer inverse Cartan matrix: N / den = C^-1, so den * (simple-root
-        # coordinates of a weight) is integral, and den = det C = [P : Q]
-        self._inv_num, self._inv_den = _inverse_cartan(letter, rank)
         # den * (w_i, w_j) = N_ij d_j, from (w_i, alpha_j) = delta_ij d_j
         N, d = self._inv_num, self.d
         assert all(
@@ -359,9 +304,9 @@ class RootSystem:
         # dominant_weights_below's closures: no benchmark workload hits it; it
         # stays for bench/tracing.py, which counts its hits (ROADMAP item 2)
         self._dominant_below_cache: dict = {}
-        # the coordinates where each positive root is positive, built by the
-        # first closure (see _closure)
-        self._root_positive_coords = None
+        # the (alpha, coordinates where alpha is positive, height) of each
+        # positive root, built by the first closure (see _closure)
+        self._closure_steps = None
         # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
@@ -373,7 +318,6 @@ class RootSystem:
         #  d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
         # a weight pairs as (lam, alpha) = sum_i r_i (d_i lam_i)
         self.positive_roots = self._enumerate_positive_roots()
-        expected = _POSITIVE_ROOT_COUNT[letter](rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
                 f"{letter}{rank}: found {len(self.positive_roots)} positive roots, "
@@ -381,20 +325,12 @@ class RootSystem:
             )
         self._weyl_dim_den = prod(rho_a for _, _, _, rho_a, _, _ in self.positive_roots)
         # 2 rho^vee, the sum of the positive coroots, in simple-coroot
-        # coordinates: alpha^vee = sum_i r_i d_i / d_alpha alpha_i^vee
-        lengths = [length for _, _, length, _, _, _ in self.positive_roots]
-        simple_coords = zip(*(r for _, r, _, _, _, _ in self.positive_roots))
-        self._two_rho_vee = tuple(
-            sum(map(floordiv, map(di.__mul__, col), lengths))
-            for col, di in zip(simple_coords, self.d)
-        )
-        # p with w0(varpi_i) = -varpi_p(i)
-        self.w0_permutation = _opposition_involution(letter, rank)
+        # coordinates: rho^vee is the sum of the fundamental coweights, whose
+        # simple-coroot coordinates are the columns of C^-1 = N / den, so
+        # 2 rho^vee_i is twice the sum of row i of N over den
+        self._two_rho_vee = tuple(2 * sum(row) // self._inv_den for row in N)
 
     # -- construction helpers ------------------------------------------------
-
-    def _fundamental(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def _enumerate_positive_roots(self):
         """Close the simple roots under the simple reflections, upwards.
@@ -406,10 +342,10 @@ class RootSystem:
         by a sparse reflection; (rho, alpha), the height and the support grow
         with the coordinate r_i raised.
         """
-        d = self.d
+        d, n = self.d, self.rank
         # r -> (w, d_alpha, (rho, alpha), height, support)
-        found = {self._fundamental(i): (self.cartan[i], d[i], d[i], 1, 1 << i)
-                 for i in range(self.rank)}
+        found = {(0,) * i + (1,) + (0,) * (n - 1 - i): (self.cartan[i], d[i], d[i], 1, 1 << i)
+                 for i in range(n)}
         frontier = list(found)
         while frontier:
             nxt = []
@@ -597,14 +533,12 @@ class RootSystem:
         subtracting alpha adds ht(alpha), so the order needs no height of its
         own.
         """
-        roots = self.positive_roots
-        positive_coords = self._root_positive_coords
-        if positive_coords is None:
-            positive_coords = self._root_positive_coords = tuple(
-                tuple(i for i, x in enumerate(a) if x > 0) for a, _, _, _, _, _ in roots
+        steps = self._closure_steps
+        if steps is None:
+            steps = self._closure_steps = tuple(
+                (a, tuple(i for i, x in enumerate(a) if x > 0), height)
+                for a, _, _, _, height, _ in self.positive_roots
             )
-        steps = [(a, positive, height)
-                 for (a, _, _, _, height, _), positive in zip(roots, positive_coords)]
         seen = {lam: 0}
         frontier = [lam]
         while frontier:

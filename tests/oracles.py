@@ -485,6 +485,20 @@ def inverse_cartan_bareiss(cartan):
     return tuple(tuple(row[n:]) for row in a), prev
 
 
+def two_rho_vee_by_coroots(rs):
+    """2 rho^vee, the sum of the positive coroots, in simple-coroot
+    coordinates, summed over the root table: the coroot of alpha = sum_i
+    r_i alpha_i with (alpha, alpha) = 2 d_alpha is sum_i r_i d_i / d_alpha
+    alpha_i^vee."""
+    total = [0] * rs.rank
+    for _, r, length, _, _, _ in rs.positive_roots:
+        for i, (ri, di) in enumerate(zip(r, rs.d)):
+            q, rem = divmod(ri * di, length)
+            assert rem == 0, "coroot coordinates are integers"
+            total[i] += q
+    return tuple(total)
+
+
 def fundamental_heights(cartan):
     """The height of each fundamental weight in the simple-root basis, the
     row sums of the inverse Cartan matrix, by Gauss-Jordan elimination in

@@ -21,8 +21,7 @@ from thetacycles.lierep import (
     Character,
     NotACharacterError,
     RootSystem,
-    _cartan_and_lengths,
-    _inverse_cartan,
+    _plate,
     _walk_dominant_weights,
     canonical_simple_types,
     center_kernel_index,
@@ -60,11 +59,17 @@ from oracles import (
     root_multiple_full_orbit,
     saturation_weights,
     subset_exterior_power_with_add,
+    two_rho_vee_by_coroots,
     w0_permutation_by_dominantizing,
     weyl_orbit,
     wmf_weights_unpruned,
 )
 
+
+# every type up to rank 40, the repeats B2 = C2 and A3 = D3 included
+TYPES_TO_RANK_40 = [(letter, n) for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                    for n in range(low, 41)]
+TYPES_TO_RANK_40 += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 SMALL_CASES = [
     ("A1", (4,)),
@@ -140,21 +145,21 @@ class TestRootSystemInvariants:
             assert 2 * len(rs.positive_roots) == len(all_roots), rs.name
             if n == 1:
                 continue  # sympy's CartanMatrix("A1") raises
-            inv = CartanMatrix(rs.name).inv()
+            # the Cartan matrix the plate derives from the diagram and d
+            cartan = CartanMatrix(rs.name)
+            assert all(
+                rs.cartan[i][j] == cartan[i, j] for i in range(n) for j in range(n)
+            ), rs.name
+            inv = cartan.inv()
             N, den = rs._inv_num, rs._inv_den
             assert all(
                 inv[i, j] == Rational(N[i][j], den) for i in range(n) for j in range(n)
             ), rs.name
 
     def test_closed_form_inverse_cartan_against_elimination(self):
-        # every type up to rank 40, the repeats B2 = C2 and A3 = D3 included:
         # C N = den I with den = det C, and the same N / den as elimination
-        types = [(letter, n) for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-                 for n in range(low, 41)]
-        types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-        for letter, n in types:
-            C, d = _cartan_and_lengths(letter, n)
-            N, den = _inverse_cartan(letter, n)
+        for letter, n in TYPES_TO_RANK_40:
+            C, d, N, den, _, _ = _plate(letter, n)
             assert (N, den) == inverse_cartan_bareiss(C), (letter, n)
             for i in range(n):
                 for j in range(n):
@@ -162,7 +167,14 @@ class TestRootSystemInvariants:
                     assert entry == (den if i == j else 0), (letter, n, i, j)
                     # den (varpi_i, varpi_j) = N_ij d_j is symmetric
                     assert N[i][j] * d[j] == N[j][i] * d[i], (letter, n, i, j)
-        assert len(types) == 161
+        assert len(TYPES_TO_RANK_40) == 161
+
+    def test_two_rho_vee_against_coroot_sum(self):
+        # 2 rho^vee from the row sums of N / den against the sum of the
+        # positive coroots over the root table
+        for letter, n in TYPES_TO_RANK_40:
+            rs = root_system(letter, n)
+            assert rs._two_rho_vee == two_rho_vee_by_coroots(rs), rs.name
 
     def test_bad_type_names_rejected(self):
         for name in ("", "X3", "A", "Ax"):
@@ -171,9 +183,9 @@ class TestRootSystemInvariants:
 
     def test_rank_guard(self, monkeypatch):
         assert MAX_SWEEP_RANK <= MAX_ROOT_SYSTEM_RANK
-        # a missing guard fails at the Cartan matrix instead of building one
-        # with 10^16 entries
-        monkeypatch.setattr(lierep, "_cartan_and_lengths", None)
+        # a missing guard fails at the plate instead of building a Cartan
+        # matrix with 10^16 entries
+        monkeypatch.setattr(lierep, "_plate", None)
         with pytest.raises(ValueError, match="rank 99999999 is over the limit of 100$"):
             root_system("A99999999")
         with pytest.raises(ValueError, match="rank 101 is over the limit"):
