@@ -3,13 +3,17 @@
 Gamma is a finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_t in
 invariant-factor form (d_i | d_{i+1}).  Elements of the group ring are
 finite integer-coefficient sums of group elements; the Adams operation
-Psi^n pushes coefficients forward along g -> n*g.  Exterior powers and
-general Schur operations are *defined* from the Adams operations through
-the power-sum expansions of `symfun` -- legitimate because Z[Gamma] has no
-Z-torsion -- and an integrality check at the end.  Z[Gamma] is a lambda-ring,
-so a Schur operation on any element, virtual ones included, has integer
-coefficients: the check guards the implementation, raises AssertionError
-and says nothing about the input.  The mathematical verdict on integrality
+Psi^n pushes coefficients forward along g -> n*g.  A group element is a
+line element (lambda^i [g] = 0 for i >= 2) and lambda_t turns sums into
+products, so the one-column and one-row Schur operations lambda^k and Sym^k
+are the t^k coefficients of prod_g (1 + [g]t)^(c_g) and
+prod_g (1 - [g]t)^(-c_g), summed in integers.  Every other Schur operation
+is *defined* from the Adams operations through the power-sum expansions of
+`symfun` -- legitimate because Z[Gamma] has no Z-torsion -- and an
+integrality check at the end.  Z[Gamma] is a lambda-ring, so a Schur
+operation on any element, virtual ones included, has integer coefficients:
+the check guards the implementation, raises AssertionError and says
+nothing about the input.  The mathematical verdict on integrality
 is the Chern-Mather check of `cycles.schur_cycle`, which raises
 NonIntegralResultError.
 
@@ -25,7 +29,7 @@ overflows into the next; it has no upper limit.  Torsion coordinates ride
 along as unreduced lifts and each result key is reduced mod d_i once, when
 it is unpacked; keys that meet there are summed in first-occurrence order.
 The projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b,
-so a Schur operation scales the power-sum coefficients by D, the lcm of
+so the Adams route scales the power-sum coefficients by D, the lcm of
 their denominators, accumulates integers over the lifts, and checks
 c % D == 0 after the projection.
 
@@ -340,7 +344,44 @@ def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
-    """Apply the Schur operation s_alpha, defined through Adams operations:
+    """Apply the Schur operation s_alpha: a one-row or one-column shape by the
+    product formula (`_power`, integers only), every other shape through
+    Adams operations (`_schur_by_adams`, the route with the integrality
+    check).  Both routes refuse the empty shape and a degree over the limit."""
+    alpha = Partition(alpha)
+    _check_schur_degree(alpha.degree)
+    if len(alpha) == 1 or alpha[0] == 1:
+        return _power(alpha.degree, x, sym=len(alpha) == 1)
+    return _schur_by_adams(alpha, x)
+
+
+def _power(k: int, x: GroupRingElement, sym: bool) -> GroupRingElement:
+    """lambda^k x, or Sym^k x if sym: the t^k coefficient of prod_g (1 + [g]t)^(c_g),
+    or of prod_g (1 - [g]t)^(-c_g).  The factor of g is sum_i b_i [ig] t^i, b_i
+    the generalized binomial C(c_g, i), or C(c_g + i - 1, i) for Sym.  e[j],
+    the t^j coefficient of the product so far on packed lifts, is updated
+    from j = k down, so that e[j - i] is still the old one."""
+    packing = _Packing(x.group, k * _max_abs(x))
+    e = [{0: 1}] + [{} for _ in range(k)]
+    for p, c in packing.pack(x).items():
+        b = [1]
+        for i in range(1, k + 1):  # b_i = b_(i-1) (c -+ (i - 1)) / i, exact
+            b.append(b[-1] * (c + i - 1 if sym else c - i + 1) // i)
+        for j in range(k, 0, -1):
+            acc = e[j]
+            get = acc.get
+            for i in range(1, j + 1):
+                bi, shift = b[i], i * p
+                if not bi:  # nor is any later b_i nonzero
+                    break
+                for q, d in e[j - i].items():
+                    q += shift
+                    acc[q] = get(q, 0) + bi * d
+    return GroupRingElement._of(x.group, dict(packing.project(e[k])))
+
+
+def _schur_by_adams(alpha: Partition, x: GroupRingElement) -> GroupRingElement:
+    """s_alpha x through Adams operations:
     sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, accumulated as integers
     over D, the lcm of the denominators of the m(alpha,beta).
 
@@ -348,7 +389,6 @@ def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
     integer coefficients, which in the lambda-ring Z[Gamma] only a fault of
     this code can cause.
     """
-    alpha = Partition(alpha)
     terms = schur_to_powersum(alpha).terms
     den = lcm(*(m.denominator for m in terms.values()))
     packing = _Packing(x.group, alpha.degree * _max_abs(x))

@@ -203,8 +203,10 @@ class SymExpr:
 
 
 def _check_schur_degree(n: int) -> None:
-    """Refuse a Schur expansion of degree n, over MAX_SCHUR_PARTITIONS
-    partitions, before any is listed."""
+    """Refuse a Schur expansion of degree n: the empty partition's, or one
+    over MAX_SCHUR_PARTITIONS partitions, before any is listed."""
+    if n == 0:
+        raise ValueError("alpha must be a nonempty partition")
     if _partition_count_over(n, MAX_SCHUR_PARTITIONS):
         raise ValueError(
             f"p({n}) is over the limit of {MAX_SCHUR_PARTITIONS} partitions of a Schur expansion")
@@ -216,8 +218,6 @@ def schur_to_powersum(alpha) -> SymExpr:
     Coefficients are chi^alpha(beta)/z_beta, exact rationals.
     """
     alpha = Partition(alpha)
-    if alpha.degree == 0:
-        raise ValueError("alpha must be a nonempty partition")
     _check_schur_degree(alpha.degree)
     terms = {}
     for beta in partitions(alpha.degree):

@@ -622,6 +622,66 @@ def wmf_weights_unpruned(max_rank, max_dim):
     return sorted(out)
 
 
+def _positive_roots_by_orbits(cartan):
+    """The positive roots as (fundamental coordinates, simple-root
+    coordinates) pairs: the Weyl orbits of the simple roots, each root's
+    simple-root coordinates a C^-1 = a N / den, kept where they are
+    nonnegative."""
+    n = len(cartan)
+    N, den = inverse_cartan_bareiss(cartan)
+    out = []
+    for a in set().union(*(weyl_orbit(cartan, row) for row in cartan)):
+        c = [sum(x * N[j][i] for j, x in enumerate(a)) // den for i in range(n)]
+        if min(c) >= 0:
+            out.append((a, c))
+    return out
+
+
+def _symmetrizer(cartan):
+    """Integers d with a_ij d_j = a_ji d_i, a_ij = <alpha_i, alpha_j^vee>
+    being row i, proportional to the squared lengths of the simple roots:
+    walked along the Dynkin diagram from d_0 = 1, then cleared of
+    denominators."""
+    d = [None] * len(cartan)
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, a in enumerate(cartan[i]):
+            if a and d[j] is None:
+                d[j] = d[i] * cartan[j][i] / a
+                stack.append(j)
+    den = 1
+    for x in d:
+        den = den * x.denominator // gcd_int(den, x.denominator)
+    return [int(x * den) for x in d]
+
+
+def weyl_character_formula_sides(cartan, weights, lam):
+    """Both sides of the Weyl character formula (Humphreys, Introduction to
+    Lie Algebras, 24.3) for a character ``weights`` claimed to be V_lam's:
+    chi * prod_(alpha > 0) (1 - e^-alpha), multiplied out, and
+    sum_w sgn(w) e^(w(lam + rho) - rho), with sgn(w) = (-1) to the number of
+    positive roots alpha with (w(lam + rho), alpha) < 0.  In fundamental
+    coordinates rho is all ones and (v, alpha) = sum_i c_i d_i v_i for
+    alpha = sum_i c_i alpha_i."""
+    roots = _positive_roots_by_orbits(cartan)
+    lhs = dict(weights)
+    for a, _ in roots:
+        out = dict(lhs)
+        for w, m in lhs.items():
+            u = tuple(map(operator.sub, w, a))
+            out[u] = out.get(u, 0) - m
+        lhs = _gr_clean(out)
+    d = _symmetrizer(cartan)
+    forms = [list(map(operator.mul, c, d)) for _, c in roots]  # v -> (v, alpha)
+    rhs = {}
+    for v in weyl_orbit(cartan, [x + 1 for x in lam]):
+        negative = sum(sum(map(operator.mul, f, v)) < 0 for f in forms)
+        rhs[tuple(x - 1 for x in v)] = (-1) ** negative
+    return lhs, rhs
+
+
 # -- fake-Jacobian degree equation ------------------------------------------------
 
 

@@ -462,7 +462,8 @@ class TestLambdaEval:
         # Z[Gamma] is a lambda-ring, so only a fault of the code makes a
         # Schur operation non-integral: the made-up expansion
         # (1/2) p_1 + (1/3) p_(1,1) gives 7/3 at the identity on 2 x^0, and
-        # lambda-eval raises rather than answer "no" with exit 1
+        # lambda-eval raises rather than answer "no" with exit 1; a one-row
+        # or one-column shape takes the product route, which has no check
         import thetacycles.lambdaring as lr
         from thetacycles.symfun import SymExpr
 
@@ -470,7 +471,7 @@ class TestLambdaEval:
         monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
         elem = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[0], 2]]}
         path = tmp_path / "in.json"
-        path.write_text(json.dumps({"element": elem, "op": {"kind": "sym", "k": 2}}))
+        path.write_text(json.dumps({"element": elem, "op": {"kind": "schur", "alpha": [2, 1]}}))
         with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
             run(["lambda-eval", "--input", str(path)])
         assert capsys.readouterr().out == ""
@@ -901,7 +902,22 @@ class TestCliContract:
         assert capsys.readouterr().err == (
             "error: a group of 1000000000 coordinates is over the limit of 1000000\n")
 
-    @pytest.mark.parametrize("m_bound", ["0", "-1", "100000000"])
+    @pytest.mark.parametrize("op, err", [
+        ({"kind": "schur", "alpha": []}, "alpha must be a nonempty partition"),
+        ({"kind": "sym", "k": 33}, "p(33) is over the limit of 10000 partitions of a Schur expansion"),
+        ({"kind": "lambda", "k": 33}, "p(33) is over the limit of 10000 partitions of a Schur expansion"),
+        ({"kind": "schur", "alpha": [1] * 33},
+         "p(33) is over the limit of 10000 partitions of a Schur expansion"),
+    ], ids=["schur-empty", "sym-33", "lambda-33", "schur-1^33"])
+    def test_schur_shape_refused_on_every_route(self, op, err, capsys, tmp_path):
+        # one-row and one-column shapes take the product route, which needs
+        # no power-sum expansion: the refusals must hold there all the same
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"element": ELEMENT, "op": op}))
+        assert run(["lambda-eval", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("m_bound",["0", "-1", "100000000"])
     def test_m_bound_checked_before_the_cycle_is_read(self, m_bound, capsys, monkeypatch):
         def load_cycle(source):
             raise AssertionError(f"{source} read")

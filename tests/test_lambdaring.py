@@ -16,12 +16,14 @@ from thetacycles.lambdaring import (
     gr_element,
     gr_multiply,
     gr_one,
+    _schur_by_adams,
     lambda_op,
     schur_apply,
     sym_op,
 )
 
 from thetacycles.schottky import PpavInput, cc_odp
+from thetacycles.symfun import Partition
 
 from oracles import (
     gr_adams_oracle,
@@ -390,6 +392,65 @@ def small_element(group, *coords):
     return GroupRingElement(group, {(v,) * group.ncoords: 1 for v in coords})
 
 
+PRODUCT_GROUPS = [
+    FgAbelianGroup(2), FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (3,)),
+    FgAbelianGroup(1, (2,)),
+]
+
+
+@st.composite
+def product_elements(draw, group):
+    """Up to three terms with non-canonical keys and negative or large
+    coefficients, plus up to two cancelling pairs c([g] - [h])."""
+    keys = st.tuples(*[st.integers(-4, 4)] * group.ncoords)
+    coeffs = st.one_of(st.integers(-3, 3), st.sampled_from([10**12, -(10**15)]))
+    x = GroupRingElement(group, draw(st.dictionaries(keys, coeffs, max_size=3)))
+    for _ in range(draw(st.integers(0, 2))):
+        g, h, c = draw(keys), draw(keys), draw(coeffs)
+        x = x + GroupRingElement(group, {g: c}) + GroupRingElement(group, {h: -c})
+    return x
+
+
+class TestProductRoute:
+    """lambda^k and Sym^k, the t^k coefficients of prod_g (1 + [g]t)^(c_g)
+    and prod_g (1 - [g]t)^(-c_g), against the Adams route and the oracle."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_against_adams_route_and_oracle(self, data):
+        group = data.draw(st.sampled_from(PRODUCT_GROUPS), label="group")
+        x = data.draw(product_elements(group), label="x")
+        for k in range(1, 6):
+            for op, alpha in ((lambda_op, (1,) * k), (sym_op, (k,))):
+                out = op(k, x).coeffs
+                assert out == _schur_by_adams(Partition(alpha), x).coeffs
+                assert out == schur_apply_oracle(group, alpha, x.coeffs)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sums_to_products(self, data):
+        # lambda_t(x + y) = lambda_t(x) lambda_t(y), and so for sigma_t
+        group = data.draw(st.sampled_from(PRODUCT_GROUPS), label="group")
+        x = data.draw(product_elements(group), label="x")
+        y = data.draw(product_elements(group), label="y")
+        for op in (lambda_op, sym_op):
+            for k in range(6):
+                rhs = GroupRingElement(group)
+                for i in range(k + 1):
+                    rhs = rhs + gr_multiply(op(i, x), op(k - i, y))
+                assert op(k, x + y) == rhs
+
+    def test_line_and_virtual_line(self):
+        # lambda_t[g] = 1 + [g]t and sigma_t[g] = 1/(1 - [g]t); for -[g]
+        # they are 1/(1 + [g]t) and 1 - [g]t
+        g, minus = elem(Z, 2), elem(Z, 2, c=-1)
+        for k in range(2, 6):
+            assert lambda_op(k, g).coeffs == {}
+            assert sym_op(k, g).coeffs == {(2 * k,): 1}
+            assert lambda_op(k, minus).coeffs == {(2 * k,): (-1) ** k}
+            assert sym_op(k, minus).coeffs == {}
+
+
 class TestKernelsAgainstOracle:
     """The packed kernels against the route that reduces every key and
     accumulates Fractions.  Multiplication and Adams operations must also
@@ -485,7 +546,8 @@ class TestKernelsAgainstOracle:
         # Z[Gamma] is a lambda-ring, so a real expansion never trips the
         # check, which guards the code and raises AssertionError; a made-up
         # one, (1/2) p_1 + (1/3) p_(1,1), trips it where the integer sum over
-        # D = 6 is not divisible by 6
+        # D = 6 is not divisible by 6; alpha = (2,1) keeps to the Adams
+        # route, where the check is
         import thetacycles.lambdaring as lr
         from thetacycles.symfun import SymExpr
 
@@ -493,14 +555,14 @@ class TestKernelsAgainstOracle:
         monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
         # 2*x^0: (1/2)*2 + (1/3)*4 = 7/3 at the identity
         with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
-            schur_apply((2,), GroupRingElement(Z, {(0,): 2}))
+            schur_apply((2, 1), GroupRingElement(Z, {(0,): 2}))
         # 6*x^0: 3 + 12 = 15, integral
-        assert schur_apply((2,), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
+        assert schur_apply((2, 1), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
         # over Z/2 the check runs on projected keys: 1 + t gives 3 + 3 t from
         # p_1 and 2 (1 + 2 t + t^2) from p_(1,1), whose lift t^2 lands on 1,
         # so the identity carries (3 + 4) / 6 and not the lift's (3 + 2) / 6
         with pytest.raises(AssertionError, match=r"coefficient 7/6 at \(0,\)"):
-            schur_apply((2,), GroupRingElement(Z2, {(0,): 1, (1,): 1}))
+            schur_apply((2, 1), GroupRingElement(Z2, {(0,): 1, (1,): 1}))
 
 
 def assert_same_terms(element, oracle):

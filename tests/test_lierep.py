@@ -61,6 +61,7 @@ from oracles import (
     subset_exterior_power_with_add,
     two_rho_vee_by_coroots,
     w0_permutation_by_dominantizing,
+    weyl_character_formula_sides,
     weyl_orbit,
     wmf_weights_unpruned,
 )
@@ -326,9 +327,26 @@ class TestEpsilonKernels:
             assert set(orbit) == weyl_orbit(rs.cartan, lam), (rs.name, lam)
 
 
+class TestWeylCharacterFormula:
+    def test_every_multiplicity(self):
+        # chi_lam prod_(alpha > 0) (1 - e^-alpha) = sum_w sgn(w) e^(w(lam + rho) - rho)
+        # holds for one character only, so it checks every multiplicity and
+        # not only their total; E6-E8 wait for an oracle whose cost does not
+        # grow with |W|, Kostant's or Brauer-Klimyk's
+        for letter, n in TYPES_TO_RANK_40:
+            if n > 4:
+                continue
+            rs = root_system(letter, n)
+            for lam in enumerate_dominant_weights(rs, 200):
+                ch = freudenthal_character(rs, lam)
+                lhs, rhs = weyl_character_formula_sides(rs.cartan, ch.weights, lam)
+                assert lhs == rhs, (rs.name, lam)
+
+
 # the comparisons of freudenthal_character's output with oracles and identities
 CHARACTER_COMPARISONS = [
     "TestWeylDim.test_matches_freudenthal_total",
+    "TestWeylCharacterFormula.test_every_multiplicity",
     "TestFreudenthal.test_a2_adjoint_against_tensor_arithmetic",
     "TestFreudenthal.test_minuscule_all_ones",
     "TestFreudenthal.test_c3_wedge3_multiplicity_free",
