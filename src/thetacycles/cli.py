@@ -74,18 +74,13 @@ class _IntText(dict):
 _INT_TEXT = _IntText((i, str(i)) for i in range(-128, 128))
 
 
-def _is_pairs(value) -> bool:
-    """A pair list: a nonempty list whose first item is a tuple."""
-    return type(value) is list and bool(value) and type(value[0]) is tuple
-
-
 def _dumps_pairs(pairs: list, newline: str) -> list:
-    """The pieces of _dumps(pairs, newline) for a pair list, the (int tuple,
-    coefficient) pairs of an element's terms, a character's weights or a
-    power-sum expansion's terms: the brackets and one string per slice of
-    about _SLICE key coordinates with the separators between them.  The
-    caller joins them into its own text, or writes them in turn, so a block
-    is copied once.  Each pair is one f-string over texts from _INT_TEXT;
+    """The pieces of _parts for a pair list, the (int tuple, coefficient)
+    pairs of an element's terms, a character's weights or a power-sum
+    expansion's terms: the brackets and one string per slice of about
+    _SLICE key coordinates with the separators between them.  The caller
+    joins them into its own text, or writes them in turn, so a block is
+    copied once.  Each pair is one f-string over texts from _INT_TEXT;
     the coefficients, all ints or all "p/q" strings, take _INT_TEXT or
     encode_basestring_ascii as the first does; an empty key is written []."""
     inner = newline + "  "
@@ -111,65 +106,56 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     return parts
 
 
-def _dict_parts(value: dict, newline: str) -> list:
-    """The pieces of _dumps(value, newline) for a nonempty dict: its keys
-    with their separators, the pieces of its pair lists and nested dicts
-    spliced in, and every other value joined by _dumps."""
-    if not all(isinstance(k, str) for k in value):
-        raise TypeError("dict keys must be str")
-    inner = newline + "  "
-    sep = "," + inner
-    parts = []
-    for k in sorted(value):
-        v = value[k]
-        parts += (sep, encode_basestring_ascii(k), ": ")
-        if _is_pairs(v):
-            parts += _dumps_pairs(v, inner)
-        elif isinstance(v, dict) and v:
-            parts += _dict_parts(v, inner)
-        else:
-            parts.append(_dumps(v, inner))
-    parts[0] = "{" + inner
-    parts += (newline, "}")
-    return parts
-
-
-def _dumps(value, newline="\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for the types a payload
-    holds: str-keyed dicts, lists, str, int, bool and None, and the pair
-    lists of a value's to_json(), which the standard encoder writes as
-    arrays of [key, coefficient] arrays since it writes a tuple as an array.
-    The standard encoder runs in pure Python whenever indent is set; this
-    one renders a list of ints from one repr, joins the pieces of a pair
-    list (_dumps_pairs) or a dict (_dict_parts), and recurses on the rest."""
+def _parts(value, newline: str, out: list) -> list:
+    """Append to out the pieces of json.dumps(value, sort_keys=True,
+    indent=2), written after newline, and return out.  A payload holds
+    str-keyed dicts, lists, str, int, bool and None, and the pair lists of a
+    value's to_json(), which the standard encoder writes as arrays of [key,
+    coefficient] arrays since it writes a tuple as an array.  The standard
+    encoder runs in pure Python whenever indent is set; here a dict's keys
+    and values and a pair list's slices (_dumps_pairs) are spliced into out,
+    a list of ints is one repr, and any other list is one piece joined from
+    its items' pieces."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if _is_pairs(value):
-            return "".join(_dumps_pairs(value, newline))
-        if set(map(type, value)) == {int}:
-            return "".join(["[", inner, repr(value)[1:-1].replace(", ", sep), newline, "]"])
-        parts = []
-        for v in value:
-            parts += (sep, _dumps(v, inner))
-        parts[0] = "[" + inner
-        parts += (newline, "]")
-        return "".join(parts)
-    if isinstance(value, dict):
-        return "".join(_dict_parts(value, newline)) if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("[]" if isinstance(value, list) else "{}")
+    elif type(value) is list and type(value[0]) is tuple:
+        out += _dumps_pairs(value, newline)
+    else:
+        inner = newline + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            if not all(isinstance(k, str) for k in value):
+                raise TypeError("dict keys must be str")
+            start = len(out)
+            for k in sorted(value):
+                out += (sep, encode_basestring_ascii(k), ": ")
+                _parts(value[k], inner, out)
+            out[start] = "{" + inner
+            out += (newline, "}")
+        elif set(map(type, value)) == {int}:
+            out.append(f"[{inner}{repr(value)[1:-1].replace(', ', sep)}{newline}]")
+        else:
+            items = []
+            for v in value:
+                items.append(sep)
+                _parts(v, inner, items)
+            items[0] = "[" + inner
+            items += (newline, "]")
+            out.append("".join(items))
+    return out
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), joined from _parts."""
+    return "".join(_parts(value, "\n", []))
 
 
 def _emit(args, json_form, csv_text=None, text=None):
@@ -177,8 +163,8 @@ def _emit(args, json_form, csv_text=None, text=None):
     text build when called with no arguments; only the form asked for is
     built, and a subcommand without it is a usage error.  json_form builds a
     nonempty dict, as every output schema's top level is an object, and it
-    is written piece by piece (_dict_parts), so its text is held once, not
-    also joined."""
+    is written piece by piece (_parts), so its text is held once, not also
+    joined."""
     if args.format != "json":
         build = csv_text if args.format == "csv" else text
         if build is None:
@@ -187,7 +173,7 @@ def _emit(args, json_form, csv_text=None, text=None):
         out = build()
         sys.stdout.write(out if args.format == "csv" else out + "\n")
     else:
-        sys.stdout.writelines(_dict_parts(json_form(), "\n"))
+        sys.stdout.writelines(_parts(json_form(), "\n", []))
         sys.stdout.write("\n")
 
 

@@ -263,21 +263,12 @@ def adams_push(n: int, c: CleanCycleModel) -> CleanCycleModel:
     return CleanCycleModel(g=c.g, components=comps, fiber=fiber)
 
 
-def _partition_cm(beta, pushed: dict, d_trunc: int) -> ChowVector:
-    """Total Chern-Mather vector of [b1]_*c o [b2]_*c o ... (truncated) for
-    a nonempty beta, from pushed[b] = [b]_* of the total of c."""
-    total = pushed[beta[0]]
-    for b in beta[1:]:
-        total = pontryagin(total, pushed[b], d_trunc)
-    return total
-
-
 def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     """Schur operation on a cycle at the aggregate Chern-Mather level.
 
-    Computes sum_beta m(alpha,beta) * cm([beta_1]_*c o ...) exactly in
-    rationals, checks integrality, and applies the same Schur operation to
-    the fiber model when present.
+    Computes sum_beta m(alpha,beta) * cm([beta_1]_*c o ...) truncated at
+    d_trunc as in convolve, exactly in rationals, checks integrality, and
+    applies the same Schur operation to the fiber model when present.
     """
     alpha = Partition(alpha)
     g = c.g
@@ -287,7 +278,9 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     pushed = {b: pushforward_n(b, total) for b in set(chain.from_iterable(terms))}
     coords = [Fraction(0)] * g
     for beta, m in terms.items():
-        cm_beta = _partition_cm(beta, pushed, d_trunc)
+        cm_beta = ChowVector.point(g)  # the Pontryagin unit
+        for b in beta:
+            cm_beta = pontryagin(cm_beta, pushed[b], d_trunc)
         for i in range(g):
             coords[i] += m * cm_beta.coords[i]
     cm = ChowVector(g, tuple(coords))

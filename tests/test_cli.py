@@ -31,9 +31,10 @@ SCHEMA_DIR = os.path.join(SRC_DIR, "thetacycles", "schemas")
 ELEMENT = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[1], 1], [[-1], 1]]}
 POINT = {"label": "x", "dim": 0, "mult": 1, "cm": ["1", "0", "0"], "gauss_finite": True}
 CYCLE = {"g": 3, "components": [POINT]}
-# sha256 of the cycle-schur output in TestCycleFiles.test_cycle_schur, 5863401
-# bytes, as written by json.dumps(payload, sort_keys=True, indent=2) + "\n"
-CYCLE_SCHUR_SHA256 = "368084e9fa75482fd6c0093028f2d34853e7d6f2075c56fa44e479e224cd3202"
+# sha256 of the cycle-schur output in TestCycleFiles.test_cycle_schur, 5863394
+# bytes, as written by json.dumps(payload, sort_keys=True, indent=2) + "\n";
+# its cm entries above d_trunc = 1 are "0" and its component's dim is 1
+CYCLE_SCHUR_SHA256 = "af4afd4768feb5109343f56ae0fbc83200dee79e8c22ba61f27b7390201a1859"
 # sha256 of the fourfold-table JSON (2400 bytes) and CSV (173 bytes) outputs
 FOURFOLD_JSON_SHA256 = "12d88b34e3b31b2401e58bd94e3166bef8cf9a3b4f0326d2b32692d1e4e98f7d"
 FOURFOLD_CSV_SHA256 = "1dec96b0820ec0884ec3b443b5e456898d3262f1a845f6dab371f50b4b7859b1"
@@ -280,6 +281,15 @@ class TestFakeJacobian:
             capsys, "fake_jacobian", "fake-jacobian", "--g", "5", "--degree", "69"
         )
         assert code == 1 and payload["feasible"] is False
+
+    @pytest.mark.parametrize("cm1, c1", [(None, "96/5"), ("1/2", "2/5"), ("384", "1536/5")])
+    def test_cm1_replaces_the_degree_one_class(self, capsys, cm1, c1):
+        # c1 = e^2 cm1 / K with e = 4 and K = 20; without --cm1 the target's
+        # own class, 24, is used
+        argv = ["fake-jacobian", "--g", "5", "--degree", "70"]
+        code, payload = invoke_json(
+            capsys, "fake_jacobian", *argv, *(["--cm1", cm1] if cm1 else []))
+        assert code == 0 and payload["c1_coefficient"] == c1
 
 
 class TestSummandAndSimplicity:
@@ -613,6 +623,13 @@ class TestCliContract:
                 {"label": "a", "dim": 1, "mult": 1, "cm": ["2", "1", "0"]},
                 {"label": "b", "dim": 1, "mult": -1, "cm": ["2", "3", "0"]}]},
                                   "c2": CYCLE, "d_trunc": 1}, "Gauss degree zero"),
+            (["rep-dim", "A0", "1"], None, "A_n needs n >= 1"),
+            (["rep-dim", "B1", "1"], None, "B_n needs n >= 2"),
+            (["rep-dim", "C1", "1"], None, "C_n needs n >= 2"),
+            (["rep-dim", "D2", "1"], None, "D_n needs n >= 3"),
+            (["rep-dim", "E5", "1"], None, "E_n needs n in {6,7,8}"),
+            (["rep-dim", "F3", "1"], None, "F_n needs n = 4"),
+            (["rep-dim", "G3", "1"], None, "G_n needs n = 2"),
         ],
         ids=["not-json", "cm-not-a-list", "op-not-an-object", "cm1-zero-denominator",
              "empty-type-name", "convolve-d_trunc-null", "convolve-d_trunc-str",
@@ -623,7 +640,9 @@ class TestCliContract:
              "mult-float", "mult-integral-float", "dim-integral-float", "fake-jacobian-g1",
              "rep-char-not-dominant", "cc-odp-not-symmetric", "op-kind-unknown",
              "verify-ig-var-no-index", "verify-ig-candidates-not-a-list",
-             "convolve-genus-mismatch", "convolve-d_trunc-zero", "convolve-degree-zero"],
+             "convolve-genus-mismatch", "convolve-d_trunc-zero", "convolve-degree-zero",
+             "rep-dim-A0", "rep-dim-B1", "rep-dim-C1", "rep-dim-D2", "rep-dim-E5",
+             "rep-dim-F3", "rep-dim-G3"],
     )
     def test_malformed_json_usage_error(self, capsys, tmp_path, argv, doc, named):
         if doc is not None:

@@ -24,6 +24,7 @@ from thetacycles.lambdaring import (
     gr_element,
     gr_one,
 )
+from thetacycles.schottky import PpavInput, cc_odp
 
 from oracles import multiplicity_free_by_push
 
@@ -240,6 +241,37 @@ class TestSchurCycle:
         c = CleanCycleModel(g, (comp,))
         with pytest.raises(NonIntegralResultError):
             schur_cycle((1, 1, 1, 1), c, 1)
+
+
+# the Chern-Mather total of schur_cycle(alpha, c, g - 1) for the Gauss-finite
+# cc-odp cycle c of genus g and k = 0; at a lower d_trunc the classes up to
+# d_trunc are its first ones
+SCHUR_CYCLE_CM = {
+    (4, (2,)): (300, 156, 100, 92),
+    (4, (1, 1)): (276, 132, 68, 28),
+    (4, (2, 1)): (4600, 3438, 2826, 2493),
+    (4, (3,)): (2600, 2106, 2046, 2751),
+    (5, (2,)): (7260, 2928, 1344, 736, 548),
+    (5, (1, 1)): (7140, 2832, 1248, 608, 292),
+    (5, (2, 1)): (575960, 345528, 224478, 159642, 125685),
+    (5, (3,)): (295240, 180072, 120906, 92670, 89799),
+}
+
+
+class TestSchurCycleTruncation:
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_classes_above_d_trunc_vanish(self, g):
+        # every power-sum term is a Pontryagin product truncated at d_trunc,
+        # as in convolve, so the aggregate's dim is d_trunc; the fiber is
+        # dropped, as only the Chern-Mather classes are checked
+        c = cc_odp(PpavInput(g=g, k=0, gauss_finite=True))
+        c = CleanCycleModel(g, c.components)
+        for alpha in ((2,), (1, 1), (2, 1), (3,)):
+            full = SCHUR_CYCLE_CM[g, alpha]
+            for d in range(1, g):
+                out = schur_cycle(alpha, c, d)
+                assert out.total_cm().coords == full[:d + 1] + (0,) * (g - 1 - d)
+                assert [comp.dim for comp in out.components] == [d]
 
 
 class TestPartitionCoefficients:
