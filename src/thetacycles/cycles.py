@@ -30,8 +30,11 @@ from .lambdaring import (
 )
 from .symfun import Partition, _is_int, schur_to_powersum
 
-# Largest g of a cycle, whose Pontryagin products cost g^2 Fractions;
-# theta_target builds cycles up to schottky.MAX_THETA_GENUS, the same value.
+# Largest g of a cycle, whose Pontryagin products cost g^2 Fractions, and of
+# a theta divisor that schottky.theta_group decides or theta_target builds:
+# the exceptional sets reach g!, and their binomials grow with it (4 ms at
+# g = 100, 8.8 s at g = 1000), and the divisor's Chern-Mather class takes
+# 0.5 ms at g = 100 and 0.4 s at g = 3000 (Python 3.11, 2 vCPU).
 MAX_CYCLE_GENUS = 100
 
 

@@ -52,7 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import comb, lcm
 from struct import Struct
 from struct import error as struct_error
 
@@ -66,6 +66,13 @@ _FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
 # element, is a tuple of this length (8 MB at the limit); the genus-7 theta
 # fiber has 2,520.
 MAX_GROUP_COORDS = 1_000_000
+
+# Most key coordinates a dense element may hold, its term count times the
+# group's coordinates, checked for schottky.cc_odp's fibers and for every
+# kernel result before it is computed: the genus-7 theta fiber has
+# 12,700,800, lambda^3 of the genus-5 one at most 17,714,400 (0.6 s); the
+# genus-8 fiber would need 812,851,200 (about 6.5 GB of tuple slots).
+MAX_FIBER_COORDS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -249,10 +256,27 @@ class _Packing:
     integers P = sum_i v_i B^i with B = 2^(8 * width).  P is converted to
     and from the slots' two's-complement bytes T by T = (P + bias) ^ bias,
     where bias holds B/2 in every slot: adding it makes every slot
-    nonnegative and the xor turns v_i + B/2 into v_i mod B."""
+    nonnegative and the xor turns v_i + B/2 into v_i mod B.
 
-    def __init__(self, group: FgAbelianGroup, bound: int):
+    A result of more than MAX_FIBER_COORDS key coordinates is refused before
+    anything is packed.  Its keys number at most `terms`, the kernel's count
+    of lifts, and at most (2 bound + 1)^n, the box the slots are sized from,
+    formed only as far as it can undercut `terms`."""
+
+    def __init__(self, group: FgAbelianGroup, bound: int, terms: int):
         n = group.ncoords
+        if terms * n > MAX_FIBER_COORDS:
+            box, side = 1, 2 * bound + 1
+            for _ in range(n):
+                if box >= terms:
+                    break
+                box *= side
+            keys = min(terms, box)
+            if keys * n > MAX_FIBER_COORDS:
+                raise ValueError(
+                    f"a result of up to {keys} keys of {n} coordinates is over "
+                    f"the limit of {MAX_FIBER_COORDS} key coordinates"
+                )
         width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
         self.struct = None
         if width <= 8:  # round up to struct's b, h, i or q
@@ -331,14 +355,14 @@ def _convolve(acc: dict, xs: dict, ys: dict) -> dict:
 def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: group addition on supports, coefficients multiply."""
     x._check(y)
-    packing = _Packing(x.group, _max_abs(x) + _max_abs(y))
+    packing = _Packing(x.group, _max_abs(x) + _max_abs(y), len(x.coeffs) * len(y.coeffs))
     acc = _convolve({}, packing.pack(x), packing.pack(y))
     return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
 
 
 def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
     """Adams operation Psi^n: pushforward of coefficients along g -> n*g."""
-    packing = _Packing(x.group, max(abs(n), 1) * _max_abs(x))  # x itself must fit
+    packing = _Packing(x.group, max(abs(n), 1) * _max_abs(x), len(x.coeffs))  # x must fit
     acc = _adams(n, packing.pack(x))
     return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
 
@@ -361,7 +385,8 @@ def _power(k: int, x: GroupRingElement, sym: bool) -> GroupRingElement:
     the generalized binomial C(c_g, i), or C(c_g + i - 1, i) for Sym.  e[j],
     the t^j coefficient of the product so far on packed lifts, is updated
     from j = k down, so that e[j - i] is still the old one."""
-    packing = _Packing(x.group, k * _max_abs(x))
+    # each key of the result is the sum of a k-multiset of x's support
+    packing = _Packing(x.group, k * _max_abs(x), comb(len(x.coeffs) + k - 1, k))
     e = [{0: 1}] + [{} for _ in range(k)]
     for p, c in packing.pack(x).items():
         b = [1]
@@ -391,7 +416,8 @@ def _schur_by_adams(alpha: Partition, x: GroupRingElement) -> GroupRingElement:
     """
     terms = schur_to_powersum(alpha).terms
     den = lcm(*(m.denominator for m in terms.values()))
-    packing = _Packing(x.group, alpha.degree * _max_abs(x))
+    k = alpha.degree  # each key is the sum of a k-multiset of x's support
+    packing = _Packing(x.group, k * _max_abs(x), comb(len(x.coeffs) + k - 1, k))
     xs = packing.pack(x)
     adams = {b: _adams(b, xs) for b in set(chain.from_iterable(terms))}
     acc: dict = {}

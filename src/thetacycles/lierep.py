@@ -400,9 +400,6 @@ class RootSystem:
             w[j] -= k * row[j]
         return tuple(w)
 
-    def is_dominant(self, w) -> bool:
-        return all(x >= 0 for x in w)
-
     def dominant_representative(self, w):
         """The unique dominant weight in the Weyl orbit of w: for A-D by
         sorting its epsilon-coordinates (_sorted_dominant), for E-G by
@@ -602,19 +599,6 @@ class RootSystem:
         self._freudenthal_cache[lam] = mults
         return mults
 
-    def weight_system(self, lam) -> dict:
-        """Full weight -> multiplicity map of V_lam.  A V_lam of dimension
-        over MAX_CHARACTER_DIM is refused before any closure is built."""
-        dim = self.weyl_dim(lam)
-        if dim > MAX_CHARACTER_DIM:
-            raise ValueError(
-                f"a character of dimension {dim} is over the limit of {MAX_CHARACTER_DIM}"
-            )
-        out: dict = {}
-        for mu, m in self.freudenthal_dominant(lam).items():
-            out.update(dict.fromkeys(self._orbit(mu), m))
-        return out
-
     def __repr__(self):
         return f"RootSystem({self.name})"
 
@@ -742,8 +726,18 @@ class Character:
 
 def freudenthal_character(rs: RootSystem, lam) -> Character:
     """Full weight multiplicity map of the irreducible with highest weight lam,
-    trusted: each weight is an orbit weight of a Freudenthal multiplicity."""
-    return Character._of(rs, rs.weight_system(lam))
+    trusted: each weight is an orbit weight of a Freudenthal multiplicity.
+    A V_lam of dimension over MAX_CHARACTER_DIM is refused before any
+    closure is built."""
+    dim = rs.weyl_dim(lam)
+    if dim > MAX_CHARACTER_DIM:
+        raise ValueError(
+            f"a character of dimension {dim} is over the limit of {MAX_CHARACTER_DIM}"
+        )
+    weights: dict = {}
+    for mu, m in rs.freudenthal_dominant(lam).items():
+        weights.update(dict.fromkeys(rs._orbit(mu), m))
+    return Character._of(rs, weights)
 
 
 def _group_ring(x: Character) -> GroupRingElement:
@@ -782,7 +776,7 @@ def decompose(x: Character) -> dict:
     construction.
     """
     rs = x.rs
-    remaining = {w: m for w, m in x.weights.items() if rs.is_dominant(w)}
+    remaining = {w: m for w, m in x.weights.items() if min(w) >= 0}
     out: dict = {}
     order = sorted(remaining, reverse=True,
                    key=lambda w: (rs._scaled_norm(tuple(v + 1 for v in w)), w))

@@ -15,6 +15,7 @@ from math import comb, factorial, gcd, prod
 
 from .chow import ChowVector, pontryagin, pushforward_n, theta_power
 from .cycles import (
+    MAX_CYCLE_GENUS,
     CleanCycleModel,
     CycleComponent,
     cm1_partition_product,
@@ -23,6 +24,7 @@ from .cycles import (
     point_component,
 )
 from .lambdaring import (
+    MAX_FIBER_COORDS,
     FgAbelianGroup,
     GroupRingElement,
     TensorConstruction,
@@ -74,17 +76,6 @@ class PpavInput:
 
 
 _FAMILIES = ("Sp", "SO", "O", "undetermined")
-
-# Largest dense cc_odp fiber, in key coordinates: at most g! keys of rank at
-# most g!/2.  Genus 7 needs 12,700,800; genus 8 would need 812,851,200
-# (about 6.5 GB of tuple slots).
-MAX_FIBER_COORDS = 20_000_000
-
-# Largest genus theta_group decides and theta_target builds a divisor for: the
-# exceptional sets reach g!, and their binomials grow with it (4 ms at g = 100,
-# 8.8 s at g = 1000), and the divisor's Chern-Mather class takes 0.5 ms at
-# g = 100 and 0.4 s at g = 3000 (Python 3.11, 2 vCPU).
-MAX_THETA_GENUS = 100
 
 # Largest m up to which simplicity_criteria checks criterion 3: each m costs
 # one Pontryagin product of the pushed divisor with itself, about 0.5 ms at
@@ -149,9 +140,10 @@ def s_sets(bound: int) -> tuple[list[int], list[int]]:
         raise ValueError("bound must be >= 1")
     s_minus: set[int] = set()
     s_plus: set[int] = set()
-    n = 1
-    while comb(2 * n, n) <= bound:
-        (s_minus if n % 2 == 1 else s_plus).add(comb(2 * n, n))
+    n, central = 1, 2  # central = C(2n, n)
+    while central <= bound:
+        (s_minus if n % 2 == 1 else s_plus).add(central)
+        central = central * 2 * (2 * n + 1) // (n + 1)
         n += 1
     n = 1
     while 2**n <= bound:
@@ -214,9 +206,9 @@ def theta_target(g: int, gauss_degree: int, cm1: Fraction | None = None) -> Clea
     one-component cycle; cm1, when given, replaces its degree-1 class."""
     if g < 2:
         raise ValueError(f"a theta divisor needs g >= 2, got g = {g}")
-    if g > MAX_THETA_GENUS:
+    if g > MAX_CYCLE_GENUS:
         raise ValueError(
-            f"a theta divisor at g = {g} is over the limit of g <= {MAX_THETA_GENUS}"
+            f"a theta divisor at g = {g} is over the limit of g <= {MAX_CYCLE_GENUS}"
         )
     cm = _theta_cm(g, gauss_degree)
     if cm1 is not None:
@@ -320,9 +312,9 @@ def theta_group(p: PpavInput) -> GroupDescriptor:
         return GroupDescriptor(
             "undetermined", note="requires a symmetric theta divisor"
         )
-    if g > MAX_THETA_GENUS:
+    if g > MAX_CYCLE_GENUS:
         raise ValueError(
-            f"theta_group at g = {g} is over the limit of g <= {MAX_THETA_GENUS}"
+            f"theta_group at g = {g} is over the limit of g <= {MAX_CYCLE_GENUS}"
         )
     if g % 2 == 0:
         n = factorial(g) - 2 * k
@@ -452,12 +444,16 @@ def fake_jacobian_solve(
 
     # c0 ranges over [0, end).  From c0 = rise on the degree polynomial
     # strictly increases: its step C(c0, g-2) [- C(c0, g-4)] is positive for
-    # c0 >= g-2 [resp. c0 > 2g-6].  The stretch below rise is scanned and the
-    # rest is bisected for its one possible solution.
+    # c0 >= g-2 [resp. c0 > 2g-6].  The stretch below rise is scanned; for
+    # the rest, hi doubles until the polynomial reaches t there, and [lo, hi)
+    # is bisected for its one possible solution.
     end = t + 2 * g + 3
     rise = 2 * g - 4 if hyperelliptic else g - 2
     solutions = [c0 for c0 in range(0, min(rise, end)) if degree_eq(c0) == t]
-    lo, hi = rise, end
+    lo, hi = rise, rise + 1
+    while hi < end and degree_eq(hi) < t:
+        lo, hi = hi + 1, 2 * hi
+    hi = min(hi, end)
     while lo < hi:
         mid = (lo + hi) // 2
         if degree_eq(mid) < t:

@@ -49,11 +49,6 @@ class Partition(tuple):
         return self
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        """The parts as a plain tuple."""
-        return tuple(self)
-
-    @property
     def degree(self) -> int:
         return sum(self)
 

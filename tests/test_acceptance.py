@@ -96,19 +96,19 @@ class TestCriterion1SchurExpansions:
                 for beta in partitions(n):
                     assert symmetric_group_character(
                         alpha, beta
-                    ) == frobenius_character(alpha.parts, beta.parts)
+                    ) == frobenius_character(tuple(alpha), tuple(beta))
         # monomial-expansion oracle: the power-sum expansion agrees with the
         # semistandard-tableaux Schur polynomial in 8 variables, exactly
         nvars = 8
         for n in range(1, 9):
             for alpha in partitions(n):
                 ours = expand_powersum_expr(
-                    {p.parts: c for p, c in schur_to_powersum(alpha).terms.items()},
+                    {tuple(p): c for p, c in schur_to_powersum(alpha).terms.items()},
                     nvars,
                 )
                 oracle = {
                     k: Fraction(v)
-                    for k, v in ssyt_monomials(alpha.parts, nvars).items()
+                    for k, v in ssyt_monomials(tuple(alpha), nvars).items()
                 }
                 assert ours == oracle, alpha
         report(

@@ -568,3 +568,56 @@ class TestKernelsAgainstOracle:
 def assert_same_terms(element, oracle):
     """Equal terms, listed in the same order."""
     assert list(element.coeffs.items()) == list(oracle.items())
+
+
+class TestResultSizeGuard:
+    """Every kernel refuses a result of more than MAX_FIBER_COORDS key
+    coordinates before it packs a key; the count is the smaller of the
+    kernel's term count and the box of side 2 bound + 1."""
+
+    LIMIT = "over the limit of 20000000 key coordinates"
+
+    @staticmethod
+    def theta_fiber(g, k=0):
+        return cc_odp(PpavInput(g=g, k=k, gauss_finite=True)).fiber
+
+    def test_refused_before_any_kernel_runs(self, monkeypatch):
+        import thetacycles.lambdaring as lr
+
+        def pack(self, x):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(lr._Packing, "pack", pack)
+        fiber5 = self.theta_fiber(5)  # 120 keys of 60 coordinates
+        assert len(fiber5.coeffs) == 120 and fiber5.group.ncoords == 60
+        # lambda^4: C(123, 4) multisets of the support, far below the box 9^60
+        with pytest.raises(ValueError, match="up to 9078630 keys of 60 coordinates is " + self.LIMIT):
+            lambda_op(4, fiber5)
+        for k in (5, 32):
+            with pytest.raises(ValueError, match=self.LIMIT):
+                lambda_op(k, fiber5)
+        with pytest.raises(ValueError, match=self.LIMIT):
+            sym_op(4, fiber5)
+        with pytest.raises(ValueError, match=self.LIMIT):  # the Adams route
+            schur_apply((2, 2), fiber5)
+        fiber6 = self.theta_fiber(6, k=1)  # 718 keys of 359 coordinates
+        with pytest.raises(ValueError, match="up to 515524 keys of 359 coordinates"):
+            gr_multiply(fiber6, fiber6)
+        with pytest.raises(ValueError, match="up to 258121 keys of 359 coordinates"):
+            schur_apply((1, 1), fiber6)
+        # lambda^3 of the genus-5 fiber, C(122, 3) * 60 = 17,714,400
+        # coordinates, is admitted and reaches the kernel
+        with pytest.raises(AssertionError, match="a kernel ran"):
+            lambda_op(3, fiber5)
+        monkeypatch.setattr(lr, "MAX_FIBER_COORDS", 11)
+        with pytest.raises(ValueError, match="up to 3 keys of 4 coordinates"):
+            gr_adams(2, GroupRingElement(FgAbelianGroup(4), {(i, 0, 0, 0): 1 for i in range(3)}))
+
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_box_admits_low_rank(self, k):
+        # C(105, 6) and C(119, 20) terms, but the keys lie in [-50 k, 49 k]
+        x = GroupRingElement(Z, {(i,): 1 for i in range(-50, 50)})
+        out = lambda_op(k, x)
+        assert out.coefficient_sum == comb(100, k)
+        assert min(out.coeffs) == (sum(range(-50, -50 + k)),)
+        assert max(out.coeffs) == (sum(range(50 - k, 50)),)

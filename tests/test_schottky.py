@@ -7,6 +7,7 @@ import pytest
 
 from thetacycles.chow import ChowVector
 from thetacycles.cycles import (
+    MAX_CYCLE_GENUS,
     CleanCycleModel,
     CycleComponent,
     degree,
@@ -14,6 +15,7 @@ from thetacycles.cycles import (
     point_component,
 )
 from thetacycles.lambdaring import (
+    MAX_FIBER_COORDS,
     FgAbelianGroup,
     GroupRingElement,
     TensorConstruction,
@@ -25,9 +27,7 @@ from thetacycles.lambdaring import (
 import thetacycles.schottky as schottky
 from thetacycles.lierep import Character, char_tensor, freudenthal_character, root_system
 from thetacycles.schottky import (
-    MAX_FIBER_COORDS,
     MAX_M_BOUND,
-    MAX_THETA_GENUS,
     GroupDescriptor,
     PpavInput,
     alt_cm1_coefficient,
@@ -119,6 +119,16 @@ class TestSSets:
         sm, sp = s_sets(10000)
         assert not set(sm) & set(sp)
         assert sm == sorted(sm) and sp == sorted(sp)
+
+    def test_central_binomials_up_to_a_huge_bound(self):
+        # C(2n, n) is updated in place; every one up to the bound is listed
+        bound = 10**300
+        sm, sp = s_sets(bound)
+        central = [comb(2 * n, n) for n in range(1, 600)]
+        assert max(sm + sp) <= bound
+        for n, c in enumerate(central, start=1):
+            if c <= bound:
+                assert c in (sm if n % 2 else sp), n
 
     def test_matches_classification_extraction_small(self):
         # the full bound-10000 comparison runs in the acceptance suite
@@ -292,13 +302,13 @@ class TestThetaGroup:
         # refused before g! or the exceptional sets are formed
         monkeypatch.setattr(schottky, "factorial", None)
         monkeypatch.setattr(schottky, "s_sets", None)
-        for g in (MAX_THETA_GENUS + 1, 10**9):
+        for g in (MAX_CYCLE_GENUS + 1, 10**9):
             with pytest.raises(ValueError, match=f"at g = {g} is over the limit of g <= 100"):
                 theta_group(PpavInput(g=g))
 
     def test_genus_limit_is_inclusive(self):
-        out = theta_group(PpavInput(g=MAX_THETA_GENUS, k=1))
-        assert out.label == f"Sp{factorial(MAX_THETA_GENUS) - 2}"
+        out = theta_group(PpavInput(g=MAX_CYCLE_GENUS, k=1))
+        assert out.label == f"Sp{factorial(MAX_CYCLE_GENUS) - 2}"
 
     def test_too_many_double_points_rejected(self):
         with pytest.raises(ValueError):
@@ -427,16 +437,42 @@ class TestFakeJacobian:
         sol = fake_jacobian_solve(3, theta_target(3, comb(10**6, 2)))
         assert sol["c0_candidates"] == [10**6]
 
+    @pytest.mark.parametrize("hyp", [False, True], ids=["jacobian", "hyperelliptic"])
+    def test_huge_degree_bracketed_by_doubling(self, monkeypatch, hyp):
+        # the solution is bracketed by doubling before it is bisected, so a
+        # 4,000-digit degree costs a few times log2(c0) ~ 700 evaluations of
+        # the degree polynomial, not the 13,000 of a bisection over
+        # [rise, t + 2g + 3) on 4,000-digit arguments
+        calls = []
+
+        def counting_comb(n, k):
+            calls.append(n)
+            return comb(n, k)
+
+        monkeypatch.setattr(schottky, "comb", counting_comb)
+        per_eval = 2 if hyp else 1
+        t = 10**4000 - 1
+        sol = fake_jacobian_solve(20, theta_target(20, t), hyperelliptic=hyp)
+        assert sol["feasible"] is False and sol["target_degree"] == t
+        assert len(calls) <= per_eval * (40 + 2 * max(calls).bit_length())
+        assert max(calls) < 10**215
+        calls.clear()
+        c0 = 10**200
+        t = comb(c0, 19) - (comb(c0, 17) if hyp else 0)
+        sol = fake_jacobian_solve(20, theta_target(20, t), hyperelliptic=hyp)
+        assert sol["c0_candidates"] == [c0]
+        assert len(calls) <= per_eval * (40 + 2 * c0.bit_length() + 2)
+
     def test_genus_over_the_limit_refused(self, monkeypatch):
         # refused before the divisor's Chern-Mather class is formed
         monkeypatch.setattr(schottky, "_theta_cm", None)
-        for g in (MAX_THETA_GENUS + 1, 10**6):
+        for g in (MAX_CYCLE_GENUS + 1, 10**6):
             with pytest.raises(ValueError, match=f"at g = {g} is over the limit of g <= 100"):
                 theta_target(g, 5)
 
     def test_genus_limit_is_inclusive(self):
-        sol = fake_jacobian_solve(MAX_THETA_GENUS, theta_target(MAX_THETA_GENUS, 5))
-        assert sol["g"] == MAX_THETA_GENUS
+        sol = fake_jacobian_solve(MAX_CYCLE_GENUS, theta_target(MAX_CYCLE_GENUS, 5))
+        assert sol["g"] == MAX_CYCLE_GENUS
 
 
 class TestSummandBound:

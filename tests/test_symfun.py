@@ -53,7 +53,7 @@ class TestPartition:
         assert p == (3, 2, 1) and hash(p) == hash((3, 2, 1))
         assert {(3, 2, 1): "key"}[p] == "key"
         assert Partition(p) is p
-        assert p.parts == (3, 2, 1) and type(p.parts) is tuple
+        assert tuple(p) == (3, 2, 1) and type(tuple(p)) is tuple
         assert str(p) == "(3,2,1)" and str(Partition(())) == "()"
         assert all(type(q) is Partition for q in partitions(6))
 
