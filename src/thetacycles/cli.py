@@ -132,8 +132,6 @@ def _parts(value, newline: str, out: list) -> list:
         inner = newline + "  "
         sep = "," + inner
         if isinstance(value, dict):
-            if not all(isinstance(k, str) for k in value):
-                raise TypeError("dict keys must be str")
             start = len(out)
             for k in sorted(value):
                 out += (sep, encode_basestring_ascii(k), ": ")

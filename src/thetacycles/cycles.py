@@ -28,7 +28,7 @@ from .lambdaring import (
     gr_multiply,
     schur_apply,
 )
-from .symfun import Partition, _is_int, schur_to_powersum
+from .symfun import Partition, _check_schur_degree, _is_int, partitions, schur_to_powersum
 
 # Largest g of a cycle, whose Pontryagin products cost g^2 Fractions, and of
 # a theta divisor that schottky.theta_group decides or theta_target builds:
@@ -36,6 +36,18 @@ from .symfun import Partition, _is_int, schur_to_powersum
 # g = 100, 8.8 s at g = 1000), and the divisor's Chern-Mather class takes
 # 0.5 ms at g = 100 and 0.4 s at g = 3000 (Python 3.11, 2 vCPU).
 MAX_CYCLE_GENUS = 100
+
+# the most Chern-Mather work schur_cycle takes on: a power-sum term p_beta
+# costs l(beta) Pontryagin products, and a product (d_trunc + 1)(d_trunc + 2)/2
+# multiply-adds and g coordinates, one unit each.  schur_cycle on the
+# one-component theta_target(g, 5), best of two (Python 3.11, 2 vCPU):
+#     g  d_trunc  alpha    products    units  time
+#   100       99  (1^4)          12   61,800  0.35 s
+#   100       99  (1^6)          35  180,250  1.05 s
+#   100       99  (1^7)          54  278,100  2.06 s, refused
+#   100        1  (1^17)      1,965  202,395  0.52 s
+#     3        1  (1^28)     34,545  207,270  1.13 s
+MAX_SCHUR_CYCLE_WORK = 250_000
 
 
 @dataclass(frozen=True)
@@ -272,10 +284,21 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     Computes sum_beta m(alpha,beta) * cm([beta_1]_*c o ...) truncated at
     d_trunc as in convolve, exactly in rationals, checks integrality, and
     applies the same Schur operation to the fiber model when present.
+
+    Work over MAX_SCHUR_CYCLE_WORK, counted over every partition beta of
+    |alpha|, is refused before the expansion.
     """
     alpha = Partition(alpha)
     g = c.g
     _require_trunc_valid(c, c, d_trunc)
+    _check_schur_degree(alpha.degree)  # before the partitions are listed
+    products = sum(map(len, partitions(alpha.degree)))
+    work = products * ((d_trunc + 1) * (d_trunc + 2) // 2 + g)
+    if work > MAX_SCHUR_CYCLE_WORK:
+        raise ValueError(
+            f"schur_cycle({alpha}) at g = {g}, d_trunc = {d_trunc} would take {products} "
+            f"Pontryagin products, {work} units of work, over the limit of "
+            f"{MAX_SCHUR_CYCLE_WORK}")
     terms = schur_to_powersum(alpha).terms
     total = c.total_cm()
     pushed = {b: pushforward_n(b, total) for b in set(chain.from_iterable(terms))}

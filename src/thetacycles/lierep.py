@@ -79,10 +79,9 @@ the work:
 - the rows table: the wmf rows to the largest bound asked so far, whose rows
   of dimension at most D' are the rows to any bound D' below it.
 
-A sweep, and the predicates is_minuscule, is_quasi_minuscule and is_wmf,
-read each weight's facts from one uncached closure RootSystem._closure that
-is dropped once read; the one cached closure entry, dominant_weights_below,
-serves Freudenthal.
+A sweep, and the predicate is_wmf, read each weight's facts from one
+uncached closure RootSystem._closure that is dropped once read; the one
+cached closure entry, dominant_weights_below, serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.  freudenthal_character's characters are
@@ -821,18 +820,6 @@ def _fs_type(rs: RootSystem, lam) -> str:
 # ---------------------------------------------------------------------------
 # classifiers
 # ---------------------------------------------------------------------------
-
-
-def is_minuscule(rs: RootSystem, lam) -> bool:
-    """All weights form a single Weyl orbit."""
-    lam = rs._check_dominant(lam)
-    return any(lam) and _weight_facts(rs, lam)[1]
-
-
-def is_quasi_minuscule(rs: RootSystem, lam) -> bool:
-    """All nonzero weights form a single Weyl orbit."""
-    lam = rs._check_dominant(lam)
-    return any(lam) and _weight_facts(rs, lam)[2]
 
 
 def is_wmf(rs: RootSystem, lam) -> bool:

@@ -370,8 +370,10 @@ def alt_cm1_coefficient(j: int, c0: int) -> Fraction:
     return Fraction(prod(range(c0 - 2, c0 - 1 - j, -1)), factorial(j - 1))
 
 
-def genus5_obstruction(p: PpavInput, cm1_theta: ChowVector | None = None) -> dict:
-    """The weak Schottky obstruction in genus five.
+def genus5_obstruction(p: PpavInput) -> dict:
+    """The weak Schottky obstruction in genus five, as a report on
+    fake_jacobian_solve for the nonhyperelliptic Jacobian's theta divisor:
+    Gauss degree C(2g - 2, g - 1) = 70 and cm_1 = [Theta]^4.
 
     For a nonhyperelliptic fake Jacobian with at most isolated singularities
     the exterior fourth power of the solved curve cycle must reproduce
@@ -382,17 +384,9 @@ def genus5_obstruction(p: PpavInput, cm1_theta: ChowVector | None = None) -> dic
     if p.g != 5:
         raise ValueError("the obstruction is a genus-5 computation")
     g = 5
-    e = g - 1
-    c0 = 2 * g - 2
+    sol = fake_jacobian_solve(g, theta_target(g, comb(2 * g - 2, g - 1)))
+    e, c0, integral = sol["e"], sol["c0"], sol["c1_integral"]
     part_coeffs = {beta: cm1_partition_product(beta, c0) for beta in partitions(g - 1)}
-    alt_coeff = alt_cm1_coefficient(g - 1, c0)
-    if cm1_theta is None:
-        # isolated singularities: cm_1 of the clean cycle is [Theta]^4
-        cm1_theta = theta_power(g, g - 1)
-    left = pushforward_n(e, cm1_theta)
-    c1_coefficient = left.coords[1] / alt_coeff
-    c1 = ChowVector.monomial(g, 1, c1_coefficient)
-    integral = c1.is_integral()
     return {
         "g": g,
         "e": e,
@@ -400,10 +394,10 @@ def genus5_obstruction(p: PpavInput, cm1_theta: ChowVector | None = None) -> dic
         "partition_cm1_coefficients": {
             ",".join(map(str, b)): str(v) for b, v in sorted(part_coeffs.items(), reverse=True)
         },
-        "alt4_coefficient": str(alt_coeff),
-        "left_side": left.to_json(),
-        "solved_c1": c1.to_json(),
-        "c1_coefficient": str(c1_coefficient),
+        "alt4_coefficient": sol["cm1_equation_coefficient"],
+        "left_side": pushforward_n(e, theta_power(g, g - 1)).to_json(),
+        "solved_c1": sol["solved_c1"],
+        "c1_coefficient": sol["c1_coefficient"],
         "integral": integral,
         "verdict": (
             "consistent: no obstruction from degree one"

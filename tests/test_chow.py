@@ -58,6 +58,20 @@ class TestBasics:
         assert ChowVector.zero(2) != ChowVector.zero(3)
         assert x != x.coords and not x == [3]
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            ChowVector(0, ())
+        with pytest.raises(ValueError, match="index 3 out of range for g=3"):
+            ChowVector.monomial(3, 3)
+        with pytest.raises(ValueError, match="dimension mismatch: g=3 vs g=4"):
+            ChowVector.zero(3) + ChowVector.zero(4)
+        with pytest.raises(ValueError, match=r"d_trunc must be in \[1, 2\], got 0"):
+            pontryagin(ChowVector.zero(3), ChowVector.zero(3), 0)
+
+    def test_zero_has_no_top_index(self):
+        assert ChowVector.zero(3).top_index() is None
+        assert ChowVector.point(3).top_index() == 0
+
 
 class TestStructureConstants:
     def test_point_acts_by_degree(self):

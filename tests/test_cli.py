@@ -21,7 +21,7 @@ import thetacycles.schottky as schottky
 from thetacycles.cli import _dumps, run
 from thetacycles.cycles import CleanCycleModel, point_component
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
-from thetacycles.schottky import PpavInput, cc_odp
+from thetacycles.schottky import PpavInput, cc_odp, theta_target
 from thetacycles.symfun import elementary_to_powersum, schur_to_powersum
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -56,6 +56,10 @@ SCHUR_21_INPUT = {
     "element": {"group": {"rank": 1, "torsion": [2, 4]},
                 "coeffs": [[[1, 1, 3], 1], [[0, 0, 1], 2], [[-1, 1, 0], 1]]},
 }
+# sha256 of `genus5`, the same for every k the subcommand accepts and with or
+# without --gauss-finite, as written when the obstruction solved its own
+# degree-one equation
+GENUS5_SHA256 = "63441d429343943e31c2b6ca7aae36d12e4980352d49259fee06efd692b2d89b"
 # argv, exit code and sha256 of the fourfold-table outputs, of each README
 # invocation that reads no earlier output, of a power-sum expansion and of
 # lambda-eval on SCHUR_21_INPUT
@@ -64,7 +68,9 @@ OUTPUT_SHA256 = [
     (["--format", "csv", "fourfold-table"], 0, FOURFOLD_CSV_SHA256),
     (["rep-dim", "A5", "0,0,1,0,0"], 0,
      "79bfeaa19c8e6e27bd9f74ea6b23643223a28c3b50a44c10dd63e56b8b2dcf69"),
-    (["genus5"], 1, "63441d429343943e31c2b6ca7aae36d12e4980352d49259fee06efd692b2d89b"),
+    (["genus5"], 1, GENUS5_SHA256),
+    *((["genus5", "--k", str(k)] + flag, 1, GENUS5_SHA256)
+      for k in (0, 3, 59) for flag in ([], ["--gauss-finite"])),
     (["fourfold-table", "--format", "csv"], 0, FOURFOLD_CSV_SHA256),
     (["theta-group", "--g", "5", "--k", "2", "--sum-zero"], 0,
      "676f2df1d0ab33182893cc6dbfd94ca01fc4c0dd810cd8f3b21538c0dc3cd965"),
@@ -238,7 +244,9 @@ class TestThetaCommands:
         assert calls == {"table": 1, "csv": int(fmt == "csv")}
 
     @pytest.mark.parametrize("argv,exit_code,digest", OUTPUT_SHA256, ids=[
-        "json", "csv", "rep-dim", "genus5", "readme-csv", "theta-group", "fake-jacobian",
+        "json", "csv", "rep-dim", "genus5",
+        *(f"genus5-k{k}{flag}" for k in (0, 3, 59) for flag in ("", "-gauss-finite")),
+        "readme-csv", "theta-group", "fake-jacobian",
         "qm-search", "s-sets", "rep-classify", "wmf-tables", "symfun-schur",
         "symfun-elementary", "lambda-eval", "rep-char-E8", "rep-char-A14", "rep-char-D7",
         "rep-char-B5", "rep-char-C4-csv"])
@@ -468,6 +476,16 @@ class TestLambdaEval:
         assert code == 0
         assert payload["coeffs"] == []
 
+    def test_multiply(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"element": ELEMENT, "op": {"kind": "multiply",
+                                                               "other": ELEMENT}}))
+        code, payload = invoke_json(
+            capsys, "lambda_eval", "lambda-eval", "--input", str(path)
+        )
+        assert code == 0
+        assert payload["coeffs"] == [[[-2], 1], [[0], 2], [[2], 1]]
+
     def test_non_integral_coefficient_is_a_fault(self, capsys, monkeypatch, tmp_path):
         # Z[Gamma] is a lambda-ring, so only a fault of the code makes a
         # Schur operation non-integral: the made-up expansion
@@ -521,6 +539,95 @@ class TestVerifyIg:
         )
         code, payload = invoke_json(capsys, "verify_ig", "verify-ig", "--input", str(path))
         assert code == 1 and payload["verified"] is False
+
+
+def _ig(construction):
+    """A verify-ig document with one candidate for the given construction."""
+    return {"target": ELEMENT, "construction": construction, "e": 1, "candidates": [ELEMENT]}
+
+
+def _cycle3(**component):
+    """A genus-3 cycle of one component, a curve unless fields are replaced."""
+    comp = {"label": "c", "dim": 1, "mult": 1, "cm": ["2", "1", "0"], "gauss_finite": False}
+    return {"g": 3, "components": [dict(comp, **component)]}
+
+
+class TestRefusals:
+    # argv, --input document or None, and the message of a refusal that no
+    # other test reaches, or only the exit-code fuzz does; each ends as exit
+    # 2 and one stderr line
+    @pytest.mark.parametrize("argv,doc,message", [
+        (["cc-odp", "--g", "1"], None, "cc_odp needs g >= 2"),
+        (["cc-odp", "--g", "0"], None, "g must be >= 1"),
+        (["theta-group", "--g", "5", "--k", "-1"], None, "k must be >= 0"),
+        (["s-sets", "--bound", "0"], None, "bound must be >= 1"),
+        (["symfun", "partitions", "-1"], None, "n must be nonnegative"),
+        (["symfun", "elementary", "0"], None, "n must be >= 1"),
+        (["lambda-eval"], {"element": {"coeffs": []}, "op": {"kind": "lambda", "k": 1}},
+         "group-ring element schema violation"),
+        (["lambda-eval"], {"element": ELEMENT, "op": {"kind": "lambda", "k": -1}},
+         "k must be nonnegative"),
+        (["lambda-eval"], {"element": ELEMENT, "op": {"kind": "sym", "k": -1}},
+         "k must be nonnegative"),
+        (["verify-ig"], _ig({"kind": "tensor", "children": [{"kind": "var", "index": 0}]}),
+         "unknown node kind 'tensor'"),
+        (["verify-ig"], _ig({"kind": "sum", "children": []}), "sum node needs children"),
+        (["verify-ig"], _ig({"kind": "var", "index": 1}),
+         "construction uses variable 1 but only 1 arguments were supplied"),
+        (["cycle-schur"], {"cycle": _cycle3(cm=["2", "1"]), "alpha": [1], "d_trunc": 1},
+         "need 3 coordinates, got 2"),
+        (["cycle-schur"], {"cycle": _cycle3(dim=3), "alpha": [1], "d_trunc": 1},
+         "component dim must be in [0, 2], got 3"),
+    ], ids=["cc-odp-g1", "cc-odp-g0", "theta-group-k-negative", "s-sets-zero",
+            "partitions-negative", "elementary-zero", "element-without-group",
+            "lambda-negative", "sym-negative", "ig-unknown-kind", "ig-no-children",
+            "ig-var-past-candidates", "cm-short", "dim-past-g"])
+    def test_refused(self, capsys, tmp_path, argv, doc, message):
+        if doc is not None:
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--input", str(path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_point_divisor_refused(self, capsys, tmp_path):
+        _, cycle = invoke(capsys, "cc-odp", "--g", "5", "--k", "1")
+        path = tmp_path / "cycle.json"
+        path.write_text(cycle)
+        assert run(["simplicity", "--input", str(path), "--divisor", "e1"]) == 2
+        assert capsys.readouterr().err == "error: component 'e1' is not a divisor\n"
+
+    def test_cancelling_components_convolve_to_nothing(self, capsys, tmp_path):
+        cycle = _cycle3()
+        cycle["components"].append(dict(cycle["components"][0], label="d", mult=-1))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"c1": cycle, "c2": cycle, "d_trunc": 1}))
+        code, payload = invoke_json(
+            capsys, "cycle_convolve", "cycle-convolve", "--input", str(path))
+        assert (code, payload) == (0, {"g": 3, "components": []})
+
+    def test_schur_cycle_work_refused(self, capsys, tmp_path):
+        # (1^16) on a genus-100 divisor at d_trunc 99 is 1,463 Pontryagin
+        # products of 5,050 multiply-adds each: refused before the expansion;
+        # (1^4), 12 of them, still runs and writes the bytes it wrote before
+        # the bound
+        cycle = theta_target(100, 5).to_json()
+        for n, code in ((16, 2), (32, 2), (4, 0)):
+            path = tmp_path / f"schur{n}.json"
+            path.write_text(json.dumps({"cycle": cycle, "alpha": [1] * n, "d_trunc": 99}))
+            start = time.perf_counter()
+            assert run(["cycle-schur", "--input", str(path)]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert time.perf_counter() - start < 1
+                assert captured.out == "" and captured.err.count("\n") == 1
+                assert "over the limit of" in captured.err
+            else:
+                assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+                    "2550b54724ea4c0f97d75dbd4ef16c00263f15c8a6ccfa0e73addefe6a06af7e")
 
 
 class TestLoaders:

@@ -83,6 +83,10 @@ class TestComponentInvariants:
         with pytest.raises(ValueError):
             CleanCycleModel(g=4, components=(point_component(4),), fiber=fiber)
 
+    def test_component_genus_matches_cycle(self):
+        with pytest.raises(ValueError, match="component point has g=4, cycle has g=3"):
+            CleanCycleModel(g=3, components=(point_component(4),))
+
 
 class TestCycleGenus:
     @pytest.mark.parametrize("g", ["3", 3.0, True, None, 0, -1, 101, 10**6])
@@ -282,6 +286,8 @@ class TestPartitionCoefficients:
         assert cm1_partition_product((3, 1), 8) == 80
         assert cm1_partition_product((4,), 8) == 16
         assert cm1_partition_product((4,), 123) == 16
+        with pytest.raises(ValueError, match="c0 must be nonnegative"):
+            cm1_partition_product((1,), -1)
 
     def test_matches_cycle_computation(self):
         g = 5

@@ -48,6 +48,8 @@ class TestGroup:
             FgAbelianGroup(0, (4, 2))
         with pytest.raises(ValueError):
             FgAbelianGroup(0, (1,))
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            FgAbelianGroup(-1)
 
     def test_canonicalization(self):
         g = FgAbelianGroup(1, (3,))
@@ -292,6 +294,12 @@ class TestSchurAndConstructions:
         t = TensorConstruction.schur((2, 1), TensorConstruction("sum", children=(
             TensorConstruction.var(0), TensorConstruction.var(1))))
         assert TensorConstruction.from_json(data) == t
+
+    def test_schur_node_of_two_children_refused(self):
+        # JSON gives a schur node one child, so only a caller can make two
+        var = TensorConstruction.var(0)
+        with pytest.raises(ValueError, match="schur node needs alpha and exactly one child"):
+            TensorConstruction("schur", children=(var, var), alpha=(1,))
 
 
 class TestSerialization:

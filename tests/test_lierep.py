@@ -23,6 +23,7 @@ from thetacycles.lierep import (
     RootSystem,
     _plate,
     _walk_dominant_weights,
+    _weight_facts,
     canonical_simple_types,
     center_kernel_index,
     char_alt,
@@ -34,8 +35,6 @@ from thetacycles.lierep import (
     freudenthal_character,
     fs_type,
     image_group_label,
-    is_minuscule,
-    is_quasi_minuscule,
     is_wmf,
     orbit_rank_bound,
     quasi_minuscule_dim_search,
@@ -181,6 +180,8 @@ class TestRootSystemInvariants:
         for name in ("", "X3", "A", "Ax"):
             with pytest.raises(ValueError):
                 root_system(name)
+        with pytest.raises(ValueError, match="unknown type 'X'"):
+            RootSystem("X", 3)
 
     def test_rank_guard(self, monkeypatch):
         assert MAX_SWEEP_RANK <= MAX_ROOT_SYSTEM_RANK
@@ -549,6 +550,18 @@ class TestCharacterOps:
         with pytest.raises(NotACharacterError, match="integer"):
             Character(root_system("A1"), weights)
 
+    def test_wrong_length_and_negative_rejected(self):
+        rs = root_system("A1")
+        with pytest.raises(NotACharacterError, match="has length 2, expected rank 1"):
+            Character(rs, {(1, 0): 1})
+        with pytest.raises(NotACharacterError, match="negative multiplicity -1"):
+            Character(rs, {(1,): -1, (-1,): -1})
+
+    def test_tensor_of_two_root_systems_refused(self):
+        x = freudenthal_character(root_system("A1"), (1,))
+        with pytest.raises(ValueError, match="characters live on different root systems"):
+            char_tensor(x, freudenthal_character(root_system("A2"), (1, 0)))
+
     def test_equality_compares_root_system_and_weights(self):
         rs = root_system("A2")
         x = freudenthal_character(rs, (1, 0))
@@ -610,15 +623,15 @@ class TestSelfDualAndFs:
 
 class TestClassifiers:
     def test_minuscule(self):
-        assert is_minuscule(root_system("A5"), (0, 0, 1, 0, 0))
-        assert not is_minuscule(root_system("A2"), (1, 1))
-        assert not is_minuscule(root_system("G2"), (1, 0))
-        assert is_minuscule(root_system("D5"), (0, 0, 0, 0, 1))
+        assert _weight_facts(root_system("A5"), (0, 0, 1, 0, 0))[1]
+        assert not _weight_facts(root_system("A2"), (1, 1))[1]
+        assert not _weight_facts(root_system("G2"), (1, 0))[1]
+        assert _weight_facts(root_system("D5"), (0, 0, 0, 0, 1))[1]
 
     def test_quasi_minuscule(self):
-        assert is_quasi_minuscule(root_system("A2"), (1, 1))
-        assert is_quasi_minuscule(root_system("G2"), (1, 0))
-        assert not is_quasi_minuscule(root_system("A2"), (2, 1))
+        assert _weight_facts(root_system("A2"), (1, 1))[2]
+        assert _weight_facts(root_system("G2"), (1, 0))[2]
+        assert not _weight_facts(root_system("A2"), (2, 1))[2]
         orbit = root_system("G2").weyl_orbit((1, 0))
         assert len(orbit) == 6  # six short roots plus the zero weight
 
@@ -630,8 +643,8 @@ class TestClassifiers:
     @pytest.mark.parametrize("name, lam", [("A1", (-3,)), ("A2", (-1, 0))])
     @pytest.mark.parametrize(
         "check",
-        [is_wmf, is_minuscule, is_quasi_minuscule, lambda rs, lam: rs.freudenthal_dominant(lam)],
-        ids=["is_wmf", "is_minuscule", "is_quasi_minuscule", "freudenthal_dominant"],
+        [is_wmf, lambda rs, lam: rs.freudenthal_dominant(lam)],
+        ids=["is_wmf", "freudenthal_dominant"],
     )
     def test_non_dominant_rejected(self, check, name, lam):
         with pytest.raises(ValueError, match="is not dominant"):
@@ -643,13 +656,10 @@ class TestClassifiers:
         closure = rs._closure
         monkeypatch.setattr(rs, "_closure", lambda lam: closures.append(lam) or closure(lam))
         lam = (1, 0, 1)
-        assert (is_minuscule(rs, lam), is_quasi_minuscule(rs, lam), is_wmf(rs, lam)) == (
-            False, False, False)
-        assert closures == [lam] * 3 and rs._dominant_below_cache == {}
+        assert (_weight_facts(rs, lam)[1:], is_wmf(rs, lam)) == ((False, False), False)
+        assert closures == [lam] * 2 and rs._dominant_below_cache == {}
         assert enumerate_dominant_weights(rs, 30) == [lam for lam, _ in rs._walk_table[1]]
-        zero = rs.zero()
-        assert (is_minuscule(rs, zero), is_quasi_minuscule(rs, zero), is_wmf(rs, zero)) == (
-            False, False, True)
+        assert is_wmf(rs, rs.zero())
 
     def test_classify_contains_expected(self):
         rows = classify_wmf(3, 40)
@@ -721,6 +731,8 @@ class TestClassifiers:
                 if w == rs.zero():
                     continue
                 assert orbit_rank_bound(rs, w)
+        with pytest.raises(ValueError, match="w must be nonzero"):
+            orbit_rank_bound(root_system("A2"), (0, 0))
 
     def test_root_multiple_condition(self):
         for m in (2, 3, 4):
@@ -729,6 +741,8 @@ class TestClassifiers:
             assert root_multiple_condition(rs, std_weight)
         # the standard rep of A2 has no weight on a root line
         assert not root_multiple_condition(root_system("A2"), (1, 0))
+        # the trivial representation's one weight is zero, on no root line
+        assert not root_multiple_condition(root_system("A2"), (0, 0))
 
 
 class TestClosedFormsAgainstOracles:
@@ -839,8 +853,8 @@ class TestClosedFormsAgainstOracles:
                         rs.name, w, i)
 
     def test_classify_flags_against_unfiltered_closure(self):
-        # the predicates read the same facts as the sweep, so the flags
-        # are checked against the closure that forms every root difference
+        # the rows read their flags from _weight_facts; they are checked
+        # against the closure that forms every root difference
         rows = classify_wmf(10, 3000) + classify_wmf(20, 118)
         for r in rows:
             rs = root_system(r.letter, r.rank)
@@ -848,8 +862,6 @@ class TestClosedFormsAgainstOracles:
             assert (r.dim, r.minuscule, r.quasi_minuscule, r.fs) == (
                 rs.weyl_dim(r.weight), doms == [r.weight],
                 set(doms) <= {r.weight, rs.zero()}, fs_type(rs, r.weight)), (rs.name, r.weight)
-            assert (is_minuscule(rs, r.weight), is_quasi_minuscule(rs, r.weight)) == (
-                r.minuscule, r.quasi_minuscule)
         assert len(rows) == 3383 + 320
 
     def test_rank_one_sweeps_build_no_closure(self, monkeypatch):
@@ -944,6 +956,7 @@ class TestGroupLabels:
         assert image_group_label(root_system("B3"), (1, 0, 0)) == "SO7"
         assert image_group_label(root_system("B3"), (0, 0, 1)) == "Spin7"
         assert image_group_label(root_system("E7"), (0,) * 6 + (1,)) == "E7"
+        assert image_group_label(root_system("F4"), (0, 0, 0, 1)) == "F4"
 
     def test_type_d_labels_against_families(self):
         # the family rule the label used to read: D-std is SO, a half-spin

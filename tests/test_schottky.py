@@ -272,6 +272,9 @@ class TestThetaGroup:
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
             GroupDescriptor("Sp", size=7)
+        for family in ("Sp", "SO", "O"):
+            with pytest.raises(ValueError, match=f"{family} needs a positive size"):
+                GroupDescriptor(family, size=0)
         for family in ("Banana", "SL_mod_mu", "E6", "E7", "G2"):
             with pytest.raises(ValueError, match="unknown family"):
                 GroupDescriptor(family, size=4)
@@ -367,12 +370,13 @@ class TestGenus5:
         )
         assert alt_cm1_coefficient(4, 8) == 20
 
-    def test_verdict_depends_only_on_integrality(self):
+    def test_verdict_depends_only_on_integrality(self, monkeypatch):
         # a target whose degree-1 class happens to be divisible gives the
-        # complementary verdict through the same pipeline
-        rec = genus5_obstruction(
-            PpavInput(g=5, k=0), cm1_theta=ChowVector.monomial(5, 1, 20)
-        )
+        # complementary verdict through the same solver
+        sol = fake_jacobian_solve(5, theta_target(5, 70, Fraction(20)))
+        assert (sol["c1_coefficient"], sol["c1_integral"]) == ("16", True)
+        monkeypatch.setattr(schottky, "fake_jacobian_solve", lambda g, target: sol)
+        rec = genus5_obstruction(PpavInput(g=5, k=0))
         assert rec["c1_coefficient"] == "16"
         assert rec["integral"] is True
         assert "no obstruction" in rec["verdict"]
@@ -404,6 +408,10 @@ class TestFakeJacobian:
         sol = fake_jacobian_solve(g, theta_target(g, target), hyperelliptic=hyp)
         assert sol["feasible"] and sol["c0"] == expected_c0
         assert sol["e"] == (2 if (hyp and g % 2 == 1) else 1 if hyp else g - 1)
+
+    def test_target_of_another_genus_refused(self):
+        with pytest.raises(ValueError, match="target cycle has the wrong dimension"):
+            fake_jacobian_solve(5, theta_target(4, 20))
 
     def test_infeasible_degree(self):
         sol = fake_jacobian_solve(5, theta_target(5, 69))
@@ -707,6 +715,8 @@ class TestWeightDictionary:
         fxy = push_character_to_group_ring(char_tensor(x, y), grp, images)
         assert fxy == gr_multiply(fx, fy)
         assert fx.coefficient_sum == x.dimension
+        with pytest.raises(ValueError, match="need one image per fundamental-weight"):
+            push_character_to_group_ring(x, grp, images[:1])
 
     def test_pushforward_against_oracle_on_torsion(self):
         # image coordinates up to 5 times weight coordinates up to 3 pass

@@ -169,6 +169,10 @@ class TestCharacterOracle:
         assert symmetric_group_character(P(3, 2), P(1, 1, 1, 1, 1)) == 5
         assert symmetric_group_character(P(4, 4), P(*([1] * 8))) == 14
 
+    def test_degrees_must_agree(self):
+        with pytest.raises(ValueError, match="alpha and beta must have equal degree"):
+            symmetric_group_character(P(2), P(1))
+
 
 class TestMonomialOracle:
     def test_schur_matches_ssyt_expansion_deg_le_8(self):
