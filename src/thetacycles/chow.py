@@ -40,6 +40,15 @@ class ChowVector:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
+    def _of(cls, g: int, coords: tuple) -> "ChowVector":
+        """A vector that takes over `coords`, already a tuple of g Fractions,
+        unchecked: the results of the arithmetic below."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "coords", coords)
+        return self
+
+    @classmethod
     def zero(cls, g: int) -> "ChowVector":
         return cls(g, (Fraction(0),) * g)
 
@@ -60,11 +69,11 @@ class ChowVector:
 
     def __add__(self, other: "ChowVector") -> "ChowVector":
         self._check(other)
-        return ChowVector(self.g, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return ChowVector._of(self.g, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c) -> "ChowVector":
         c = Fraction(c)
-        return ChowVector(self.g, tuple(c * a for a in self.coords))
+        return ChowVector._of(self.g, tuple(c * a for a in self.coords))
 
     def _check(self, other: "ChowVector"):
         if self.g != other.g:
@@ -110,12 +119,12 @@ def pontryagin(x: ChowVector, y: ChowVector, d_trunc: int) -> ChowVector:
         for a in range(c + 1):
             s += comb(c, a) * x.coords[a] * y.coords[c - a]
         coords[c] = s
-    return ChowVector(g, tuple(coords))
+    return ChowVector._of(g, tuple(coords))
 
 
 def pushforward_n(n: int, x: ChowVector) -> ChowVector:
     """[n]_* multiplies CH_i by n^(2i)."""
-    return ChowVector(
+    return ChowVector._of(
         x.g, tuple(Fraction(n) ** (2 * i) * a for i, a in enumerate(x.coords))
     )
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 from .cycles import CleanCycleModel, convolve, schur_cycle
@@ -62,6 +63,15 @@ class InputError(Exception):
 # _SLICE // (key length + 1) + 1 pairs, so wide keys make no larger slices
 _SLICE = 8192
 
+# Keys of at least this many coordinates are written from their nonzeros
+# (_dumps_pairs).  Zero runs overtook the coordinate join at widths of about
+# 16, 28, 36 and 52 for keys with 1, 2, 3 and 4 nonzeros, and were up to 1.6x
+# slower at width 16 (20,000 keys, best of 5, Python 3.11, 2 vCPU).  At 48
+# the benchmark's pair lists of width 8-30 keep the join, and its width-60
+# lists and genus-6 fibers, with 1-3 nonzeros a key, take 0.35-0.7 of the
+# join's time.
+_WIDE_KEY = 48
+
 
 class _IntText(dict):
     """int -> its JSON text: a table of the small values, computed for the
@@ -82,7 +92,14 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     joins them into its own text, or writes them in turn, so a block is
     copied once.  Each pair is one f-string over texts from _INT_TEXT;
     the coefficients, all ints or all "p/q" strings, take _INT_TEXT or
-    encode_basestring_ascii as the first does; an empty key is written []."""
+    encode_basestring_ascii as the first does; an empty key is written [].
+
+    When every key has the same n >= _WIDE_KEY coordinates, a key is written
+    from its nonzero positions: m zeros before a nonzero are ("0" + sep) * m,
+    the m after the last one (sep + "0") * m, and an all-zero key "0" and
+    n - 1 of (sep + "0"), so a key costs its nonzeros, not n.  Narrower keys
+    and the mixed widths of a power-sum expansion's partitions are joined
+    coordinate by coordinate, which is faster when keys are narrow."""
     inner = newline + "  "
     key = inner + "  "
     coord = key + "  "
@@ -92,12 +109,28 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     close_key = key + "]," + key
     text = _INT_TEXT.__getitem__
     value = text if type(pairs[0][1]) is int else encode_basestring_ascii
-    step = _SLICE // (len(pairs[0][0]) + 1) + 1
+    n = len(pairs[0][0])
+    step = _SLICE // (n + 1) + 1
+    wide = n >= _WIDE_KEY and all(len(g) == n for g, _ in pairs)
+    if wide:
+        zero, trail, positions = "0" + coord_sep, coord_sep + "0", range(n)
+        all_zero = "0" + trail * (n - 1)
+
+        def key_text(g):
+            pieces, last = [], -1
+            for i in compress(positions, g):
+                pieces.append(zero * (i - last - 1) + text(g[i]))
+                last = i
+            return coord_sep.join(pieces) + trail * (n - 1 - last) if pieces else all_zero
+
     parts = ["[" + inner]
     for start in range(0, len(pairs), step):
         if start:
             parts.append(sep)
         parts.append(sep.join([
+            f"{open_key}{key_text(g)}{close_key}{value(c)}{inner}]"
+            for g, c in pairs[start:start + step]
+        ] if wide else [
             f"{open_key}{coord_sep.join(map(text, g))}{close_key}{value(c)}{inner}]"
             if g else f"{open_empty}{value(c)}{inner}]"
             for g, c in pairs[start:start + step]

@@ -42,7 +42,10 @@ signed byte, a key sorts by its coordinates packed as big-endian signed
 bytes with each sign bit flipped (offset binary): one bytes comparison,
 in C, orders two keys as the tuples compare, where a tuple comparison
 walks the mostly-zero prefix of a dense key element by element.  Keys
-with a larger coordinate are sorted as tuples.
+with a larger coordinate are sorted as tuples.  An element whose keys are
+already held in key order, as `schottky.cc_odp` builds its fiber, is
+checked pair by pair and written as it is; a kernel result fails that
+check within its first few pairs.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import comb, lcm
 from struct import Struct
 from struct import error as struct_error
@@ -210,10 +213,14 @@ class GroupRingElement:
 
     def _sorted_items(self) -> list:
         """(key, coefficient) pairs in key order, sorted(self.coeffs.items()).
-        Keys whose coordinates all fit in a signed byte sort by their
-        big-endian bytes with the sign bit flipped, which memcmp orders as
-        the tuples; a coordinate outside [-128, 127] makes pack raise and
-        the tuples are sorted instead."""
+        Keys already held in ascending order are returned as they are.
+        Otherwise keys whose coordinates all fit in a signed byte sort by
+        their big-endian bytes with the sign bit flipped, which memcmp
+        orders as the tuples; a coordinate outside [-128, 127] makes pack
+        raise and the tuples are sorted instead."""
+        keys = self.coeffs.keys()
+        if all(map(operator.lt, keys, islice(keys, 1, None))):
+            return list(self.coeffs.items())
         pack = Struct(f">{self.group.ncoords}b").pack
         try:
             return sorted(

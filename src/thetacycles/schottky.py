@@ -272,11 +272,15 @@ def cc_odp(p: PpavInput) -> CleanCycleModel:
             gens += [(i, 1) for i in range(m, free_rank)]
 
     group = FgAbelianGroup(free_rank, torsion)
+    # keys are built in key order, so to_json need not sort them: -e_i by
+    # rising i, then the torsion points and +e_i by falling i
+    gens.sort(key=lambda gen: (gen[1] > 0, -gen[1] * gen[0]))
     coeffs: dict = {}
+    e = [0] * group.ncoords
     for idx, sign in gens:
-        e = [0] * group.ncoords
         e[idx] = sign
         coeffs[tuple(e)] = 1
+        e[idx] = 0
 
     components = [
         CycleComponent(

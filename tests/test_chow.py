@@ -159,6 +159,18 @@ class TestRingProperties:
                 pushforward_n(n, x), pushforward_n(n, y), d
             )
 
+    @given(chow_triples(), st.integers(1, 5),
+           st.integers(-3, 3) | st.fractions(max_denominator=5))
+    @settings(max_examples=80, deadline=None)
+    def test_results_match_checked_constructor(self, triple, d, c):
+        # the arithmetic builds its results unchecked (ChowVector._of)
+        x, y, _ = triple
+        d = min(d, x.g - 1)
+        for out in (pontryagin(x, y, d), pushforward_n(3, x), x + y, x.scale(c)):
+            assert out == ChowVector(out.g, out.coords)
+            assert len(out.coords) == out.g
+            assert all(type(a) is Fraction for a in out.coords)
+
     @given(chow_triples())
     @settings(max_examples=80, deadline=None)
     def test_degree_multiplicative(self, triple):

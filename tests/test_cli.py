@@ -22,7 +22,7 @@ from thetacycles.cli import _dumps, run
 from thetacycles.cycles import CleanCycleModel, point_component
 from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
 from thetacycles.schottky import PpavInput, cc_odp, theta_target
-from thetacycles.symfun import elementary_to_powersum, schur_to_powersum
+from thetacycles.symfun import SymExpr, elementary_to_powersum, schur_to_powersum
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 SCHEMA_DIR = os.path.join(SRC_DIR, "thetacycles", "schemas")
@@ -1153,20 +1153,33 @@ json_values = st.recursive(
 
 
 # elements of every group shape the writer meets: rank 0 (empty keys), rank 1
-# to 6, torsion, and residues mod 256 above 127 that do not fit a signed byte
+# to 6, torsion, residues mod 256 above 127 that do not fit a signed byte,
+# and keys on both sides of cli._WIDE_KEY, where the writer switches to zero
+# runs, with the torsion slot of a cc-odp fiber
+WIDE_GROUPS = [FgAbelianGroup(r) for r in (47, 48, 64)] + [FgAbelianGroup(60, (2,))]
 WRITER_GROUPS = [FgAbelianGroup(r) for r in range(7)] + [
     FgAbelianGroup(0, (2,)), FgAbelianGroup(1, (2, 4)), FgAbelianGroup(2, (3,)),
     FgAbelianGroup(0, (256,)), FgAbelianGroup(1, (256,)),
-]
+] + WIDE_GROUPS
 element_coords = st.integers(-130, 130) | st.sampled_from(
     [127, -127, 128, -128, 10 ** 30, -(10 ** 30)])
 element_coeffs = st.integers(-3, 3) | st.sampled_from([2 ** 70, -(2 ** 70)]) | st.integers()
 
 
+def sparse_keys(n):
+    """Keys of n coordinates, mostly 0, with a few element_coords at drawn
+    slots (the first and last among them)."""
+    slots = st.integers(0, n - 1) | st.sampled_from([0, n - 1])
+    return st.dictionaries(slots, element_coords, max_size=4).map(
+        lambda nonzero: tuple(nonzero.get(i, 0) for i in range(n)))
+
+
 @st.composite
 def elements(draw):
     group = draw(st.sampled_from(WRITER_GROUPS))
-    keys = draw(st.lists(st.tuples(*[element_coords] * group.ncoords), max_size=12))
+    n = group.ncoords
+    coords = sparse_keys(n) if group in WIDE_GROUPS else st.tuples(*[element_coords] * n)
+    keys = draw(st.lists(coords, max_size=12))
     coeffs = draw(st.lists(element_coeffs, min_size=len(keys), max_size=len(keys)))
     # insertion order is the drawn order, not the sorted one
     return GroupRingElement(group, dict(draw(st.permutations(list(zip(keys, coeffs))))))
@@ -1180,9 +1193,23 @@ def stdlib_dumps(value):
     return json.dumps(value, sort_keys=True, indent=2)
 
 
+# keys past cli._WIDE_KEY: all zero, nonzero only in the first or the last
+# slot, in every slot, in adjacent slots, and values outside cli._INT_TEXT
+WIDE_KEYS = {
+    (0,) * 64: 3,
+    (5,) + (0,) * 63: -1,
+    (0,) * 63 + (-1,): 2 ** 70,
+    tuple(i - 32 or 300 for i in range(64)): 1,
+    (0,) * 20 + (1, -1, 2) + (0,) * 41: -2,
+    (-129,) + (0,) * 30 + (300,) + (0,) * 31 + (10 ** 30,): 4,
+    (0,) * 40 + (-(10 ** 30), 128) + (0,) * 22: 7,
+}
+
 # each value type the CLI writes, with the number of pair lists in its
 # to_json(): elements of rank 0, empty, past a signed byte, with torsion and
-# past 64 bits, a character, and cycles with and without a fiber
+# past 64 bits, a character, cycles with and without a fiber, and the wide
+# keys, written from their nonzeros: an element of rank 64 and one at the
+# switch, "p/q" coefficients of one key width and of two, and a cycle's fiber
 WRITER_EXAMPLES = [
     (GroupRingElement(FgAbelianGroup(0), {(): -(2 ** 70)}), 1),
     (GroupRingElement(FgAbelianGroup(0)), 0),
@@ -1194,6 +1221,11 @@ WRITER_EXAMPLES = [
     (CleanCycleModel(3, (point_component(3),)), 0),
     (schur_to_powersum((3, 2, 1)), 1),
     (elementary_to_powersum(6), 1),
+    (GroupRingElement(FgAbelianGroup(64), WIDE_KEYS), 1),
+    (GroupRingElement(FgAbelianGroup(48), {k[16:]: c for k, c in WIDE_KEYS.items()}), 1),
+    (SymExpr({(2,) + (1,) * 49: Fraction(1, 3), (1,) * 50: Fraction(-2, 7)}), 1),
+    (SymExpr({(2,) + (1,) * 48: Fraction(1, 3), (1,) * 50: Fraction(-2, 7)}), 1),
+    (cc_odp(PpavInput(g=5, k=2, gauss_finite=True)), 1),
 ]
 
 
@@ -1245,9 +1277,24 @@ class TestWriter:
     def test_sorted_items(self, x):
         assert x._sorted_items() == sorted(x.coeffs.items())
 
+    @given(elements(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_items_of_any_insertion_order(self, x, data):
+        # held in ascending order, an element is returned as it is; descending
+        # or with one adjacent pair swapped, it is sorted
+        items = sorted(x.coeffs.items())
+        swapped = list(items)
+        if len(items) > 1:
+            i = data.draw(st.integers(0, len(items) - 2))
+            swapped[i:i + 2] = swapped[i + 1], swapped[i]
+        for order in (items, items[::-1], swapped):
+            assert GroupRingElement._of(x.group, dict(order))._sorted_items() == items
+
     @pytest.mark.parametrize("value, pair_lists", WRITER_EXAMPLES, ids=[
         "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates", "character",
-        "cycle", "cycle-without-fiber", "schur-powersum", "elementary-powersum"])
+        "cycle", "cycle-without-fiber", "schur-powersum", "elementary-powersum",
+        "wide-element", "wide-element-at-switch", "wide-powersum", "wide-mixed-powersum",
+        "wide-cycle"])
     def test_value_examples(self, value, pair_lists, monkeypatch):
         calls = []
 

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -204,6 +205,16 @@ class TestCcOdp:
 
         monkeypatch.setattr(FgAbelianGroup, "canonical", canonical)
         assert [cc_odp(p).fiber for p in odp_inputs()] == fibers
+
+    def test_fiber_keys_ascend(self):
+        # cc_odp builds its fiber in key order, which to_json writes unsorted.
+        # A genus-7 fiber takes about 0.3 s; at k = 2 the flags reach every
+        # kind of double point: 2-torsion, +/- pairs and free generators
+        cases = [(g, k) for g in range(2, 7) for k in range(4) if factorial(g) > 2 * k]
+        for g, k in cases + [(7, 2)]:
+            for flags in ODP_FLAGS:
+                keys = list(cc_odp(PpavInput(g=g, k=k, **flags)).fiber.coeffs)
+                assert all(map(operator.lt, keys, keys[1:])), (g, k, flags)
 
     def test_torsion_fiber_collides(self):
         c = cc_odp(
