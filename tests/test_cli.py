@@ -1272,21 +1272,17 @@ class TestWriter:
         assert _dumps(doc) == stdlib_dumps(doc)
         assert _dumps(cycle_shaped(doc)) == stdlib_dumps(cycle_shaped(doc))
 
-    @given(elements())
-    @settings(max_examples=300, deadline=None)
-    def test_sorted_items(self, x):
-        assert x._sorted_items() == sorted(x.coeffs.items())
-
     @given(elements(), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_sorted_items_of_any_insertion_order(self, x, data):
-        # held in ascending order, an element is returned as it is; descending
-        # or with one adjacent pair swapped, it is sorted
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_items(self, x, data):
+        # in the drawn insertion order, ascending (returned as it is),
+        # descending and with one adjacent pair swapped
         items = sorted(x.coeffs.items())
         swapped = list(items)
         if len(items) > 1:
             i = data.draw(st.integers(0, len(items) - 2))
             swapped[i:i + 2] = swapped[i + 1], swapped[i]
+        assert x._sorted_items() == items
         for order in (items, items[::-1], swapped):
             assert GroupRingElement._of(x.group, dict(order))._sorted_items() == items
 
