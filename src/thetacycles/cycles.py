@@ -42,11 +42,11 @@ MAX_CYCLE_GENUS = 100
 # multiply-adds and g coordinates, one unit each.  schur_cycle on the
 # one-component theta_target(g, 5), best of two (Python 3.11, 2 vCPU):
 #     g  d_trunc  alpha    products    units  time
-#   100       99  (1^4)          12   61,800  0.35 s
-#   100       99  (1^6)          35  180,250  1.05 s
-#   100       99  (1^7)          54  278,100  2.06 s, refused
-#   100        1  (1^17)      1,965  202,395  0.52 s
-#     3        1  (1^28)     34,545  207,270  1.13 s
+#   100       99  (1^4)          12   61,800  0.42 s
+#   100       99  (1^6)          35  180,250  1.32 s
+#   100       99  (1^7)          54  278,100  2.15 s, refused
+#   100        1  (1^17)      1,965  202,395  0.21 s
+#     3        1  (1^28)     34,545  207,270  0.76 s
 MAX_SCHUR_CYCLE_WORK = 250_000
 
 

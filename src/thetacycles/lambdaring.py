@@ -19,51 +19,40 @@ NonIntegralResultError.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
-every key it then holds is a canonical tuple.  The kernels below work in
-Z[Z^n], n = rank + len(torsion), on keys packed into single integers
-sum_i v_i 2^(s*i) (Kronecker substitution): group addition is one integer
-addition and Psi^b one multiplication by b.  The slot width s is a whole
-number of bytes, chosen from the largest |coordinate| the result can reach
-(max|x| + max|y| for a product, |alpha| max|x| for s_alpha), so no slot
-overflows into the next; it has no upper limit.  Torsion coordinates ride
-along as unreduced lifts and each result key is reduced mod d_i once, when
-it is unpacked; keys that meet there are summed in first-occurrence order.
+every key it then holds is a canonical tuple.  An element holds its terms
+in ascending key order: the constructor, `from_json` and `+` sort them,
+and every kernel result leaves `_Packing.project` sorted.  The kernels
+below work in Z[Z^n], n = rank + len(torsion), on keys packed big-endian
+into single integers sum_i v_i 2^(s*(n-1-i)) (Kronecker substitution):
+group addition is one integer addition, Psi^b one multiplication by b,
+and since every slot is a balanced signed digit, packed integers order as
+their key tuples do.  The slot width s is a whole number of bytes, chosen
+from the largest |coordinate| the result can reach (max|x| + max|y| for a
+product, |alpha| max|x| for s_alpha), so no slot overflows into the next;
+it has no upper limit.  Torsion coordinates ride along as unreduced lifts
+and each result key is reduced mod d_i once, when it is unpacked; keys
+that meet there are summed and sorted again as tuples.
 The projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b,
 so the Adams route scales the power-sum coefficients by D, the lcm of
 their denominators, accumulates integers over the lifts, and checks
 c % D == 0 after the projection.
 
 An element's JSON is its to_json(): the group and its (key tuple,
-coefficient) pairs, a pair list that the standard encoder writes as
-[key, coefficient] arrays and `cli._dumps` writes from the tuples.
-
-Output lists the terms in key order.  When every coordinate fits in a
-signed byte, a key sorts by its coordinates packed as big-endian signed
-bytes with each sign bit flipped (offset binary): one bytes comparison,
-in C, orders two keys as the tuples compare, where a tuple comparison
-walks the mostly-zero prefix of a dense key element by element.  Keys
-with a larger coordinate are sorted as tuples.  An element whose keys are
-already held in key order, as `schottky.cc_odp` builds its fiber, is
-checked pair by pair and written as it is; the check stops at the first
-pair out of order, so on a kernel result it costs little next to the sort.
+coefficient) pairs in key order, a pair list that the standard encoder
+writes as [key, coefficient] arrays and `cli._dumps` writes from the
+tuples.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import comb, lcm
 from struct import Struct
-from struct import error as struct_error
 
 from .symfun import Partition, _check_schur_degree, _is_int, schur_to_powersum
-
-# byte b -> b ^ 0x80: a signed byte's two's complement to offset binary,
-# so that memcmp orders the bytes as the signed values
-_FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
 
 # Most coordinates a group may have: every key, and the zero key of an empty
 # element, is a tuple of this length (8 MB at the limit); the genus-7 theta
@@ -155,7 +144,8 @@ class NonIntegralResultError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GroupRingElement:
-    """Finite integer combination of elements of a FgAbelianGroup."""
+    """Finite integer combination of elements of a FgAbelianGroup, its
+    terms held in ascending key order."""
 
     group: FgAbelianGroup
     coeffs: dict = field(default_factory=dict)  # element tuple -> int
@@ -168,12 +158,12 @@ class GroupRingElement:
                 raise ValueError(f"coefficient of {g} must be an integer: {c!r}")
             g = canonical(g)
             summed[g] = summed.get(g, 0) + c
-        object.__setattr__(self, "coeffs", {g: c for g, c in summed.items() if c})
+        object.__setattr__(self, "coeffs", {g: c for g, c in sorted(summed.items()) if c})
 
     @classmethod
     def _of(cls, group: FgAbelianGroup, coeffs: dict) -> "GroupRingElement":
         """An element that takes over `coeffs`, whose keys are already
-        canonical; zero terms dropped."""
+        canonical and in ascending order; zero terms dropped."""
         if not all(coeffs.values()):
             coeffs = {g: c for g, c in coeffs.items() if c}
         self = object.__new__(cls)
@@ -188,7 +178,7 @@ class GroupRingElement:
         coeffs = dict(self.coeffs)
         for g, c in other.coeffs.items():
             coeffs[g] = coeffs.get(g, 0) + c
-        return GroupRingElement._of(self.group, coeffs)
+        return GroupRingElement._of(self.group, dict(sorted(coeffs.items())))
 
     def _check(self, other: "GroupRingElement"):
         if self.group != other.group:
@@ -207,30 +197,10 @@ class GroupRingElement:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(
-            f"{c}*x{g}" for g, c in sorted(self.coeffs.items())
-        )
-
-    def _sorted_items(self) -> list:
-        """(key, coefficient) pairs in key order, sorted(self.coeffs.items()).
-        Keys already held in ascending order are returned as they are.
-        Otherwise keys whose coordinates all fit in a signed byte sort by
-        their big-endian bytes with the sign bit flipped, which memcmp
-        orders as the tuples; a coordinate outside [-128, 127] makes pack
-        raise and the tuples are sorted instead."""
-        keys = self.coeffs.keys()
-        if all(map(operator.lt, keys, islice(keys, 1, None))):
-            return list(self.coeffs.items())
-        pack = Struct(f">{self.group.ncoords}b").pack
-        try:
-            return sorted(
-                self.coeffs.items(), key=lambda kv: pack(*kv[0]).translate(_FLIP_SIGN)
-            )
-        except struct_error:
-            return sorted(self.coeffs.items())
+        return " + ".join(f"{c}*x{g}" for g, c in self.coeffs.items())
 
     def to_json(self) -> dict:
-        return {"group": self.group.to_json(), "coeffs": self._sorted_items()}
+        return {"group": self.group.to_json(), "coeffs": list(self.coeffs.items())}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupRingElement":
@@ -244,7 +214,7 @@ class GroupRingElement:
             if not _is_int(c):
                 raise ValueError(f"coefficient of {key} must be an integer: {c!r}")
             coeffs[key] = c
-        return cls._of(group, coeffs)
+        return cls._of(group, dict(sorted(coeffs.items())))
 
 
 def gr_one(group: FgAbelianGroup) -> GroupRingElement:
@@ -260,10 +230,12 @@ def gr_element(group: FgAbelianGroup, element, coeff: int = 1) -> GroupRingEleme
 
 class _Packing:
     """Keys of `group` whose coordinates stay within +-bound, packed as
-    integers P = sum_i v_i B^i with B = 2^(8 * width).  P is converted to
-    and from the slots' two's-complement bytes T by T = (P + bias) ^ bias,
-    where bias holds B/2 in every slot: adding it makes every slot
-    nonnegative and the xor turns v_i + B/2 into v_i mod B.
+    integers P = sum_i v_i B^(n-1-i) with B = 2^(8 * width), the first
+    coordinate in the top slot.  P is converted to and from the slots'
+    big-endian two's-complement bytes T by T = (P + bias) ^ bias, where bias
+    holds B/2 in every slot: adding it makes every slot nonnegative and the
+    xor turns v_i + B/2 into v_i mod B.  As |v_i| < B/2, P < P' exactly
+    when the key tuples compare so.
 
     A result of more than MAX_FIBER_COORDS key coordinates is refused before
     anything is packed.  Its keys number at most `terms`, the kernel's count
@@ -288,7 +260,7 @@ class _Packing:
         self.struct = None
         if width <= 8:  # round up to struct's b, h, i or q
             width = 1 << (width - 1).bit_length()
-            self.struct = Struct(f"={n}{'bhiq'[width.bit_length() - 1]}")
+            self.struct = Struct(f">{n}{'bhiq'[width.bit_length() - 1]}")
         s = 8 * width
         self.group, self.n, self.width = group, n, width
         self.bias = ((1 << s * n) - 1) // ((1 << s) - 1) << (s - 1)
@@ -296,7 +268,7 @@ class _Packing:
     def _encode(self, key) -> bytes:
         if self.struct is not None:
             return self.struct.pack(*key)
-        return b"".join(v.to_bytes(self.width, sys.byteorder, signed=True) for v in key)
+        return b"".join(v.to_bytes(self.width, "big", signed=True) for v in key)
 
     def _decode(self, buf: bytes):
         """The keys of a buffer of n-slot keys."""
@@ -304,7 +276,7 @@ class _Packing:
             return self.struct.iter_unpack(buf)
         w = self.width
         coords = [
-            int.from_bytes(buf[i:i + w], sys.byteorder, signed=True)
+            int.from_bytes(buf[i:i + w], "big", signed=True)
             for i in range(0, len(buf), w)
         ]
         return zip(*[iter(coords)] * self.n)
@@ -313,28 +285,30 @@ class _Packing:
         """x as packed key -> coefficient, in x's order."""
         bias, encode = self.bias, self._encode
         return {
-            (int.from_bytes(encode(g), sys.byteorder) ^ bias) - bias: c
+            (int.from_bytes(encode(g), "big") ^ bias) - bias: c
             for g, c in x.coeffs.items()
         }
 
     def project(self, acc: dict):
         """(canonical key, summed coefficient of its lifts) pairs of a packed
-        accumulator, keys in the order of their first lift, zero sums kept."""
+        accumulator in ascending key order, zero sums kept."""
         bias, nbytes = self.bias, self.n * self.width
+        ps = sorted(acc)
         if self.n:
             keys = self._decode(b"".join([
-                ((p + bias) ^ bias).to_bytes(nbytes, sys.byteorder) for p in acc
+                ((p + bias) ^ bias).to_bytes(nbytes, "big") for p in ps
             ]))
         else:
-            keys = repeat((), len(acc))
+            keys = repeat((), len(ps))
+        coeffs = map(acc.__getitem__, ps)
         group = self.group
         if not group.torsion:  # distinct lifts are distinct keys
-            return zip(keys, acc.values())
+            return zip(keys, coeffs)
         out: dict = {}
         get = out.get
-        for g, c in zip(map(group._reduce, keys), acc.values()):
+        for g, c in zip(map(group._reduce, keys), coeffs):
             out[g] = get(g, 0) + c
-        return out.items()
+        return sorted(out.items())  # reduction reorders the lifts
 
 
 def _max_abs(x: GroupRingElement) -> int:
@@ -349,7 +323,7 @@ def _adams(n: int, xs: dict) -> dict:
 
 
 def _convolve(acc: dict, xs: dict, ys: dict) -> dict:
-    """acc + xs * ys on packed lifts; new keys in pair order."""
+    """acc + xs * ys on packed lifts."""
     get = acc.get
     ys = list(ys.items())
     for p, c in xs.items():
@@ -364,14 +338,14 @@ def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     x._check(y)
     packing = _Packing(x.group, _max_abs(x) + _max_abs(y), len(x.coeffs) * len(y.coeffs))
     acc = _convolve({}, packing.pack(x), packing.pack(y))
-    return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
+    return GroupRingElement._of(x.group, dict(packing.project(acc)))
 
 
 def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
     """Adams operation Psi^n: pushforward of coefficients along g -> n*g."""
     packing = _Packing(x.group, max(abs(n), 1) * _max_abs(x), len(x.coeffs))  # x must fit
     acc = _adams(n, packing.pack(x))
-    return GroupRingElement._of(x.group, {g: c for g, c in packing.project(acc) if c})
+    return GroupRingElement._of(x.group, dict(packing.project(acc)))
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:

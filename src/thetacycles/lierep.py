@@ -740,10 +740,10 @@ def freudenthal_character(rs: RootSystem, lam) -> Character:
 
 
 def _group_ring(x: Character) -> GroupRingElement:
-    """x as an element of the group ring Z[P] of the weight lattice, sharing
-    x's weights: Character checked each as an int tuple of the rank's length,
-    and Z[P] has no torsion to reduce, so the keys are canonical already."""
-    return GroupRingElement._of(FgAbelianGroup(x.rs.rank), x.weights)
+    """x as an element of the group ring Z[P] of the weight lattice, in key
+    order: Character checked each weight as an int tuple of the rank's
+    length, and Z[P] has no torsion to reduce, so the keys are canonical."""
+    return GroupRingElement._of(FgAbelianGroup(x.rs.rank), dict(sorted(x.weights.items())))
 
 
 def char_tensor(x: Character, y: Character) -> Character:

@@ -20,7 +20,8 @@ import thetacycles.lierep as lierep
 import thetacycles.schottky as schottky
 from thetacycles.cli import _dumps, run
 from thetacycles.cycles import CleanCycleModel, point_component
-from thetacycles.lambdaring import FgAbelianGroup, GroupRingElement
+from thetacycles.lambdaring import (
+    FgAbelianGroup, GroupRingElement, gr_adams, gr_multiply, lambda_op, schur_apply, sym_op)
 from thetacycles.schottky import PpavInput, cc_odp, theta_target
 from thetacycles.symfun import SymExpr, elementary_to_powersum, schur_to_powersum
 
@@ -1181,7 +1182,7 @@ def elements(draw):
     coords = sparse_keys(n) if group in WIDE_GROUPS else st.tuples(*[element_coords] * n)
     keys = draw(st.lists(coords, max_size=12))
     coeffs = draw(st.lists(element_coeffs, min_size=len(keys), max_size=len(keys)))
-    # insertion order is the drawn order, not the sorted one
+    # given in the drawn order, which the constructor sorts
     return GroupRingElement(group, dict(draw(st.permutations(list(zip(keys, coeffs))))))
 
 
@@ -1229,6 +1230,15 @@ WRITER_EXAMPLES = [
 ]
 
 
+# groups and coordinates of the key-order property: free groups, Z + Z/3
+# and Z/2 + Z/4, with coordinates at the packed kernels' slot edges and
+# +-10^30 on their wide path
+ORDER_GROUPS = [FgAbelianGroup(r) for r in (1, 2, 3)] + [
+    FgAbelianGroup(1, (3,)), FgAbelianGroup(0, (2, 4))]
+order_coords = st.integers(-3, 3) | st.sampled_from(
+    [127, -127, 128, -128, 2 ** 15, -(2 ** 15), 10 ** 30, -(10 ** 30)])
+
+
 def random_pairs(rng, n, rank):
     return [(tuple(rng.randint(-300, 300) for _ in range(rank)), rng.randint(-(2**70), 2**70))
             for _ in range(n)]
@@ -1272,19 +1282,31 @@ class TestWriter:
         assert _dumps(doc) == stdlib_dumps(doc)
         assert _dumps(cycle_shaped(doc)) == stdlib_dumps(cycle_shaped(doc))
 
-    @given(elements(), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_sorted_items(self, x, data):
-        # in the drawn insertion order, ascending (returned as it is),
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_items(self, data):
+        # every constructor and kernel holds its terms in key order, which
+        # to_json writes as it is: from_json given them in the drawn order,
         # descending and with one adjacent pair swapped
+        group = data.draw(st.sampled_from(ORDER_GROUPS), label="group")
+        terms = st.lists(st.tuples(st.tuples(*[order_coords] * group.ncoords),
+                                   st.integers(-3, 3)), max_size=5)
+        x = GroupRingElement(group, dict(data.draw(terms, label="x")))
+        y = GroupRingElement(group, dict(data.draw(terms, label="y")))
         items = sorted(x.coeffs.items())
         swapped = list(items)
         if len(items) > 1:
             i = data.draw(st.integers(0, len(items) - 2))
             swapped[i:i + 2] = swapped[i + 1], swapped[i]
-        assert x._sorted_items() == items
-        for order in (items, items[::-1], swapped):
-            assert GroupRingElement._of(x.group, dict(order))._sorted_items() == items
+        orders = [data.draw(st.permutations(items)), items[::-1], swapped]
+        values = [GroupRingElement.from_json({"group": group.to_json(), "coeffs": order})
+                  for order in orders]
+        assert all(v.to_json()["coeffs"] == items for v in values)
+        values += [x, x + y, y + x, gr_multiply(x, y), lambda_op(2, x), lambda_op(3, x),
+                   sym_op(2, x), schur_apply((2, 1), x)]
+        values += [gr_adams(n, x) for n in (-1, 0, 2, 3)]
+        for v in values:
+            assert v.to_json()["coeffs"] == sorted(v.coeffs.items())
 
     @pytest.mark.parametrize("value, pair_lists", WRITER_EXAMPLES, ids=[
         "rank0", "empty", "signed-bytes", "mod-256", "wide-coordinates", "character",
@@ -1301,7 +1323,7 @@ class TestWriter:
         write_pairs = cli._dumps_pairs
         monkeypatch.setattr(cli, "_dumps_pairs", dumps_pairs)
         if isinstance(value, GroupRingElement):
-            assert value._sorted_items() == sorted(value.coeffs.items())
+            assert list(value.coeffs.items()) == sorted(value.coeffs.items())
         doc = value.to_json()
         assert _dumps(doc) == stdlib_dumps(doc)
         assert _dumps([doc]) == stdlib_dumps([doc])

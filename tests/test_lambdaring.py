@@ -462,7 +462,7 @@ class TestProductRoute:
 class TestKernelsAgainstOracle:
     """The packed kernels against the route that reduces every key and
     accumulates Fractions.  Multiplication and Adams operations must also
-    keep the oracle's key order, the order of first occurrence."""
+    hold their terms in key order."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -574,8 +574,8 @@ class TestKernelsAgainstOracle:
 
 
 def assert_same_terms(element, oracle):
-    """Equal terms, listed in the same order."""
-    assert list(element.coeffs.items()) == list(oracle.items())
+    """Equal terms, the element's held in key order."""
+    assert list(element.coeffs.items()) == sorted(oracle.items())
 
 
 class TestResultSizeGuard:

@@ -507,6 +507,13 @@ class TestCharacterOps:
                 ours = char_alt(k, x)
                 assert ours.weights == oracle, (name, k)
 
+    def test_group_ring_in_key_order(self):
+        # a character lists its weights orbit by orbit; Z[P] holds them sorted
+        for name, lam in [("A2", (1, 1)), ("B2", (1, 0)), ("G2", (1, 0))]:
+            x = freudenthal_character(root_system(name), lam)
+            assert list(x.weights) != sorted(x.weights)
+            assert list(lierep._group_ring(x).coeffs.items()) == sorted(x.weights.items())
+
     def test_sym2_plus_alt2(self):
         rs = root_system("B2")
         x = freudenthal_character(rs, (0, 1))

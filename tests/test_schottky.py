@@ -207,7 +207,7 @@ class TestCcOdp:
         assert [cc_odp(p).fiber for p in odp_inputs()] == fibers
 
     def test_fiber_keys_ascend(self):
-        # cc_odp builds its fiber in key order, which to_json writes unsorted.
+        # cc_odp builds its fiber in key order, as GroupRingElement._of requires.
         # A genus-7 fiber takes about 0.3 s; at k = 2 the flags reach every
         # kind of double point: 2-torsion, +/- pairs and free generators
         cases = [(g, k) for g in range(2, 7) for k in range(4) if factorial(g) > 2 * k]
