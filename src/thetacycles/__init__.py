@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- symfun:     partitions and power-sum/elementary/Schur transitions
-- lambdaring: Adams-operation driven lambda-rings; group rings Z[Gamma]
+- symfun:     partitions, power-sum/elementary/Schur transitions, Jacobi-Trudi
+- lambdaring: group rings Z[Gamma] as lambda-rings: Adams and Schur operations
 - chow:       numerical Chow vectors of a very general ppav, Pontryagin product
 - cycles:     clean-cycle models with Chern-Mather data and fiber models
 - lierep:     root systems, Weyl orbits, characters and classifiers

@@ -1,21 +1,17 @@
-"""Lambda-rings driven by Adams operations, modeled on group rings Z[Gamma].
+"""Lambda-rings of group rings Z[Gamma]: Adams and Schur operations.
 
 Gamma is a finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_t in
 invariant-factor form (d_i | d_{i+1}).  Elements of the group ring are
 finite integer-coefficient sums of group elements; the Adams operation
 Psi^n pushes coefficients forward along g -> n*g.  A group element is a
 line element (lambda^i [g] = 0 for i >= 2) and lambda_t turns sums into
-products, so the one-column and one-row Schur operations lambda^k and Sym^k
-are the t^k coefficients of prod_g (1 + [g]t)^(c_g) and
-prod_g (1 - [g]t)^(-c_g), summed in integers.  Every other Schur operation
-is *defined* from the Adams operations through the power-sum expansions of
-`symfun` -- legitimate because Z[Gamma] has no Z-torsion -- and an
-integrality check at the end.  Z[Gamma] is a lambda-ring, so a Schur
-operation on any element, virtual ones included, has integer coefficients:
-the check guards the implementation, raises AssertionError and says
-nothing about the input.  The mathematical verdict on integrality
-is the Chern-Mather check of `cycles.schur_cycle`, which raises
-NonIntegralResultError.
+products, so e_j = lambda^j and h_j = Sym^j are the t^j coefficients of
+prod_g (1 + [g]t)^(c_g) and prod_g (1 - [g]t)^(-c_g), summed in integers.
+Every other Schur operation is an integer polynomial in them, its
+Jacobi-Trudi determinant (`symfun.jacobi_trudi`), so it is computed in
+integers too, on any element, virtual ones included.  The mathematical
+verdict on integrality is the Chern-Mather check of `cycles.schur_cycle`,
+which raises NonIntegralResultError.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
@@ -31,11 +27,8 @@ from the largest |coordinate| the result can reach (max|x| + max|y| for a
 product, |alpha| max|x| for s_alpha), so no slot overflows into the next;
 it has no upper limit.  Torsion coordinates ride along as unreduced lifts
 and each result key is reduced mod d_i once, when it is unpacked; keys
-that meet there are summed and sorted again as tuples.
-The projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b,
-so the Adams route scales the power-sum coefficients by D, the lcm of
-their denominators, accumulates integers over the lifts, and checks
-c % D == 0 after the projection.
+that meet there are summed and sorted again as tuples, which is sound as
+the projection Z[Z^n] -> Z[Gamma] is a ring map commuting with every Psi^b.
 
 An element's JSON is its to_json(): the group and its (key tuple,
 coefficient) pairs in key order, a pair list that the standard encoder
@@ -47,12 +40,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, lcm
+from math import comb
 from struct import Struct
 
-from .symfun import Partition, _check_schur_degree, _is_int, schur_to_powersum
+from .symfun import Partition, _check_schur_degree, _is_int, jacobi_trudi
 
 # Most coordinates a group may have: every key, and the zero key of an empty
 # element, is a tuple of this length (8 MB at the limit); the genus-7 theta
@@ -206,15 +198,18 @@ class GroupRingElement:
     def from_json(cls, data: dict) -> "GroupRingElement":
         """Parse an element; each group element may be listed only once."""
         group = FgAbelianGroup.from_json(data["group"])
-        coeffs: dict = {}
+        pairs = []
         for g, c in data["coeffs"]:
             key = group.canonical(g)
-            if key in coeffs:
-                raise ValueError(f"group element {list(key)} is listed twice")
             if not _is_int(c):
                 raise ValueError(f"coefficient of {key} must be an integer: {c!r}")
-            coeffs[key] = c
-        return cls._of(group, dict(sorted(coeffs.items())))
+            pairs.append((key, c))
+        pairs.sort(key=operator.itemgetter(0))  # a repeated key sorts next to itself
+        coeffs = dict(pairs)
+        if len(coeffs) < len(pairs):
+            key = next(a for (a, _), (b, _) in zip(pairs, pairs[1:]) if a == b)
+            raise ValueError(f"group element {list(key)} is listed twice")
+        return cls._of(group, coeffs)
 
 
 def gr_one(group: FgAbelianGroup) -> GroupRingElement:
@@ -315,13 +310,6 @@ def _max_abs(x: GroupRingElement) -> int:
     return max(map(abs, chain.from_iterable(x.coeffs)), default=0)
 
 
-def _adams(n: int, xs: dict) -> dict:
-    """Psi^n on packed lifts, which stay distinct unless n = 0."""
-    if n:
-        return {n * p: c for p, c in xs.items()}
-    return {0: sum(xs.values())}
-
-
 def _convolve(acc: dict, xs: dict, ys: dict) -> dict:
     """acc + xs * ys on packed lifts."""
     get = acc.get
@@ -344,32 +332,43 @@ def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
 def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
     """Adams operation Psi^n: pushforward of coefficients along g -> n*g."""
     packing = _Packing(x.group, max(abs(n), 1) * _max_abs(x), len(x.coeffs))  # x must fit
-    acc = _adams(n, packing.pack(x))
+    xs = packing.pack(x)  # lifts that stay distinct under Psi^n unless n = 0
+    acc = {n * p: c for p, c in xs.items()} if n else {0: sum(xs.values())}
     return GroupRingElement._of(x.group, dict(packing.project(acc)))
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
-    """Apply the Schur operation s_alpha: a one-row or one-column shape by the
-    product formula (`_power`, integers only), every other shape through
-    Adams operations (`_schur_by_adams`, the route with the integrality
-    check).  Both routes refuse the empty shape and a degree over the limit."""
+    """Apply the Schur operation s_alpha, in integers: the Jacobi-Trudi sum
+    of c_nu prod_i f[nu_i] (`symfun.jacobi_trudi`) over the t^j coefficients
+    f[j] of the product formula.  Refuses the empty shape and a degree over
+    the limit."""
     alpha = Partition(alpha)
     _check_schur_degree(alpha.degree)
-    if len(alpha) == 1 or alpha[0] == 1:
-        return _power(alpha.degree, x, sym=len(alpha) == 1)
-    return _schur_by_adams(alpha, x)
-
-
-def _power(k: int, x: GroupRingElement, sym: bool) -> GroupRingElement:
-    """lambda^k x, or Sym^k x if sym: the t^k coefficient of prod_g (1 + [g]t)^(c_g),
-    or of prod_g (1 - [g]t)^(-c_g).  The factor of g is sum_i b_i [ig] t^i, b_i
-    the generalized binomial C(c_g, i), or C(c_g + i - 1, i) for Sym.  e[j],
-    the t^j coefficient of the product so far on packed lifts, is updated
-    from j = k down, so that e[j - i] is still the old one."""
-    # each key of the result is the sum of a k-multiset of x's support
+    k = alpha.degree  # each key is the sum of a k-multiset of x's support
     packing = _Packing(x.group, k * _max_abs(x), comb(len(x.coeffs) + k - 1, k))
+    complete, terms = jacobi_trudi(alpha)
+    f = _coefficients(max(chain.from_iterable(terms)), packing.pack(x), complete)
+    if terms == {(k,): 1}:  # lambda^k and Sym^k: f[k] itself, not a copy
+        acc = f[k]
+    else:
+        acc = {}
+        for nu, c in terms.items():
+            prod = {0: c}
+            for j in nu[:-1]:
+                prod = _convolve({}, prod, f[j])
+            _convolve(acc, prod, f[nu[-1]])
+    del f
+    return GroupRingElement._of(x.group, dict(packing.project(acc)))
+
+
+def _coefficients(k: int, xs: dict, sym: bool) -> list:
+    """The t^j coefficients [e_0, ..., e_k] of prod_g (1 + [g]t)^(c_g) on
+    packed lifts xs, or the h_j of prod_g (1 - [g]t)^(-c_g) if sym.  The
+    factor of g is sum_i b_i [ig] t^i, b_i = C(c_g, i), or C(c_g + i - 1, i)
+    for Sym.  e[j], the t^j coefficient of the product so far, is updated
+    from j = k down, so that e[j - i] is still the old one."""
     e = [{0: 1}] + [{} for _ in range(k)]
-    for p, c in packing.pack(x).items():
+    for p, c in xs.items():
         b = [1]
         for i in range(1, k + 1):  # b_i = b_(i-1) (c -+ (i - 1)) / i, exact
             b.append(b[-1] * (c + i - 1 if sym else c - i + 1) // i)
@@ -383,39 +382,7 @@ def _power(k: int, x: GroupRingElement, sym: bool) -> GroupRingElement:
                 for q, d in e[j - i].items():
                     q += shift
                     acc[q] = get(q, 0) + bi * d
-    return GroupRingElement._of(x.group, dict(packing.project(e[k])))
-
-
-def _schur_by_adams(alpha: Partition, x: GroupRingElement) -> GroupRingElement:
-    """s_alpha x through Adams operations:
-    sum_beta m(alpha,beta) * prod_i Psi^(beta_i) x, accumulated as integers
-    over D, the lcm of the denominators of the m(alpha,beta).
-
-    Raises AssertionError if the exact rational combination fails to have
-    integer coefficients, which in the lambda-ring Z[Gamma] only a fault of
-    this code can cause.
-    """
-    terms = schur_to_powersum(alpha).terms
-    den = lcm(*(m.denominator for m in terms.values()))
-    k = alpha.degree  # each key is the sum of a k-multiset of x's support
-    packing = _Packing(x.group, k * _max_abs(x), comb(len(x.coeffs) + k - 1, k))
-    xs = packing.pack(x)
-    adams = {b: _adams(b, xs) for b in set(chain.from_iterable(terms))}
-    acc: dict = {}
-    for beta, m in terms.items():
-        prod = {0: m.numerator * (den // m.denominator)}
-        for b in beta[:-1]:
-            prod = _convolve({}, prod, adams[b])
-        _convolve(acc, prod, adams[beta[-1]])
-    coeffs = {}
-    for g, c in packing.project(acc):
-        if c % den:
-            raise AssertionError(
-                f"s_{alpha} produced non-integral coefficient {Fraction(c, den)} at {g}"
-            )
-        if c:
-            coeffs[g] = c // den
-    return GroupRingElement._of(x.group, coeffs)
+    return e
 
 
 def lambda_op(k: int, x: GroupRingElement) -> GroupRingElement:

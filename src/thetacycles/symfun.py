@@ -13,7 +13,8 @@ whose coefficients are computed as m = chi^alpha(beta) / z_beta with the
 symmetric-group character value chi^alpha(beta) evaluated by the
 Murnaghan-Nakayama rule.  The elementary symmetric polynomial e_n = s_(1^n)
 is read from the sign character instead, chi^(1^n)(beta) = (-1)^(n - l(beta)),
-which gives a cross-check of the rule on one column.
+which gives a cross-check of the rule on one column.  `lambdaring` expands
+s_alpha in integers instead, by `jacobi_trudi`.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ class SymExpr:
 
 def _check_schur_degree(n: int) -> None:
     """Refuse a Schur expansion of degree n: the empty partition's, or one
-    over MAX_SCHUR_PARTITIONS partitions, before any is listed."""
+    over MAX_SCHUR_PARTITIONS partitions, before any is listed.  `lambdaring`
+    lists none; it keeps this as its degree guard, so its refusals stand."""
     if n == 0:
         raise ValueError("alpha must be a nonempty partition")
     if _partition_count_over(n, MAX_SCHUR_PARTITIONS):
@@ -220,6 +222,36 @@ def schur_to_powersum(alpha) -> SymExpr:
         if chi:
             terms[beta] = Fraction(chi, zee(beta))
     return SymExpr(terms)
+
+
+def jacobi_trudi(alpha) -> tuple[bool, dict]:
+    """s_alpha = sum_nu c_nu prod_i f_(nu_i) in integers, f_j the complete
+    symmetric function h_j or the elementary e_j: the Jacobi-Trudi
+    determinant det(h_(alpha_i - i + j)), or det(e_(alpha'_i - i + j)) when
+    the conjugate alpha' has no more rows (Macdonald I (3.4), (3.5)),
+    expanded over its permutations.  Returns (whether f is h, {nu: c}),
+    each nu descending without f_0 = 1, no c zero.  Rows are placed from the
+    last up, on free columns j with alpha_i - i + j >= 0 (a bound that falls
+    going up, so no choice is a dead end); each free column right of the
+    one taken goes to a row above, an inversion."""
+    alpha = Partition(alpha)
+    conj = [sum(a > j for a in alpha) for j in range(max(alpha, default=0))]
+    complete = len(conj) > len(alpha)
+    rows = alpha if complete else conj
+    terms: dict = {}
+
+    def expand(i: int, free: list, sign: int, nu: list):
+        if i < 0:
+            nu = tuple(sorted(nu, reverse=True))
+            terms[nu] = terms.get(nu, 0) + sign
+            return
+        for pos, j in enumerate(free):
+            if (m := rows[i] - i + j) >= 0:
+                rest = free[:pos] + free[pos + 1:]
+                expand(i - 1, rest, sign * (-1) ** (len(rest) - pos), nu + [m] if m else nu)
+
+    expand(len(rows) - 1, list(range(len(rows))), 1, [])
+    return complete, {nu: c for nu, c in terms.items() if c}
 
 
 def elementary_to_powersum(n: int) -> SymExpr:

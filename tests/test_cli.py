@@ -487,24 +487,6 @@ class TestLambdaEval:
         assert code == 0
         assert payload["coeffs"] == [[[-2], 1], [[0], 2], [[2], 1]]
 
-    def test_non_integral_coefficient_is_a_fault(self, capsys, monkeypatch, tmp_path):
-        # Z[Gamma] is a lambda-ring, so only a fault of the code makes a
-        # Schur operation non-integral: the made-up expansion
-        # (1/2) p_1 + (1/3) p_(1,1) gives 7/3 at the identity on 2 x^0, and
-        # lambda-eval raises rather than answer "no" with exit 1; a one-row
-        # or one-column shape takes the product route, which has no check
-        import thetacycles.lambdaring as lr
-        from thetacycles.symfun import SymExpr
-
-        fake = SymExpr({(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
-        monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
-        elem = {"group": {"rank": 1, "torsion": []}, "coeffs": [[[0], 2]]}
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps({"element": elem, "op": {"kind": "schur", "alpha": [2, 1]}}))
-        with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
-            run(["lambda-eval", "--input", str(path)])
-        assert capsys.readouterr().out == ""
-
 
 class TestVerifyIg:
     def test_roundtrip(self, capsys, tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +16,13 @@ from thetacycles.lambdaring import (
     gr_element,
     gr_multiply,
     gr_one,
-    _schur_by_adams,
     lambda_op,
     schur_apply,
     sym_op,
 )
 
 from thetacycles.schottky import PpavInput, cc_odp
-from thetacycles.symfun import Partition
+from thetacycles.symfun import partitions
 
 from oracles import (
     gr_adams_oracle,
@@ -366,6 +365,9 @@ class TestInputValues:
         assert y.coeffs == {(0,): 2}
 
 
+# every shape of degree at most 5
+SHAPES = [alpha for n in range(1, 6) for alpha in partitions(n)]
+
 ORACLE_GROUPS = [
     FgAbelianGroup(2), FgAbelianGroup(1, (2,)), FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (3,)),
 ]
@@ -421,7 +423,7 @@ def product_elements(draw, group):
 
 class TestProductRoute:
     """lambda^k and Sym^k, the t^k coefficients of prod_g (1 + [g]t)^(c_g)
-    and prod_g (1 - [g]t)^(-c_g), against the Adams route and the oracle."""
+    and prod_g (1 - [g]t)^(-c_g), against the oracle's Adams route."""
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -430,9 +432,7 @@ class TestProductRoute:
         x = data.draw(product_elements(group), label="x")
         for k in range(1, 6):
             for op, alpha in ((lambda_op, (1,) * k), (sym_op, (k,))):
-                out = op(k, x).coeffs
-                assert out == _schur_by_adams(Partition(alpha), x).coeffs
-                assert out == schur_apply_oracle(group, alpha, x.coeffs)
+                assert op(k, x).coeffs == schur_apply_oracle(group, alpha, x.coeffs)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -459,10 +459,46 @@ class TestProductRoute:
             assert sym_op(k, minus).coeffs == {}
 
 
+def conjugate(alpha):
+    return tuple(sum(1 for a in alpha if a > j) for j in range(alpha[0]))
+
+
+class TestJacobiTrudiRoute:
+    """Shapes of degree up to 32 on the three-term element of Z + Z/2, too
+    large for the oracle, against two identities of s_alpha."""
+
+    SHAPES = [(16, 16), (4,) * 8, (10, 10, 10), (6,) * 5, (5, 4, 3, 2, 1)]
+    GROUP = FgAbelianGroup(1, (2,))
+    X = GroupRingElement(GROUP, {(1, 0): 1, (-1, 1): 2, (0, 1): -1})
+    # the same support with augmentation 12, where no hook-content factor
+    # of these shapes vanishes
+    X12 = X + GroupRingElement(GROUP, {(0, 1): 10})
+
+    @pytest.mark.parametrize("alpha", SHAPES, ids=str)
+    def test_omega_duality(self, alpha):
+        # s_alpha(-x) = (-1)^|alpha| s_alpha'(x): one side takes h_j, the
+        # other e_j
+        minus = GroupRingElement(self.GROUP, {g: -c for g, c in self.X.coeffs.items()})
+        sign = (-1) ** sum(alpha)
+        dual = schur_apply(conjugate(alpha), self.X).coeffs
+        assert schur_apply(alpha, minus).coeffs == {g: sign * c for g, c in dual.items()}
+
+    @pytest.mark.parametrize("alpha", SHAPES, ids=str)
+    def test_augmentation_is_hook_content(self, alpha):
+        # the augmentation takes s_alpha(x) to s_alpha(1^N) at N = eps(x),
+        # prod over cells u of (N + c(u)) / h(u)
+        conj = conjugate(alpha)
+        cells = [(i, j) for i, a in enumerate(alpha) for j in range(a)]
+        for x in (self.X, self.X12):
+            n = x.coefficient_sum
+            value = prod(Fraction(n + j - i, alpha[i] - j + conj[j] - i - 1) for i, j in cells)
+            assert schur_apply(alpha, x).coefficient_sum == value
+
+
 class TestKernelsAgainstOracle:
     """The packed kernels against the route that reduces every key and
-    accumulates Fractions.  Multiplication and Adams operations must also
-    hold their terms in key order."""
+    accumulates Fractions.  Multiplication, Adams and Schur operations must
+    also hold their terms in key order."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -482,7 +518,8 @@ class TestKernelsAgainstOracle:
         cases += [(sym_op, k, (k,)) for k in (2, 3)]
         for op, k, alpha in cases:
             assert op(k, x).coeffs == schur_apply_oracle(group, alpha, x.coeffs)
-        assert schur_apply((2, 1), x).coeffs == schur_apply_oracle(group, (2, 1), x.coeffs)
+        for alpha in SHAPES:
+            assert_same_terms(schur_apply(alpha, x), schur_apply_oracle(group, alpha, x.coeffs))
 
     @pytest.mark.parametrize("e", EDGES)
     @pytest.mark.parametrize("group", EDGE_GROUPS, ids=str)
@@ -548,29 +585,8 @@ class TestKernelsAgainstOracle:
         for k in (2, 3):
             assert lambda_op(k, x).coeffs == schur_apply_oracle(group, (1,) * k, x.coeffs)
         assert sym_op(2, x).coeffs == schur_apply_oracle(group, (2,), x.coeffs)
-        assert schur_apply((2, 1), x).coeffs == schur_apply_oracle(group, (2, 1), x.coeffs)
-
-    def test_non_integral_check_over_the_lcm(self, monkeypatch):
-        # Z[Gamma] is a lambda-ring, so a real expansion never trips the
-        # check, which guards the code and raises AssertionError; a made-up
-        # one, (1/2) p_1 + (1/3) p_(1,1), trips it where the integer sum over
-        # D = 6 is not divisible by 6; alpha = (2,1) keeps to the Adams
-        # route, where the check is
-        import thetacycles.lambdaring as lr
-        from thetacycles.symfun import SymExpr
-
-        fake = SymExpr({(1,): Fraction(1, 2), (1, 1): Fraction(1, 3)})
-        monkeypatch.setattr(lr, "schur_to_powersum", lambda alpha: fake)
-        # 2*x^0: (1/2)*2 + (1/3)*4 = 7/3 at the identity
-        with pytest.raises(AssertionError, match=r"coefficient 7/3 at \(0,\)"):
-            schur_apply((2, 1), GroupRingElement(Z, {(0,): 2}))
-        # 6*x^0: 3 + 12 = 15, integral
-        assert schur_apply((2, 1), GroupRingElement(Z, {(0,): 6})).coeffs == {(0,): 15}
-        # over Z/2 the check runs on projected keys: 1 + t gives 3 + 3 t from
-        # p_1 and 2 (1 + 2 t + t^2) from p_(1,1), whose lift t^2 lands on 1,
-        # so the identity carries (3 + 4) / 6 and not the lift's (3 + 2) / 6
-        with pytest.raises(AssertionError, match=r"coefficient 7/6 at \(0,\)"):
-            schur_apply((2, 1), GroupRingElement(Z2, {(0,): 1, (1,): 1}))
+        for alpha in SHAPES:
+            assert_same_terms(schur_apply(alpha, x), schur_apply_oracle(group, alpha, x.coeffs))
 
 
 def assert_same_terms(element, oracle):
@@ -606,7 +622,7 @@ class TestResultSizeGuard:
                 lambda_op(k, fiber5)
         with pytest.raises(ValueError, match=self.LIMIT):
             sym_op(4, fiber5)
-        with pytest.raises(ValueError, match=self.LIMIT):  # the Adams route
+        with pytest.raises(ValueError, match=self.LIMIT):  # neither a row nor a column
             schur_apply((2, 2), fiber5)
         fiber6 = self.theta_fiber(6, k=1)  # 718 keys of 359 coordinates
         with pytest.raises(ValueError, match="up to 515524 keys of 359 coordinates"):

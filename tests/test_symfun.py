@@ -10,6 +10,7 @@ from thetacycles.symfun import (
     SymExpr,
     _partition_count_over,
     elementary_to_powersum,
+    jacobi_trudi,
     partitions,
     schur_to_powersum,
     symmetric_group_character,
@@ -194,6 +195,50 @@ class TestMonomialOracle:
                     )
                     count = sum(ssyt_monomials(alpha, k).values())
                     assert value == count, (alpha, k)
+
+
+def _poly_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(sum, zip(ea, eb)))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class TestJacobiTrudi:
+    def test_matches_ssyt_expansion_deg_le_7(self):
+        # sum_nu c_nu prod_i h_(nu_i) (or e_(nu_i)) in n variables is the
+        # monomial expansion of s_alpha, for every alpha |- n <= 7
+        for n in range(1, 8):
+            h = [ssyt_monomials((k,), n) for k in range(n + 1)]
+            e = [ssyt_monomials((1,) * k, n) for k in range(n + 1)]
+            for alpha in partitions(n):
+                complete, terms = jacobi_trudi(alpha)
+                factors = h if complete else e
+                total = {}
+                for nu, c in terms.items():
+                    prod = {(0,) * n: c}
+                    for j in nu:
+                        prod = _poly_product(prod, factors[j])
+                    for m, v in prod.items():
+                        total[m] = total.get(m, 0) + v
+                total = {m: v for m, v in total.items() if v}
+                assert total == ssyt_monomials(alpha, n), alpha
+                # each nu descending, positive and of degree n
+                assert all(list(nu) == sorted(nu, reverse=True) and min(nu) > 0
+                           and sum(nu) == n for nu in terms), alpha
+
+    def test_branch_and_terms(self):
+        # a tie between alpha and its conjugate takes e; h_0 = e_0 is left out
+        assert jacobi_trudi(P(2, 1)) == (False, {(2, 1): 1, (3,): -1})
+        assert jacobi_trudi(P(1)) == (False, {(1,): 1})
+        assert jacobi_trudi(P(3)) == (True, {(3,): 1})
+        assert jacobi_trudi(P(1, 1, 1)) == (False, {(3,): 1})
+        assert jacobi_trudi(P(3, 1)) == (True, {(3, 1): 1, (4,): -1})
+        assert jacobi_trudi(P(2, 2)) == (False, {(2, 2): 1, (3, 1): -1})
+        # (16, 16) has two rows, its conjugate (2^16) sixteen
+        assert jacobi_trudi(P(16, 16)) == (True, {(16, 16): 1, (17, 15): -1})
 
 
 class TestElementary:
