@@ -198,8 +198,16 @@ class GroupRingElement:
     def from_json(cls, data: dict) -> "GroupRingElement":
         """Parse an element; each group element may be listed only once."""
         group = FgAbelianGroup.from_json(data["group"])
+        entries = data["coeffs"]
+        if not isinstance(entries, (list, tuple)):
+            raise TypeError(f"'coeffs' must be a list of [key, coefficient] pairs, got {entries!r}")
         pairs = []
-        for g, c in data["coeffs"]:
+        for entry in entries:
+            try:
+                g, c = entry
+            except (TypeError, ValueError):
+                raise TypeError(
+                    f"'coeffs' entries must be [key, coefficient] pairs, got {entry!r}") from None
             key = group.canonical(g)
             if not _is_int(c):
                 raise ValueError(f"coefficient of {key} must be an integer: {c!r}")

@@ -1,7 +1,7 @@
 """Exact symmetric-function engine.
 
 Partitions, and transition coefficients between the power-sum, elementary
-and Schur bases reused throughout the cycle calculus.  Everything is exact:
+and Schur bases.  Everything is exact:
 coefficients are `fractions.Fraction` over arbitrary-precision integers,
 and no floating point appears anywhere in this module.
 
@@ -13,8 +13,9 @@ whose coefficients are computed as m = chi^alpha(beta) / z_beta with the
 symmetric-group character value chi^alpha(beta) evaluated by the
 Murnaghan-Nakayama rule.  The elementary symmetric polynomial e_n = s_(1^n)
 is read from the sign character instead, chi^(1^n)(beta) = (-1)^(n - l(beta)),
-which gives a cross-check of the rule on one column.  `lambdaring` expands
-s_alpha in integers instead, by `jacobi_trudi`.
+which gives a cross-check of the rule on one column.  The `symfun`
+subcommand prints these expansions; both lambda-rings, `lambdaring` and the
+Chern-Mather classes of `cycles`, expand s_alpha by `jacobi_trudi` instead.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class SymExpr:
 def _check_schur_degree(n: int) -> None:
     """Refuse a Schur expansion of degree n: the empty partition's, or one
     over MAX_SCHUR_PARTITIONS partitions, before any is listed.  `lambdaring`
-    lists none; it keeps this as its degree guard, so its refusals stand."""
+    and `cycles` list none; they keep this as their degree guard, so their
+    refusals stand."""
     if n == 0:
         raise ValueError("alpha must be a nonempty partition")
     if _partition_count_over(n, MAX_SCHUR_PARTITIONS):

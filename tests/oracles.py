@@ -344,6 +344,45 @@ def schur_apply_oracle(group, alpha, x):
     return _gr_clean(acc)
 
 
+_powersum_cm_memo = {}
+
+
+def schur_cycle_oracle(alpha, c, d_trunc):
+    """cycles.schur_cycle by the power-sum route, with no work bound: the
+    sum over beta |- |alpha| of chi^alpha(beta)/z_beta times
+    [beta_1]_* c o ... o [beta_l]_* c, every Pontryagin product truncated
+    at d_trunc, checked for integrality and packaged as the library does;
+    the fiber is dropped.  Each product of a (total, d_trunc, beta) is
+    formed once."""
+    from thetacycles.chow import ChowVector, pontryagin, pushforward_n
+    from thetacycles.cycles import _aggregate
+    from thetacycles.lambdaring import NonIntegralResultError
+    from thetacycles.symfun import Partition, schur_to_powersum
+
+    alpha = Partition(alpha)
+    g = c.g
+    terms = schur_to_powersum(alpha).terms
+    total = c.total_cm()
+    coords = [Fraction(0)] * g
+    for beta, m in terms.items():
+        key = (total, d_trunc, beta)
+        if key not in _powersum_cm_memo:
+            cm_beta = ChowVector.point(g)  # the Pontryagin unit
+            for b in beta:
+                cm_beta = pontryagin(cm_beta, pushforward_n(b, total), d_trunc)
+            _powersum_cm_memo[key] = cm_beta
+        for i in range(g):
+            coords[i] += m * _powersum_cm_memo[key].coords[i]
+    cm = ChowVector(g, tuple(coords))
+    bad = [i for i in range(d_trunc + 1) if cm.coords[i].denominator != 1]
+    if bad:
+        raise NonIntegralResultError(
+            f"schur_cycle({alpha}) has non-integral Chern-Mather coordinates "
+            f"at indices {bad}: {[str(cm.coords[i]) for i in bad]}"
+        )
+    return _aggregate(g, f"s_{alpha}", cm, c.all_gauss_finite, None)
+
+
 # -- weight lattice -------------------------------------------------------------
 # A root system is read for its rank, its Cartan matrix (row i is alpha_i in
 # fundamental coordinates) and, where a height is needed, its integer inverse

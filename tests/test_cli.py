@@ -593,24 +593,32 @@ class TestRefusals:
         assert (code, payload) == (0, {"g": 3, "components": []})
 
     def test_schur_cycle_work_refused(self, capsys, tmp_path):
-        # (1^16) on a genus-100 divisor at d_trunc 99 is 1,463 Pontryagin
-        # products of 5,050 multiply-adds each: refused before the expansion;
-        # (1^4), 12 of them, still runs and writes the bytes it wrote before
-        # the bound
-        cycle = theta_target(100, 5).to_json()
-        for n, code in ((16, 2), (32, 2), (4, 0)):
-            path = tmp_path / f"schur{n}.json"
-            path.write_text(json.dumps({"cycle": cycle, "alpha": [1] * n, "d_trunc": 99}))
+        # (1^16) on a genus-100 divisor at d_trunc 99 is 136 Pontryagin
+        # products of 5,150 units each, and (12,10,1^10) has 52,488
+        # Jacobi-Trudi permutations to list first: both refused before any
+        # product; (1^4), (2,2,2) there and (1^28) on a genus-3 divisor at
+        # d_trunc 1 run and write the bytes they wrote on the power-sum route
+        cycles = {g: theta_target(g, 5).to_json() for g in (3, 100)}
+        for g, alpha, d_trunc, sha256 in (
+            (100, [1] * 16, 99, None),
+            (100, [1] * 32, 99, None),
+            (100, [12, 10] + [1] * 10, 99, None),
+            (100, [1] * 4, 99, "2550b54724ea4c0f97d75dbd4ef16c00263f15c8a6ccfa0e73addefe6a06af7e"),
+            (100, [2, 2, 2], 99, "bdf444de94d30c2daf75e7579c6673e2349d54e8f683706c1f911189af1b330c"),
+            (3, [1] * 28, 1, "d86f190f82cd7d29931ece912b63ea3d3e14bf7912f1482a0b748bb163e292fd"),
+        ):
+            path = tmp_path / "schur.json"
+            path.write_text(json.dumps({"cycle": cycles[g], "alpha": alpha, "d_trunc": d_trunc}))
             start = time.perf_counter()
-            assert run(["cycle-schur", "--input", str(path)]) == code
+            code = run(["cycle-schur", "--input", str(path)])
             captured = capsys.readouterr()
-            if code:
-                assert time.perf_counter() - start < 1
+            if sha256 is None:
+                assert code == 2 and time.perf_counter() - start < 1
                 assert captured.out == "" and captured.err.count("\n") == 1
                 assert "over the limit of" in captured.err
             else:
-                assert hashlib.sha256(captured.out.encode()).hexdigest() == (
-                    "2550b54724ea4c0f97d75dbd4ef16c00263f15c8a6ccfa0e73addefe6a06af7e")
+                assert code == 0
+                assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
 
 
 class TestLoaders:
@@ -688,6 +696,15 @@ class TestCliContract:
             (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[[[1], 1], [[1], 1]]),
                                "op": {"kind": "adams", "n": 1}}, "listed twice"),
             (["lambda-eval"], {"element": ELEMENT, "op": {"kind": "lambda", "k": None}}, "'k'"),
+            (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[[[1], 1, 5]]),
+                               "op": {"kind": "adams", "n": 1}},
+             "'coeffs' entries must be [key, coefficient] pairs, got [[1], 1, 5]"),
+            (["lambda-eval"], {"element": dict(ELEMENT, coeffs=[1]),
+                               "op": {"kind": "adams", "n": 1}},
+             "'coeffs' entries must be [key, coefficient] pairs, got 1"),
+            (["lambda-eval"], {"element": dict(ELEMENT, coeffs={"a": 1}),
+                               "op": {"kind": "adams", "n": 1}},
+             "'coeffs' must be a list of [key, coefficient] pairs, got {'a': 1}"),
             (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, mult=1.5)]},
                                   "c2": CYCLE, "d_trunc": 1}, "'mult'"),
             (["cycle-convolve"], {"c1": {"g": 3, "components": [dict(POINT, mult=2.0)]},
@@ -727,6 +744,7 @@ class TestCliContract:
              "schur-d_trunc-float", "schur-alpha-null", "verify-ig-not-an-object",
              "verify-ig-float-index", "verify-ig-float-alpha",
              "element-float-values", "element-duplicate-key", "op-k-null",
+             "coeffs-entry-triple", "coeffs-entry-int", "coeffs-object",
              "mult-float", "mult-integral-float", "dim-integral-float", "fake-jacobian-g1",
              "rep-char-not-dominant", "cc-odp-not-symmetric", "op-kind-unknown",
              "verify-ig-var-no-index", "verify-ig-candidates-not-a-list",

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetacycles.chow import ChowVector
 from thetacycles.cycles import (
@@ -25,8 +27,9 @@ from thetacycles.lambdaring import (
     gr_one,
 )
 from thetacycles.schottky import PpavInput, cc_odp
+from thetacycles.symfun import partitions
 
-from oracles import multiplicity_free_by_push
+from oracles import multiplicity_free_by_push, schur_cycle_oracle
 
 
 def theta_like(g, gauss_degree, mult=1, finite=False, label="theta"):
@@ -278,6 +281,46 @@ class TestSchurCycleTruncation:
                 assert [comp.dim for comp in out.components] == [d]
 
 
+@st.composite
+def fractional_cycles(draw):
+    """A fiberless cycle of genus 2 to 5 with one to three components of any
+    dim, mult -1, 1 or 2, and fractional classes between the Gauss degree
+    and the top one."""
+    g = draw(st.integers(2, 5))
+    comps = []
+    for i in range(draw(st.integers(1, 3))):
+        dim = draw(st.integers(0, g - 1))
+        if dim == 0:
+            cm = ChowVector.point(g)
+        else:
+            classes = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(dim)]
+            classes[-1] = classes[-1] or Fraction(1, 2)
+            cm = ChowVector(g, [draw(st.integers(1, 6))] + classes + [0] * (g - 1 - dim))
+        comps.append(CycleComponent(f"c{i}", dim=dim, mult=draw(st.sampled_from((-1, 1, 2))),
+                                    cm=cm, gauss_finite=dim == 0 or draw(st.booleans())))
+    return CleanCycleModel(g, comps)
+
+
+def _outcome(schur, alpha, c, d):
+    try:
+        return schur(alpha, c, d).to_json()
+    except (NonIntegralResultError, ValueError) as e:
+        return type(e), str(e)
+
+
+class TestSchurCycleOracle:
+    @given(fractional_cycles(), st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_powersum_sum(self, c, data):
+        # every class, integrality message and aggregate refusal of every
+        # shape up to degree 12, at a d_trunc the cycle admits
+        d = data.draw(st.integers(1, c.g - 1 if c.all_gauss_finite else 1))
+        for n in range(1, 13):
+            for alpha in partitions(n):
+                want = _outcome(schur_cycle_oracle, alpha, c, d)
+                assert _outcome(schur_cycle, alpha, c, d) == want, alpha
+
+
 class TestPartitionCoefficients:
     def test_frozen_coefficients(self):
         assert cm1_partition_product((1, 1, 1, 1), 8) == 2048
@@ -291,8 +334,6 @@ class TestPartitionCoefficients:
 
     def test_matches_cycle_computation(self):
         g = 5
-        from thetacycles.symfun import partitions
-
         lam = CleanCycleModel(
             g,
             (
