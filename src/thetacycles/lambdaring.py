@@ -199,7 +199,7 @@ class GroupRingElement:
         """Parse an element; each group element may be listed only once."""
         group = FgAbelianGroup.from_json(data["group"])
         entries = data["coeffs"]
-        if not isinstance(entries, (list, tuple)):
+        if not isinstance(entries, list):
             raise TypeError(f"'coeffs' must be a list of [key, coefficient] pairs, got {entries!r}")
         pairs = []
         for entry in entries:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetacycles.chow import ChowVector
@@ -285,7 +285,7 @@ class TestSchurCycleTruncation:
 def fractional_cycles(draw):
     """A fiberless cycle of genus 2 to 5 with one to three components of any
     dim, mult -1, 1 or 2, and fractional classes between the Gauss degree
-    and the top one."""
+    and the top one, with a d_trunc it admits."""
     g = draw(st.integers(2, 5))
     comps = []
     for i in range(draw(st.integers(1, 3))):
@@ -295,10 +295,11 @@ def fractional_cycles(draw):
         else:
             classes = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(dim)]
             classes[-1] = classes[-1] or Fraction(1, 2)
-            cm = ChowVector(g, [draw(st.integers(1, 6))] + classes + [0] * (g - 1 - dim))
+            cm = ChowVector(g, [draw(st.integers(1, 3))] + classes + [0] * (g - 1 - dim))
         comps.append(CycleComponent(f"c{i}", dim=dim, mult=draw(st.sampled_from((-1, 1, 2))),
                                     cm=cm, gauss_finite=dim == 0 or draw(st.booleans())))
-    return CleanCycleModel(g, comps)
+    c = CleanCycleModel(g, comps)
+    return c, draw(st.integers(1, g - 1 if c.all_gauss_finite else 1))
 
 
 def _outcome(schur, alpha, c, d):
@@ -308,13 +309,23 @@ def _outcome(schur, alpha, c, d):
         return type(e), str(e)
 
 
+# total Gauss degree 1, so every shape of two or more rows has degree zero;
+# at d_trunc 2 the class at index 3 is truncated away
+DEGREE_ONE = CleanCycleModel(4, (
+    CycleComponent("a", dim=1, mult=2, cm=ChowVector(4, (1, 1, 0, 0)),
+                   gauss_finite=True),
+    CycleComponent("b", dim=3, mult=-1, cm=ChowVector(4, (1, 1, Fraction(1, 3), 1)),
+                   gauss_finite=True)))
+
+
 class TestSchurCycleOracle:
-    @given(fractional_cycles(), st.data())
+    @given(fractional_cycles())
+    @example((DEGREE_ONE, 2))
     @settings(max_examples=8, deadline=None)
-    def test_matches_powersum_sum(self, c, data):
+    def test_matches_powersum_sum(self, cycle_and_trunc):
         # every class, integrality message and aggregate refusal of every
-        # shape up to degree 12, at a d_trunc the cycle admits
-        d = data.draw(st.integers(1, c.g - 1 if c.all_gauss_finite else 1))
+        # shape up to degree 12
+        c, d = cycle_and_trunc
         for n in range(1, 13):
             for alpha in partitions(n):
                 want = _outcome(schur_cycle_oracle, alpha, c, d)
