@@ -139,6 +139,47 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
     return parts
 
 
+def _dumps_rows(rows: list, newline: str) -> str | None:
+    """The piece of _parts for a list of rows, flat dicts that share one
+    nonempty key set, such as the rows of rep-classify or fourfold-table:
+    the key headers are built once and each value is written in place, a
+    str, bool, int or nonempty list of ints.  None when a row has another
+    key set or another value, which _parts then writes item by item."""
+    first = rows[0]
+    if not first:
+        return None
+    names = sorted(first)
+    inner = newline + "  "
+    field = inner + "  "
+    item_sep = "," + field + "  "
+    heads = ["," + field + encode_basestring_ascii(k) + ": " for k in names]
+    heads[0] = "{" + heads[0][1:]
+    close = inner + "}"
+    text = _INT_TEXT.__getitem__
+    written = []
+    for row in rows:
+        if type(row) is not dict or row.keys() != first.keys():
+            return None
+        pieces = []
+        for head, k in zip(heads, names):
+            v = row[k]
+            kind = type(v)
+            if kind is str:
+                v = encode_basestring_ascii(v)
+            elif kind is bool:
+                v = "true" if v else "false"
+            elif kind is int:
+                v = text(v)
+            elif kind is list and v and set(map(type, v)) == {int}:
+                v = f"[{field}  {repr(v)[1:-1].replace(', ', item_sep)}{field}]"
+            else:
+                return None
+            pieces += (head, v)
+        pieces.append(close)
+        written.append("".join(pieces))
+    return f"[{inner}{(',' + inner).join(written)}{newline}]"
+
+
 def _parts(value, newline: str, out: list) -> list:
     """Append to out the pieces of json.dumps(value, sort_keys=True,
     indent=2), written after newline, and return out.  A payload holds
@@ -147,8 +188,8 @@ def _parts(value, newline: str, out: list) -> list:
     coefficient] arrays since it writes a tuple as an array.  The standard
     encoder runs in pure Python whenever indent is set; here a dict's keys
     and values and a pair list's slices (_dumps_pairs) are spliced into out,
-    a list of ints is one repr, and any other list is one piece joined from
-    its items' pieces."""
+    a list of ints is one repr, a list of rows is one piece (_dumps_rows),
+    and any other list is one piece joined from its items' pieces."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
@@ -173,6 +214,8 @@ def _parts(value, newline: str, out: list) -> list:
             out += (newline, "}")
         elif set(map(type, value)) == {int}:
             out.append(f"[{inner}{repr(value)[1:-1].replace(', ', sep)}{newline}]")
+        elif type(value[0]) is dict and (rows := _dumps_rows(value, newline)) is not None:
+            out.append(rows)
         else:
             items = []
             for v in value:

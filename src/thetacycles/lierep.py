@@ -100,7 +100,7 @@ smaller bound's table, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul, not_, sub
 
@@ -304,8 +304,10 @@ class RootSystem:
         # stays for bench/tracing.py, which counts its hits (ROADMAP item 2)
         self._dominant_below_cache: dict = {}
         # the (alpha, coordinates where alpha is positive, height) of each
-        # positive root, built by the first closure (see _closure)
+        # positive root, built by the first closure (see _steps)
         self._closure_steps = None
+        # the columns of N, built by the first center_kernel_index
+        self._inv_num_columns = None
         # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
@@ -529,12 +531,7 @@ class RootSystem:
         subtracting alpha adds ht(alpha), so the order needs no height of its
         own.
         """
-        steps = self._closure_steps
-        if steps is None:
-            steps = self._closure_steps = tuple(
-                (a, tuple(i for i, x in enumerate(a) if x > 0), height)
-                for a, _, _, _, height, _ in self.positive_roots
-            )
+        steps = self._steps()
         seen = {lam: 0}
         frontier = [lam]
         while frontier:
@@ -552,6 +549,79 @@ class RootSystem:
                             nxt.append(cand)
             frontier = nxt
         return seen
+
+    def _steps(self) -> tuple:
+        """The closure steps (alpha, coordinates where alpha is positive,
+        height) of the positive roots, built on first use."""
+        steps = self._closure_steps
+        if steps is None:
+            steps = self._closure_steps = tuple(
+                (a, tuple(i for i, x in enumerate(a) if x > 0), height)
+                for a, _, _, _, height, _ in self.positive_roots
+            )
+        return steps
+
+    def _closure_from(self, below: dict, i: int, steps: tuple) -> dict:
+        """_closure(lam) for a dominant tuple lam with lam_i >= 1, from
+        below = _closure(lam - varpi_i) and steps = _seed_steps(i):
+        unchecked, unordered and uncached.
+
+        For dominant nu with nu_i >= 1, lam - nu lies in Q+ exactly when
+        (lam - varpi_i) - (nu - varpi_i) does, so the weights of the closure
+        with nu_i >= 1 are those of below shifted by varpi_i, at the same
+        depth.  A closure step from a shifted weight mu lands on nu_i = 0
+        exactly when alpha_i = mu_i, and one from nu_i = 0 stays there
+        exactly when alpha_i = 0 (alpha_i < 0 lands on a shifted weight), so
+        only the shifted weights whose mu_i is the i-th coordinate of a
+        positive root are expanded, by those roots, and the weights they
+        reach by the roots with alpha_i = 0.
+        """
+        by_coord, level = steps
+        seen = {mu[:i] + (mu[i] + 1,) + mu[i + 1:]: depth for mu, depth in below.items()}
+        fresh: dict = {}
+        frontier = []
+        for mu, depth in seen.items():
+            down = by_coord.get(mu[i])
+            if down is None:
+                continue
+            for a, positive, height in down:
+                for j in positive:
+                    if mu[j] < a[j]:
+                        break
+                else:
+                    cand = tuple(map(sub, mu, a))
+                    if cand not in fresh:
+                        fresh[cand] = depth + height
+                        frontier.append(cand)
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                depth = fresh[mu]
+                for a, positive, height in level:
+                    for j in positive:
+                        if mu[j] < a[j]:
+                            break
+                    else:
+                        cand = tuple(map(sub, mu, a))
+                        if cand not in fresh:
+                            fresh[cand] = depth + height
+                            nxt.append(cand)
+            frontier = nxt
+        seen.update(fresh)
+        return seen
+
+    def _seed_steps(self, i: int) -> tuple:
+        """_closure_from's steps at coordinate i: the closure steps with
+        alpha_i > 0 by alpha_i, and those with alpha_i = 0."""
+        by_coord: dict = {}
+        level = []
+        for step in self._steps():
+            c = step[0][i]
+            if c > 0:
+                by_coord.setdefault(c, []).append(step)
+            elif c == 0:
+                level.append(step)
+        return by_coord, level
 
     def freudenthal_dominant(self, lam) -> dict:
         """Dominant weight -> multiplicity for the irreducible V_lam."""
@@ -842,19 +912,28 @@ def _walk_dominant_weights(rs: RootSystem, max_dim: int):
     coordinates >= j, so each is reached once.  Raising lam_j adds r_j d_j to
     each numerator (lam + rho, alpha) of the Weyl product, so a branch ends at
     the first weight over max_dim, and the product of a weight kept is its
-    dimension times the product of the (rho, alpha)."""
+    dimension times the product of the (rho, alpha).  Every numerator grows
+    with lam, so dim V_(lam + varpi_j) >= dim V_varpi_j, and a coordinate j
+    with varpi_j over max_dim is never raised."""
     roots = rs.positive_roots
     den = rs._weyl_dim_den
     bound = max_dim * den
+    rho = tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots)
     # column j holds r_j d_j for every root r: the simple-root coordinates
-    # transposed, so no new per-root tuple is made
+    # transposed, so no new per-root tuple is made; only the live
+    # coordinates, those j with varpi_j within max_dim, are kept
     simple_coords = zip(*(r for _, r, _, _, _, _ in roots))
-    columns = [tuple(map(dj.__mul__, col)) for col, dj in zip(simple_coords, rs.d)]
-    stack = [(rs.zero(), 0, tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots))]
+    live = []
+    for j, (col, dj) in enumerate(zip(simple_coords, rs.d)):
+        col = tuple(map(dj.__mul__, col))
+        if prod(map(add, rho, col)) <= bound:
+            live.append((j, col))
+    stack = [(rs.zero(), 0, rho)]
     while stack:
         lam, start, nums = stack.pop()
-        for j in range(start, rs.rank):
-            raised = tuple(map(add, nums, columns[j]))
+        for k in range(start, len(live)):
+            j, col = live[k]
+            raised = tuple(map(add, nums, col))
             num = prod(raised)
             if num > bound:
                 continue
@@ -862,7 +941,7 @@ def _walk_dominant_weights(rs: RootSystem, max_dim: int):
             assert rem == 0
             cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
             yield cand, dim
-            stack.append((cand, j, raised))
+            stack.append((cand, k, raised))
 
 
 def center_kernel_index(rs: RootSystem, lam) -> int:
@@ -872,7 +951,10 @@ def center_kernel_index(rs: RootSystem, lam) -> int:
     [P : Q] = den = det C, and lam has order den / gcd(den, lam N) in P / Q
     because lam N / den are its simple-root coordinates.
     """
-    return gcd(rs._inv_den, *(sum(map(mul, lam, col)) for col in zip(*rs._inv_num)))
+    columns = rs._inv_num_columns
+    if columns is None:
+        columns = rs._inv_num_columns = tuple(zip(*rs._inv_num))
+    return gcd(rs._inv_den, *(sum(map(mul, lam, col)) for col in columns))
 
 
 def _fundamental_index(lam) -> int | None:
@@ -1000,7 +1082,11 @@ def _weight_facts(rs: RootSystem, lam) -> tuple:
     k, k-2, ..., -k each occur once."""
     if rs.rank == 1:
         return lam[0] + 1, lam[0] == 1, lam[0] <= 2
-    doms = rs._closure(lam)
+    return _closure_facts(rs, lam, rs._closure(lam))
+
+
+def _closure_facts(rs: RootSystem, lam, doms: dict) -> tuple:
+    """_weight_facts read from the closure doms of lam."""
     return sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()}
 
 
@@ -1016,18 +1102,40 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     weights of smaller dimension, so the rows to a bound D' <= D are those
     to D of dimension at most D'; the rows table keeps those to the largest
     bound asked so far.
+
+    Above rank 1 a weight's closure is seeded (RootSystem._closure_from)
+    from that of its walk parent lam - varpi_i, i its last nonzero
+    coordinate: the parent is walked, sorts before lam, and is wmf unless
+    lam is skipped.  The closures of wmf weights are kept for their walk
+    children, and a parent's is dropped at the child with lam_i >= 2, the
+    last of its children to sort.
     """
     table = rs._rows_table
     if table is not None and max_dim <= table[0]:
         return [row for row in table[1] if row.dim <= max_dim]
     rows = []
     not_wmf = set()
+    seeded = rs.rank > 1
+    zero = rs.zero()
+    closures = {zero: {zero: 0}}
+    seed_steps: dict = {}  # i -> rs._seed_steps(i), for this sweep alone
     for lam, dim in _sorted_walk(rs, max_dim):
-        if any(x and lam[:i] + (x - 1,) + lam[i + 1:] in not_wmf for i, x in enumerate(lam)):
+        i = max(compress(range(rs.rank), lam))
+        parent = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
+        below = closures.pop(parent, None) if lam[i] > 1 else closures.get(parent)
+        if any(x and lam[:j] + (x - 1,) + lam[j + 1:] in not_wmf for j, x in enumerate(lam)):
             not_wmf.add(lam)
             continue
-        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam)
+        if seeded:
+            steps = seed_steps.get(i)
+            if steps is None:
+                steps = seed_steps[i] = rs._seed_steps(i)
+            doms = closures[lam] = rs._closure_from(below, i, steps)
+            orbit_sum, minuscule, quasi_minuscule = _closure_facts(rs, lam, doms)
+        else:
+            orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam)
         if orbit_sum != dim:
+            closures.pop(lam, None)
             not_wmf.add(lam)
             continue
         rows.append(

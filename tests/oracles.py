@@ -7,7 +7,7 @@ meaningful.
 
 import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 
@@ -631,6 +631,29 @@ def dominant_weights_by_bfs(rs, max_dim):
                     nxt.append(cand)
         frontier = nxt
     return sorted(out)
+
+
+def dominant_weights_in_box(rs, max_dim):
+    """(lam, dim V_lam) for every nonzero dominant lam with dim V_lam <=
+    max_dim, sorted: every weight of the box 0 <= lam_j <= b_j, b_j the
+    largest k with dim V_(k varpi_j) <= max_dim, through the public
+    weyl_dim.  Each factor (lam + rho, alpha) of the Weyl product grows with
+    every coordinate, so dim V_lam >= dim V_(lam_j varpi_j) and nothing
+    outside the box is within max_dim."""
+    n = rs.rank
+    sides = []
+    for j in range(n):
+        k = 0
+        while rs.weyl_dim(tuple(k + 1 if i == j else 0 for i in range(n))) <= max_dim:
+            k += 1
+        sides.append(range(k + 1))
+    out = []
+    for lam in product(*sides):
+        if any(lam):
+            dim = rs.weyl_dim(lam)
+            if dim <= max_dim:
+                out.append((lam, dim))
+    return out
 
 
 def is_wmf_by_orbit_sizes(rs, lam):

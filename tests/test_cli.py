@@ -83,6 +83,9 @@ OUTPUT_SHA256 = [
      "95dc1f0268d99f75eed11f2b16add242b581c4ebb819241c14d5d45dbae55c6e"),
     (["rep-classify", "--max-rank", "8", "--max-dim", "600", "--format", "csv"], 0,
      "1047351671fdee1155a8c5cc6a62ca49bff569e87e0849508cb2c8cfaeb8cb17"),
+    # 3,383 rows, 766,039 bytes, as written item by item before the row writer
+    (["rep-classify", "--max-rank", "10", "--max-dim", "3000"], 0,
+     "9e45e1c51c3040683adfa18cd470506ed3e79bd2b6274e7e667f1276d888f1d4"),
     (["wmf-tables", "--format", "csv"], 0,
      "13b7ef8ea88300b79d2302c3922217530f5e417de3d2f2aa87e9f0c48fe4438d"),
     (["symfun", "schur", "1,1,1,1"], 0,
@@ -248,7 +251,8 @@ class TestThetaCommands:
         "json", "csv", "rep-dim", "genus5",
         *(f"genus5-k{k}{flag}" for k in (0, 3, 59) for flag in ("", "-gauss-finite")),
         "readme-csv", "theta-group", "fake-jacobian",
-        "qm-search", "s-sets", "rep-classify", "wmf-tables", "symfun-schur",
+        "qm-search", "s-sets", "rep-classify", "rep-classify-json", "wmf-tables",
+        "symfun-schur",
         "symfun-elementary", "lambda-eval", "rep-char-E8", "rep-char-A14", "rep-char-D7",
         "rep-char-B5", "rep-char-C4-csv"])
     def test_fourfold_table_bytes(self, capsys, monkeypatch, tmp_path, argv, exit_code,
@@ -1239,6 +1243,40 @@ order_coords = st.integers(-3, 3) | st.sampled_from(
     [127, -127, 128, -128, 2 ** 15, -(2 ** 15), 10 ** 30, -(10 ** 30)])
 
 
+# row lists, flat dicts that share a key set, as the sweeps' and tables'
+# payloads hold them, with values of every kind the row writer takes and of
+# some it leaves to the generic path (None, bool lists, empty lists), and at
+# times a last row with another key set
+row_values = (json_scalars | st.lists(st.integers(), max_size=4)
+              | st.lists(st.booleans(), max_size=2))
+
+
+@st.composite
+def row_lists(draw):
+    names = draw(st.lists(st.text(st.characters(exclude_categories=()), max_size=3),
+                          max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: row_values for k in names}),
+                         min_size=1, max_size=4))
+    return rows + draw(st.lists(st.dictionaries(st.text(max_size=2), row_values, max_size=3),
+                                max_size=1))
+
+
+# row lists the writer meets at its edges, and whether it writes them as one
+# piece: an empty row, rows with different key sets, True next to 1, an
+# empty int list, a nested dict value, non-ASCII text, and rows of the shape
+# rep-classify writes
+ROW_EXAMPLES = [
+    ([{}], False),
+    ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),
+    ([{"a": True, "b": 1}, {"a": 1, "b": False}], True),
+    ([{"a": [], "b": 1}], False),
+    ([{"a": {"b": 1}, "c": 2}], False),
+    ([{"s": "\u00e9\u2603 \"q\"\n\U0001f600", "t": "x"}], True),
+    ([{"dim": 7, "family": "G2-7", "minuscule": False, "weight": [1, 0]},
+      {"dim": 10 ** 30, "family": "other", "minuscule": True, "weight": [-129, 300]}], True),
+]
+
+
 def random_pairs(rng, n, rank):
     return [(tuple(rng.randint(-300, 300) for _ in range(rank)), rng.randint(-(2**70), 2**70))
             for _ in range(n)]
@@ -1251,6 +1289,20 @@ class TestWriter:
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(row_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_row_lists_match_json_dumps(self, rows):
+        for value in (rows, {"rows": rows, "n": 1}, [rows, 1]):
+            assert _dumps(value) == stdlib_dumps(value)
+
+    @pytest.mark.parametrize("rows, one_piece", ROW_EXAMPLES, ids=[
+        "empty-row", "key-sets", "true-and-one", "empty-int-list", "nested-dict",
+        "non-ascii", "classify-rows"])
+    def test_row_examples(self, rows, one_piece):
+        for value in (rows, {"rows": rows}, [rows]):
+            assert _dumps(value) == stdlib_dumps(value)
+        assert (cli._dumps_rows(rows, "\n") is not None) == one_piece
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 1000])
     def test_long_pair_lists(self, n):

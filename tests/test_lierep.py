@@ -6,7 +6,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from operator import mul
+from math import lcm
+from operator import mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +51,7 @@ from oracles import (
     dominant_by_reflections,
     dominant_weights_below_unfiltered,
     dominant_weights_by_bfs,
+    dominant_weights_in_box,
     fundamental_heights,
     gr_add_oracle,
     inverse_cartan_bareiss,
@@ -835,6 +837,68 @@ class TestClosedFormsAgainstOracles:
                 count += 1
         assert count == 1791
 
+    def test_seeded_closure_against_unfiltered(self):
+        # every lam of dimension <= 2,000 of the types of rank <= 6, E6, F4
+        # and G2 among them, and every i with lam_i >= 1: the closure seeded
+        # from the unfiltered closure of lam - varpi_i is the unfiltered
+        # closure of lam, with each depth ht(lam - mu) from the heights of an
+        # inverse Cartan matrix in Fractions
+        count = 0
+        for letter, n in canonical_simple_types(6):
+            rs = RootSystem(letter, n)  # empty memo tables
+            heights = fundamental_heights(rs.cartan)
+            scale = lcm(*(h.denominator for h in heights))
+            scaled = [int(h * scale) for h in heights]
+
+            def closure(lam):
+                out = {}
+                for mu in dominant_weights_below_unfiltered(rs, lam):
+                    depth, rem = divmod(sum(map(mul, map(sub, lam, mu), scaled)), scale)
+                    assert rem == 0
+                    out[mu] = depth
+                return out
+
+            # a shifted weight is expanded by the roots alpha with alpha_i its
+            # i-th coordinate, for every positive value alpha_i takes
+            for i in range(n):
+                assert sorted(rs._seed_steps(i)[0]) == sorted(
+                    {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] > 0})
+            # the weight before lam and its closure: lam - varpi_i for rank 1
+            # and often for rank 2
+            previous = previous_closure = None
+            for lam in enumerate_dominant_weights(rs, 2000):
+                expected = closure(lam)
+                for i, x in enumerate(lam):
+                    if x:
+                        parent = lam[:i] + (x - 1,) + lam[i + 1:]
+                        below = previous_closure if parent == previous else closure(parent)
+                        seeded = rs._closure_from(below, i, rs._seed_steps(i))
+                        assert seeded == expected, (rs.name, lam, i)
+                        count += 1
+                previous, previous_closure = lam, expected
+        assert count == 4587
+        # G2's 3 alpha_1 + alpha_2 is 3 varpi_1 - varpi_2: the one seed over 2.
+        # No closure needs it, as mu - alpha_1 is dominant for mu_1 = 3 and
+        # reaches the same weight by 2 alpha_1 + alpha_2 = varpi_1, so only
+        # the table shows it
+        assert sorted(root_system("G2")._seed_steps(0)[0]) == [1, 2, 3]
+
+    def test_walk_against_box(self):
+        # the walk, dimensions included, against every weight of a box that
+        # bounds each coordinate by its own fundamental weight's dimension:
+        # the types of rank <= 6 at 3,000, and those of rank 11-20 at 118,
+        # where most fundamental weights are over the bound and the walk
+        # never raises their coordinates
+        cases = [(t, 3000) for t in canonical_simple_types(6)]
+        cases += [(t, 118) for t in canonical_simple_types(20) if t[1] > 10]
+        count = 0
+        for (letter, n), max_dim in cases:
+            rs = root_system(letter, n)
+            walked = sorted(_walk_dominant_weights(rs, max_dim))
+            assert walked == dominant_weights_in_box(rs, max_dim), (rs.name, max_dim)
+            count += len(walked)
+        assert count == 4930
+
     def test_walk_dimensions_are_weyl_dimensions(self):
         cases = [(t, 700) for t in self.TYPES_20] + [(t, 3000) for t in canonical_simple_types(10)]
         count = 0
@@ -1046,23 +1110,49 @@ class TestSweepMemory:
                 assert all(rs._dominant_below_cache == {}
                            for rs in lierep._ROOT_SYSTEM_CACHE.values()), sweep
 
+    def test_cold_sweep_peak_memory(self, monkeypatch):
+        """A cold classify_wmf(14, 10000) keeps the closures of the wmf
+        weights whose walk children are still to come, each until the last
+        of them, and peaks at 7.43 MB, with the 10,680 rows it returns; when
+        no closure outlived its weight it peaked at 7.47 MB, and keeping
+        every closure read 14.9 MB.  The bound leaves 0.37 MB of room
+        (Python 3.11)."""
+        import thetacycles.lierep as lierep
+
+        monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows = classify_wmf(14, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10680
+        assert peak < 7_800_000, peak
+
     def test_cold_sweep_keeps_no_closure(self, monkeypatch):
-        """A cold classify_wmf(10, 3000) builds 647 closures and keeps none:
-        what stays in the 39 root systems is their tables, the walk to 3000
-        (5,177 weights) and 3,383 rows, 2.86 MB with the rows the sweep
-        returns.  When each closure was kept, this read 4.53 MB.  The bound
-        leaves 0.24 MB of room (Python 3.11)."""
+        """A cold classify_wmf(10, 3000) builds 647 closures, unseeded or
+        seeded from the walk parent's, and keeps none: what stays in the 39
+        root systems is their tables, the walk to 3000 (5,177 weights) and
+        3,383 rows, 2.79 MB with the rows the sweep returns.  When each
+        closure was kept, this read 4.53 MB.  The bound leaves 0.31 MB of
+        room (Python 3.11)."""
         import thetacycles.lierep as lierep
 
         monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
         closures = [0]
-        closure = RootSystem._closure
+        closure, closure_from = RootSystem._closure, RootSystem._closure_from
 
         def counted(rs, lam):
             closures[0] += 1
             return closure(rs, lam)
 
+        def counted_from(rs, below, i, steps):
+            closures[0] += 1
+            return closure_from(rs, below, i, steps)
+
         monkeypatch.setattr(RootSystem, "_closure", counted)
+        monkeypatch.setattr(RootSystem, "_closure_from", counted_from)
         gc.collect()
         tracemalloc.start()
         try:
