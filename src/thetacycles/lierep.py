@@ -561,7 +561,7 @@ class RootSystem:
             )
         return steps
 
-    def _closure_from(self, below: dict, i: int, steps: tuple) -> dict:
+    def _closure_from(self, below: dict, i: int, steps: dict) -> dict:
         """_closure(lam) for a dominant tuple lam with lam_i >= 1, from
         below = _closure(lam - varpi_i) and steps = _seed_steps(i):
         unchecked, unordered and uncached.
@@ -573,55 +573,35 @@ class RootSystem:
         exactly when alpha_i = mu_i, and one from nu_i = 0 stays there
         exactly when alpha_i = 0 (alpha_i < 0 lands on a shifted weight), so
         only the shifted weights whose mu_i is the i-th coordinate of a
-        positive root are expanded, by those roots, and the weights they
-        reach by the roots with alpha_i = 0.
+        positive root are expanded, each by the roots with alpha_i = mu_i,
+        and the weights they reach by the roots with alpha_i = 0.
         """
-        by_coord, level = steps
         seen = {mu[:i] + (mu[i] + 1,) + mu[i + 1:]: depth for mu, depth in below.items()}
-        fresh: dict = {}
-        frontier = []
-        for mu, depth in seen.items():
-            down = by_coord.get(mu[i])
-            if down is None:
-                continue
-            for a, positive, height in down:
-                for j in positive:
-                    if mu[j] < a[j]:
-                        break
-                else:
-                    cand = tuple(map(sub, mu, a))
-                    if cand not in fresh:
-                        fresh[cand] = depth + height
-                        frontier.append(cand)
+        frontier = [mu for mu in seen if mu[i] in steps]
         while frontier:
             nxt = []
             for mu in frontier:
-                depth = fresh[mu]
-                for a, positive, height in level:
+                depth = seen[mu]
+                for a, positive, height in steps[mu[i]]:
                     for j in positive:
                         if mu[j] < a[j]:
                             break
                     else:
                         cand = tuple(map(sub, mu, a))
-                        if cand not in fresh:
-                            fresh[cand] = depth + height
+                        if cand not in seen:
+                            seen[cand] = depth + height
                             nxt.append(cand)
             frontier = nxt
-        seen.update(fresh)
         return seen
 
-    def _seed_steps(self, i: int) -> tuple:
-        """_closure_from's steps at coordinate i: the closure steps with
-        alpha_i > 0 by alpha_i, and those with alpha_i = 0."""
-        by_coord: dict = {}
-        level = []
+    def _seed_steps(self, i: int) -> dict:
+        """_closure_from's steps at coordinate i: alpha_i -> the closure
+        steps of the roots alpha with that i-th coordinate, for alpha_i >= 0."""
+        by_coord: dict = {0: []}
         for step in self._steps():
-            c = step[0][i]
-            if c > 0:
-                by_coord.setdefault(c, []).append(step)
-            elif c == 0:
-                level.append(step)
-        return by_coord, level
+            if step[0][i] >= 0:
+                by_coord.setdefault(step[0][i], []).append(step)
+        return by_coord
 
     def freudenthal_dominant(self, lam) -> dict:
         """Dominant weight -> multiplicity for the irreducible V_lam."""

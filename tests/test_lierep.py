@@ -859,10 +859,11 @@ class TestClosedFormsAgainstOracles:
                 return out
 
             # a shifted weight is expanded by the roots alpha with alpha_i its
-            # i-th coordinate, for every positive value alpha_i takes
+            # i-th coordinate, for every positive value alpha_i takes, and
+            # a new weight by those with alpha_i = 0
             for i in range(n):
-                assert sorted(rs._seed_steps(i)[0]) == sorted(
-                    {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] > 0})
+                assert sorted(rs._seed_steps(i)) == sorted(
+                    {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] >= 0} | {0})
             # the weight before lam and its closure: lam - varpi_i for rank 1
             # and often for rank 2
             previous = previous_closure = None
@@ -881,7 +882,7 @@ class TestClosedFormsAgainstOracles:
         # No closure needs it, as mu - alpha_1 is dominant for mu_1 = 3 and
         # reaches the same weight by 2 alpha_1 + alpha_2 = varpi_1, so only
         # the table shows it
-        assert sorted(root_system("G2")._seed_steps(0)[0]) == [1, 2, 3]
+        assert sorted(root_system("G2")._seed_steps(0)) == [0, 1, 2, 3]
 
     def test_walk_against_box(self):
         # the walk, dimensions included, against every weight of a box that
