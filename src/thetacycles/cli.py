@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 
 from .cycles import CleanCycleModel, convolve, schur_cycle
@@ -141,43 +141,49 @@ def _dumps_pairs(pairs: list, newline: str) -> list:
 
 def _dumps_rows(rows: list, newline: str) -> str | None:
     """The piece of _parts for a list of rows, flat dicts that share one
-    nonempty key set, such as the rows of rep-classify or fourfold-table:
-    the key headers are built once and each value is written in place, a
-    str, bool, int or nonempty list of ints.  None when a row has another
-    key set or another value, which _parts then writes item by item."""
+    nonempty key set, such as the rows of rep-classify or fourfold-table.
+    Each column is written at once: all str, all bool, all int, or all
+    nonempty lists of ints, whose brackets go into the key headers and
+    whose items come from one repr of the column.  The text is one join
+    over the rows' headers and values in turn.  None when a row has another
+    key set or a column holds anything else, which _parts then writes item
+    by item."""
     first = rows[0]
-    if not first:
+    # rows of the first row's length that hold each of its keys hold no other
+    if not first or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(first)}:
         return None
-    names = sorted(first)
     inner = newline + "  "
     field = inner + "  "
-    item_sep = "," + field + "  "
-    heads = ["," + field + encode_basestring_ascii(k) + ": " for k in names]
-    heads[0] = "{" + heads[0][1:]
-    close = inner + "}"
-    text = _INT_TEXT.__getitem__
-    written = []
-    for row in rows:
-        if type(row) is not dict or row.keys() != first.keys():
+    item = field + "  "
+    cells = []
+    close = ""
+    for k in sorted(first):
+        try:
+            column = [row[k] for row in rows]
+        except KeyError:
             return None
-        pieces = []
-        for head, k in zip(heads, names):
-            v = row[k]
-            kind = type(v)
-            if kind is str:
-                v = encode_basestring_ascii(v)
-            elif kind is bool:
-                v = "true" if v else "false"
-            elif kind is int:
-                v = text(v)
-            elif kind is list and v and set(map(type, v)) == {int}:
-                v = f"[{field}  {repr(v)[1:-1].replace(', ', item_sep)}{field}]"
-            else:
-                return None
-            pieces += (head, v)
-        pieces.append(close)
-        written.append("".join(pieces))
-    return f"[{inner}{(',' + inner).join(written)}{newline}]"
+        kinds = set(map(type, column))
+        head = field + encode_basestring_ascii(k) + ": "
+        if kinds == {list} and all(column) and set(map(type, chain.from_iterable(column))) == {int}:
+            values = repr(column)[2:-2].replace("], [", "\0").replace(", ", "," + item).split("\0")
+            opening, closing = "[" + item, field + "]"
+        elif kinds == {str}:
+            values, opening, closing = map(encode_basestring_ascii, column), "", ""
+        elif kinds == {bool}:
+            values, opening, closing = map({True: "true", False: "false"}.__getitem__, column), "", ""
+        elif kinds == {int}:
+            values, opening, closing = map(int.__repr__, column), "", ""
+        else:
+            return None
+        if cells:
+            cells.append(repeat(close + "," + head + opening))
+        else:
+            row_open = "{" + head + opening
+            cells.append(chain((row_open,), repeat("," + inner + row_open)))
+        cells.append(values)
+        close = closing
+    cells.append(repeat(close + inner + "}"))
+    return f"[{inner}{''.join(chain.from_iterable(zip(*cells)))}{newline}]"
 
 
 def _parts(value, newline: str, out: list) -> list:

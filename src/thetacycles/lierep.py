@@ -36,15 +36,20 @@ theorem gives one:
   weight is formed once and no set of those seen is kept;
 - the dominant weights of dimension at most a bound are walked once each,
   raising coordinates in index order; the Weyl dimension grows with every
-  coordinate, so a branch ends at the first weight over the bound, and the
-  Weyl product the walk forms to test the bound gives the dimension;
+  coordinate, so a branch ends at the first weight over the bound, a
+  coordinate whose fundamental weight is over the bound is never raised,
+  and the Weyl product the walk forms to test the bound gives the
+  dimension;
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
   positive roots: Stembridge, Adv. Math. 136, 1998); for dominant mu,
   mu - alpha is dominant exactly when mu_i >= alpha_i wherever alpha_i > 0,
   so only those differences are formed, and each weight's depth below the
-  highest one is the sum of the root heights subtracted;
+  highest one is the sum of the root heights subtracted.  The closure of
+  lam with lam_i >= 1 holds that of lam - varpi_i shifted by varpi_i, at
+  the same depths, as its weights with nu_i >= 1, and classify_wmf
+  searches only for the rest, those with nu_i = 0;
 - multiplicities come from Freudenthal's recursion on dominant weights,
   checked once against sum_mu m(mu) |W mu| = dim V_lam, and a character is
   decomposed by peeling dominant weights, largest (w + rho, w + rho) first;
@@ -79,9 +84,12 @@ the work:
 - the rows table: the wmf rows to the largest bound asked so far, whose rows
   of dimension at most D' are the rows to any bound D' below it.
 
-A sweep, and the predicate is_wmf, read each weight's facts from one
-uncached closure RootSystem._closure that is dropped once read; the one
-cached closure entry, dominant_weights_below, serves Freudenthal.
+A sweep reads each weight's facts from one uncached closure: classify_wmf
+seeds it from the closure of the weight's walk parent (_closure_from) and
+keeps it only while a walk child of a wmf weight is still to come;
+quasi_minuscule_dim_search and the predicate is_wmf build it whole
+(RootSystem._closure) and drop it once read.  The one cached closure
+entry, dominant_weights_below, serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.  freudenthal_character's characters are
@@ -116,12 +124,13 @@ from .symfun import _is_int
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
 # the largest rank a weight sweep builds root systems for; all types up to
-# rank 40 take about 2 s to build (Python 3.11, 2 vCPU)
+# rank 40 take about 0.6 s to build (Python 3.11, 2 vCPU)
 MAX_SWEEP_RANK = 40
 
 # the largest dimension a weight sweep walks to: A1 alone has max_dim - 1
 # weights up to it, so no sweep is shorter than the bound, and
-# classify_wmf(40, MAX_SWEEP_DIM) takes 30 s and 0.5 GB (Python 3.11, 2 vCPU)
+# classify_wmf(40, MAX_SWEEP_DIM) takes 7 s and a peak RSS of 130 MB
+# (Python 3.11, 2 vCPU)
 MAX_SWEEP_DIM = 100_000
 
 # the largest rank a root system is built for: a classical type of rank 100
@@ -1051,22 +1060,20 @@ def _sorted_walk(rs: RootSystem, max_dim: int) -> list:
     return walk if bound == max_dim else [(lam, d) for lam, d in walk if d <= max_dim]
 
 
-def _weight_facts(rs: RootSystem, lam) -> tuple:
+def _weight_facts(rs: RootSystem, lam, doms=None) -> tuple:
     """(sum of |W mu| over the dominant weights mu of V_lam, minuscule?,
     quasi-minuscule?) for a dominant tuple lam, unchecked.
 
     V_lam is wmf when the sum is its dimension, minuscule when lam is its
     only dominant weight and quasi-minuscule when lam and 0 are the only
     ones; the two flags are read for nonzero lam only.  The three are read
-    from one uncached closure; rank 1 uses the closed forms, as sl2 weights
-    k, k-2, ..., -k each occur once."""
+    from the closure doms of lam, or one uncached closure when none is
+    given; rank 1 uses the closed forms, as sl2 weights k, k-2, ..., -k
+    each occur once."""
     if rs.rank == 1:
         return lam[0] + 1, lam[0] == 1, lam[0] <= 2
-    return _closure_facts(rs, lam, rs._closure(lam))
-
-
-def _closure_facts(rs: RootSystem, lam, doms: dict) -> tuple:
-    """_weight_facts read from the closure doms of lam."""
+    if doms is None:
+        doms = rs._closure(lam)
     return sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()}
 
 
@@ -1095,7 +1102,6 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
         return [row for row in table[1] if row.dim <= max_dim]
     rows = []
     not_wmf = set()
-    seeded = rs.rank > 1
     zero = rs.zero()
     closures = {zero: {zero: 0}}
     seed_steps: dict = {}  # i -> rs._seed_steps(i), for this sweep alone
@@ -1106,14 +1112,13 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
         if any(x and lam[:j] + (x - 1,) + lam[j + 1:] in not_wmf for j, x in enumerate(lam)):
             not_wmf.add(lam)
             continue
-        if seeded:
+        doms = None
+        if rs.rank > 1:
             steps = seed_steps.get(i)
             if steps is None:
                 steps = seed_steps[i] = rs._seed_steps(i)
             doms = closures[lam] = rs._closure_from(below, i, steps)
-            orbit_sum, minuscule, quasi_minuscule = _closure_facts(rs, lam, doms)
-        else:
-            orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam)
+        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam, doms)
         if orbit_sum != dim:
             closures.pop(lam, None)
             not_wmf.add(lam)

@@ -1244,31 +1244,36 @@ order_coords = st.integers(-3, 3) | st.sampled_from(
 
 
 # row lists, flat dicts that share a key set, as the sweeps' and tables'
-# payloads hold them, with values of every kind the row writer takes and of
-# some it leaves to the generic path (None, bool lists, empty lists), and at
-# times a last row with another key set
+# payloads hold them: each column of one kind the row writer takes (str,
+# bool, int, nonempty int lists) or of mixed values it leaves to the generic
+# path (None, True next to 1, bool lists, empty lists), and at times a last
+# row with another key set
 row_values = (json_scalars | st.lists(st.integers(), max_size=4)
               | st.lists(st.booleans(), max_size=2))
+column_kinds = st.sampled_from([
+    st.text(st.characters(exclude_categories=()), max_size=4), st.booleans(),
+    st.integers() | st.sampled_from([10 ** 30, -129, 128]),
+    st.lists(st.integers(), min_size=1, max_size=4), row_values])
 
 
 @st.composite
 def row_lists(draw):
     names = draw(st.lists(st.text(st.characters(exclude_categories=()), max_size=3),
                           max_size=4, unique=True))
-    rows = draw(st.lists(st.fixed_dictionaries({k: row_values for k in names}),
-                         min_size=1, max_size=4))
+    columns = {k: draw(column_kinds) for k in names}
+    rows = draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=4))
     return rows + draw(st.lists(st.dictionaries(st.text(max_size=2), row_values, max_size=3),
                                 max_size=1))
 
 
 # row lists the writer meets at its edges, and whether it writes them as one
-# piece: an empty row, rows with different key sets, True next to 1, an
-# empty int list, a nested dict value, non-ASCII text, and rows of the shape
-# rep-classify writes
+# piece: an empty row, rows with different key sets of one size, True next
+# to 1 in a column, an empty int list, a nested dict value, non-ASCII text,
+# and rows of the shape rep-classify writes
 ROW_EXAMPLES = [
     ([{}], False),
     ([{"a": 1, "b": 2}, {"a": 1, "c": 2}], False),
-    ([{"a": True, "b": 1}, {"a": 1, "b": False}], True),
+    ([{"a": True, "b": 1}, {"a": 1, "b": False}], False),
     ([{"a": [], "b": 1}], False),
     ([{"a": {"b": 1}, "c": 2}], False),
     ([{"s": "\u00e9\u2603 \"q\"\n\U0001f600", "t": "x"}], True),
