@@ -1116,8 +1116,8 @@ class TestSweepMemory:
         weights whose walk children are still to come, each until the last
         of them, and peaks at 7.43 MB, with the 10,680 rows it returns; when
         no closure outlived its weight it peaked at 7.47 MB, and keeping
-        every closure read 14.9 MB.  The bound leaves 0.37 MB of room
-        (Python 3.11)."""
+        every wmf weight's closure to the end of its type read 19.9 MB.  The
+        bound leaves 0.37 MB of room (Python 3.11)."""
         import thetacycles.lierep as lierep
 
         monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
