@@ -48,8 +48,8 @@ theorem gives one:
   so only those differences are formed, and each weight's depth below the
   highest one is the sum of the root heights subtracted.  The closure of
   lam with lam_i >= 1 holds that of lam - varpi_i shifted by varpi_i, at
-  the same depths, as its weights with nu_i >= 1, and classify_wmf
-  searches only for the rest, those with nu_i = 0;
+  the same depths, as its weights with nu_i >= 1, so a closure seeded with
+  it searches only for the rest, those with nu_i = 0;
 - multiplicities come from Freudenthal's recursion on dominant weights,
   checked once against sum_mu m(mu) |W mu| = dim V_lam, and a character is
   decomposed by peeling dominant weights, largest (w + rho, w + rho) first;
@@ -84,12 +84,12 @@ the work:
 - the rows table: the wmf rows to the largest bound asked so far, whose rows
   of dimension at most D' are the rows to any bound D' below it.
 
-A sweep reads each weight's facts from one uncached closure: classify_wmf
-seeds it from the closure of the weight's walk parent (_closure_from) and
-keeps it only while a walk child of a wmf weight is still to come;
-quasi_minuscule_dim_search and the predicate is_wmf build it whole
-(RootSystem._closure) and drop it once read.  The one cached closure
-entry, dominant_weights_below, serves Freudenthal.
+A sweep reads each weight's facts from one uncached closure, and one
+routine, RootSystem._closure, builds every closure: classify_wmf seeds it
+with the closure of the weight's walk parent and keeps it only while a walk
+child of a wmf weight is still to come; quasi_minuscule_dim_search and the
+predicate is_wmf build it whole and drop it once read.  The one cached
+closure entry, dominant_weights_below, serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.  freudenthal_character's characters are
@@ -108,6 +108,7 @@ smaller bound's table, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul, not_, sub
@@ -309,14 +310,10 @@ class RootSystem:
         assert all(
             N[i][j] * d[j] == N[j][i] * d[i] for i in range(rank) for j in range(i)
         ), "inner product must be symmetric"
+        self._inv_num_columns = tuple(zip(*N))  # for center_kernel_index
         # dominant_weights_below's closures: no benchmark workload hits it; it
         # stays for bench/tracing.py, which counts its hits (ROADMAP item 2)
         self._dominant_below_cache: dict = {}
-        # the (alpha, coordinates where alpha is positive, height) of each
-        # positive root, built by the first closure (see _steps)
-        self._closure_steps = None
-        # the columns of N, built by the first center_kernel_index
-        self._inv_num_columns = None
         # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
@@ -356,10 +353,10 @@ class RootSystem:
         # r -> (w, d_alpha, (rho, alpha), height, support)
         found = {(0,) * i + (1,) + (0,) * (n - 1 - i): (self.cartan[i], d[i], d[i], 1, 1 << i)
                  for i in range(n)}
-        frontier = list(found)
-        while frontier:
+        layer = list(found)
+        while layer:
             nxt = []
-            for r in frontier:
+            for r in layer:
                 w, length, rho_alpha, height, support = found[r]
                 for i, k in enumerate(w):
                     if k < 0:
@@ -368,7 +365,7 @@ class RootSystem:
                             found[up] = (self.reflect(i, w), length, rho_alpha - k * d[i],
                                          height - k, support | 1 << i)
                             nxt.append(up)
-            frontier = nxt
+            layer = nxt
         return tuple(
             (w, r, length, rho_alpha, height, support)
             for r, (w, length, rho_alpha, height, support)
@@ -530,7 +527,7 @@ class RootSystem:
                                        reverse=True)]
         return cached
 
-    def _closure(self, lam) -> dict:
+    def _closure(self, lam, seed=None) -> dict:
         """The dominant weights mu of V_lam, each with its depth ht(lam - mu),
         for a dominant tuple lam: unchecked, unordered and uncached.
 
@@ -538,60 +535,32 @@ class RootSystem:
         at the coordinates where alpha_i > 0, so each root is tested on those
         coordinates before its difference is formed.  lam has depth 0, and
         subtracting alpha adds ht(alpha), so the order needs no height of its
-        own.
+        own.  Without a seed every weight is expanded by every root.
+
+        A seed (below, i, steps) for lam_i >= 1 holds below = _closure(lam -
+        varpi_i) and steps = _seed_steps(i).  For dominant nu with nu_i >= 1,
+        lam - nu lies in Q+ exactly when (lam - varpi_i) - (nu - varpi_i)
+        does, so the weights with nu_i >= 1 are those of below shifted by
+        varpi_i, at the same depth.  A step from a shifted weight mu lands on
+        nu_i = 0 exactly when alpha_i = mu_i, and one from nu_i = 0 stays
+        there exactly when alpha_i = 0 (alpha_i < 0 lands on a shifted
+        weight), so only the shifted weights whose mu_i is the i-th
+        coordinate of a positive root are expanded, each by steps[mu_i], and
+        the weights they reach by steps[0].
         """
-        steps = self._steps()
-        seen = {lam: 0}
-        frontier = [lam]
+        if seed is None:
+            seen = {lam: 0}
+            frontier = [lam]
+        else:
+            below, i, by_coord = seed
+            seen = {mu[:i] + (mu[i] + 1,) + mu[i + 1:]: depth for mu, depth in below.items()}
+            frontier = [mu for mu in seen if mu[i] in by_coord]
+        steps = self._steps
         while frontier:
             nxt = []
             for mu in frontier:
                 depth = seen[mu]
-                for a, positive, height in steps:
-                    for i in positive:
-                        if mu[i] < a[i]:
-                            break
-                    else:
-                        cand = tuple(map(sub, mu, a))
-                        if cand not in seen:
-                            seen[cand] = depth + height
-                            nxt.append(cand)
-            frontier = nxt
-        return seen
-
-    def _steps(self) -> tuple:
-        """The closure steps (alpha, coordinates where alpha is positive,
-        height) of the positive roots, built on first use."""
-        steps = self._closure_steps
-        if steps is None:
-            steps = self._closure_steps = tuple(
-                (a, tuple(i for i, x in enumerate(a) if x > 0), height)
-                for a, _, _, _, height, _ in self.positive_roots
-            )
-        return steps
-
-    def _closure_from(self, below: dict, i: int, steps: dict) -> dict:
-        """_closure(lam) for a dominant tuple lam with lam_i >= 1, from
-        below = _closure(lam - varpi_i) and steps = _seed_steps(i):
-        unchecked, unordered and uncached.
-
-        For dominant nu with nu_i >= 1, lam - nu lies in Q+ exactly when
-        (lam - varpi_i) - (nu - varpi_i) does, so the weights of the closure
-        with nu_i >= 1 are those of below shifted by varpi_i, at the same
-        depth.  A closure step from a shifted weight mu lands on nu_i = 0
-        exactly when alpha_i = mu_i, and one from nu_i = 0 stays there
-        exactly when alpha_i = 0 (alpha_i < 0 lands on a shifted weight), so
-        only the shifted weights whose mu_i is the i-th coordinate of a
-        positive root are expanded, each by the roots with alpha_i = mu_i,
-        and the weights they reach by the roots with alpha_i = 0.
-        """
-        seen = {mu[:i] + (mu[i] + 1,) + mu[i + 1:]: depth for mu, depth in below.items()}
-        frontier = [mu for mu in seen if mu[i] in steps]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                depth = seen[mu]
-                for a, positive, height in steps[mu[i]]:
+                for a, positive, height in steps if seed is None else by_coord[mu[i]]:
                     for j in positive:
                         if mu[j] < a[j]:
                             break
@@ -603,11 +572,18 @@ class RootSystem:
             frontier = nxt
         return seen
 
+    @cached_property
+    def _steps(self) -> tuple:
+        """The closure steps (alpha, coordinates where alpha is positive,
+        height) of the positive roots."""
+        return tuple((a, tuple(i for i, x in enumerate(a) if x > 0), height)
+                     for a, _, _, _, height, _ in self.positive_roots)
+
     def _seed_steps(self, i: int) -> dict:
-        """_closure_from's steps at coordinate i: alpha_i -> the closure
+        """A seeded closure's steps at coordinate i: alpha_i -> the closure
         steps of the roots alpha with that i-th coordinate, for alpha_i >= 0."""
         by_coord: dict = {0: []}
-        for step in self._steps():
+        for step in self._steps:
             if step[0][i] >= 0:
                 by_coord.setdefault(step[0][i], []).append(step)
         return by_coord
@@ -940,10 +916,7 @@ def center_kernel_index(rs: RootSystem, lam) -> int:
     [P : Q] = den = det C, and lam has order den / gcd(den, lam N) in P / Q
     because lam N / den are its simple-root coordinates.
     """
-    columns = rs._inv_num_columns
-    if columns is None:
-        columns = rs._inv_num_columns = tuple(zip(*rs._inv_num))
-    return gcd(rs._inv_den, *(sum(map(mul, lam, col)) for col in columns))
+    return gcd(rs._inv_den, *(sum(map(mul, lam, col)) for col in rs._inv_num_columns))
 
 
 def _fundamental_index(lam) -> int | None:
@@ -1090,12 +1063,12 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     to D of dimension at most D'; the rows table keeps those to the largest
     bound asked so far.
 
-    Above rank 1 a weight's closure is seeded (RootSystem._closure_from)
-    from that of its walk parent lam - varpi_i, i its last nonzero
-    coordinate: the parent is walked, sorts before lam, and is wmf unless
-    lam is skipped.  The closures of wmf weights are kept for their walk
-    children, and a parent's is dropped at the child with lam_i >= 2, the
-    last of its children to sort.
+    Above rank 1 a weight's closure (RootSystem._closure) is seeded with
+    that of its walk parent lam - varpi_i, i its last nonzero coordinate,
+    and the sweep's step table for i: the parent is walked, sorts before
+    lam, and is wmf unless lam is skipped.  The closures of wmf weights are
+    kept for their walk children, and a parent's is dropped at the child
+    with lam_i >= 2, the last of its children to sort.
     """
     table = rs._rows_table
     if table is not None and max_dim <= table[0]:
@@ -1114,10 +1087,9 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
             continue
         doms = None
         if rs.rank > 1:
-            steps = seed_steps.get(i)
-            if steps is None:
-                steps = seed_steps[i] = rs._seed_steps(i)
-            doms = closures[lam] = rs._closure_from(below, i, steps)
+            if i not in seed_steps:
+                seed_steps[i] = rs._seed_steps(i)
+            doms = closures[lam] = rs._closure(lam, (below, i, seed_steps[i]))
         orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam, doms)
         if orbit_sum != dim:
             closures.pop(lam, None)

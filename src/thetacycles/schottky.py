@@ -312,6 +312,8 @@ def theta_group(p: PpavInput) -> GroupDescriptor:
     by the emptiness of the quasi-minuscule dimension search.
     """
     g, k = p.g, p.k
+    if g < 2:
+        raise ValueError(f"a theta divisor needs g >= 2, got g = {g}")
     if not p.symmetric:
         return GroupDescriptor(
             "undetermined", note="requires a symmetric theta divisor"

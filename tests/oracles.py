@@ -409,6 +409,26 @@ def dominant_by_reflections(cartan, w):
             return w
 
 
+def brauer_klimyk_coefficients(cartan, lam, weights):
+    """{kappa: c_kappa} with V_lam (x) V = sum c_kappa V_kappa, for weights
+    the weight multiplicities of V, by the Brauer-Klimyk formula (Racah's
+    formula, Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 24.4): each weight nu of V adds sgn(w) m(nu) at kappa = w(lam +
+    nu + rho) - rho, w taking lam + nu + rho to the dominant chamber by
+    reflections at a negative coordinate, each flipping the sign; a lam + nu
+    + rho on a wall, with a zero coordinate once dominant, adds nothing.
+    Coefficients that cancel to zero are dropped."""
+    out = {}
+    for nu, m in weights.items():
+        v, sign = tuple(x + y + 1 for x, y in zip(lam, nu)), 1
+        while min(v) < 0:
+            v, sign = _reflect(cartan, next(i for i, x in enumerate(v) if x < 0), v), -sign
+        if min(v) > 0:
+            kappa = tuple(x - 1 for x in v)
+            out[kappa] = out.get(kappa, 0) + sign * m
+    return {kappa: c for kappa, c in out.items() if c}
+
+
 def weyl_orbit(cartan, w):
     """The full Weyl orbit of w by closure under simple reflections."""
     w = tuple(w)
@@ -540,20 +560,28 @@ def two_rho_vee_by_coroots(rs):
 
 def fundamental_heights(cartan):
     """The height of each fundamental weight in the simple-root basis, the
-    row sums of the inverse Cartan matrix, by Gauss-Jordan elimination in
-    Fractions with row swaps."""
+    row sums of the inverse Cartan matrix: the solution h of C h = (1, ...,
+    1), by Gaussian elimination in Fractions with row swaps on rows kept as
+    their nonzero entries, then back substitution.  The nonzero entries off
+    the diagonal form the Dynkin diagram, a tree, so the rows barely fill in
+    and rank 40 stays cheap."""
     n = len(cartan)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(cartan)]
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in cartan]
+    rhs = [Fraction(1)] * n
     for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [sum(row[n:]) for row in a]
+        piv = next(i for i in range(k, n) if rows[i].get(k))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rhs[k], rhs[piv] = rhs[piv], rhs[k]
+        for i in range(k + 1, n):
+            if rows[i].get(k):
+                f = rows[i][k] / rows[k][k]
+                for j, x in rows[k].items():
+                    rows[i][j] = rows[i].get(j, 0) - f * x
+                rhs[i] -= f * rhs[k]
+    h = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        h[k] = (rhs[k] - sum(x * h[j] for j, x in rows[k].items() if j > k)) / rows[k][k]
+    return h
 
 
 def push_character_oracle(group, weights, images):

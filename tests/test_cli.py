@@ -546,6 +546,7 @@ class TestRefusals:
     @pytest.mark.parametrize("argv,doc,message", [
         (["cc-odp", "--g", "1"], None, "cc_odp needs g >= 2"),
         (["cc-odp", "--g", "0"], None, "g must be >= 1"),
+        (["theta-group", "--g", "1"], None, "a theta divisor needs g >= 2, got g = 1"),
         (["theta-group", "--g", "5", "--k", "-1"], None, "k must be >= 0"),
         (["s-sets", "--bound", "0"], None, "bound must be >= 1"),
         (["symfun", "partitions", "-1"], None, "n must be nonnegative"),
@@ -565,7 +566,7 @@ class TestRefusals:
          "need 3 coordinates, got 2"),
         (["cycle-schur"], {"cycle": _cycle3(dim=3), "alpha": [1], "d_trunc": 1},
          "component dim must be in [0, 2], got 3"),
-    ], ids=["cc-odp-g1", "cc-odp-g0", "theta-group-k-negative", "s-sets-zero",
+    ], ids=["cc-odp-g1", "cc-odp-g0", "theta-group-g1", "theta-group-k-negative", "s-sets-zero",
             "partitions-negative", "elementary-zero", "element-without-group",
             "lambda-negative", "sym-negative", "ig-unknown-kind", "ig-no-children",
             "ig-var-past-candidates", "cm-short", "dim-past-g"])

@@ -46,6 +46,7 @@ from thetacycles.lierep import (
 
 from oracles import (
     _reflect,
+    brauer_klimyk_coefficients,
     center_kernel_index_echelon,
     decompose_full_orbit,
     dominant_by_reflections,
@@ -346,10 +347,43 @@ class TestWeylCharacterFormula:
                 assert lhs == rhs, (rs.name, lam)
 
 
+class TestBrauerKlimyk:
+    # V_lam (x) V_mu = sum_kappa c_kappa V_kappa, with c_kappa by the
+    # Brauer-Klimyk formula from the weights of V_mu: the dominant part of
+    # the product of two Freudenthal characters is sum_kappa c_kappa m_kappa,
+    # m_kappa the Freudenthal multiplicities, which checks E6-E8
+    # multiplicities at a cost that does not grow with |W|.  Dominant parts
+    # alone are compared, as 2 varpi_8 of E8 (27,000) is over
+    # MAX_CHARACTER_DIM
+    PAIRS = [
+        ("E6", (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), 27 * 27),
+        ("E6", (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), 78 * 27),
+        ("E7", (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1), 56 * 56),
+        ("E7", (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1), 133 * 56),
+        ("E8", (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, 1), 248 * 248),
+    ]
+
+    def test_e_type_tensor_products(self):
+        for name, lam, mu, dim in self.PAIRS:
+            rs = root_system(name)
+            x, y = freudenthal_character(rs, lam), freudenthal_character(rs, mu)
+            coefficients = brauer_klimyk_coefficients(rs.cartan, lam, y.weights)
+            assert min(coefficients.values()) > 0, (name, lam, mu)
+            assert sum(c * rs.weyl_dim(kappa) for kappa, c in coefficients.items()) == dim
+            expected = {}
+            for kappa, c in coefficients.items():
+                for w, m in rs.freudenthal_dominant(kappa).items():
+                    expected[w] = expected.get(w, 0) + c * m
+            product = char_tensor(x, y).weights
+            assert {w: m for w, m in product.items() if min(w) >= 0} == expected, (
+                name, lam, mu)
+
+
 # the comparisons of freudenthal_character's output with oracles and identities
 CHARACTER_COMPARISONS = [
     "TestWeylDim.test_matches_freudenthal_total",
     "TestWeylCharacterFormula.test_every_multiplicity",
+    "TestBrauerKlimyk.test_e_type_tensor_products",
     "TestFreudenthal.test_a2_adjoint_against_tensor_arithmetic",
     "TestFreudenthal.test_minuscule_all_ones",
     "TestFreudenthal.test_c3_wedge3_multiplicity_free",
@@ -837,14 +871,26 @@ class TestClosedFormsAgainstOracles:
                 count += 1
         assert count == 1791
 
-    def test_seeded_closure_against_unfiltered(self):
-        # every lam of dimension <= 2,000 of the types of rank <= 6, E6, F4
-        # and G2 among them, and every i with lam_i >= 1: the closure seeded
-        # from the unfiltered closure of lam - varpi_i is the unfiltered
-        # closure of lam, with each depth ht(lam - mu) from the heights of an
-        # inverse Cartan matrix in Fractions
+    @staticmethod
+    def seed_steps(rs, i) -> dict:
+        """rs._seed_steps(i), checked: a shifted weight is expanded by the
+        roots alpha with alpha_i its i-th coordinate, for every positive value
+        alpha_i takes, and a new weight by those with alpha_i = 0."""
+        steps = rs._seed_steps(i)
+        assert sorted(steps) == sorted(
+            {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] >= 0} | {0}), (rs.name, i)
+        return steps
+
+    @classmethod
+    def closure_modes_against_unfiltered(cls, types, max_dim) -> int:
+        """Both modes of RootSystem._closure on every lam of dimension <=
+        max_dim of the given types: the whole closure, and for every i with
+        lam_i >= 1 the closure seeded with the unfiltered closure of lam -
+        varpi_i, are the unfiltered closure of lam, with each depth
+        ht(lam - mu) from the heights of the fundamental weights in
+        Fractions.  Returns the number of seeded cases."""
         count = 0
-        for letter, n in canonical_simple_types(6):
+        for letter, n in types:
             rs = RootSystem(letter, n)  # empty memo tables
             heights = fundamental_heights(rs.cartan)
             scale = lcm(*(h.denominator for h in heights))
@@ -858,31 +904,41 @@ class TestClosedFormsAgainstOracles:
                     out[mu] = depth
                 return out
 
-            # a shifted weight is expanded by the roots alpha with alpha_i its
-            # i-th coordinate, for every positive value alpha_i takes, and
-            # a new weight by those with alpha_i = 0
-            for i in range(n):
-                assert sorted(rs._seed_steps(i)) == sorted(
-                    {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] >= 0} | {0})
+            tables = {}
             # the weight before lam and its closure: lam - varpi_i for rank 1
             # and often for rank 2
             previous = previous_closure = None
-            for lam in enumerate_dominant_weights(rs, 2000):
+            for lam in enumerate_dominant_weights(rs, max_dim):
                 expected = closure(lam)
+                assert rs._closure(lam) == expected, (rs.name, lam)
                 for i, x in enumerate(lam):
                     if x:
                         parent = lam[:i] + (x - 1,) + lam[i + 1:]
                         below = previous_closure if parent == previous else closure(parent)
-                        seeded = rs._closure_from(below, i, rs._seed_steps(i))
+                        if i not in tables:
+                            tables[i] = cls.seed_steps(rs, i)
+                        seeded = rs._closure(lam, (below, i, tables[i]))
                         assert seeded == expected, (rs.name, lam, i)
                         count += 1
                 previous, previous_closure = lam, expected
-        assert count == 4587
+        return count
+
+    def test_seeded_closure_against_unfiltered(self):
+        # every type of rank <= 6, E6, F4 and G2 among them, to dimension 2,000
+        assert self.closure_modes_against_unfiltered(canonical_simple_types(6), 2000) == 4587
+        for letter, n in canonical_simple_types(6):
+            for i in range(n):
+                self.seed_steps(root_system(letter, n), i)
         # G2's 3 alpha_1 + alpha_2 is 3 varpi_1 - varpi_2: the one seed over 2.
         # No closure needs it, as mu - alpha_1 is dominant for mu_1 = 3 and
         # reaches the same weight by 2 alpha_1 + alpha_2 = varpi_1, so only
         # the table shows it
         assert sorted(root_system("G2")._seed_steps(0)) == [0, 1, 2, 3]
+
+    def test_closure_modes_on_every_sweep_rank(self):
+        # every type a sweep builds, to rank 40, at dimension 118: mostly
+        # fundamental weights and their small sums at high rank
+        assert self.closure_modes_against_unfiltered(canonical_simple_types(40), 118) == 648
 
     def test_walk_against_box(self):
         # the walk, dimensions included, against every weight of a box that
@@ -1142,18 +1198,13 @@ class TestSweepMemory:
 
         monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
         closures = [0]
-        closure, closure_from = RootSystem._closure, RootSystem._closure_from
+        closure = RootSystem._closure
 
-        def counted(rs, lam):
+        def counted(rs, *args):
             closures[0] += 1
-            return closure(rs, lam)
-
-        def counted_from(rs, below, i, steps):
-            closures[0] += 1
-            return closure_from(rs, below, i, steps)
+            return closure(rs, *args)
 
         monkeypatch.setattr(RootSystem, "_closure", counted)
-        monkeypatch.setattr(RootSystem, "_closure_from", counted_from)
         gc.collect()
         tracemalloc.start()
         try:

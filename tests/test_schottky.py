@@ -269,6 +269,12 @@ class TestThetaGroup:
     def test_requires_symmetric(self):
         assert theta_group(PpavInput(g=4, k=0, symmetric=False)).family == "undetermined"
 
+    def test_genus_one_refused(self):
+        # as theta_target and cc_odp refuse it, whatever the hypotheses
+        for symmetric in (True, False):
+            with pytest.raises(ValueError, match="a theta divisor needs g >= 2, got g = 1"):
+                theta_group(PpavInput(g=1, symmetric=symmetric))
+
     def test_parity_matches_frobenius_schur_type(self):
         # even genus gives symplectic families, odd genus orthogonal ones
         for g in (4, 6):
