@@ -11,16 +11,15 @@ every operation here.
 Convolution and Schur operations never invent component decompositions:
 the Chern-Mather bookkeeping only controls totals modulo classes above the
 truncation index, so results are returned as a single aggregate component
-(plus the exact fiber when both inputs carry one).  Schur operations take
-the Jacobi-Trudi expansion of `symfun` that `lambdaring` takes, here over
-the h_j or e_j of Newton's identity in the truncated Pontryagin ring.
+(plus the exact fiber when both inputs carry one).  Schur operations
+evaluate `symfun.JacobiTrudi`, as `lambdaring` does, over the h_j or e_j of
+Newton's identity in the truncated Pontryagin ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .chow import ChowVector, pontryagin, pushforward_n
 from .lambdaring import (
@@ -30,7 +29,7 @@ from .lambdaring import (
     gr_multiply,
     schur_apply,
 )
-from .symfun import Partition, _check_schur_degree, _is_int, jacobi_trudi
+from .symfun import JacobiTrudi, Partition, _is_int
 
 # Largest g of a cycle, whose Pontryagin products cost g^2 Fractions, and of
 # a theta divisor that schottky.theta_group decides or theta_target builds:
@@ -40,22 +39,23 @@ from .symfun import Partition, _check_schur_degree, _is_int, jacobi_trudi
 MAX_CYCLE_GENUS = 100
 
 # the most Chern-Mather work schur_cycle takes on: Newton's identity up to the
-# largest part k of the Jacobi-Trudi expansion costs k(k + 1)/2 Pontryagin
-# products and a term c_nu f_nu l(nu) - 1 more, and a product
+# largest index k of the Jacobi-Trudi minors costs k(k + 1)/2 Pontryagin
+# products, the minors symfun.JacobiTrudi.products more, and a product
 # (d_trunc + 1)(d_trunc + 2)/2 multiply-adds and g coordinates, one unit each.
 # schur_cycle on the one-component theta_target(g, 5), best of two (Python
 # 3.11, 2 vCPU):
 #     g  d_trunc  alpha         products    units  time
-#   100       99  (1^4)               10   51,500  0.27 s
-#   100       99  (2,2,2)             12   61,800  0.35 s
-#   100       99  (6,4,1)             42  216,300  1.20 s
+#   100       99  (1^4)               10   51,500  0.25 s
+#   100       99  (2,2,2)             12   61,800  0.30 s
+#   100       99  (6,4,1)             41  211,150  1.18 s
 #   100       99  (9)                 45  231,750  1.25 s
-#   100       99  (8,1)               46  236,900  1.19 s
-#   100       99  (6,4,3)             48  247,200  1.61 s
+#   100       99  (8,1)               46  236,900  1.21 s
+#   100       99  (6,4,3)             45  231,750  1.45 s
+#   100       99  (4,4,2,2)           48  247,200  1.78 s
 #   100       99  (1^10)              55  283,250  refused
 #   100        1  (1^17)             153   15,759  0.04 s
 #     3        1  (1^28)             406    2,436  0.01 s
-#     3        1  (12,10,1^10)    13,900   83,400  0.35 s
+#     3        1  (12,10,1^10)       789    4,734  0.02 s
 MAX_SCHUR_CYCLE_WORK = 250_000
 
 
@@ -290,8 +290,8 @@ def adams_push(n: int, c: CleanCycleModel) -> CleanCycleModel:
 def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     """Schur operation on a cycle at the aggregate Chern-Mather level.
 
-    The Jacobi-Trudi sum of c_nu f_(nu_1) o ... o f_(nu_l), as in
-    `lambdaring.schur_apply`, over the h_j (or e_j) of Newton's identity
+    The Jacobi-Trudi determinant, as in `lambdaring.schur_apply`, over the
+    h_j (or e_j) of Newton's identity
     j f_j = sum_i (+-1)^(i-1) [i]_*c o f_(j-i), f_0 the point class
     (Macdonald I (2.11)); every product truncated at d_trunc as in
     convolve, exact in rationals.  Checks integrality and applies the same
@@ -301,40 +301,35 @@ def schur_cycle(alpha, c: CleanCycleModel, d_trunc: int) -> CleanCycleModel:
     alpha = Partition(alpha)
     g = c.g
     _require_trunc_valid(c, c, d_trunc)
-    _check_schur_degree(alpha.degree)
-    complete, terms = jacobi_trudi(alpha)
-    k = max(chain.from_iterable(terms))
-    products = k * (k + 1) // 2 + sum(len(nu) - 1 for nu in terms)
+    jt = JacobiTrudi(alpha)
+    products = jt.k * (jt.k + 1) // 2 + jt.products
     work = products * ((d_trunc + 1) * (d_trunc + 2) // 2 + g)
     if work > MAX_SCHUR_CYCLE_WORK:
         raise ValueError(
             f"schur_cycle({alpha}) at g = {g}, d_trunc = {d_trunc} would take {products} "
             f"Pontryagin products, {work} units of work, over the limit of "
             f"{MAX_SCHUR_CYCLE_WORK}")
+
+    def signed_sum(terms):
+        out = ChowVector.zero(g)
+        for sign, x, y in terms:
+            x = x if y is None else pontryagin(x, y, d_trunc)
+            out += x if sign > 0 else x.scale(-1)
+        return out
     total = c.total_cm()
-    p = {i: pushforward_n(i, total) for i in range(1, k + 1)}
+    p = [None] + [pushforward_n(i, total) for i in range(1, jt.k + 1)]
     f = [ChowVector.point(g)]  # the Pontryagin unit
-    for j in range(1, k + 1):
-        s = ChowVector.zero(g)
-        for i in range(1, j + 1):
-            term = pontryagin(p[i], f[j - i], d_trunc)
-            s += term if complete or i % 2 else term.scale(-1)
-        f.append(s.scale(Fraction(1, j)))
-    cm = ChowVector.zero(g)
-    for nu, m in terms.items():
-        prod = f[nu[0]]
-        for j in nu[1:]:
-            prod = pontryagin(prod, f[j], d_trunc)
-        cm += prod.scale(m)
+    for j in range(1, jt.k + 1):
+        terms = [(1 if jt.complete or i % 2 else -1, p[i], f[j - i]) for i in range(1, j + 1)]
+        f.append(signed_sum(terms).scale(Fraction(1, j)))
+    cm = jt.evaluate(f, signed_sum)
     bad = [i for i in range(d_trunc + 1) if cm.coords[i].denominator != 1]
     if bad:
         raise NonIntegralResultError(
             f"schur_cycle({alpha}) has non-integral Chern-Mather coordinates "
             f"at indices {bad}: {[str(cm.coords[i]) for i in bad]}"
         )
-    fiber = None
-    if c.fiber is not None:
-        fiber = schur_apply(alpha, c.fiber)
+    fiber = None if c.fiber is None else schur_apply(alpha, c.fiber)
     return _aggregate(g, f"s_{alpha}", cm, c.all_gauss_finite, fiber)
 
 

@@ -8,10 +8,9 @@ line element (lambda^i [g] = 0 for i >= 2) and lambda_t turns sums into
 products, so e_j = lambda^j and h_j = Sym^j are the t^j coefficients of
 prod_g (1 + [g]t)^(c_g) and prod_g (1 - [g]t)^(-c_g), summed in integers.
 Every other Schur operation is an integer polynomial in them, its
-Jacobi-Trudi determinant (`symfun.jacobi_trudi`), so it is computed in
-integers too, on any element, virtual ones included.  The mathematical
-verdict on integrality is the Chern-Mather check of `cycles.schur_cycle`,
-which raises NonIntegralResultError.
+Jacobi-Trudi determinant, evaluated through its minors (`symfun.JacobiTrudi`),
+so it is computed in integers too, on any element, virtual ones included.
+The verdict on integrality is `cycles.schur_cycle`'s NonIntegralResultError.
 
 Keys are canonical at the boundary: a `GroupRingElement` built from outside
 (JSON, tests, other modules) has its keys reduced and validated once, and
@@ -40,11 +39,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, repeat
 from math import comb
 from struct import Struct
 
-from .symfun import Partition, _check_schur_degree, _is_int, jacobi_trudi
+from .symfun import JacobiTrudi, Partition, _check_schur_degree, _is_int
 
 # Most coordinates a group may have: every key, and the zero key of an empty
 # element, is a tuple of this length (8 MB at the limit); the genus-7 theta
@@ -318,14 +318,17 @@ def _max_abs(x: GroupRingElement) -> int:
     return max(map(abs, chain.from_iterable(x.coeffs)), default=0)
 
 
-def _convolve(acc: dict, xs: dict, ys: dict) -> dict:
-    """acc + xs * ys on packed lifts."""
+def _signed_sum(terms: list) -> dict:
+    """Sum sign * xs * ys over (sign, xs, ys) on packed lifts, ys None for 1."""
+    acc: dict = {}
     get = acc.get
-    ys = list(ys.items())
-    for p, c in xs.items():
-        for q, d in ys:
-            k = p + q
-            acc[k] = get(k, 0) + c * d
+    for sign, xs, ys in terms:
+        ys = [(0, 1)] if ys is None else list(ys.items())
+        for p, c in xs.items():
+            c *= sign
+            for q, d in ys:
+                k = p + q
+                acc[k] = get(k, 0) + c * d
     return acc
 
 
@@ -333,7 +336,7 @@ def gr_multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: group addition on supports, coefficients multiply."""
     x._check(y)
     packing = _Packing(x.group, _max_abs(x) + _max_abs(y), len(x.coeffs) * len(y.coeffs))
-    acc = _convolve({}, packing.pack(x), packing.pack(y))
+    acc = _signed_sum([(1, packing.pack(x), packing.pack(y))])
     return GroupRingElement._of(x.group, dict(packing.project(acc)))
 
 
@@ -346,26 +349,16 @@ def gr_adams(n: int, x: GroupRingElement) -> GroupRingElement:
 
 
 def schur_apply(alpha, x: GroupRingElement) -> GroupRingElement:
-    """Apply the Schur operation s_alpha, in integers: the Jacobi-Trudi sum
-    of c_nu prod_i f[nu_i] (`symfun.jacobi_trudi`) over the t^j coefficients
-    f[j] of the product formula.  Refuses the empty shape and a degree over
-    the limit."""
-    alpha = Partition(alpha)
-    _check_schur_degree(alpha.degree)
-    k = alpha.degree  # each key is the sum of a k-multiset of x's support
+    """Apply the Schur operation s_alpha, in integers: its Jacobi-Trudi
+    determinant (`symfun.JacobiTrudi`) over the t^j coefficients f[j] of the
+    product formula.  Refuses the empty shape and a degree over the limit."""
+    jt = JacobiTrudi(alpha)
+    k = sum(alpha)  # each key is the sum of a k-multiset of x's support
+    # a minor of degree m <= k has lifts that are sums of m-multisets of x's
+    # support, at most C(len + m - 1, m) <= C(len + k - 1, k) of them and
+    # within +-k max|x|: every minor stays within this packing's bound
     packing = _Packing(x.group, k * _max_abs(x), comb(len(x.coeffs) + k - 1, k))
-    complete, terms = jacobi_trudi(alpha)
-    f = _coefficients(max(chain.from_iterable(terms)), packing.pack(x), complete)
-    if terms == {(k,): 1}:  # lambda^k and Sym^k: f[k] itself, not a copy
-        acc = f[k]
-    else:
-        acc = {}
-        for nu, c in terms.items():
-            prod = {0: c}
-            for j in nu[:-1]:
-                prod = _convolve({}, prod, f[j])
-            _convolve(acc, prod, f[nu[-1]])
-    del f
+    acc = jt.evaluate(_coefficients(jt.k, packing.pack(x), jt.complete), _signed_sum)
     return GroupRingElement._of(x.group, dict(packing.project(acc)))
 
 
@@ -468,15 +461,7 @@ def eval_construction(
                 f"{len(xs)} arguments were supplied"
             )
         return xs[construction.index]
-    if construction.kind == "sum":
-        out = eval_construction(construction.children[0], xs)
-        for child in construction.children[1:]:
-            out = out + eval_construction(child, xs)
-        return out
-    if construction.kind == "product":
-        out = eval_construction(construction.children[0], xs)
-        for child in construction.children[1:]:
-            out = gr_multiply(out, eval_construction(child, xs))
-        return out
-    # schur
-    return schur_apply(construction.alpha, eval_construction(construction.children[0], xs))
+    if construction.kind == "schur":
+        return schur_apply(construction.alpha, eval_construction(construction.children[0], xs))
+    combine = operator.add if construction.kind == "sum" else gr_multiply
+    return reduce(combine, (eval_construction(child, xs) for child in construction.children))

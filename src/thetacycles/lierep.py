@@ -108,7 +108,6 @@ smaller bound's table, never change one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, compress, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul, not_, sub
@@ -318,6 +317,7 @@ class RootSystem:
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
         self._rows_table = None
+        self._steps = None  # _closure_steps(), built on first use
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
         # the positive roots, lowest first, one tuple per root alpha:
@@ -555,7 +555,7 @@ class RootSystem:
             below, i, by_coord = seed
             seen = {mu[:i] + (mu[i] + 1,) + mu[i + 1:]: depth for mu, depth in below.items()}
             frontier = [mu for mu in seen if mu[i] in by_coord]
-        steps = self._steps
+        steps = self._closure_steps()
         while frontier:
             nxt = []
             for mu in frontier:
@@ -572,18 +572,20 @@ class RootSystem:
             frontier = nxt
         return seen
 
-    @cached_property
-    def _steps(self) -> tuple:
+    def _closure_steps(self) -> tuple:
         """The closure steps (alpha, coordinates where alpha is positive,
-        height) of the positive roots."""
-        return tuple((a, tuple(i for i, x in enumerate(a) if x > 0), height)
-                     for a, _, _, _, height, _ in self.positive_roots)
+        height) of the positive roots, set on first use by plain assignment
+        (a cached_property's store through __dict__ slows every later load)."""
+        if self._steps is None:
+            self._steps = tuple((a, tuple(i for i, x in enumerate(a) if x > 0), height)
+                                for a, _, _, _, height, _ in self.positive_roots)
+        return self._steps
 
     def _seed_steps(self, i: int) -> dict:
         """A seeded closure's steps at coordinate i: alpha_i -> the closure
         steps of the roots alpha with that i-th coordinate, for alpha_i >= 0."""
         by_coord: dict = {0: []}
-        for step in self._steps:
+        for step in self._closure_steps():
             if step[0][i] >= 0:
                 by_coord.setdefault(step[0][i], []).append(step)
         return by_coord

@@ -15,7 +15,8 @@ Murnaghan-Nakayama rule.  The elementary symmetric polynomial e_n = s_(1^n)
 is read from the sign character instead, chi^(1^n)(beta) = (-1)^(n - l(beta)),
 which gives a cross-check of the rule on one column.  The `symfun`
 subcommand prints these expansions; both lambda-rings, `lambdaring` and the
-Chern-Mather classes of `cycles`, expand s_alpha by `jacobi_trudi` instead.
+Chern-Mather classes of `cycles`, evaluate s_alpha instead as its
+Jacobi-Trudi determinant, through the memoised minors of `JacobiTrudi`.
 """
 
 from __future__ import annotations
@@ -201,9 +202,9 @@ class SymExpr:
 
 def _check_schur_degree(n: int) -> None:
     """Refuse a Schur expansion of degree n: the empty partition's, or one
-    over MAX_SCHUR_PARTITIONS partitions, before any is listed.  `lambdaring`
-    and `cycles` list none; they keep this as their degree guard, so their
-    refusals stand."""
+    over MAX_SCHUR_PARTITIONS partitions, before any is listed.  JacobiTrudi
+    lists none; it keeps this as its degree guard, so the refusals of both
+    lambda-rings stand."""
     if n == 0:
         raise ValueError("alpha must be a nonempty partition")
     if _partition_count_over(n, MAX_SCHUR_PARTITIONS):
@@ -226,34 +227,51 @@ def schur_to_powersum(alpha) -> SymExpr:
     return SymExpr(terms)
 
 
-def jacobi_trudi(alpha) -> tuple[bool, dict]:
-    """s_alpha = sum_nu c_nu prod_i f_(nu_i) in integers, f_j the complete
-    symmetric function h_j or the elementary e_j: the Jacobi-Trudi
-    determinant det(h_(alpha_i - i + j)), or det(e_(alpha'_i - i + j)) when
-    the conjugate alpha' has no more rows (Macdonald I (3.4), (3.5)),
-    expanded over its permutations.  Returns (whether f is h, {nu: c}),
-    each nu descending without f_0 = 1, no c zero.  Rows are placed from the
-    last up, on free columns j with alpha_i - i + j >= 0 (a bound that falls
-    going up, so no choice is a dead end); each free column right of the
-    one taken goes to a row above, an inversion."""
-    alpha = Partition(alpha)
-    conj = [sum(a > j for a in alpha) for j in range(max(alpha, default=0))]
-    complete = len(conj) > len(alpha)
-    rows = alpha if complete else conj
-    terms: dict = {}
+class JacobiTrudi:
+    """The Jacobi-Trudi determinant s_alpha = det(f_(rows_r - r + c)), f_j =
+    h_j over the rows of alpha, or e_j over those of alpha' when it has no
+    more rows (Macdonald I (3.4), (3.5)), held as its minors memoised on
+    column sets from the last row up.  levels[n] holds the minors of the top
+    l - n rows, one per set of columns the rows below take, each expanded
+    along its last row r into entries (sign, j, sub): f_j times minor sub of
+    the next level, for each free column c with j = rows_r - r + c >= 0 (a
+    bound that falls going up, so no minor is a dead end), sign -1 to the
+    free columns right of c.  k, the largest j, is the corner's hook length:
+    the top row takes the last column when each row r below takes r - 1."""
 
-    def expand(i: int, free: list, sign: int, nu: list):
-        if i < 0:
-            nu = tuple(sorted(nu, reverse=True))
-            terms[nu] = terms.get(nu, 0) + sign
-            return
-        for pos, j in enumerate(free):
-            if (m := rows[i] - i + j) >= 0:
-                rest = free[:pos] + free[pos + 1:]
-                expand(i - 1, rest, sign * (-1) ** (len(rest) - pos), nu + [m] if m else nu)
+    def __init__(self, alpha):
+        alpha = Partition(alpha)
+        _check_schur_degree(alpha.degree)
+        conj = [sum(a > j for a in alpha) for j in range(max(alpha, default=0))]
+        self.complete = len(conj) > len(alpha)
+        rows = alpha if self.complete else conj
+        width = len(rows)
+        self.k, self.levels = rows[0] + width - 1, []
+        below = [0]  # the column sets, as bitmasks, that the rows below take
+        for r in range(width - 1, -1, -1):
+            index, level = {}, []  # index: column set -> its minor one level down
+            for used in below:
+                free = [c for c in range(width) if not used >> c & 1]
+                level.append([
+                    ((-1) ** (len(free) - 1 - pos), j, index.setdefault(used | 1 << c, len(index)))
+                    for pos, c in enumerate(free) if (j := rows[r] - r + c) >= 0])
+            self.levels.append(level)
+            below = list(index)
+        self.products = sum(  # the top row's entries are by the empty minor
+            j > 0 for level in self.levels[:-1] for entries in level for _, j, _ in entries)
 
-    expand(len(rows) - 1, list(range(len(rows))), 1, [])
-    return complete, {nu: c for nu, c in terms.items() if c}
+    def evaluate(self, f: list, signed_sum):
+        """The determinant, f[j] being f_j and signed_sum(terms) the sum of sign
+        x y over the (sign, x, y) of terms, y None for a lone x.  Forms no
+        product by f_0 or the empty minor (products counts the others), and a
+        minor of one entry, on its last free column so of sign +, is its term."""
+        below = [None]  # the empty minor: f_j alone; two levels alive at once
+        for level in reversed(self.levels):
+            sums = [[(sign, f[j], below[sub]) if j else (sign, below[sub], None)
+                     for sign, j, sub in entries] for entries in level]
+            below = [terms[0][1] if len(terms) == 1 and terms[0][2] is None
+                     else signed_sum(terms) for terms in sums]
+        return below[0]
 
 
 def elementary_to_powersum(n: int) -> SymExpr:

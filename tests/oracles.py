@@ -224,6 +224,36 @@ def frobenius_character(alpha, beta):
     return sum(sign * _powersum_coefficient(beta, expo) for sign, expo in _alternant_terms(alpha))
 
 
+def jacobi_trudi_terms(alpha):
+    """s_alpha = sum_nu c_nu prod_i f_(nu_i) in integers, f_j the complete
+    symmetric function h_j or the elementary e_j: the Jacobi-Trudi
+    determinant det(h_(alpha_i - i + j)), or det(e_(alpha'_i - i + j)) when
+    the conjugate alpha' has no more rows (Macdonald I (3.4), (3.5)),
+    expanded over its permutations.  Returns (whether f is h, {nu: c}),
+    each nu descending without f_0 = 1, no c zero.  Rows are placed from the
+    last up, on free columns j with alpha_i - i + j >= 0; each free column
+    right of the one taken goes to a row above, an inversion."""
+    alpha = tuple(alpha)
+    conj = [sum(a > j for a in alpha) for j in range(max(alpha, default=0))]
+    complete = len(conj) > len(alpha)
+    rows = alpha if complete else conj
+    terms = {}
+
+    def expand(i, free, sign, nu):
+        if i < 0:
+            nu = tuple(sorted(nu, reverse=True))
+            terms[nu] = terms.get(nu, 0) + sign
+            return
+        for pos, j in enumerate(free):
+            m = rows[i] - i + j
+            if m >= 0:
+                rest = free[:pos] + free[pos + 1:]
+                expand(i - 1, rest, sign * (-1) ** (len(rest) - pos), nu + [m] if m else nu)
+
+    expand(len(rows) - 1, list(range(len(rows))), 1, [])
+    return complete, {nu: c for nu, c in terms.items() if c}
+
+
 def subset_exterior_power_with_add(elements, k, add, zero):
     """lambda^k of a formal sum of group elements by subset enumeration:
     sums over k-subsets of the element list (repeats = multiplicities)."""

@@ -599,8 +599,8 @@ class TestRefusals:
 
     def test_schur_cycle_work_refused(self, capsys, tmp_path):
         # (1^16) on a genus-100 divisor at d_trunc 99 is 136 Pontryagin
-        # products of 5,150 units each, and (12,10,1^10) has 52,488
-        # Jacobi-Trudi permutations to list first: both refused before any
+        # products of 5,150 units each, and (12,10,1^10) is 276 Newton
+        # products and 513 more for its minors: both refused before any
         # product; (1^4), (2,2,2) there and (1^28) on a genus-3 divisor at
         # d_trunc 1 run and write the bytes they wrote on the power-sum route
         cycles = {g: theta_target(g, 5).to_json() for g in (3, 100)}

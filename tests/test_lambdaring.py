@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -21,7 +24,8 @@ from thetacycles.lambdaring import (
     sym_op,
 )
 
-from thetacycles.schottky import PpavInput, cc_odp
+from thetacycles.cycles import schur_cycle
+from thetacycles.schottky import PpavInput, cc_odp, theta_target
 from thetacycles.symfun import partitions
 
 from oracles import (
@@ -463,11 +467,14 @@ def conjugate(alpha):
     return tuple(sum(1 for a in alpha if a > j) for j in range(alpha[0]))
 
 
+NEAR_HOOKS = [(12, 10) + (1,) * 10, (16,) + (1,) * 16, (8, 6, 5, 4, 3, 2, 1)]
+
+
 class TestJacobiTrudiRoute:
     """Shapes of degree up to 32 on the three-term element of Z + Z/2, too
     large for the oracle, against two identities of s_alpha."""
 
-    SHAPES = [(16, 16), (4,) * 8, (10, 10, 10), (6,) * 5, (5, 4, 3, 2, 1)]
+    SHAPES = [(16, 16), (4,) * 8, (10, 10, 10), (6,) * 5, (5, 4, 3, 2, 1)] + NEAR_HOOKS
     GROUP = FgAbelianGroup(1, (2,))
     X = GroupRingElement(GROUP, {(1, 0): 1, (-1, 1): 2, (0, 1): -1})
     # the same support with augmentation 12, where no hook-content factor
@@ -493,6 +500,52 @@ class TestJacobiTrudiRoute:
             n = x.coefficient_sum
             value = prod(Fraction(n + j - i, alpha[i] - j + conj[j] - i - 1) for i, j in cells)
             assert schur_apply(alpha, x).coefficient_sum == value
+
+
+def _sha256(value):
+    return hashlib.sha256(json.dumps(value.to_json(), sort_keys=True, indent=2).encode()).hexdigest()
+
+
+class TestNearHooks:
+    """Near-hook shapes, whose Jacobi-Trudi permutations number in the tens
+    of thousands, on both lambda-rings: the bytes their JSON is written as,
+    pinned to those of the expansion over the permutations."""
+
+    X, X12 = TestJacobiTrudiRoute.X, TestJacobiTrudiRoute.X12
+
+    @pytest.mark.parametrize("alpha, digests", zip(NEAR_HOOKS, [
+        ("40992e3561b027695fd571abdb35c1d243a4b13f2856ebee65c0a8bb2d750d27",
+         "6ea485766941a6915ac5bf6384372a79a48d6d8cc70a7c3f14108b69e5e88555"),
+        ("5ba0fbe30385a8bcd977ed752eacd5213d4aa61f22eea7a8db88e2796caf4ceb",
+         "54a02daf81c9479525990b0b73a40b24df22b970e79fa769a50b0139dcfc5244"),
+        ("54a02daf81c9479525990b0b73a40b24df22b970e79fa769a50b0139dcfc5244",
+         "62c2de996b2399cb797484114665aaea75d675193705f3b83e5bb21d56ffb15d"),
+    ]), ids=str)
+    def test_schur_apply_bytes(self, alpha, digests):
+        assert (_sha256(schur_apply(alpha, self.X)), _sha256(schur_apply(alpha, self.X12))) == digests
+
+    @pytest.mark.parametrize("alpha, digest", zip(NEAR_HOOKS, [
+        "c6595583c96a98dc8ffb14f38e6b2915475a4a45ba5ac27f649ffd79622e29c8",
+        "707624c2df2d38b7784042ae48e2c2c624768e7d5e8f40c138c3e45964bcd04e",
+        "1ca152db35d6571c5543a140bd90a15c570c124881c33fe497f0607fcc503f2b",
+    ]), ids=str)
+    def test_schur_cycle_bytes(self, alpha, digest):
+        # on genus-3 divisors at d_trunc 1: of Gauss degree 5, where every
+        # shape of more than five rows vanishes, and of Gauss degree 40
+        assert schur_cycle(alpha, theta_target(3, 5), 1).to_json() == {"g": 3, "components": []}
+        assert _sha256(schur_cycle(alpha, theta_target(3, 40), 1)) == digest
+
+    def test_schur_cycle_bytes_genus_100(self):
+        out = schur_cycle((6, 4, 1), theta_target(100, 5), 99)
+        assert _sha256(out) == "edd07802d4873655afc045a1edb55431ba781f3be39e8cf90df0dd4f5e42eefb"
+
+    def test_near_hook_time(self):
+        # (12,10,1^10) on the three-term element: 0.83 s over the 52,488
+        # permutations of its Jacobi-Trudi determinant, about 30 ms over its
+        # 270 minors (Python 3.11, 2 vCPU)
+        start = time.perf_counter()
+        schur_apply(NEAR_HOOKS[0], self.X)
+        assert time.perf_counter() - start < 0.3
 
 
 class TestKernelsAgainstOracle:

@@ -935,6 +935,22 @@ class TestClosedFormsAgainstOracles:
         # the table shows it
         assert sorted(root_system("G2")._seed_steps(0)) == [0, 1, 2, 3]
 
+    def test_closure_steps_plain_attribute(self):
+        # the steps table is a plain attribute, set on first use: no
+        # cached_property, which stores through the instance __dict__ and
+        # slows every later attribute load of the instance
+        from functools import cached_property
+
+        assert not any(isinstance(v, cached_property) for v in vars(RootSystem).values())
+        for letter, n in canonical_simple_types(6):
+            rs = RootSystem(letter, n)
+            assert rs._steps is None
+            steps = rs._closure_steps()
+            assert steps == tuple(
+                (a, tuple(i for i, x in enumerate(a) if x > 0), height)
+                for a, _, _, _, height, _ in rs.positive_roots), rs.name
+            assert rs._closure_steps() is steps and rs._steps is steps
+
     def test_closure_modes_on_every_sweep_rank(self):
         # every type a sweep builds, to rank 40, at dimension 118: mostly
         # fundamental weights and their small sums at high rank

@@ -6,11 +6,11 @@ import pytest
 import thetacycles.symfun as symfun
 from thetacycles.symfun import (
     MAX_PARTITIONS,
+    JacobiTrudi,
     Partition,
     SymExpr,
     _partition_count_over,
     elementary_to_powersum,
-    jacobi_trudi,
     partitions,
     schur_to_powersum,
     symmetric_group_character,
@@ -22,6 +22,7 @@ from oracles import (
     elementary_by_exponential_series,
     expand_powersum_expr,
     frobenius_character,
+    jacobi_trudi_terms,
     ssyt_monomials,
 )
 
@@ -206,7 +207,22 @@ def _poly_product(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _symbolic_sum(terms):
+    """JacobiTrudi.evaluate's signed_sum in the polynomial ring over the
+    f_j, a monomial being its descending tuple of indices."""
+    out = {}
+    for sign, x, y in terms:
+        for a, c in x.items():
+            for b, d in ({(): 1} if y is None else y).items():
+                nu = tuple(sorted(a + b, reverse=True))
+                out[nu] = out.get(nu, 0) + sign * c * d
+    return {nu: c for nu, c in out.items() if c}
+
+
 class TestJacobiTrudi:
+    """The permutation expansion of the oracle against s_alpha, and the
+    library's minors against the oracle."""
+
     def test_matches_ssyt_expansion_deg_le_7(self):
         # sum_nu c_nu prod_i h_(nu_i) (or e_(nu_i)) in n variables is the
         # monomial expansion of s_alpha, for every alpha |- n <= 7
@@ -214,7 +230,7 @@ class TestJacobiTrudi:
             h = [ssyt_monomials((k,), n) for k in range(n + 1)]
             e = [ssyt_monomials((1,) * k, n) for k in range(n + 1)]
             for alpha in partitions(n):
-                complete, terms = jacobi_trudi(alpha)
+                complete, terms = jacobi_trudi_terms(alpha)
                 factors = h if complete else e
                 total = {}
                 for nu, c in terms.items():
@@ -231,14 +247,50 @@ class TestJacobiTrudi:
 
     def test_branch_and_terms(self):
         # a tie between alpha and its conjugate takes e; h_0 = e_0 is left out
-        assert jacobi_trudi(P(2, 1)) == (False, {(2, 1): 1, (3,): -1})
-        assert jacobi_trudi(P(1)) == (False, {(1,): 1})
-        assert jacobi_trudi(P(3)) == (True, {(3,): 1})
-        assert jacobi_trudi(P(1, 1, 1)) == (False, {(3,): 1})
-        assert jacobi_trudi(P(3, 1)) == (True, {(3, 1): 1, (4,): -1})
-        assert jacobi_trudi(P(2, 2)) == (False, {(2, 2): 1, (3, 1): -1})
+        assert jacobi_trudi_terms(P(2, 1)) == (False, {(2, 1): 1, (3,): -1})
+        assert jacobi_trudi_terms(P(1)) == (False, {(1,): 1})
+        assert jacobi_trudi_terms(P(3)) == (True, {(3,): 1})
+        assert jacobi_trudi_terms(P(1, 1, 1)) == (False, {(3,): 1})
+        assert jacobi_trudi_terms(P(3, 1)) == (True, {(3, 1): 1, (4,): -1})
+        assert jacobi_trudi_terms(P(2, 2)) == (False, {(2, 2): 1, (3, 1): -1})
         # (16, 16) has two rows, its conjugate (2^16) sixteen
-        assert jacobi_trudi(P(16, 16)) == (True, {(16, 16): 1, (17, 15): -1})
+        assert jacobi_trudi_terms(P(16, 16)) == (True, {(16, 16): 1, (17, 15): -1})
+        for alpha in ((2, 1), (1,), (3,), (1, 1, 1), (3, 1), (2, 2), (16, 16)):
+            assert JacobiTrudi(alpha).complete == jacobi_trudi_terms(alpha)[0], alpha
+
+    def test_minors_match_oracle_deg_le_10(self):
+        # the minors evaluated over formal f_j give the oracle's terms, for
+        # every alpha |- n <= 10, on both branches; k is the largest index
+        # of a term, and no more products are formed than the terms' own
+        # l(nu) - 1 each
+        branches = set()
+        for n in range(1, 11):
+            for alpha in partitions(n):
+                jt = JacobiTrudi(alpha)
+                complete, terms = jacobi_trudi_terms(alpha)
+                f = [None] + [{(j,): 1} for j in range(1, jt.k + 1)]
+                assert (jt.complete, jt.evaluate(f, _symbolic_sum)) == (complete, terms), alpha
+                assert jt.k == max(max(nu) for nu in terms), alpha
+                assert jt.products <= sum(len(nu) - 1 for nu in terms), alpha
+                branches.add(complete)
+        assert branches == {False, True}
+
+    def test_minor_counts(self):
+        # a 1 x 1 determinant is f_k itself, with no product and no sum
+        f = [None, {(1,): 1}, {(2,): 1}, {(3,): 1}]
+        for alpha in ((3,), (1, 1, 1)):
+            jt = JacobiTrudi(alpha)
+            assert (jt.k, jt.products, jt.levels) == (3, 0, [[[(1, 3, 0)]]])
+            assert jt.evaluate(f, None) is f[3]
+        # near-hooks, minors per shape and products: 270 and 513 against the
+        # 2,098 terms' 13,624 for (12,10,1^10), 136 and 120 for (16,1^16)
+        for alpha, minors, products, k in (
+            ((12, 10) + (1,) * 10, 270, 513, 23),
+            ((16,) + (1,) * 16, 136, 120, 32),
+            ((8, 6, 5, 4, 3, 2, 1), 77, 200, 14),
+        ):
+            jt = JacobiTrudi(alpha)
+            assert (sum(map(len, jt.levels)), jt.products, jt.k) == (minors, products, k)
 
 
 class TestElementary:
