@@ -19,34 +19,30 @@ Products are truncated at a chosen index d (quotient CH_{<=d}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
 
-@dataclass(frozen=True)
-class ChowVector:
-    """Coordinates a_0..a_{g-1} of sum a_i mu_i; exact rationals."""
+class ChowVector(namedtuple("ChowVector", "g coords")):
+    """Coordinates a_0..a_{g-1} of sum a_i mu_i; exact rationals, a tuple of
+    g Fractions."""
 
-    g: int
-    coords: tuple  # of Fraction, length g
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __new__(cls, g: int, coords: tuple):
+        if g < 1:
             raise ValueError("g must be >= 1")
-        coords = tuple(Fraction(c) for c in self.coords)
-        if len(coords) != self.g:
-            raise ValueError(f"need {self.g} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        coords = tuple(Fraction(c) for c in coords)
+        if len(coords) != g:
+            raise ValueError(f"need {g} coordinates, got {len(coords)}")
+        return super().__new__(cls, g, coords)
 
     @classmethod
     def _of(cls, g: int, coords: tuple) -> "ChowVector":
         """A vector that takes over `coords`, already a tuple of g Fractions,
         unchecked: the results of the arithmetic below."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "coords", coords)
-        return self
+        return tuple.__new__(cls, (g, coords))
 
     @classmethod
     def zero(cls, g: int) -> "ChowVector":

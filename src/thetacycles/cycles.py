@@ -18,7 +18,7 @@ Newton's identity in the truncated Pontryagin ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chow import ChowVector, pontryagin, pushforward_n
@@ -59,46 +59,38 @@ MAX_CYCLE_GENUS = 100
 MAX_SCHUR_CYCLE_WORK = 250_000
 
 
-@dataclass(frozen=True)
-class CycleComponent:
+class CycleComponent(namedtuple("CycleComponent", "label dim mult cm gauss_finite")):
     """One irreducible (or aggregate) piece of a clean cycle."""
 
-    label: str
-    dim: int
-    mult: int
-    cm: ChowVector
-    gauss_finite: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.label, str):
-            raise ValueError(f"component 'label' must be a string, got {self.label!r}")
-        for name in ("dim", "mult"):
-            value = getattr(self, name)
+    def __new__(cls, label: str, dim: int, mult: int, cm: ChowVector,
+                gauss_finite: bool = False):
+        if not isinstance(label, str):
+            raise ValueError(f"component 'label' must be a string, got {label!r}")
+        for name, value in (("dim", dim), ("mult", mult)):
             if not _is_int(value):
                 raise ValueError(f"component {name!r} must be an integer, got {value!r}")
-        if not isinstance(self.gauss_finite, bool):
+        if not isinstance(gauss_finite, bool):
             raise ValueError(
-                f"component 'gauss_finite' must be true or false, got {self.gauss_finite!r}"
+                f"component 'gauss_finite' must be true or false, got {gauss_finite!r}"
             )
-        g = self.cm.g
-        if not 0 <= self.dim <= g - 1:
-            raise ValueError(f"component dim must be in [0, {g - 1}], got {self.dim}")
-        for i in range(self.dim + 1, g):
-            if self.cm.coords[i] != 0:
-                raise ValueError(
-                    f"cm coordinate {i} nonzero above component dim {self.dim}"
-                )
-        if self.cm.coords[self.dim] == 0:
-            raise ValueError(f"cm coordinate at dim {self.dim} must be nonzero")
-        gd = self.cm.coords[0]
+        g = cm.g
+        if not 0 <= dim <= g - 1:
+            raise ValueError(f"component dim must be in [0, {g - 1}], got {dim}")
+        for i in range(dim + 1, g):
+            if cm.coords[i] != 0:
+                raise ValueError(f"cm coordinate {i} nonzero above component dim {dim}")
+        if cm.coords[dim] == 0:
+            raise ValueError(f"cm coordinate at dim {dim} must be nonzero")
+        gd = cm.coords[0]
         if gd.denominator != 1 or gd <= 0:
             raise ValueError(
                 f"Gauss degree (cm coordinate 0) must be a positive integer, got {gd}"
             )
-        if self.dim == 0 and any(
-            self.cm.coords[i] != (1 if i == 0 else 0) for i in range(g)
-        ):
+        if dim == 0 and any(cm.coords[i] != (1 if i == 0 else 0) for i in range(g)):
             raise ValueError("a point component must have cm = (1, 0, ..., 0)")
+        return super().__new__(cls, label, dim, mult, cm, gauss_finite)
 
     @property
     def g(self) -> int:
@@ -124,26 +116,21 @@ def point_component(g: int, label: str = "point") -> CycleComponent:
     )
 
 
-@dataclass(frozen=True)
-class CleanCycleModel:
-    g: int
-    components: tuple = ()
-    fiber: GroupRingElement | None = None
+class CleanCycleModel(namedtuple("CleanCycleModel", "g components fiber")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_int(self.g) or not 1 <= self.g <= MAX_CYCLE_GENUS:
-            raise ValueError(f"g must be an integer in [1, {MAX_CYCLE_GENUS}], got {self.g!r}")
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        for c in comps:
-            if c.g != self.g:
-                raise ValueError(f"component {c.label} has g={c.g}, cycle has g={self.g}")
-        if self.fiber is not None:
-            if self.fiber.coefficient_sum != degree(self):
-                raise ValueError(
-                    f"fiber coefficient sum {self.fiber.coefficient_sum} != "
-                    f"cycle degree {degree(self)}"
-                )
+    def __new__(cls, g: int, components: tuple = (), fiber: GroupRingElement | None = None):
+        if not _is_int(g) or not 1 <= g <= MAX_CYCLE_GENUS:
+            raise ValueError(f"g must be an integer in [1, {MAX_CYCLE_GENUS}], got {g!r}")
+        self = super().__new__(cls, g, tuple(components), fiber)
+        for c in self.components:
+            if c.g != g:
+                raise ValueError(f"component {c.label} has g={c.g}, cycle has g={g}")
+        if fiber is not None and fiber.coefficient_sum != degree(self):
+            raise ValueError(
+                f"fiber coefficient sum {fiber.coefficient_sum} != cycle degree {degree(self)}"
+            )
+        return self
 
     @property
     def all_gauss_finite(self) -> bool:
@@ -215,14 +202,14 @@ def _aggregate(
     Aggregates supported on points are folded into the multiplicity of a
     single point component; virtual aggregates of negative degree are stored
     with mult = -1.  A degree-zero aggregate with surviving higher classes
-    cannot be represented by a clean component and is rejected.
+    cannot be represented by a clean component and is rejected.  The degree
+    is an integer: the product of two cycles' degrees for convolve, and
+    checked by schur_cycle's integrality verdict.
     """
     top = cm.top_index()
     if top is None:
         return CleanCycleModel(g=g, components=(), fiber=fiber)
     deg = cm.coords[0]
-    if deg.denominator != 1:
-        raise ValueError(f"aggregate Gauss degree {deg} is not an integer")
     if top == 0:
         comp = CycleComponent(
             label=label, dim=0, mult=int(deg), cm=ChowVector.point(g), gauss_finite=True

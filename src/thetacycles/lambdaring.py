@@ -38,7 +38,7 @@ tuples.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, repeat
 from math import comb
@@ -59,32 +59,27 @@ MAX_GROUP_COORDS = 1_000_000
 MAX_FIBER_COORDS = 20_000_000
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(namedtuple("FgAbelianGroup", "rank torsion")):
     """Z^rank + Z/torsion[0] + ... in invariant-factor form."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if not _is_int(self.rank) or not all(map(_is_int, self.torsion)):
-            raise ValueError(
-                f"rank and torsion must be integers: {self.rank!r}, {self.torsion!r}"
-            )
-        if self.rank < 0:
+    def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
+        torsion = tuple(torsion)
+        if not _is_int(rank) or not all(map(_is_int, torsion)):
+            raise ValueError(f"rank and torsion must be integers: {rank!r}, {torsion!r}")
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if self.ncoords > MAX_GROUP_COORDS:
-            raise ValueError(
-                f"a group of {self.ncoords} coordinates is over the limit of {MAX_GROUP_COORDS}")
-        for d in self.torsion:
+        if rank + len(torsion) > MAX_GROUP_COORDS:
+            raise ValueError(f"a group of {rank + len(torsion)} coordinates is over the "
+                             f"limit of {MAX_GROUP_COORDS}")
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion invariant factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(
-                    f"invariant factors must divide in order: {self.torsion}"
-                )
+                raise ValueError(f"invariant factors must divide in order: {torsion}")
+        return super().__new__(cls, rank, torsion)
 
     @property
     def ncoords(self) -> int:
@@ -134,23 +129,21 @@ class NonIntegralResultError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
+class GroupRingElement(namedtuple("GroupRingElement", "group coeffs")):
     """Finite integer combination of elements of a FgAbelianGroup, its
-    terms held in ascending key order."""
+    terms held in ascending key order: coeffs maps element tuple -> int."""
 
-    group: FgAbelianGroup
-    coeffs: dict = field(default_factory=dict)  # element tuple -> int
+    __slots__ = ()
 
-    def __post_init__(self):
-        canonical = self.group.canonical
+    def __new__(cls, group: FgAbelianGroup, coeffs: dict = {}):  # read, never stored
+        canonical = group.canonical
         summed: dict = {}
-        for g, c in self.coeffs.items():
+        for g, c in coeffs.items():
             if not _is_int(c):
                 raise ValueError(f"coefficient of {g} must be an integer: {c!r}")
             g = canonical(g)
             summed[g] = summed.get(g, 0) + c
-        object.__setattr__(self, "coeffs", {g: c for g, c in sorted(summed.items()) if c})
+        return super().__new__(cls, group, {g: c for g, c in sorted(summed.items()) if c})
 
     @classmethod
     def _of(cls, group: FgAbelianGroup, coeffs: dict) -> "GroupRingElement":
@@ -158,10 +151,7 @@ class GroupRingElement:
         canonical and in ascending order; zero terms dropped."""
         if not all(coeffs.values()):
             coeffs = {g: c for g, c in coeffs.items() if c}
-        self = object.__new__(cls)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+        return tuple.__new__(cls, (group, coeffs))
 
     # -- ring structure ----------------------------------------------------
 
@@ -408,29 +398,29 @@ def sym_op(k: int, x: GroupRingElement) -> GroupRingElement:
 # -- tensor constructions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorConstruction:
+class TensorConstruction(namedtuple("TensorConstruction", "kind children index alpha")):
     """Expression tree over variable leaves: direct sums, tensor products
     and Schur functors, evaluated in any lambda-ring carrier we supply."""
 
-    kind: str  # "var" | "sum" | "product" | "schur"
-    children: tuple = ()
-    index: int | None = None  # for "var": leaf index 0..r-1
-    alpha: Partition | None = None  # for "schur"
+    __slots__ = ()
 
     KINDS = ("var", "sum", "product", "schur")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.kind == "var":
-            if not _is_int(self.index) or self.index < 0:
-                raise ValueError(f"var leaf needs a nonnegative integer index: {self.index!r}")
-        elif self.kind == "schur":
-            if self.alpha is None or len(self.children) != 1:
+    def __new__(cls, kind: str, children: tuple = (), index: int | None = None,
+                alpha: Partition | None = None):
+        """kind is one of KINDS; index is a "var" leaf's, 0..r-1, and alpha
+        a "schur" node's."""
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if kind == "var":
+            if not _is_int(index) or index < 0:
+                raise ValueError(f"var leaf needs a nonnegative integer index: {index!r}")
+        elif kind == "schur":
+            if alpha is None or len(children) != 1:
                 raise ValueError("schur node needs alpha and exactly one child")
-        elif not self.children:
-            raise ValueError(f"{self.kind} node needs children")
+        elif not children:
+            raise ValueError(f"{kind} node needs children")
+        return super().__new__(cls, kind, children, index, alpha)
 
     @classmethod
     def var(cls, index: int) -> "TensorConstruction":

@@ -107,7 +107,7 @@ smaller bound's table, never change one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, compress, repeat
 from math import gcd, prod
 from operator import add, floordiv, mul, not_, sub
@@ -311,7 +311,8 @@ class RootSystem:
         ), "inner product must be symmetric"
         self._inv_num_columns = tuple(zip(*N))  # for center_kernel_index
         # dominant_weights_below's closures: no benchmark workload hits it; it
-        # stays for bench/tracing.py, which counts its hits (ROADMAP item 2)
+        # stays for bench/tracing.py, which counts its hits (ROADMAP item 5,
+        # library-native tracing)
         self._dominant_below_cache: dict = {}
         # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
@@ -710,17 +711,15 @@ class NotACharacterError(ArithmeticError):
     """A decomposition or lambda-operation exposed the input as corrupted."""
 
 
-@dataclass(frozen=True)
-class Character:
-    """Weyl-invariant weight multiplicity map with positive multiplicities."""
+class Character(namedtuple("Character", "rs weights")):
+    """Weyl-invariant weight multiplicity map with positive multiplicities:
+    weights maps weight tuple -> positive int."""
 
-    rs: RootSystem
-    weights: dict  # weight tuple -> positive int
+    __slots__ = ()
 
-    def __post_init__(self):
-        rs = self.rs
+    def __new__(cls, rs: RootSystem, weights: dict):
         clean = {}
-        for w, m in self.weights.items():
+        for w, m in weights.items():
             w = tuple(w)
             if not _is_int(m):
                 raise NotACharacterError(f"multiplicity at {w} must be an integer: {m!r}")
@@ -734,23 +733,20 @@ class Character:
                 raise NotACharacterError(f"negative multiplicity {m} at {w}")
             if m:
                 clean[w] = m
-        object.__setattr__(self, "weights", clean)
         for w, m in clean.items():
             for i in range(rs.rank):
                 if w[i] != 0 and clean.get(rs.reflect(i, w), 0) != m:
                     raise NotACharacterError(
                         f"weight map is not Weyl-invariant at {w}, reflection {i}"
                     )
+        return super().__new__(cls, rs, clean)
 
     @classmethod
     def _of(cls, rs: RootSystem, weights: dict) -> "Character":
         """A character that takes over `weights`, built by the library as int
         tuples of the rank's length with positive multiplicities, invariant
         by construction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "weights", weights)
-        return self
+        return tuple.__new__(cls, (rs, weights))
 
     @property
     def dimension(self) -> int:
@@ -972,17 +968,9 @@ def image_group_label(rs: RootSystem, lam) -> str:
     return "G2"
 
 
-@dataclass(frozen=True)
-class WmfEntry:
-    letter: str
-    rank: int
-    weight: tuple
-    dim: int
-    minuscule: bool
-    quasi_minuscule: bool
-    fs: str
-    family: str
-    group: str
+class WmfEntry(namedtuple(
+        "WmfEntry", "letter rank weight dim minuscule quasi_minuscule fs family group")):
+    __slots__ = ()
 
     @property
     def is_standard(self) -> bool:

@@ -9,7 +9,7 @@ the models cannot verify them and never try to infer them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -49,37 +49,36 @@ from .symfun import partitions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PpavInput:
+class PpavInput(namedtuple("PpavInput", "g k symmetric double_points_sum_zero "
+                                        "pairwise_torsion_independent gauss_finite")):
     """Hypotheses about a ppav with a theta divisor smooth except for
     finitely many ordinary double points."""
 
-    g: int
-    k: int = 0
-    symmetric: bool = True
-    double_points_sum_zero: bool = False
-    pairwise_torsion_independent: bool = True
-    gauss_finite: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 1:
+    def __new__(cls, g: int, k: int = 0, symmetric: bool = True,
+                double_points_sum_zero: bool = False,
+                pairwise_torsion_independent: bool = True, gauss_finite: bool = False):
+        if g < 1:
             raise ValueError("g must be >= 1")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be >= 0")
         # g! > 2k, with the factorial built only until it passes 2k
         order, i = 1, 1
-        while order <= 2 * self.k and i < self.g:
+        while order <= 2 * k and i < g:
             i += 1
             order *= i
-        if order <= 2 * self.k:
-            raise ValueError(f"g! - 2k must be positive, got g = {self.g}, k = {self.k}")
+        if order <= 2 * k:
+            raise ValueError(f"g! - 2k must be positive, got g = {g}, k = {k}")
+        return super().__new__(cls, g, k, symmetric, double_points_sum_zero,
+                               pairwise_torsion_independent, gauss_finite)
 
 
 _FAMILIES = ("Sp", "SO", "O", "undetermined")
 
-# Largest m up to which simplicity_criteria checks criterion 3: each m costs
-# one Pontryagin product of the pushed divisor with itself, about 0.5 ms at
-# g = 6 (Python 3.11, 2 vCPU).
+# Largest m_bound simplicity_criteria accepts, the m its criterion-3 note
+# names: an input contract only, as one comparison decides criterion 3 for
+# every m at once, so the bound sets no work.
 MAX_M_BOUND = 1000
 
 
@@ -91,20 +90,18 @@ def _check_m_bound(m_bound: int) -> None:
         raise ValueError(f"m_bound {m_bound} is over the limit of {MAX_M_BOUND}")
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    family: str
-    size: int | None = None
-    note: str = ""
+class GroupDescriptor(namedtuple("GroupDescriptor", "family size note")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("Sp", "SO", "O"):
-            if self.size is None or self.size < 1:
-                raise ValueError(f"{self.family} needs a positive size")
-            if self.family == "Sp" and self.size % 2:
+    def __new__(cls, family: str, size: int | None = None, note: str = ""):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if family in ("Sp", "SO", "O"):
+            if size is None or size < 1:
+                raise ValueError(f"{family} needs a positive size")
+            if family == "Sp" and size % 2:
                 raise ValueError("Sp size must be even")
+        return super().__new__(cls, family, size, note)
 
     @property
     def label(self) -> str:
@@ -540,34 +537,29 @@ def simplicity_criteria(
 
     Geometric hypotheses (geometrically nondegenerate symmetric reduced
     divisor, trivial stabilizer, Albanese equal to the ambient variety) are
-    the caller's responsibility.  Criterion 3 quantifies over all m, so it is
-    only *verified up to the bound*, never proved here; m_bound must lie in
-    [1, MAX_M_BOUND].  It compares Chern-Mather totals, on which [2m]_* acts
-    linearly (CH_i scales by (2m)^(2i)), so the cycle's side is [2m]_* of its
-    total and the divisor's side the Pontryagin square of [m]_* of its
-    cm * mult, truncated at g - 1: neither components nor fibers are pushed.
+    the caller's responsibility.  Criterion 3 quantifies over all m >= 1.  It
+    compares Chern-Mather totals, on which [2m]_* acts linearly (CH_i scales
+    by (2m)^(2i)): the cycle's side is [2m]_* of its total T and the
+    divisor's side the Pontryagin square of [m]_* of its cm * mult = D,
+    truncated at g - 1, whose c-th coordinate is m^(2c) (D*D)_c.  The sides
+    differ for some m exactly when 4^c T_c != (D*D)_c for some c, and then
+    for every m, so one comparison, at m = 1, decides them all; neither
+    components nor fibers are pushed.  The report keeps its note "verified
+    up to m = m_bound", and m_bound must lie in [1, MAX_M_BOUND].
     Criterion 4 is essentially_multiplicity_free on the fiber.
     """
     _check_m_bound(m_bound)
     div = c.component(divisor_label)
     if div.dim != c.g - 1:
         raise ValueError(f"component {divisor_label!r} is not a divisor")
-    total_degree = degree(c)
-    crit1 = Fraction(div.mult * div.gauss_degree) > Fraction(total_degree, 3)
+    crit1 = 3 * div.mult * div.gauss_degree > degree(c)
     crit2 = all(
         comp.dim == 0 for comp in c.components if comp.label != divisor_label
     )
-    crit3_checked = []
     crit3 = None
     if div.gauss_finite:
-        total = c.total_cm()
         div_total = div.cm.scale(div.mult)
-        for m in range(1, m_bound + 1):
-            lhs = pushforward_n(2 * m, total)
-            p = pushforward_n(m, div_total)
-            rhs = pontryagin(p, p, c.g - 1)
-            crit3_checked.append(lhs != rhs)
-        crit3 = all(crit3_checked)
+        crit3 = pushforward_n(2, c.total_cm()) != pontryagin(div_total, div_total, c.g - 1)
     if c.fiber is None:
         raise ValueError("criterion (4) needs a fiber model on the cycle")
     crit4 = essentially_multiplicity_free(c)

@@ -21,7 +21,7 @@ Jacobi-Trudi determinant, through the memoised minors of `JacobiTrudi`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -166,23 +166,22 @@ def symmetric_group_character(alpha: Partition, beta: Partition) -> int:
     return _mn_character(alpha, beta)
 
 
-@dataclass(frozen=True)
-class SymExpr:
+class SymExpr(namedtuple("SymExpr", "terms")):
     """A finite linear combination of power sums p_beta: ``terms`` maps
     Partition -> Fraction and never stores zeros.  Partition keys and
     Fraction coefficients are kept as given; anything else is converted."""
 
-    terms: dict  # Partition -> Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms: dict):
         clean = {}
-        for part, coeff in self.terms.items():
+        for part, coeff in terms.items():
             part = Partition(part)
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff:
                 clean[part] = coeff
-        object.__setattr__(self, "terms", clean)
+        return super().__new__(cls, clean)
 
     def __str__(self):
         return " + ".join(
