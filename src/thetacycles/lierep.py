@@ -13,14 +13,18 @@ closed form of its inverse Cartan matrix, -w0 and its number of positive
 roots.  The Cartan matrix comes from the diagram and d: joined nodes have
 (alpha_i, alpha_j) = -max(d_i, d_j).
 
-All lattice arithmetic is in integers.  Each concept has one integer form,
-built once per root system: the inverse Cartan matrix as N / den with
-C N = den I, which gives den (u, u) = sum_ij u_i N_ij d_j u_j and 2 rho^vee
-as twice the row sums of N / den, and one table of positive roots, each a
-tuple of its fundamental and simple-root coordinates, half its squared
-length, (rho, alpha), its height and its support.  A weight lam pairs with
-the positive root alpha = sum_i r_i alpha_i as
-(lam, alpha) = sum_i r_i (d_i lam_i), with d lam formed once per weight.
+All lattice arithmetic is in integers.  Each concept has one integer form
+per root system: the inverse Cartan matrix as N / den with C N = den I,
+which gives den (u, u) = sum_ij u_i N_ij d_j u_j and 2 rho^vee as twice the
+row sums of N / den, and one table of positive roots, each a tuple of its
+fundamental and simple-root coordinates, half its squared length,
+(rho, alpha), its height and its support, built on first use: the closures,
+orbit sizes and Freudenthal read it.  A weight lam pairs with the positive
+root alpha = sum_i r_i alpha_i as (lam, alpha) = sum_i r_i (d_i lam_i).  The
+Weyl numerators (lam + rho, alpha) come from one routine
+(RootSystem._pairings): for A-D the pairings of epsilon-coordinates,
+x_i - x_k and x_i + x_k and x_i or 2 x_i, which read no table, and for
+E6-E8, F4 and G2 the table.
 
 A Weyl orbit is described by its dominant representative, so Weyl-invariant
 questions are answered in the dominant chamber, with closed forms where a
@@ -37,9 +41,9 @@ theorem gives one:
 - the dominant weights of dimension at most a bound are walked once each,
   raising coordinates in index order; the Weyl dimension grows with every
   coordinate, so a branch ends at the first weight over the bound, a
-  coordinate whose fundamental weight is over the bound is never raised,
-  and the Weyl product the walk forms to test the bound gives the
-  dimension;
+  coordinate whose fundamental weight is over the bound, by its closed-form
+  dimension for A-D, is never raised, and the Weyl product the walk forms
+  to test the bound gives the dimension;
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
@@ -88,8 +92,11 @@ A sweep reads each weight's facts from one uncached closure, and one
 routine, RootSystem._closure, builds every closure: classify_wmf seeds it
 with the closure of the weight's walk parent and keeps it only while a walk
 child of a wmf weight is still to come; quasi_minuscule_dim_search and the
-predicate is_wmf build it whole and drop it once read.  The one cached
-closure entry, dominant_weights_below, serves Freudenthal.
+predicate is_wmf build it whole and drop it once read.  classify_wmf takes
+a closure's orbit sum from the parent's too, which is the parent's
+dimension: only the weights whose zero pattern the shift by varpi_i
+changes, and the new ones, are sized.  The one cached closure entry,
+dominant_weights_below, serves Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.  freudenthal_character's characters are
@@ -108,8 +115,8 @@ smaller bound's table, never change one.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, compress, repeat
-from math import gcd, prod
+from itertools import accumulate, compress, islice, repeat
+from math import comb, gcd, prod
 from operator import add, floordiv, mul, not_, sub
 
 from .lambdaring import (
@@ -123,8 +130,10 @@ from .symfun import _is_int
 
 SIMPLE_TYPES = ("A", "B", "C", "D", "E", "F", "G")
 
-# the largest rank a weight sweep builds root systems for; all types up to
-# rank 40 take about 0.6 s to build (Python 3.11, 2 vCPU)
+# the largest rank a weight sweep builds root systems for: all types up to
+# rank 40 take 0.10 s to construct, and 0.49 s with their positive-root
+# tables, which a sweep builds only where a closure reads them (best of 3,
+# Python 3.11, 2 vCPU)
 MAX_SWEEP_RANK = 40
 
 # the largest dimension a weight sweep walks to: A1 alone has max_dim - 1
@@ -134,7 +143,9 @@ MAX_SWEEP_RANK = 40
 MAX_SWEEP_DIM = 100_000
 
 # the largest rank a root system is built for: a classical type of rank 100
-# takes 0.7 s to build, rank 150 about 2 s (Python 3.11, 2 vCPU)
+# takes 8-15 ms to construct, and its positive-root table, built on first use
+# by a closure, an orbit size or Freudenthal, 0.08-0.17 s; B150 takes 0.07 s
+# and 0.58 s (best of 2-3, Python 3.11, 2 vCPU)
 MAX_ROOT_SYSTEM_RANK = 100
 
 # the largest dimension of a character whose weights are listed.  A cold
@@ -250,34 +261,50 @@ def _plate(letter: str, rank: int) -> tuple:
     return tuple(map(tuple, C)), tuple(d), table, den, tuple(p), count
 
 
-def _sorted_dominant(letter: str, w) -> tuple:
-    """The dominant weight in the Weyl orbit of w for a type A-D, which acts
-    on epsilon-coordinates by permutations (A), signed permutations (B, C) and
-    signed permutations with an even number of sign changes (D) (Bourbaki,
-    Lie VI, Plates I-IV).  With s_i = w_i + ... + w_(n-1), the coordinates are
+def _eps(letter: str, w) -> list:
+    """The epsilon-coordinates of the weight w of a type A-D (Bourbaki, Lie
+    VI, Plates I-IV), doubled for B and D.  With s_i = w_i + ... + w_(n-1):
 
-    - A_n: e = (s_0, ..., s_(n-1), 0) up to a shift, sorted descending;
-    - B_n, doubled: E_i = 2 s_i - w_(n-1), sorted by |E| descending;
-    - C_n: e_i = s_i, sorted by |e| descending;
+    - A_n: e = (s_0, ..., s_(n-1), 0), up to a common shift;
+    - B_n, doubled: E_i = 2 s_i - w_(n-1);
+    - C_n: e_i = s_i;
     - D_n, doubled: E_i = 2 s_i - w_(n-2) - w_(n-1), so E_(n-1) =
-      w_(n-1) - w_(n-2), sorted by |E| descending, the last one negated
-      when an odd number were negative (a zero, sorted last, takes the sign);
+      w_(n-1) - w_(n-2).
 
-    and each is converted back: w_i = e_i - e_(i+1) (halved when doubled),
-    with w_(n-1) = e_(n-1) for B and C and (E_(n-2) + E_(n-1)) / 2 for D.
+    rho, all ones, is (n, ..., 0) for A, (2n-1, ..., 1) for B, (n, ..., 1)
+    for C and (2n-2, ..., 0) for D.
     """
     if letter == "A":
-        e = sorted(accumulate(reversed(w), initial=0), reverse=True)
-        return tuple(map(sub, e, e[1:]))
+        e = list(accumulate(reversed(w), initial=0))
+    elif letter == "C":
+        e = list(accumulate(reversed(w)))
+    else:
+        # E_(n-1) = w_(n-1) (B) or w_(n-1) - w_(n-2) (D), and E_i = E_(i+1) + 2 w_i
+        doubled = list(map(add, w, w))
+        doubled[-1] = w[-1] if letter == "B" else w[-1] - w[-2]
+        e = list(accumulate(reversed(doubled)))
+    e.reverse()
+    return e
+
+
+def _sorted_dominant(letter: str, w) -> tuple:
+    """The dominant weight in the Weyl orbit of w for a type A-D, which acts
+    on the epsilon-coordinates e = _eps(letter, w) by permutations (A),
+    signed permutations (B, C) and signed permutations with an even number
+    of sign changes (D) (Bourbaki, Lie VI, Plates I-IV).  They are sorted
+    descending, by |e| for B-D, D's last one negated when an odd number were
+    negative (a zero, sorted last, takes the sign), and converted back:
+    w_i = e_i - e_(i+1) (halved when doubled), with w_(n-1) = e_(n-1) for B
+    and C and (E_(n-2) + E_(n-1)) / 2 for D.
+    """
+    signed = _eps(letter, w)
+    if letter == "A":
+        signed.sort(reverse=True)
+        return tuple(map(sub, signed, signed[1:]))
+    e = sorted(map(abs, signed), reverse=True)
     if letter == "C":
-        e = sorted(map(abs, accumulate(reversed(w))), reverse=True)
         e.append(0)
         return tuple(map(sub, e, e[1:]))
-    # E_(n-1) = w_(n-1) (B) or w_(n-1) - w_(n-2) (D), and E_i = E_(i+1) + 2 w_i
-    doubled = list(map(add, w, w))
-    doubled[-1] = w[-1] if letter == "B" else w[-1] - w[-2]
-    signed = list(accumulate(reversed(doubled)))
-    e = sorted(map(abs, signed), reverse=True)
     if letter == "B":
         return tuple(map(floordiv, map(sub, e, e[1:]), repeat(2))) + (e[-1],)
     if sum(map((0).__gt__, signed)) % 2:
@@ -298,7 +325,7 @@ class RootSystem:
         # the Cartan matrix, d, N / den = C^-1 (den = det C = [P : Q]) and
         # p with w0(varpi_i) = -varpi_p(i)
         (self.cartan, self.d, self._inv_num, self._inv_den, self.w0_permutation,
-         expected) = _plate(letter, rank)
+         self._root_count) = _plate(letter, rank)
         # the columns j with C_ij != 0 of each Cartan row, at most four: a
         # simple reflection moves only node i and its neighbours
         self._cartan_support = tuple(
@@ -318,20 +345,13 @@ class RootSystem:
         # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
         self._rows_table = None
-        self._steps = None  # _closure_steps(), built on first use
+        # positive_roots and _closure_steps(), each built on first use
+        self._roots = self._steps = None
         self._freudenthal_cache: dict = {}
         self._orbit_index_cache: dict = {}
-        # the positive roots, lowest first, one tuple per root alpha:
-        # (fundamental coordinates w, simple-root coordinates r,
-        #  d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
-        # a weight pairs as (lam, alpha) = sum_i r_i (d_i lam_i)
-        self.positive_roots = self._enumerate_positive_roots()
-        if len(self.positive_roots) != expected:
-            raise AssertionError(
-                f"{letter}{rank}: found {len(self.positive_roots)} positive roots, "
-                f"expected {expected}"
-            )
-        self._weyl_dim_den = prod(rho_a for _, _, _, rho_a, _, _ in self.positive_roots)
+        # the product of the (rho, alpha), in the scale of _pairings: E6-E8,
+        # F4 and G2 build their root table for it, A-D need none
+        self._weyl_dim_den = prod(self._pairings((1,) * rank))
         # 2 rho^vee, the sum of the positive coroots, in simple-coroot
         # coordinates: rho^vee is the sum of the fundamental coweights, whose
         # simple-coroot coordinates are the columns of C^-1 = N / den, so
@@ -339,6 +359,22 @@ class RootSystem:
         self._two_rho_vee = tuple(2 * sum(row) // self._inv_den for row in N)
 
     # -- construction helpers ------------------------------------------------
+
+    @property
+    def positive_roots(self) -> tuple:
+        """The positive roots, lowest first, one tuple per root alpha:
+        (fundamental coordinates w, simple-root coordinates r,
+        d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
+        a weight pairs as (lam, alpha) = sum_i r_i (d_i lam_i).  Built on
+        first use and set by plain assignment, as _closure_steps() is, and
+        counted against the plate."""
+        if self._roots is None:
+            roots = self._enumerate_positive_roots()
+            if len(roots) != self._root_count:
+                raise AssertionError(f"{self.name}: found {len(roots)} positive roots, "
+                                     f"expected {self._root_count}")
+            self._roots = roots
+        return self._roots
 
     def _enumerate_positive_roots(self):
         """Close the simple roots under the simple reflections, upwards.
@@ -497,13 +533,48 @@ class RootSystem:
 
     # -- dimensions and dominant weight systems --------------------------------
 
+    def _pairings(self, w) -> list:
+        """The pairings (w, alpha) of the weight w with the positive roots,
+        each times a positive constant of its root, so the Weyl dimension is
+        prod _pairings(lam + rho) / prod _pairings(rho).
+
+        For A-D they come from x = _eps(letter, w): x_i - x_k for i < k, plus
+        x_i + x_k for B-D, plus x_i for B or 2 x_i for C (Bourbaki, Lie VI,
+        Plates I-IV), and no root table is read; E6-E8, F4 and G2 pair
+        through the table, sum_i r_i (d_i w_i)."""
+        letter = self.letter
+        if letter in "ABCD":
+            x = _eps(letter, w)
+            out = [a - b for k, a in enumerate(x, 1) for b in x[k:]]
+            if letter != "A":
+                out += [a + b for k, a in enumerate(x, 1) for b in x[k:]]
+                out += x if letter == "B" else [a + a for a in x] if letter == "C" else ()
+            return out
+        dw = tuple(map(mul, self.d, w))
+        return [sum(map(mul, r, dw)) for _, r, _, _, _, _ in self.positive_roots]
+
+    def _fundamental_dim(self, j: int) -> int:
+        """dim V_(varpi_j) for 0-based j, in closed form for A-D with k = j + 1
+        (the exterior powers of the standard representations, their primitive
+        parts for C, and the spin representations): C(n + 1, k) for A_n;
+        C(2n + 1, k), k < n, and 2^n for B_n; C(2n, k) - C(2n, k - 2) for C_n;
+        C(2n, k), k <= n - 2, and 2^(n - 1) for D_n.  E6-E8, F4 and G2 take
+        the Weyl product."""
+        n, k = self.rank, j + 1
+        if self.letter == "A":
+            return comb(n + 1, k)
+        if self.letter == "B":
+            return comb(2 * n + 1, k) if k < n else 1 << n
+        if self.letter == "C":
+            return comb(2 * n, k) - comb(2 * n, k - 2) if k > 1 else 2 * n
+        if self.letter == "D":
+            return comb(2 * n, k) if k < n - 1 else 1 << (n - 1)
+        return prod(self._pairings([1] * j + [2] + [1] * (n - k))) // self._weyl_dim_den
+
     def weyl_dim(self, lam) -> int:
-        """Weyl dimension formula, exact."""
+        """Weyl dimension formula, exact, from _pairings."""
         lam = self._check_dominant(lam)
-        dlam = tuple(map(mul, self.d, lam))
-        num = 1
-        for _, r, _, rho_alpha, _, _ in self.positive_roots:
-            num *= rho_alpha + sum(map(mul, r, dlam))
+        num = prod(self._pairings([x + 1 for x in lam]))
         assert num % self._weyl_dim_den == 0
         return num // self._weyl_dim_den
 
@@ -547,7 +618,9 @@ class RootSystem:
         there exactly when alpha_i = 0 (alpha_i < 0 lands on a shifted
         weight), so only the shifted weights whose mu_i is the i-th
         coordinate of a positive root are expanded, each by steps[mu_i], and
-        the weights they reach by steps[0].
+        the weights they reach by steps[0].  The shifted weights are inserted
+        first, in the order of below, so the entries after the first
+        len(below) are the weights with nu_i = 0 (_wmf_rows reads them so).
         """
         if seed is None:
             seen = {lam: 0}
@@ -609,11 +682,12 @@ class RootSystem:
         den = self._inv_den
         dominant = self.dominant_representative
         norm_top = self._scaled_norm(tuple(x + 1 for x in lam))
+        roots = self.positive_roots
         for mu in doms[1:]:
             denom = norm_top - self._scaled_norm(tuple(x + 1 for x in mu))
             dmu = tuple(map(mul, self.d, mu))
             total = 0
-            for a, r, length, _, _, _ in self.positive_roots:
+            for a, r, length, _, _, _ in roots:
                 # (mu + j alpha, alpha) = (mu, alpha) + 2 j d_alpha
                 mu_alpha = sum(map(mul, r, dmu))
                 nu, j = mu, 1
@@ -872,26 +946,20 @@ def _walk_dominant_weights(rs: RootSystem, max_dim: int):
     max_dim, in walk order.
 
     A weight reached by raising coordinate j is raised further only at
-    coordinates >= j, so each is reached once.  Raising lam_j adds r_j d_j to
-    each numerator (lam + rho, alpha) of the Weyl product, so a branch ends at
-    the first weight over max_dim, and the product of a weight kept is its
-    dimension times the product of the (rho, alpha).  Every numerator grows
-    with lam, so dim V_(lam + varpi_j) >= dim V_varpi_j, and a coordinate j
-    with varpi_j over max_dim is never raised."""
-    roots = rs.positive_roots
+    coordinates >= j, so each is reached once.  Raising lam_j adds the
+    pairings of varpi_j (RootSystem._pairings) to the numerators of the Weyl
+    product, so a branch ends at the first weight over max_dim, and the
+    product of a weight kept is its dimension times that of rho's pairings.
+    Every numerator grows with lam, so dim V_(lam + varpi_j) >=
+    dim V_varpi_j, and a coordinate j with varpi_j over max_dim
+    (RootSystem._fundamental_dim) is never raised: only the live ones get a
+    column of pairings."""
+    n = rs.rank
     den = rs._weyl_dim_den
     bound = max_dim * den
-    rho = tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots)
-    # column j holds r_j d_j for every root r: the simple-root coordinates
-    # transposed, so no new per-root tuple is made; only the live
-    # coordinates, those j with varpi_j within max_dim, are kept
-    simple_coords = zip(*(r for _, r, _, _, _, _ in roots))
-    live = []
-    for j, (col, dj) in enumerate(zip(simple_coords, rs.d)):
-        col = tuple(map(dj.__mul__, col))
-        if prod(map(add, rho, col)) <= bound:
-            live.append((j, col))
-    stack = [(rs.zero(), 0, rho)]
+    live = [(j, rs._pairings([0] * j + [1] + [0] * (n - 1 - j)))
+            for j in range(n) if rs._fundamental_dim(j) <= max_dim]
+    stack = [(rs.zero(), 0, rs._pairings((1,) * n))]
     while stack:
         lam, start, nums = stack.pop()
         for k in range(start, len(live)):
@@ -934,15 +1002,21 @@ def wmf_family(rs: RootSystem, lam) -> str:
             return "A-fund"
         nz = [i for i, x in enumerate(lam) if x != 0]
         return "A-sym" if len(nz) == 1 and nz[0] in (0, n - 1) else "other"
-    # the family of each fundamental weight varpi_(i+1) that has one, by i
-    families = {
-        "B": {0: "B-std", n - 1: "B-spin"},
-        "C": {0: "C-std", 2: "C3-wedge3" if n == 3 else "other"},
-        "D": {0: "D-std", n - 2: "D-halfspin", n - 1: "D-halfspin"},
-        "E": {0: "E6-27", 5: "E6-27"} if n == 6 else {6: "E7-56"} if n == 7 else {},
-        "G": {0: "G2-7"},
-    }
-    return families.get(rs.letter, {}).get(fund, "other")
+    if fund is None:
+        return "other"
+    get = _FUNDAMENTAL_FAMILIES.get
+    return (get((rs.letter, fund)) or get((rs.letter, fund - n))
+            or get((rs.name, fund), "other"))
+
+
+# the family of each fundamental weight varpi_(i+1) of types B-G that has
+# one, by (letter, i), by (letter, i - rank) for the last nodes, or by
+# (type, i)
+_FUNDAMENTAL_FAMILIES = {
+    ("B", 0): "B-std", ("B", -1): "B-spin", ("C", 0): "C-std", ("C3", 2): "C3-wedge3",
+    ("D", 0): "D-std", ("D", -2): "D-halfspin", ("D", -1): "D-halfspin",
+    ("E6", 0): "E6-27", ("E6", 5): "E6-27", ("E7", 6): "E7-56", ("G", 0): "G2-7",
+}
 
 
 def image_group_label(rs: RootSystem, lam) -> str:
@@ -1023,7 +1097,7 @@ def _sorted_walk(rs: RootSystem, max_dim: int) -> list:
     return walk if bound == max_dim else [(lam, d) for lam, d in walk if d <= max_dim]
 
 
-def _weight_facts(rs: RootSystem, lam, doms=None) -> tuple:
+def _weight_facts(rs: RootSystem, lam, doms=None, orbit_sum=None) -> tuple:
     """(sum of |W mu| over the dominant weights mu of V_lam, minuscule?,
     quasi-minuscule?) for a dominant tuple lam, unchecked.
 
@@ -1031,13 +1105,15 @@ def _weight_facts(rs: RootSystem, lam, doms=None) -> tuple:
     only dominant weight and quasi-minuscule when lam and 0 are the only
     ones; the two flags are read for nonzero lam only.  The three are read
     from the closure doms of lam, or one uncached closure when none is
-    given; rank 1 uses the closed forms, as sl2 weights k, k-2, ..., -k
-    each occur once."""
+    given, and the sum is orbit_sum when given; rank 1 uses the closed
+    forms, as sl2 weights k, k-2, ..., -k each occur once."""
     if rs.rank == 1:
         return lam[0] + 1, lam[0] == 1, lam[0] <= 2
     if doms is None:
         doms = rs._closure(lam)
-    return sum(map(rs._orbit_index, doms)), len(doms) == 1, doms.keys() <= {lam, rs.zero()}
+    if orbit_sum is None:
+        orbit_sum = sum(map(rs._orbit_index, doms))
+    return orbit_sum, len(doms) == 1, doms.keys() <= {lam, rs.zero()}
 
 
 def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
@@ -1057,8 +1133,14 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     that of its walk parent lam - varpi_i, i its last nonzero coordinate,
     and the sweep's step table for i: the parent is walked, sorts before
     lam, and is wmf unless lam is skipped.  The closures of wmf weights are
-    kept for their walk children, and a parent's is dropped at the child
-    with lam_i >= 2, the last of its children to sort.
+    kept, with their dimensions, for their walk children, and a parent's is
+    dropped at the child with lam_i >= 2, the last of its children to sort.
+
+    The orbit sum comes from the parent's too.  A wmf parent's orbit sizes
+    add up to its dimension, and shifting mu by varpi_i keeps |W mu| where
+    mu_i >= 1, so the sum is dim V_parent, plus |W(mu + varpi_i)| - |W mu|
+    for each mu of the parent's closure with mu_i = 0, plus |W nu| for each
+    new weight nu, the entries of the closure after the shifted ones.
     """
     table = rs._rows_table
     if table is not None and max_dim <= table[0]:
@@ -1066,21 +1148,28 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     rows = []
     not_wmf = set()
     zero = rs.zero()
-    closures = {zero: {zero: 0}}
+    orbit = rs._orbit_index
+    closures = {zero: ({zero: 0}, 1)}
     seed_steps: dict = {}  # i -> rs._seed_steps(i), for this sweep alone
     for lam, dim in _sorted_walk(rs, max_dim):
         i = max(compress(range(rs.rank), lam))
         parent = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
-        below = closures.pop(parent, None) if lam[i] > 1 else closures.get(parent)
+        kept = closures.pop(parent, None) if lam[i] > 1 else closures.get(parent)
         if any(x and lam[:j] + (x - 1,) + lam[j + 1:] in not_wmf for j, x in enumerate(lam)):
             not_wmf.add(lam)
             continue
-        doms = None
+        doms = orbit_sum = None
         if rs.rank > 1:
             if i not in seed_steps:
                 seed_steps[i] = rs._seed_steps(i)
-            doms = closures[lam] = rs._closure(lam, (below, i, seed_steps[i]))
-        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam, doms)
+            below, orbit_sum = kept  # the parent's closure and dimension
+            doms = rs._closure(lam, (below, i, seed_steps[i]))
+            closures[lam] = (doms, dim)
+            for mu in below:
+                if not mu[i]:
+                    orbit_sum += orbit(mu[:i] + (1,) + mu[i + 1:]) - orbit(mu)
+            orbit_sum += sum(map(orbit, islice(doms, len(below), None)))
+        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam, doms, orbit_sum)
         if orbit_sum != dim:
             closures.pop(lam, None)
             not_wmf.add(lam)

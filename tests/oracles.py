@@ -8,7 +8,7 @@ meaningful.
 import operator
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 
 def brute_partitions(n):
@@ -712,6 +712,75 @@ def dominant_weights_in_box(rs, max_dim):
             if dim <= max_dim:
                 out.append((lam, dim))
     return out
+
+
+def weyl_dim_by_root_table(rs, lam):
+    """The Weyl dimension of V_lam as the product over the positive-root table
+    of (lam + rho, alpha) / (rho, alpha), with (lam, alpha) = sum_i r_i d_i
+    lam_i over the nonzero lam_i and (rho, alpha) read from the table."""
+    scaled = [(i, rs.d[i] * x) for i, x in enumerate(lam) if x]
+    num = den = 1
+    for _, r, _, rho_alpha, _, _ in rs.positive_roots:
+        num *= rho_alpha + sum(r[i] * x for i, x in scaled)
+        den *= rho_alpha
+    assert num % den == 0
+    return num // den
+
+
+def walk_by_root_table(rs, max_dim):
+    """(lam, dim V_lam) for every nonzero dominant lam with dim V_lam <=
+    max_dim, in the order of the library's walk, built from the positive-root
+    table: column j holds r_j d_j for every root, the simple-root coordinates
+    transposed and scaled, and j is live when the product of rho + column j
+    is within max_dim times that of rho.  The same depth-first walk then
+    raises the live coordinates in index order, each from the last one
+    raised."""
+    roots = rs.positive_roots
+    rho = tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots)
+    den = prod(rho)
+    bound = max_dim * den
+    live = []
+    for j, (col, dj) in enumerate(zip(zip(*(r for _, r, _, _, _, _ in roots)), rs.d)):
+        col = tuple(dj * x for x in col)
+        if prod(map(operator.add, rho, col)) <= bound:
+            live.append((j, col))
+    out = []
+    stack = [((0,) * rs.rank, 0, rho)]
+    while stack:
+        lam, start, nums = stack.pop()
+        for k in range(start, len(live)):
+            j, col = live[k]
+            raised = tuple(map(operator.add, nums, col))
+            num = prod(raised)
+            if num <= bound:
+                dim, rem = divmod(num, den)
+                assert rem == 0
+                cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
+                out.append((cand, dim))
+                stack.append((cand, k, raised))
+    return out
+
+
+def wmf_family_by_table(rs, lam):
+    """The row family of V_lam from a table of every fundamental weight that
+    has one, by type letter and 0-based index; any other weight of B-G is
+    'other', and type A is decided by its nonzero coordinates."""
+    n, letter = rs.rank, rs.letter
+    nz = [i for i, x in enumerate(lam) if x]
+    if letter == "A":
+        if len(nz) == 1 and lam[nz[0]] == 1:
+            return "A-fund"
+        return "A-sym" if len(nz) == 1 and nz[0] in (0, n - 1) else "other"
+    table = {
+        "B": {0: "B-std", n - 1: "B-spin"},
+        "C": {0: "C-std", 2: "C3-wedge3" if n == 3 else "other"},
+        "D": {0: "D-std", n - 2: "D-halfspin", n - 1: "D-halfspin"},
+        "E": {0: "E6-27", 5: "E6-27"} if n == 6 else {6: "E7-56"} if n == 7 else {},
+        "G": {0: "G2-7"},
+    }.get(letter, {})
+    if len(nz) == 1 and lam[nz[0]] == 1:
+        return table.get(nz[0], "other")
+    return "other"
 
 
 def is_wmf_by_orbit_sizes(rs, lam):

@@ -63,8 +63,11 @@ from oracles import (
     subset_exterior_power_with_add,
     two_rho_vee_by_coroots,
     w0_permutation_by_dominantizing,
+    walk_by_root_table,
     weyl_character_formula_sides,
+    weyl_dim_by_root_table,
     weyl_orbit,
+    wmf_family_by_table,
     wmf_weights_unpruned,
 )
 
@@ -984,6 +987,36 @@ class TestClosedFormsAgainstOracles:
             count += len(walked)
         assert count == 7143
 
+    def test_walk_against_root_table_walk(self):
+        # the walk over epsilon-pairings (A-D) and over the root table
+        # (E6-E8, F4, G2), weights, dimensions and order, against the walk
+        # over the transposed root table, on every type to rank 40
+        count = 0
+        for letter, n in TYPES_TO_RANK_40:
+            rs = RootSystem(letter, n)  # no walk table
+            for max_dim in (118, 3000):
+                walked = list(_walk_dominant_weights(rs, max_dim))
+                assert walked == walk_by_root_table(rs, max_dim), (rs.name, max_dim)
+                count += len(walked)
+        assert count == 6857
+
+    def test_fundamental_dims_against_root_product(self):
+        for letter, n in TYPES_TO_RANK_40:
+            rs = root_system(letter, n)
+            for j in range(n):
+                unit = (0,) * j + (1,) + (0,) * (n - 1 - j)
+                assert rs._fundamental_dim(j) == weyl_dim_by_root_table(rs, unit), (rs.name, j)
+
+    @given(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]), st.integers(0, 14),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weyl_dim_against_root_product(self, letter_low, extra, data):
+        letter, low = letter_low
+        n = low + extra
+        lam = tuple(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        rs = root_system(letter, n)
+        assert rs.weyl_dim(lam) == weyl_dim_by_root_table(rs, lam), (rs.name, lam)
+
     def test_sparse_reflection_against_dense(self):
         rng = random.Random(17)
         for letter, n in self.TYPES_20:
@@ -1018,6 +1051,18 @@ class TestClosedFormsAgainstOracles:
             (True, True), (False, True), (False, False)]
         assert quasi_minuscule_dim_search(3, 1) == [("A1", (2,))]
         assert root_system("A1")._dominant_below_cache == {}
+
+    def test_classical_sweeps_build_no_root_table_unread(self, monkeypatch):
+        # no weight of rank >= 11 has dimension 118, so no closure reads a
+        # table of those ranks, and Weyl dimensions of A-D read none
+        monkeypatch.setattr(lierep, "_ROOT_SYSTEM_CACHE", {})
+        assert quasi_minuscule_dim_search(118, 20) == []
+        built = [name for name, rs in lierep._ROOT_SYSTEM_CACHE.items() if rs._roots is not None]
+        assert len(lierep._ROOT_SYSTEM_CACHE) == 79
+        assert not [(letter, n) for letter, n in built if letter in "ABCD" and n >= 11]
+        rs = root_system("B100")
+        assert rs.weyl_dim((2,) + (0,) * 99) == 20300 and rs._roots is None
+        assert len(rs.positive_roots) == 10000 and rs._roots is rs.positive_roots
 
     @pytest.mark.parametrize("dim", [3, 7, 8, 26, 27, 56, 78, 118, 248])
     def test_qm_search_against_bfs_and_unfiltered_closure(self, dim):
@@ -1114,6 +1159,19 @@ class TestGroupLabels:
             spin = family == "D-halfspin" or (
                 family != "D-std" and center_kernel_index(rs, lam) == 1)
             assert image_group_label(rs, lam) == f"{'Spin' if spin else 'SO'}{2 * n}", (n, lam)
+
+
+    def test_families_against_table(self):
+        # every fundamental weight of every type to rank 9, D3 and C2
+        # included, and the weights of dimension <= 300
+        count = 0
+        for letter, n in canonical_simple_types(9) + [("D", 3), ("C", 2)]:
+            rs = root_system(letter, n)
+            weights = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+            for lam in weights + enumerate_dominant_weights(rs, 300):
+                assert lierep.wmf_family(rs, lam) == wmf_family_by_table(rs, lam), (rs.name, lam)
+                count += lierep.wmf_family(rs, lam) != "other"
+        assert count == 585
 
 
 class TestTables:
