@@ -17,10 +17,10 @@ All lattice arithmetic is in integers.  Each concept has one integer form
 per root system: the inverse Cartan matrix as N / den with C N = den I,
 which gives den (u, u) = sum_ij u_i N_ij d_j u_j and 2 rho^vee as twice the
 row sums of N / den, and one table of positive roots, each a tuple of its
-fundamental and simple-root coordinates, half its squared length,
-(rho, alpha), its height and its support, built on first use: the closures,
-orbit sizes and Freudenthal read it.  A weight lam pairs with the positive
-root alpha = sum_i r_i alpha_i as (lam, alpha) = sum_i r_i (d_i lam_i).  The
+fundamental and simple-root coordinates, half its squared length, its
+height and its support, built on first use: the closures, orbit sizes and
+Freudenthal read it.  A weight lam pairs with the positive root alpha =
+sum_i r_i alpha_i as (lam, alpha) = sum_i r_i (d_i lam_i).  The
 Weyl numerators (lam + rho, alpha) come from one routine
 (RootSystem._pairings): for A-D the pairings of epsilon-coordinates,
 x_i - x_k and x_i + x_k and x_i or 2 x_i, which read no table, and for
@@ -39,11 +39,11 @@ theorem gives one:
   weight w has one parent, s_j w for j its first negative coordinate, so each
   weight is formed once and no set of those seen is kept;
 - the dominant weights of dimension at most a bound are walked once each,
-  raising coordinates in index order; the Weyl dimension grows with every
-  coordinate, so a branch ends at the first weight over the bound, a
-  coordinate whose fundamental weight is over the bound, by its closed-form
-  dimension for A-D, is never raised, and the Weyl product the walk forms
-  to test the bound gives the dimension;
+  in sorted order, raising coordinates in index order (_walk); the Weyl
+  dimension grows with every coordinate, so a branch ends at the first
+  weight over the bound, a coordinate whose fundamental weight is over the
+  bound, by its closed-form dimension for A-D, is never raised, and the
+  Weyl product the walk forms to test the bound gives the dimension;
 - the dominant weights of an irreducible are the closure of the highest
   weight under "subtract a positive root, keep the result if it is
   dominant" (covers in the dominance order on dominant weights differ by
@@ -83,20 +83,20 @@ they call unchecked kernels on them, and each root system keeps two tables
 that later sweeps, and enumerate_dominant_weights, read instead of redoing
 the work:
 
-- the walk table: the sorted (weight, dimension) walk to the largest bound
-  asked so far, which a smaller bound filters and a larger one replaces;
+- the walk table: the (weight, dimension) walk to the largest bound asked
+  so far, which a smaller bound filters and a larger one replaces;
 - the rows table: the wmf rows to the largest bound asked so far, whose rows
   of dimension at most D' are the rows to any bound D' below it.
 
-A sweep reads each weight's facts from one uncached closure, and one
-routine, RootSystem._closure, builds every closure: classify_wmf seeds it
-with the closure of the weight's walk parent and keeps it only while a walk
-child of a wmf weight is still to come; quasi_minuscule_dim_search and the
-predicate is_wmf build it whole and drop it once read.  classify_wmf takes
-a closure's orbit sum from the parent's too, which is the parent's
-dimension: only the weights whose zero pattern the shift by varpi_i
-changes, and the new ones, are sized.  The one cached closure entry,
-dominant_weights_below, serves Freudenthal.
+A sweep reads each weight's facts from one uncached closure, built by one
+routine, RootSystem._closure (rank 1 has closed forms): classify_wmf seeds
+it with the closure of the weight's walk parent, keeps it only while a walk
+child of a wmf weight is still to come, and takes its orbit sum from the
+parent's too, which is the parent's dimension: only the weights whose zero
+pattern the shift by varpi_i changes, and the new ones, are sized.
+quasi_minuscule_dim_search and the predicate is_wmf build it whole and drop
+it once read.  The one cached closure entry, dominant_weights_below, serves
+Freudenthal.
 
 Characters are operated on in the group ring Z[P] of the weight lattice
 with the `lambdaring` kernels.  freudenthal_character's characters are
@@ -341,8 +341,8 @@ class RootSystem:
         # stays for bench/tracing.py, which counts its hits (ROADMAP item 5,
         # library-native tracing)
         self._dominant_below_cache: dict = {}
-        # the weight sweeps' tables (see _sorted_walk and _wmf_rows):
-        # (bound, sorted (lam, dim) walk to it) and (bound, wmf rows up to it)
+        # the weight sweeps' tables (see _walk and _wmf_rows):
+        # (bound, (lam, dim) walk to it) and (bound, wmf rows up to it)
         self._walk_table = None
         self._rows_table = None
         # positive_roots and _closure_steps(), each built on first use
@@ -364,7 +364,7 @@ class RootSystem:
     def positive_roots(self) -> tuple:
         """The positive roots, lowest first, one tuple per root alpha:
         (fundamental coordinates w, simple-root coordinates r,
-        d_alpha = (alpha, alpha)/2, (rho, alpha), height, support bitmask);
+        d_alpha = (alpha, alpha)/2, height, support bitmask);
         a weight pairs as (lam, alpha) = sum_i r_i (d_i lam_i).  Built on
         first use and set by plain assignment, as _closure_steps() is, and
         counted against the plate."""
@@ -383,30 +383,29 @@ class RootSystem:
         with <beta, alpha_i^vee> = k < 0 maps to the higher root beta - k
         alpha_i; every non-simple positive root is reached this way from a
         lower one.  Fundamental coordinates are formed only for a new root,
-        by a sparse reflection; (rho, alpha), the height and the support grow
-        with the coordinate r_i raised.
+        by a sparse reflection; the height and the support grow with the
+        coordinate r_i raised.
         """
         d, n = self.d, self.rank
-        # r -> (w, d_alpha, (rho, alpha), height, support)
-        found = {(0,) * i + (1,) + (0,) * (n - 1 - i): (self.cartan[i], d[i], d[i], 1, 1 << i)
+        # r -> (w, d_alpha, height, support)
+        found = {(0,) * i + (1,) + (0,) * (n - 1 - i): (self.cartan[i], d[i], 1, 1 << i)
                  for i in range(n)}
         layer = list(found)
         while layer:
             nxt = []
             for r in layer:
-                w, length, rho_alpha, height, support = found[r]
+                w, length, height, support = found[r]
                 for i, k in enumerate(w):
                     if k < 0:
                         up = r[:i] + (r[i] - k,) + r[i + 1:]
                         if up not in found:
-                            found[up] = (self.reflect(i, w), length, rho_alpha - k * d[i],
-                                         height - k, support | 1 << i)
+                            found[up] = (self.reflect(i, w), length, height - k, support | 1 << i)
                             nxt.append(up)
             layer = nxt
         return tuple(
-            (w, r, length, rho_alpha, height, support)
-            for r, (w, length, rho_alpha, height, support)
-            in sorted(found.items(), key=lambda item: (item[1][3], item[0]))
+            (w, r, length, height, support)
+            for r, (w, length, height, support)
+            in sorted(found.items(), key=lambda item: (item[1][2], item[0]))
         )
 
     # -- basic weight operations ----------------------------------------------
@@ -524,7 +523,7 @@ class RootSystem:
         if index is None:
             fixed = sum(1 << i for i, z in enumerate(zeros) if z)
             num = den = 1
-            for _, _, _, _, height, support in self.positive_roots:
+            for _, _, _, height, support in self.positive_roots:
                 if support & ~fixed:
                     num *= height + 1
                     den *= height
@@ -551,7 +550,7 @@ class RootSystem:
                 out += x if letter == "B" else [a + a for a in x] if letter == "C" else ()
             return out
         dw = tuple(map(mul, self.d, w))
-        return [sum(map(mul, r, dw)) for _, r, _, _, _, _ in self.positive_roots]
+        return [sum(map(mul, r, dw)) for _, r, _, _, _ in self.positive_roots]
 
     def _fundamental_dim(self, j: int) -> int:
         """dim V_(varpi_j) for 0-based j, in closed form for A-D with k = j + 1
@@ -601,7 +600,8 @@ class RootSystem:
 
     def _closure(self, lam, seed=None) -> dict:
         """The dominant weights mu of V_lam, each with its depth ht(lam - mu),
-        for a dominant tuple lam: unchecked, unordered and uncached.
+        for a dominant tuple lam: unchecked, unordered and uncached.  The
+        sweeps read each weight's facts from its keys (see the module notes).
 
         For dominant mu, mu - alpha is dominant exactly when mu_i >= alpha_i
         at the coordinates where alpha_i > 0, so each root is tested on those
@@ -652,7 +652,7 @@ class RootSystem:
         (a cached_property's store through __dict__ slows every later load)."""
         if self._steps is None:
             self._steps = tuple((a, tuple(i for i, x in enumerate(a) if x > 0), height)
-                                for a, _, _, _, height, _ in self.positive_roots)
+                                for a, _, _, height, _ in self.positive_roots)
         return self._steps
 
     def _seed_steps(self, i: int) -> dict:
@@ -687,7 +687,7 @@ class RootSystem:
             denom = norm_top - self._scaled_norm(tuple(x + 1 for x in mu))
             dmu = tuple(map(mul, self.d, mu))
             total = 0
-            for a, r, length, _, _, _ in roots:
+            for a, r, length, _, _ in roots:
                 # (mu + j alpha, alpha) = (mu, alpha) + 2 j d_alpha
                 mu_alpha = sum(map(mul, r, dmu))
                 nu, j = mu, 1
@@ -930,49 +930,57 @@ def _fs_type(rs: RootSystem, lam) -> str:
 
 
 def is_wmf(rs: RootSystem, lam) -> bool:
-    """Weight multiplicity free: every multiplicity is one, equivalently the
-    orbit sizes of the dominant weights add up to the dimension."""
+    """Every multiplicity is one (always at rank 1): the orbit sizes of the
+    dominant weights add up to the dimension."""
     lam = rs._check_dominant(lam)
-    return _weight_facts(rs, lam)[0] == rs.weyl_dim(lam)
+    return rs.rank == 1 or sum(map(rs._orbit_index, rs._closure(lam))) == rs.weyl_dim(lam)
 
 
 def enumerate_dominant_weights(rs: RootSystem, max_dim: int) -> list:
     """All nonzero dominant weights with Weyl dimension <= max_dim, sorted."""
-    return [lam for lam, _ in _sorted_walk(rs, max_dim)]
+    return [lam for lam, _ in _walk(rs, max_dim)]
 
 
-def _walk_dominant_weights(rs: RootSystem, max_dim: int):
+def _walk(rs: RootSystem, max_dim: int) -> list:
     """(lam, dim V_lam) for every nonzero dominant lam with dim V_lam <=
-    max_dim, in walk order.
+    max_dim, sorted, from the walk table: the walk to the largest bound
+    asked so far, which a smaller bound filters and a larger one replaces.
 
-    A weight reached by raising coordinate j is raised further only at
-    coordinates >= j, so each is reached once.  Raising lam_j adds the
+    A weight raised at coordinate j is raised further only at coordinates
+    >= j, so each is reached once, and is listed before the weights raised
+    from it, the last coordinate's first: below it the coordinates before j
+    are fixed, so the order is lexicographic.  Raising lam_j adds the
     pairings of varpi_j (RootSystem._pairings) to the numerators of the Weyl
     product, so a branch ends at the first weight over max_dim, and the
     product of a weight kept is its dimension times that of rho's pairings.
-    Every numerator grows with lam, so dim V_(lam + varpi_j) >=
-    dim V_varpi_j, and a coordinate j with varpi_j over max_dim
-    (RootSystem._fundamental_dim) is never raised: only the live ones get a
-    column of pairings."""
+    Every numerator grows with lam, so dim V_(lam + varpi_j) >= dim V_varpi_j,
+    and a coordinate j with varpi_j over max_dim (RootSystem._fundamental_dim)
+    is never raised: only the live ones get a column of pairings."""
+    table = rs._walk_table
+    if table is not None and max_dim <= table[0]:
+        bound, walk = table
+        return walk if bound == max_dim else [(lam, d) for lam, d in walk if d <= max_dim]
     n = rs.rank
     den = rs._weyl_dim_den
     bound = max_dim * den
     live = [(j, rs._pairings([0] * j + [1] + [0] * (n - 1 - j)))
             for j in range(n) if rs._fundamental_dim(j) <= max_dim]
-    stack = [(rs.zero(), 0, rs._pairings((1,) * n))]
+    walk = []
+    stack = [(rs.zero(), 0, rs._pairings((1,) * n), 1)]
     while stack:
-        lam, start, nums = stack.pop()
+        lam, start, nums, dim = stack.pop()
+        walk.append((lam, dim))
         for k in range(start, len(live)):
             j, col = live[k]
             raised = tuple(map(add, nums, col))
             num = prod(raised)
-            if num > bound:
-                continue
-            dim, rem = divmod(num, den)
-            assert rem == 0
-            cand = lam[:j] + (lam[j] + 1,) + lam[j + 1:]
-            yield cand, dim
-            stack.append((cand, k, raised))
+            if num <= bound:
+                dim, rem = divmod(num, den)
+                assert rem == 0
+                stack.append((lam[:j] + (lam[j] + 1,) + lam[j + 1:], k, raised, dim))
+    del walk[0]  # the zero weight
+    rs._walk_table = (max_dim, walk)
+    return walk
 
 
 def center_kernel_index(rs: RootSystem, lam) -> int:
@@ -1077,57 +1085,29 @@ def classify_wmf(max_rank: int, max_dim: int):
 
 def quasi_minuscule_dim_search(dim: int, max_rank: int) -> list:
     """Quasi-minuscule irreducibles of exactly the given dimension, over all
-    simple types of rank <= max_rank."""
+    simple types of rank <= max_rank: lam and 0 are the only dominant
+    weights, which at rank 1 is lam_0 <= 2."""
     matches = []
     for letter, n in _sweep_types(max_rank, dim):
         rs = root_system(letter, n)
-        matches += [(f"{letter}{n}", lam) for lam, d in _sorted_walk(rs, dim)
-                    if d == dim and _weight_facts(rs, lam)[2]]
+        matches += [(f"{letter}{n}", lam) for lam, d in _walk(rs, dim) if d == dim and (
+            lam[0] <= 2 if n == 1 else rs._closure(lam).keys() <= {lam, rs.zero()})]
     return matches
-
-
-def _sorted_walk(rs: RootSystem, max_dim: int) -> list:
-    """sorted(_walk_dominant_weights(rs, max_dim)), from the walk table:
-    the walk to the largest bound asked so far, which a smaller bound
-    filters and a larger one replaces."""
-    table = rs._walk_table
-    if table is None or table[0] < max_dim:
-        table = rs._walk_table = (max_dim, sorted(_walk_dominant_weights(rs, max_dim)))
-    bound, walk = table
-    return walk if bound == max_dim else [(lam, d) for lam, d in walk if d <= max_dim]
-
-
-def _weight_facts(rs: RootSystem, lam, doms=None, orbit_sum=None) -> tuple:
-    """(sum of |W mu| over the dominant weights mu of V_lam, minuscule?,
-    quasi-minuscule?) for a dominant tuple lam, unchecked.
-
-    V_lam is wmf when the sum is its dimension, minuscule when lam is its
-    only dominant weight and quasi-minuscule when lam and 0 are the only
-    ones; the two flags are read for nonzero lam only.  The three are read
-    from the closure doms of lam, or one uncached closure when none is
-    given, and the sum is orbit_sum when given; rank 1 uses the closed
-    forms, as sl2 weights k, k-2, ..., -k each occur once."""
-    if rs.rank == 1:
-        return lam[0] + 1, lam[0] == 1, lam[0] <= 2
-    if doms is None:
-        doms = rs._closure(lam)
-    if orbit_sum is None:
-        orbit_sum = sum(map(rs._orbit_index, doms))
-    return orbit_sum, len(doms) == 1, doms.keys() <= {lam, rs.zero()}
 
 
 def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     """The wmf rows of rs with dimension at most max_dim, sorted by weight.
 
-    Each weight's dimension comes from the walk and the rest from its facts
-    (_weight_facts); Frobenius-Schur types come from the closed-form sign
-    (-1)^<lam, 2 rho^vee> of fs_type.  A weight lam with some lam - varpi_i
-    not wmf is not wmf either, as multiplicities only grow along dominant
-    shifts, and is skipped untested: lam - varpi_i sorts before lam and has
-    a smaller dimension, so it is decided first.  The pruning only looks at
-    weights of smaller dimension, so the rows to a bound D' <= D are those
-    to D of dimension at most D'; the rows table keeps those to the largest
-    bound asked so far.
+    Each weight's dimension comes from the walk and its flags from its
+    closure, or at rank 1, where every irreducible is wmf, from lam_0:
+    minuscule for 1 and quasi-minuscule up to 2.  Frobenius-Schur types come
+    from the closed-form sign (-1)^<lam, 2 rho^vee> of fs_type.  A weight
+    lam with some lam - varpi_i not wmf is not wmf either, as multiplicities
+    only grow along dominant shifts, and is skipped untested: lam - varpi_i
+    sorts before lam and has a smaller dimension, so it is decided first.
+    The pruning only looks at weights of smaller dimension, so the rows to a
+    bound D' <= D are those to D of dimension at most D'; the rows table
+    keeps those to the largest bound asked so far.
 
     Above rank 1 a weight's closure (RootSystem._closure) is seeded with
     that of its walk parent lam - varpi_i, i its last nonzero coordinate,
@@ -1151,29 +1131,29 @@ def _wmf_rows(rs: RootSystem, max_dim: int) -> list:
     orbit = rs._orbit_index
     closures = {zero: ({zero: 0}, 1)}
     seed_steps: dict = {}  # i -> rs._seed_steps(i), for this sweep alone
-    for lam, dim in _sorted_walk(rs, max_dim):
+    for lam, dim in _walk(rs, max_dim):
         i = max(compress(range(rs.rank), lam))
         parent = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
         kept = closures.pop(parent, None) if lam[i] > 1 else closures.get(parent)
         if any(x and lam[:j] + (x - 1,) + lam[j + 1:] in not_wmf for j, x in enumerate(lam)):
             not_wmf.add(lam)
             continue
-        doms = orbit_sum = None
-        if rs.rank > 1:
+        if rs.rank == 1:
+            minuscule, quasi_minuscule = lam[0] == 1, lam[0] <= 2
+        else:
             if i not in seed_steps:
                 seed_steps[i] = rs._seed_steps(i)
             below, orbit_sum = kept  # the parent's closure and dimension
             doms = rs._closure(lam, (below, i, seed_steps[i]))
-            closures[lam] = (doms, dim)
             for mu in below:
                 if not mu[i]:
                     orbit_sum += orbit(mu[:i] + (1,) + mu[i + 1:]) - orbit(mu)
             orbit_sum += sum(map(orbit, islice(doms, len(below), None)))
-        orbit_sum, minuscule, quasi_minuscule = _weight_facts(rs, lam, doms, orbit_sum)
-        if orbit_sum != dim:
-            closures.pop(lam, None)
-            not_wmf.add(lam)
-            continue
+            if orbit_sum != dim:
+                not_wmf.add(lam)
+                continue
+            closures[lam] = (doms, dim)
+            minuscule, quasi_minuscule = len(doms) == 1, doms.keys() <= {lam, zero}
         rows.append(
             WmfEntry(
                 letter=rs.letter,
@@ -1205,7 +1185,7 @@ def root_multiple_condition(rs: RootSystem, lam) -> bool:
     nonzero dominant weights of V_lam against the dominant roots (the highest
     root and the highest short root).
     """
-    dominant_roots = [a for a, _, _, _, _, _ in rs.positive_roots if min(a) >= 0]
+    dominant_roots = [a for a, _, _, _, _ in rs.positive_roots if min(a) >= 0]
     for w in rs.dominant_weights_below(lam):
         if not any(w):
             continue

@@ -59,47 +59,28 @@ class Partition(tuple):
         return "(" + ",".join(map(str, self)) + ")"
 
 
-# the most partitions `partitions` lists: through cli.run, p(45) = 89,134
-# take 0.9 to 1.2 s to list and print and e_45 1.4 to 1.6 s to expand and
-# print (Python 3.11, 2 vCPU)
-MAX_PARTITIONS = 100_000
+# the largest degree `partitions` lists: through cli.run, p(45) = 89,134
+# partitions take 0.9 to 1.2 s to list and print and e_45 1.4 to 1.6 s to
+# expand and print, and p(46) = 105,558 (Python 3.11, 2 vCPU)
+MAX_PARTITION_DEGREE = 45
 
-# the most partitions schur_to_powersum expands over, one Murnaghan-Nakayama
-# character each: p(32) = 8,349 take up to 1.6 s (s_(4^8)) and p(33) =
-# 10,143 up to 2.0 s (Python 3.11, 2 vCPU), so degree 32 is the largest
-MAX_SCHUR_PARTITIONS = 10_000
-
-
-def _partition_count_over(n: int, limit: int) -> bool:
-    """Whether p(n) > limit, by Euler's pentagonal-number recurrence; p is
-    nondecreasing, so the recurrence stops as soon as a count passes the
-    limit, after a few dozen steps for any n."""
-    counts = [1]
-    for m in range(1, n + 1):
-        total, j = 0, 1
-        while j * (3 * j - 1) // 2 <= m:
-            sign = 1 if j % 2 else -1
-            total += sign * counts[m - j * (3 * j - 1) // 2]
-            if j * (3 * j + 1) // 2 <= m:
-                total += sign * counts[m - j * (3 * j + 1) // 2]
-            j += 1
-        if total > limit:
-            return True
-        counts.append(total)
-    return counts[-1] > limit
+# the largest degree schur_to_powersum expands, one Murnaghan-Nakayama
+# character per partition: p(32) = 8,349 take up to 1.6 s (s_(4^8)) and
+# p(33) = 10,143 up to 2.0 s (Python 3.11, 2 vCPU)
+MAX_SCHUR_DEGREE = 32
 
 
 def partitions(n: int) -> list[Partition]:
     """All partitions of ``n``, in lexicographically descending order.
 
     The order starts at ``(n)`` and ends at ``(1,...,1)``; for ``n = 0``
-    the list is ``[()]``.  An ``n`` with more than MAX_PARTITIONS partitions
-    is refused before any is listed.
+    the list is ``[()]``.  An ``n`` over MAX_PARTITION_DEGREE is refused
+    before any partition is listed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if _partition_count_over(n, MAX_PARTITIONS):
-        raise ValueError(f"p({n}) is over the limit of {MAX_PARTITIONS} partitions")
+    if n > MAX_PARTITION_DEGREE:
+        raise ValueError(f"degree {n} is over the limit of {MAX_PARTITION_DEGREE} for partitions")
     out: list[Partition] = []
     make = tuple.__new__  # each prefix is a partition: made once, unchecked
 
@@ -201,14 +182,14 @@ class SymExpr(namedtuple("SymExpr", "terms")):
 
 def _check_schur_degree(n: int) -> None:
     """Refuse a Schur expansion of degree n: the empty partition's, or one
-    over MAX_SCHUR_PARTITIONS partitions, before any is listed.  JacobiTrudi
+    over MAX_SCHUR_DEGREE, before any partition is listed.  JacobiTrudi
     lists none; it keeps this as its degree guard, so the refusals of both
     lambda-rings stand."""
     if n == 0:
         raise ValueError("alpha must be a nonempty partition")
-    if _partition_count_over(n, MAX_SCHUR_PARTITIONS):
+    if n > MAX_SCHUR_DEGREE:
         raise ValueError(
-            f"p({n}) is over the limit of {MAX_SCHUR_PARTITIONS} partitions of a Schur expansion")
+            f"degree {n} is over the limit of {MAX_SCHUR_DEGREE} for a Schur expansion")
 
 
 def schur_to_powersum(alpha) -> SymExpr:

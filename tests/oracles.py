@@ -28,6 +28,22 @@ def brute_partitions(n):
     return out
 
 
+def partition_counts(n):
+    """[p(0), ..., p(n)] by Euler's pentagonal-number recurrence,
+    p(m) = sum_(j >= 1) (-1)^(j + 1) (p(m - j(3j - 1)/2) + p(m - j(3j + 1)/2))."""
+    counts = [1]
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            total += sign * counts[m - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= m:
+                total += sign * counts[m - j * (3 * j + 1) // 2]
+            j += 1
+        counts.append(total)
+    return counts
+
+
 _content_memo = {}
 
 
@@ -507,7 +523,7 @@ def dominant_weights_below_unfiltered(rs, lam):
     while frontier:
         nxt = []
         for mu in frontier:
-            for a, _, _, _, _, _ in rs.positive_roots:
+            for a, _, _, _, _ in rs.positive_roots:
                 cand = tuple(map(operator.sub, mu, a))
                 if cand not in seen and min(cand) >= 0:
                     seen.add(cand)
@@ -580,7 +596,7 @@ def two_rho_vee_by_coroots(rs):
     r_i alpha_i with (alpha, alpha) = 2 d_alpha is sum_i r_i d_i / d_alpha
     alpha_i^vee."""
     total = [0] * rs.rank
-    for _, r, length, _, _, _ in rs.positive_roots:
+    for _, r, length, _, _ in rs.positive_roots:
         for i, (ri, di) in enumerate(zip(r, rs.d)):
             q, rem = divmod(ri * di, length)
             assert rem == 0, "coroot coordinates are integers"
@@ -717,10 +733,11 @@ def dominant_weights_in_box(rs, max_dim):
 def weyl_dim_by_root_table(rs, lam):
     """The Weyl dimension of V_lam as the product over the positive-root table
     of (lam + rho, alpha) / (rho, alpha), with (lam, alpha) = sum_i r_i d_i
-    lam_i over the nonzero lam_i and (rho, alpha) read from the table."""
+    lam_i over the nonzero lam_i and (rho, alpha) = sum_i r_i d_i."""
     scaled = [(i, rs.d[i] * x) for i, x in enumerate(lam) if x]
     num = den = 1
-    for _, r, _, rho_alpha, _, _ in rs.positive_roots:
+    for _, r, _, _, _ in rs.positive_roots:
+        rho_alpha = sum(map(operator.mul, r, rs.d))
         num *= rho_alpha + sum(r[i] * x for i, x in scaled)
         den *= rho_alpha
     assert num % den == 0
@@ -729,18 +746,19 @@ def weyl_dim_by_root_table(rs, lam):
 
 def walk_by_root_table(rs, max_dim):
     """(lam, dim V_lam) for every nonzero dominant lam with dim V_lam <=
-    max_dim, in the order of the library's walk, built from the positive-root
-    table: column j holds r_j d_j for every root, the simple-root coordinates
-    transposed and scaled, and j is live when the product of rho + column j
-    is within max_dim times that of rho.  The same depth-first walk then
+    max_dim, in depth-first order, built from the positive-root table: column
+    j holds r_j d_j for every root, the simple-root coordinates transposed
+    and scaled, and j is live when the product of rho + column j is within
+    max_dim times that of rho, with (rho, alpha) = sum_i r_i d_i.  The walk
     raises the live coordinates in index order, each from the last one
-    raised."""
+    raised, and lists a weight when it is pushed, so the library's sorted
+    walk is sorted() of this one."""
     roots = rs.positive_roots
-    rho = tuple(rho_alpha for _, _, _, rho_alpha, _, _ in roots)
+    rho = tuple(sum(map(operator.mul, r, rs.d)) for _, r, _, _, _ in roots)
     den = prod(rho)
     bound = max_dim * den
     live = []
-    for j, (col, dj) in enumerate(zip(zip(*(r for _, r, _, _, _, _ in roots)), rs.d)):
+    for j, (col, dj) in enumerate(zip(zip(*(r for _, r, _, _, _ in roots)), rs.d)):
         col = tuple(dj * x for x in col)
         if prod(map(operator.add, rho, col)) <= bound:
             live.append((j, col))

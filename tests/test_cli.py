@@ -883,6 +883,33 @@ class TestCliContract:
         assert captured.err.startswith(
             "error: a sweep to dimension 1000000000000 is over the limit of 100000")
 
+    def test_benchmark_tracer_installs(self, tmp_path):
+        # bench/tracing.py patches and reads library names from outside: one
+        # renamed or removed fails here, not only in the traced benchmark
+        child = (
+            "import importlib.util, json, sys\n"
+            "import thetacycles.cli as cli\n"
+            "spec = importlib.util.spec_from_file_location('tracing', sys.argv[1])\n"
+            "tracing = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracing)\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "jobs = [['rep-char', 'C3', '1,0,0']] * 2 + [\n"
+            "    ['fourfold-table'], ['qm-search', '--dim', '8', '--max-rank', '3']]\n"
+            "codes = [tracer.run_job(str(k), cli.run, argv) for k, argv in enumerate(jobs)]\n"
+            "print(json.dumps({'codes': codes, 'counts': tracer.summary()['counts']}))\n"
+        )
+        tracing = os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py")
+        proc = subprocess.run([sys.executable, "-c", child, tracing], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * 4
+        for counter in ("lierep.dominant_weights_below.closure_size",
+                        "lierep.freudenthal_dominant.memo_hits", "lierep.root_system.misses"):
+            assert report["counts"].get(counter), counter
+
     @pytest.mark.parametrize("g", ["8", "9", "100"])
     def test_oversized_cc_odp_refused(self, g):
         # under a 1 GiB address-space limit, so that a missing guard fails
@@ -1036,10 +1063,10 @@ class TestCliContract:
 
     @pytest.mark.parametrize("op, err", [
         ({"kind": "schur", "alpha": []}, "alpha must be a nonempty partition"),
-        ({"kind": "sym", "k": 33}, "p(33) is over the limit of 10000 partitions of a Schur expansion"),
-        ({"kind": "lambda", "k": 33}, "p(33) is over the limit of 10000 partitions of a Schur expansion"),
+        ({"kind": "sym", "k": 33}, "degree 33 is over the limit of 32 for a Schur expansion"),
+        ({"kind": "lambda", "k": 33}, "degree 33 is over the limit of 32 for a Schur expansion"),
         ({"kind": "schur", "alpha": [1] * 33},
-         "p(33) is over the limit of 10000 partitions of a Schur expansion"),
+         "degree 33 is over the limit of 32 for a Schur expansion"),
     ], ids=["schur-empty", "sym-33", "lambda-33", "schur-1^33"])
     def test_schur_shape_refused_on_every_route(self, op, err, capsys, tmp_path):
         # one-row and one-column shapes take the product route, which needs

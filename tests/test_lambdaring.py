@@ -90,7 +90,7 @@ class TestGroup:
 
         # a missing guard fails at the partition instead of making 10^12 parts
         monkeypatch.setattr(lr, "Partition", None)
-        with pytest.raises(ValueError, match=r"^p\(1000000000000\) is over the limit"):
+        with pytest.raises(ValueError, match=r"^degree 1000000000000 is over the limit"):
             lambda_op(10**12, elem(Z, 1))
 
 

@@ -23,8 +23,7 @@ from thetacycles.lierep import (
     NotACharacterError,
     RootSystem,
     _plate,
-    _walk_dominant_weights,
-    _weight_facts,
+    _walk,
     canonical_simple_types,
     center_kernel_index,
     char_alt,
@@ -668,16 +667,25 @@ class TestSelfDualAndFs:
 
 
 class TestClassifiers:
+    @staticmethod
+    def minuscule(name, lam):
+        return len(root_system(name)._closure(lam)) == 1
+
+    @staticmethod
+    def quasi_minuscule(name, lam):
+        rs = root_system(name)
+        return rs._closure(lam).keys() <= {lam, rs.zero()}
+
     def test_minuscule(self):
-        assert _weight_facts(root_system("A5"), (0, 0, 1, 0, 0))[1]
-        assert not _weight_facts(root_system("A2"), (1, 1))[1]
-        assert not _weight_facts(root_system("G2"), (1, 0))[1]
-        assert _weight_facts(root_system("D5"), (0, 0, 0, 0, 1))[1]
+        assert self.minuscule("A5", (0, 0, 1, 0, 0))
+        assert not self.minuscule("A2", (1, 1))
+        assert not self.minuscule("G2", (1, 0))
+        assert self.minuscule("D5", (0, 0, 0, 0, 1))
 
     def test_quasi_minuscule(self):
-        assert _weight_facts(root_system("A2"), (1, 1))[2]
-        assert _weight_facts(root_system("G2"), (1, 0))[2]
-        assert not _weight_facts(root_system("A2"), (2, 1))[2]
+        assert self.quasi_minuscule("A2", (1, 1))
+        assert self.quasi_minuscule("G2", (1, 0))
+        assert not self.quasi_minuscule("A2", (2, 1))
         orbit = root_system("G2").weyl_orbit((1, 0))
         assert len(orbit) == 6  # six short roots plus the zero weight
 
@@ -702,7 +710,9 @@ class TestClassifiers:
         closure = rs._closure
         monkeypatch.setattr(rs, "_closure", lambda lam: closures.append(lam) or closure(lam))
         lam = (1, 0, 1)
-        assert (_weight_facts(rs, lam)[1:], is_wmf(rs, lam)) == ((False, False), False)
+        doms = rs._closure(lam)
+        assert (len(doms) == 1, doms.keys() <= {lam, rs.zero()}, is_wmf(rs, lam)) == (
+            False, False, False)
         assert closures == [lam] * 2 and rs._dominant_below_cache == {}
         assert enumerate_dominant_weights(rs, 30) == [lam for lam, _ in rs._walk_table[1]]
         assert is_wmf(rs, rs.zero())
@@ -881,7 +891,7 @@ class TestClosedFormsAgainstOracles:
         alpha_i takes, and a new weight by those with alpha_i = 0."""
         steps = rs._seed_steps(i)
         assert sorted(steps) == sorted(
-            {a[i] for a, _, _, _, _, _ in rs.positive_roots if a[i] >= 0} | {0}), (rs.name, i)
+            {a[i] for a, _, _, _, _ in rs.positive_roots if a[i] >= 0} | {0}), (rs.name, i)
         return steps
 
     @classmethod
@@ -951,7 +961,7 @@ class TestClosedFormsAgainstOracles:
             steps = rs._closure_steps()
             assert steps == tuple(
                 (a, tuple(i for i, x in enumerate(a) if x > 0), height)
-                for a, _, _, _, height, _ in rs.positive_roots), rs.name
+                for a, _, _, height, _ in rs.positive_roots), rs.name
             assert rs._closure_steps() is steps and rs._steps is steps
 
     def test_closure_modes_on_every_sweep_rank(self):
@@ -969,8 +979,8 @@ class TestClosedFormsAgainstOracles:
         cases += [(t, 118) for t in canonical_simple_types(20) if t[1] > 10]
         count = 0
         for (letter, n), max_dim in cases:
-            rs = root_system(letter, n)
-            walked = sorted(_walk_dominant_weights(rs, max_dim))
+            rs = RootSystem(letter, n)  # no walk table
+            walked = _walk(rs, max_dim)
             assert walked == dominant_weights_in_box(rs, max_dim), (rs.name, max_dim)
             count += len(walked)
         assert count == 4930
@@ -979,9 +989,11 @@ class TestClosedFormsAgainstOracles:
         cases = [(t, 700) for t in self.TYPES_20] + [(t, 3000) for t in canonical_simple_types(10)]
         count = 0
         for (letter, n), max_dim in cases:
-            rs = root_system(letter, n)
-            walked = list(_walk_dominant_weights(rs, max_dim))
-            assert sorted(lam for lam, _ in walked) == enumerate_dominant_weights(rs, max_dim)
+            rs = RootSystem(letter, n)  # no walk table
+            walked = _walk(rs, max_dim)
+            # the cached system's weights, filtered from any larger walk table
+            assert [lam for lam, _ in walked] == enumerate_dominant_weights(
+                root_system(letter, n), max_dim)
             for lam, dim in walked:
                 assert dim == rs.weyl_dim(lam), (rs.name, lam)
             count += len(walked)
@@ -989,14 +1001,14 @@ class TestClosedFormsAgainstOracles:
 
     def test_walk_against_root_table_walk(self):
         # the walk over epsilon-pairings (A-D) and over the root table
-        # (E6-E8, F4, G2), weights, dimensions and order, against the walk
-        # over the transposed root table, on every type to rank 40
+        # (E6-E8, F4, G2), weights, dimensions and sorted order, against the
+        # walk over the transposed root table, on every type to rank 40
         count = 0
         for letter, n in TYPES_TO_RANK_40:
-            rs = RootSystem(letter, n)  # no walk table
+            rs = RootSystem(letter, n)  # no walk table, and 3,000 walks afresh
             for max_dim in (118, 3000):
-                walked = list(_walk_dominant_weights(rs, max_dim))
-                assert walked == walk_by_root_table(rs, max_dim), (rs.name, max_dim)
+                walked = _walk(rs, max_dim)
+                assert walked == sorted(walk_by_root_table(rs, max_dim)), (rs.name, max_dim)
                 count += len(walked)
         assert count == 6857
 
@@ -1030,7 +1042,7 @@ class TestClosedFormsAgainstOracles:
                         rs.name, w, i)
 
     def test_classify_flags_against_unfiltered_closure(self):
-        # the rows read their flags from _weight_facts; they are checked
+        # the rows read their flags from their closures; they are checked
         # against the closure that forms every root difference
         rows = classify_wmf(10, 3000) + classify_wmf(20, 118)
         for r in rows:
@@ -1117,11 +1129,10 @@ class TestClosedFormsAgainstOracles:
         for letter, n in self.TYPES_20:
             rs = root_system(letter, n)
             C, d = rs.cartan, rs.d
-            table = {r: (w, length) for w, r, length, _, _, _ in rs.positive_roots}
-            for w, r, length, rho_alpha, height, support in rs.positive_roots:
+            table = {r: (w, length) for w, r, length, _, _ in rs.positive_roots}
+            for w, r, length, height, support in rs.positive_roots:
                 assert w == tuple(sum(r[i] * C[i][j] for i in range(n)) for j in range(n))
                 assert 2 * length == sum(r[i] * d[i] * w[i] for i in range(n))
-                assert rho_alpha == sum(r[i] * d[i] for i in range(n))
                 assert height == sum(r) and min(r) >= 0
                 assert support == sum(1 << i for i in range(n) if r[i])
                 for i in range(n):

@@ -5,11 +5,11 @@ import pytest
 
 import thetacycles.symfun as symfun
 from thetacycles.symfun import (
-    MAX_PARTITIONS,
+    MAX_PARTITION_DEGREE,
+    MAX_SCHUR_DEGREE,
     JacobiTrudi,
     Partition,
     SymExpr,
-    _partition_count_over,
     elementary_to_powersum,
     partitions,
     schur_to_powersum,
@@ -23,6 +23,7 @@ from oracles import (
     expand_powersum_expr,
     frobenius_character,
     jacobi_trudi_terms,
+    partition_counts,
     ssyt_monomials,
 )
 
@@ -86,43 +87,41 @@ class TestPartition:
 
 class TestPartitionGuard:
     def test_count_matches_brute_force(self):
-        for n in range(20):
-            count = len(brute_partitions(n))
-            assert _partition_count_over(n, count - 1), n
-            assert not _partition_count_over(n, count), n
+        assert partition_counts(19) == [len(brute_partitions(n)) for n in range(20)]
 
     def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(symfun, "MAX_PARTITIONS", 22)  # p(8) = 22, p(9) = 30
+        monkeypatch.setattr(symfun, "MAX_PARTITION_DEGREE", 8)
         assert len(partitions(8)) == 22
-        with pytest.raises(ValueError, match=r"^p\(9\) is over the limit of 22 partitions$"):
+        with pytest.raises(ValueError, match=r"^degree 9 is over the limit of 8 for partitions$"):
             partitions(9)
 
     def test_limit_admits_degree_45(self):
-        # p(45) = 89,134 and p(46) = 105,558
-        assert not _partition_count_over(45, MAX_PARTITIONS)
-        assert _partition_count_over(46, MAX_PARTITIONS)
+        # the degrees with at most 100,000 partitions: p(45) = 89,134 and
+        # p(46) = 105,558
+        assert MAX_PARTITION_DEGREE == 45
+        assert partition_counts(46)[45:] == [89134, 105558]
 
     def test_refused_before_listing(self, monkeypatch):
-        with pytest.raises(ValueError, match=r"^p\(50\) is over the limit"):
+        with pytest.raises(ValueError, match=r"^degree 50 is over the limit"):
             schur_to_powersum(P(50))
         # a missing guard fails at the first partition instead of listing p(n)
         monkeypatch.setattr(symfun, "Partition", None)
         for call in (lambda: partitions(10**6), lambda: elementary_to_powersum(200)):
-            with pytest.raises(ValueError, match="over the limit of 100000 partitions"):
+            with pytest.raises(ValueError, match="over the limit of 45 for partitions"):
                 call()
 
     def test_schur_limit_admits_degree_32(self):
-        # p(32) = 8,349 and p(33) = 10,143
-        assert not _partition_count_over(32, symfun.MAX_SCHUR_PARTITIONS)
-        assert _partition_count_over(33, symfun.MAX_SCHUR_PARTITIONS)
+        # the degrees with at most 10,000 partitions: p(32) = 8,349 and
+        # p(33) = 10,143
+        assert MAX_SCHUR_DEGREE == 32
+        assert partition_counts(33)[32:] == [8349, 10143]
 
     def test_schur_refused_before_any_character(self, monkeypatch):
         # a missing guard fails at the first character instead of forming p(n)
         monkeypatch.setattr(symfun, "symmetric_group_character", None)
         for alpha in ((33,), (15, 15, 15), (45,), (1,) * 40):
             with pytest.raises(ValueError, match=(
-                    rf"^p\({sum(alpha)}\) is over the limit of 10000 partitions "
-                    "of a Schur expansion$")):
+                    rf"^degree {sum(alpha)} is over the limit of 32 for a Schur expansion$")):
                 schur_to_powersum(alpha)
 
 
